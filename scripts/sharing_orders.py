@@ -22,7 +22,8 @@ from hbd.feedbackless import (
     fbless_translate,
     internal_vars,
 )
-from hbd.io_diagrams import IoDiagram, io_equiv
+from hbd.harness import io_equiv
+from hbd.io_diagrams import IoDiagram
 from hbd.terms import Id, mk_atom, term_size
 from hbd.types import BaseType, Var
 

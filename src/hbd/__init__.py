@@ -29,7 +29,6 @@ from .io_diagrams import (
     EquivConfig,
     IoDiagram,
     inter,
-    io_equiv,
     is_perm,
     minus,
     named_feedback,
@@ -41,6 +40,7 @@ from .io_diagrams import (
 )
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
 from .feedbackless import SplitBlock, fbless_translate, loop_free, oi_rel, split_block
+from .harness import io_equiv
 from .frontend import FbLess, flatten_or_recurse, normalize, parse_doc, to_io_diagrams
 
 __all__ = [name for name in dir() if not name.startswith("_")]

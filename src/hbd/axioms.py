@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .compiled import compile_term
 from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
-from .io_diagrams import tuples_close
+from .io_diagrams import EquivConfig, differences
 from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats, sample_inputs
 from .terms import (
     Id,
@@ -361,13 +361,8 @@ def check_equation(
             f"equation sides have different typings: {eq.lhs.typing} vs {eq.rhs.typing}"
         )
     rows = sample_inputs(eq.lhs.in_types, samples, seed, include_bottom=True)
-    cl = compile_term(eq.lhs, cfg)
-    cr = compile_term(eq.rhs, cfg)
-    bad = []
-    for row, lo, ro in zip(rows, cl.run(rows, stats=stats), cr.run(rows, stats=stats)):
-        if not tuples_close(lo, ro, 1e-9, 1e-12):
-            bad.append((row, lo, ro))
-    return bad
+    outs = [compile_term(t, cfg).run(rows, stats=stats) for t in (eq.lhs, eq.rhs)]
+    return list(differences(rows, *outs, EquivConfig()))
 
 
 def run_axiom_suite(
@@ -380,7 +375,7 @@ def run_axiom_suite(
     """One outcome per axiom; an axiom fails if any instance has a counterexample."""
     outcomes = []
     for name, builder in AXIOMS:
-        rng = random.Random((seed, name).__hash__())
+        rng = random.Random(f"{seed}/{name}")
         outcome = AxiomOutcome(name)
         for i in range(instances):
             for eq in builder(rng):

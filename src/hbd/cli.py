@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -117,9 +118,12 @@ def _parse_cell(text: str, ty: BaseType):
         except ValueError:
             raise SchemaError(f"not an Int literal: {text!r}") from None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SchemaError(f"not a Real literal: {text!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"not a finite Real literal: {text!r}")
+    return value
 
 
 def _read_csv(path: str, doc: DiagramDoc, steps):

@@ -20,14 +20,14 @@ from .errors import PreconditionError
 from .io_diagrams import (
     EquivConfig,
     IoDiagram,
+    differences,
     equivalence_samples,
     fold_parallel,
     named_serial,
     switch_vars,
-    tuples_close,
 )
 from .semantics import DEFAULT_CONFIG, EvalConfig
-from .terms import Atom, Id, Serial, Term, iter_subterms, mk_atom, mk_serial
+from .terms import Atom, Id, Serial, Term, iter_subterms, mk_atom, mk_parallel, mk_serial
 from .exprs import ExprFun, Ref, free_refs
 from .types import Var, types_of
 
@@ -59,22 +59,12 @@ def check_deterministic(
     """Sampling check of [x -> x,x] ;; (S || S) == S ;; [y -> y,y]."""
     x = a.inputs
     y = a.outputs
-    lhs = mk_serial(switch_vars(x, x + x), _par(a.body, a.body))
+    lhs = mk_serial(switch_vars(x, x + x), mk_parallel(a.body, a.body))
     rhs = mk_serial(a.body, switch_vars(y, y + y))
     ecfg = EquivConfig(samples=samples, seed=seed, eval_config=cfg)
     rows = equivalence_samples(types_of(x), ecfg)
-    cl = compile_term(lhs, cfg)
-    cr = compile_term(rhs, cfg)
-    for ol, orr in zip(cl.run(rows), cr.run(rows)):
-        if not tuples_close(ol, orr, ecfg.rel_tol, ecfg.abs_tol):
-            return False
-    return True
-
-
-def _par(s: Term, t: Term) -> Term:
-    from .terms import mk_parallel
-
-    return mk_parallel(s, t)
+    outs = [compile_term(t, cfg).run(rows) for t in (lhs, rhs)]
+    return next(differences(rows, *outs, ecfg), None) is None
 
 
 def split_block(

@@ -19,6 +19,7 @@ into chains of binary split blocks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -34,7 +35,7 @@ from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, fmt_expr, lit_kind
 from .feedbackless import OrderPolicy, Topological, fbless_translate, split_block
 from .io_diagrams import IoDiagram
 from .terms import mk_atom
-from .translator import Strategy, translate
+from .translator import Incremental, translate
 from .types import BaseType, Var, base_type
 
 
@@ -57,7 +58,6 @@ class BlockSpec:
     out_ports: tuple
     fn: ExprFun  # params: in_ports then state roles; bodies: out_ports then next-state roles
     states: tuple = ()  # (StateSpec, ...)
-    deterministic: bool = True
 
     def in_port(self, name: str) -> Optional[BaseType]:
         for n, t in self.in_ports:
@@ -79,11 +79,17 @@ def _num_type(params) -> BaseType:
     return t
 
 
-def _coerce(value, ty: BaseType):
+def _coerce(value, ty: Optional[BaseType] = None):
+    """A block parameter as a finite literal, of type ``ty`` when given."""
     if ty is BaseType.REAL and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if lit_kind(value) is not ty:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise SchemaError(f"parameter {value!r} is not a finite number") from None
+    if ty is not None and lit_kind(value) is not ty:
         raise SchemaError(f"parameter {value!r} does not have type {ty}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"parameter {value!r} is not a finite number")
     return value
 
 
@@ -120,18 +126,16 @@ def _make_gain(params):
 def _make_constant(params):
     if "value" not in params:
         raise SchemaError("Constant requires parameter value")
-    value = params["value"]
-    if "type" in params:
-        value = _coerce(value, base_type(params["type"]))
+    ty = base_type(params["type"]) if "type" in params else None
+    value = _coerce(params["value"], ty)
     t = lit_kind(value)
     fn = ExprFun((), (Lit(value),))
     return BlockSpec("Constant", (), (("out", t),), fn)
 
 
 def _make_delay(params):
-    init = params.get("init", 0.0)
-    if "type" in params:
-        init = _coerce(init, base_type(params["type"]))
+    ty = base_type(params["type"]) if "type" in params else None
+    init = _coerce(params.get("init", 0.0), ty)
     t = lit_kind(init)
     fn = ExprFun((Var("x", t), Var("s", t)), (Ref("s"), Ref("x")))
     return BlockSpec(
@@ -766,7 +770,7 @@ def _translate_list(diagrams, method) -> IoDiagram:
 def document_io_list(
     doc: DiagramDoc,
     mode: str = "flatten",
-    method: object = None,
+    method: object = Incremental(),
     names: Optional[_NameGen] = None,
 ):
     """The io-distinct diagram list a document translates from.
@@ -776,10 +780,6 @@ def document_io_list(
     a single io-diagram used as an atomic element of the parent's list.
     Returns (diagrams, state table, normalized document).
     """
-    from .translator import Incremental
-
-    if method is None:
-        method = Incremental()
     check_subsystem_cycles(doc)
     if mode == "flatten":
         flat = normalize(flatten(doc), names)
@@ -819,14 +819,10 @@ def document_io_list(
 def flatten_or_recurse(
     doc: DiagramDoc,
     mode: str = "flatten",
-    method: object = None,
+    method: object = Incremental(),
     names: Optional[_NameGen] = None,
 ) -> TranslationResult:
     """Translate a whole document; the two modes yield io-equivalent results."""
-    from .translator import Incremental
-
-    if method is None:
-        method = Incremental()
     diagrams, state_table, norm = document_io_list(doc, mode, method, names)
     if not diagrams:
         raise PreconditionError("document has no blocks to translate")

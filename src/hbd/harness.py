@@ -1,10 +1,9 @@
-"""Determinacy harness: translate one diagram under many strategies and fill
-the pairwise equivalence matrix.
-
-All strategies' results are evaluated on one shared sample set with inputs
-and outputs aligned by variable name (the same computation io_equiv performs
-pairwise), so the matrix is symmetric by construction and each body is
-evaluated once per sample.
+"""Determinacy harness: translate one diagram list under many strategies
+(``translate`` runs each strategy's step generator to its end) and fill the
+pairwise equivalence matrix with the one sampling oracle,
+``equivalence_cells``, which evaluates each result once on shared samples
+with inputs and outputs aligned by variable name.  ``io_equiv`` is its
+two-diagram case.
 """
 
 from __future__ import annotations
@@ -14,15 +13,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .compiled import compile_term
-from .errors import PreconditionError
+from .errors import FixpointDivergence, PreconditionError
 from .feedbackless import fbless_translate, loop_free, split_block
 from .io_diagrams import (
     EquivConfig,
     EquivResult,
     IoDiagram,
+    differences,
     equivalence_samples,
     is_perm,
-    tuples_close,
 )
 from .semantics import EvalStats
 from .terms import print_term, term_size
@@ -71,11 +70,12 @@ class RunReport:
             cells = " ".join(f"{'ok' if c else 'FAIL':>6}" for c in row)
             lines.append(f"{label:>{width}}  {cells}")
         for i, row in enumerate(self.matrix):
-            for j, cell in enumerate(row):
+            for j in range(i, len(row)):
+                cell = row[j]
                 if not cell:
+                    at = "" if cell.counterexample is None else f" at {cell.counterexample}"
                     lines.append(
-                        f"counterexample {labels[i]} vs {labels[j]}: "
-                        f"{cell.reason} at {cell.counterexample}"
+                        f"counterexample {labels[i]} vs {labels[j]}: {cell.reason}{at}"
                     )
         return "\n".join(lines)
 
@@ -105,6 +105,71 @@ def translate_all(
     return runs
 
 
+def equivalence_cells(
+    diagrams: Sequence[IoDiagram],
+    cfg: EquivConfig = EquivConfig(),
+    stats: Optional[EvalStats] = None,
+):
+    """(samples, matrix): pairwise io-equivalence of nonempty ``diagrams``.
+
+    Inputs are sampled for the first diagram; each body runs once with its
+    arguments and results aligned to that interface by name, which evaluates
+    ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a)]``.  A diagram whose interface is
+    not a permutation of the first's, or that finds no fixed point, fails
+    its whole row and column with that reason.
+    """
+    ref = diagrams[0]
+    samples = equivalence_samples(types_of(ref.inputs), cfg)
+    in_pos = {v: i for i, v in enumerate(ref.inputs)}
+    # names compare equal regardless of type, so the types are pinned too
+    ref_ty = {v.name: v.ty for v in ref.inputs + ref.outputs}
+    aligned = []  # per diagram: its outputs in ref's order, or why there are none
+    for d in diagrams:
+        if not is_perm(d.inputs, ref.inputs):
+            aligned.append("input lists are not permutations")
+            continue
+        if not is_perm(d.outputs, ref.outputs):
+            aligned.append("output lists are not permutations")
+            continue
+        clash = [v for v in d.inputs + d.outputs if ref_ty[v.name] is not v.ty]
+        if clash:
+            v = clash[0]
+            aligned.append(f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}")
+            continue
+        in_map = [in_pos[v] for v in d.inputs]
+        rows = [tuple(row[i] for i in in_map) for row in samples]
+        try:
+            outs = compile_term(d.body, cfg.eval_config).run(
+                rows, stats=stats, validate=False
+            )
+        except FixpointDivergence as exc:
+            aligned.append(f"fixpoint divergence: {exc}")
+            continue
+        out_pos = {v: i for i, v in enumerate(d.outputs)}
+        out_map = [out_pos[v] for v in ref.outputs]
+        aligned.append([tuple(o[i] for i in out_map) for o in outs])
+
+    n = len(diagrams)
+    matrix = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a, b = aligned[i], aligned[j]
+            reason = a if isinstance(a, str) else b if isinstance(b, str) else None
+            diff = None if reason or a == b else next(differences(samples, a, b, cfg), None)
+            if reason or diff:
+                cell = EquivResult(False, reason or "semantic difference", diff)
+            else:
+                cell = EquivResult(True)
+            matrix[i][j] = matrix[j][i] = cell
+    return samples, matrix
+
+
+def io_equiv(a: IoDiagram, b: IoDiagram, cfg: EquivConfig = EquivConfig()) -> EquivResult:
+    """Sampling check of equality up to interface permutation: the
+    off-diagonal cell of ``equivalence_cells([a, b], cfg)``."""
+    return equivalence_cells([a, b], cfg)[1][0][1]
+
+
 def equivalence_matrix(
     runs: Sequence[StrategyRun],
     cfg: EquivConfig = EquivConfig(),
@@ -112,53 +177,11 @@ def equivalence_matrix(
 ) -> RunReport:
     """Pairwise io-equivalence of all runs, via shared name-aligned samples."""
     report = RunReport(runs=list(runs), stats=stats or EvalStats())
-    if not runs:
-        return report
-    ref = runs[0].diagram
-    samples = equivalence_samples(types_of(ref.inputs), cfg)
-    report.samples_used = len(samples)
-
-    ref_ty = {v.name: v.ty for v in ref.inputs + ref.outputs}
-    aligned = []
-    for run in runs:
-        d = run.diagram
-        if not is_perm(d.inputs, ref.inputs) or not is_perm(d.outputs, ref.outputs):
-            aligned.append(None)
-            continue
-        if any(ref_ty[v.name] is not v.ty for v in d.inputs + d.outputs):
-            aligned.append(None)
-            continue
-        in_pos = {v: i for i, v in enumerate(ref.inputs)}
-        in_map = [in_pos[v] for v in d.inputs]
-        rows = [tuple(row[i] for i in in_map) for row in samples]
-        outs = compile_term(d.body, cfg.eval_config).run(
-            rows, stats=report.stats, validate=False
+    if runs:
+        samples, report.matrix = equivalence_cells(
+            [run.diagram for run in runs], cfg, report.stats
         )
-        out_pos = {v: i for i, v in enumerate(d.outputs)}
-        out_map = [out_pos[v] for v in ref.outputs]
-        aligned.append([tuple(o[i] for i in out_map) for o in outs])
-
-    n = len(runs)
-    report.matrix = [[None] * n for _ in range(n)]
-    for i in range(n):
-        report.matrix[i][i] = EquivResult(True)
-        for j in range(i + 1, n):
-            if aligned[i] is None or aligned[j] is None:
-                cell = EquivResult(
-                    False, "interface is not a permutation of the reference"
-                )
-            elif aligned[i] == aligned[j]:
-                cell = EquivResult(True)
-            else:
-                cell = EquivResult(True)
-                for row, oi, oj in zip(samples, aligned[i], aligned[j]):
-                    if not tuples_close(oi, oj, cfg.rel_tol, cfg.abs_tol):
-                        cell = EquivResult(
-                            False, "semantic difference", counterexample=(row, oi, oj)
-                        )
-                        break
-            report.matrix[i][j] = cell
-            report.matrix[j][i] = cell
+        report.samples_used = len(samples)
     return report
 
 

@@ -10,14 +10,12 @@ unknown values.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
-from .compiled import compile_term
 from .errors import CompositionError, TypeMismatchError
-from .semantics import BOT, EvalConfig, value_kind
+from .semantics import BOT, EvalConfig, sample_inputs, value_kind
 from .terms import (
     Id,
     Parallel,
@@ -191,7 +189,7 @@ def named_feedback(a: IoDiagram) -> IoDiagram:
     return IoDiagram(ins, outs, body)
 
 
-# -- semantic equivalence oracle ----------------------------------------------
+# -- sampling and comparison for the equivalence oracle (hbd.harness) ---------
 
 @dataclass(frozen=True)
 class EquivConfig:
@@ -257,8 +255,6 @@ def equivalence_samples(t: TypeList, cfg: EquivConfig):
         if all(k is BaseType.BOOL for k in t):
             return rows  # the canonical grid is the whole domain
     if len(rows) < cfg.samples:
-        from .semantics import sample_inputs
-
         rows.extend(sample_inputs(t, cfg.samples - len(rows), cfg.seed, True))
     return rows
 
@@ -271,39 +267,9 @@ def permutation_wrapped_body(a: IoDiagram, b: IoDiagram) -> Term:
     )
 
 
-def io_equiv(a: IoDiagram, b: IoDiagram, cfg: EquivConfig = EquivConfig()) -> EquivResult:
-    """Sampling check of equality up to interface permutation.
-
-    The interfaces must be permutations of each other; the bodies are then
-    compared on sampled inputs with b's arguments and results aligned by
-    name, which is exactly the evaluation of
-    ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a)]`` on each sample.
-    """
-    if not is_perm(a.inputs, b.inputs):
-        return EquivResult(False, "input lists are not permutations")
-    if not is_perm(a.outputs, b.outputs):
-        return EquivResult(False, "output lists are not permutations")
-    # names compare equal regardless of type, so pin the types down too
-    a_ty = {v.name: v.ty for v in a.inputs + a.outputs}
-    for v in b.inputs + b.outputs:
-        if a_ty[v.name] is not v.ty:
-            return EquivResult(
-                False, f"variable {v.name} has type {v.ty} vs {a_ty[v.name]}"
-            )
-    samples = equivalence_samples(types_of(a.inputs), cfg)
-    in_pos = {v: i for i, v in enumerate(a.inputs)}
-    out_pos = {v: i for i, v in enumerate(b.outputs)}
-    in_map = [in_pos[v] for v in b.inputs]
-    out_map = [out_pos[v] for v in a.outputs]
-    ca = compile_term(a.body, cfg.eval_config)
-    cb = compile_term(b.body, cfg.eval_config)
-    outs_a = ca.run(samples)
-    outs_b = cb.run([tuple(row[i] for i in in_map) for row in samples], validate=False)
-    for row, oa, ob in zip(samples, outs_a, outs_b):
-        ob_aligned = tuple(ob[i] for i in out_map)
-        if not tuples_close(oa, ob_aligned, cfg.rel_tol, cfg.abs_tol):
-            return EquivResult(
-                False, "semantic difference", counterexample=(row, oa, ob_aligned)
-            )
-    return EquivResult(True)
-
+def differences(rows, outs_a, outs_b, cfg: EquivConfig):
+    """(input, out_a, out_b) for each sampled input on which two evaluations
+    differ beyond the tolerances of ``cfg``."""
+    for row, oa, ob in zip(rows, outs_a, outs_b):
+        if not tuples_close(oa, ob, cfg.rel_tol, cfg.abs_tol):
+            yield row, oa, ob

@@ -7,8 +7,9 @@ applies a final named feedback:
   (a) replace k > 1 elements B1..Bk by FB(B1 ||| ... ||| Bk)
   (b) replace a pair A, B by FB(FB(A) ;;; FB(B))
 
-Every resolution of the choices yields io-equivalent results; the three
-shipped strategies pin them down as: all-at-once parallel (a with k = n),
+Every resolution of the choices yields io-equivalent results.  A strategy
+is a step generator: ``steps(ds)`` yields the working list after each
+replacement.  The shipped ones are all-at-once parallel (a with k = n),
 incremental pairwise serial (b on the first two of a topologically sorted
 list), and a seeded random mix.
 """
@@ -20,33 +21,43 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .io_diagrams import (
-    EquivConfig,
-    IoDiagram,
-    fold_parallel,
-    inter,
-    io_equiv,
-    named_feedback,
-    named_serial,
-)
+from .io_diagrams import IoDiagram, fold_parallel, inter, named_feedback, named_serial
 
 
 @dataclass(frozen=True)
 class FeedbackParallel:
-    pass
+    def steps(self, ds):
+        if len(ds) > 1:
+            yield [_group_step(ds)]
 
 
 @dataclass(frozen=True)
 class Incremental:
-    pass
+    def steps(self, ds):
+        ds = topo_order(ds)
+        while len(ds) > 1:
+            ds = [_pair_step(ds[0], ds[1])] + ds[2:]
+            yield ds
 
 
 @dataclass(frozen=True)
 class RandomChoices:
     seed: int
 
-
-Strategy = object  # FeedbackParallel | Incremental | RandomChoices
+    def steps(self, ds):
+        rng = random.Random(self.seed)
+        while len(ds) > 1:
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(len(ds)), 2)
+                rest = [d for k, d in enumerate(ds) if k not in (i, j)]
+                ds = [_pair_step(ds[i], ds[j])] + rest
+            else:
+                k = rng.randint(2, len(ds))
+                picked = rng.sample(range(len(ds)), k)
+                rng.shuffle(picked)
+                rest = [d for idx, d in enumerate(ds) if idx not in set(picked)]
+                ds = [_group_step([ds[i] for i in picked])] + rest
+            yield ds
 
 
 def check_io_distinct(ds: Sequence[IoDiagram]) -> bool:
@@ -97,60 +108,13 @@ def _group_step(group) -> IoDiagram:
     return named_feedback(fold_parallel(group))
 
 
-def translate(
-    diagrams: Sequence[IoDiagram],
-    strategy: Strategy,
-    *,
-    debug: bool = False,
-    debug_budget: int = 24,
-) -> IoDiagram:
-    """Run the translation loop under ``strategy`` and return one io-diagram.
-
-    ``debug`` re-checks the loop invariant after every iteration:
-    io-distinctness of the working list and io-equivalence of
-    FB(fold |||) with the original fold, on a small sampling budget.
-    """
+def translate(diagrams: Sequence[IoDiagram], strategy) -> IoDiagram:
+    """Run the translation loop under ``strategy`` and return one io-diagram."""
     ds = list(diagrams)
     if not ds:
         raise PreconditionError("translate needs a nonempty list of io-diagrams")
     if not check_io_distinct(ds):
         raise PreconditionError("input list is not io-distinct")
-    reference = None
-    if debug:
-        reference = named_feedback(fold_parallel(ds)) if len(ds) > 1 else None
-
-    if isinstance(strategy, Incremental):
-        ds = topo_order(ds)
-
-    rng = random.Random(strategy.seed) if isinstance(strategy, RandomChoices) else None
-
-    while len(ds) > 1:
-        if isinstance(strategy, FeedbackParallel):
-            ds = [_group_step(ds)]
-        elif isinstance(strategy, Incremental):
-            ds = [_pair_step(ds[0], ds[1])] + ds[2:]
-        elif isinstance(strategy, RandomChoices):
-            if rng.random() < 0.5:
-                i, j = rng.sample(range(len(ds)), 2)
-                rest = [d for k, d in enumerate(ds) if k not in (i, j)]
-                ds = [_pair_step(ds[i], ds[j])] + rest
-            else:
-                k = rng.randint(2, len(ds))
-                picked = rng.sample(range(len(ds)), k)
-                rng.shuffle(picked)
-                rest = [d for idx, d in enumerate(ds) if idx not in set(picked)]
-                ds = [_group_step([ds[i] for i in picked])] + rest
-        else:
-            raise PreconditionError(f"unknown strategy: {strategy!r}")
-        if debug:
-            if not check_io_distinct(ds):
-                raise AssertionError("loop invariant broken: list not io-distinct")
-            current = named_feedback(fold_parallel(ds)) if len(ds) > 1 else named_feedback(ds[0])
-            target = reference if reference is not None else current
-            cfg = EquivConfig(samples=debug_budget, exhaustive_limit=debug_budget)
-            res = io_equiv(current, target, cfg)
-            if not res:
-                raise AssertionError(
-                    f"loop invariant broken: {res.reason} at {res.counterexample}"
-                )
+    for ds in strategy.steps(ds):
+        pass
     return named_feedback(ds[0])

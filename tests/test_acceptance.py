@@ -23,11 +23,10 @@ from hbd.feedbackless import (
     transitive_closure,
 )
 from hbd.frontend import flatten_or_recurse
-from hbd.harness import run_determinacy
+from hbd.harness import io_equiv, run_determinacy
 from hbd.io_diagrams import (
     EquivConfig,
     fold_parallel,
-    io_equiv,
     named_feedback,
     named_serial,
     switch_vars,

@@ -1,7 +1,13 @@
 """The sixteen algebra laws, plus a self-test that the checker catches lies."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import hbd
 from hbd.axioms import AXIOMS, Equation, check_equation, run_axiom_suite
 from hbd.semantics import EvalConfig, eval_term, sample_inputs
 from hbd.terms import Id, Sink, Split, Switch, mk_feedback, mk_parallel, mk_serial
@@ -75,7 +81,7 @@ def test_sampler_distinguishes_the_two_multiply_models():
     # on inputs pairing bot with zero, so the oracle must see through it
     from hbd.compiled import compile_term
     from hbd.exprs import Bin, ExprFun, Ref
-    from hbd.io_diagrams import tuples_close
+    from hbd.io_diagrams import EquivConfig, differences
     from hbd.semantics import sample_inputs
     from hbd.terms import mk_atom
     from hbd.types import Var
@@ -86,9 +92,33 @@ def test_sampler_distinguishes_the_two_multiply_models():
     strict = compile_term(mul, EvalConfig(strict_multiply=True))
     lazy = compile_term(mul, EvalConfig(strict_multiply=False))
     rows = sample_inputs((R, R), 200, seed=3)
-    diffs = [
-        row
-        for row, a, b in zip(rows, strict.run(rows), lazy.run(rows))
-        if not tuples_close(a, b, 1e-9, 1e-12)
-    ]
+    diffs = list(differences(rows, strict.run(rows), lazy.run(rows), EquivConfig()))
     assert diffs, "sampling must produce bot-with-zero pairs"
+
+
+_SHOW_FIRST_INSTANCES = """
+import hbd.axioms as ax
+check = ax.check_equation
+def show(eq, *args):
+    print(repr(eq.lhs), repr(eq.rhs))
+    return check(eq, *args)
+ax.check_equation = show
+ax.run_axiom_suite(instances=1, samples=1)
+"""
+
+
+def test_suite_instances_do_not_depend_on_hash_seed():
+    """Each law draws the same first instance in processes whose str
+    hashing differs, so a counterexample reproduces from its seed."""
+    src = str(pathlib.Path(hbd.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHOW_FIRST_INSTANCES],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") >= 16
+    assert outs[0] == outs[1]

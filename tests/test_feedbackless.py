@@ -24,11 +24,11 @@ from hbd.feedbackless import (
     split_block,
     transitive_closure,
 )
+from hbd.harness import io_equiv
 from hbd.io_diagrams import (
     EquivConfig,
     IoDiagram,
     fold_parallel,
-    io_equiv,
     named_feedback,
 )
 from hbd.terms import Id, feedbacks_outside_arb, mk_arb, mk_atom, rewrite_basic

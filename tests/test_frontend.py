@@ -1,6 +1,7 @@
 """Document parsing, validation, normalization and hierarchy handling."""
 
 import json
+import math
 
 import pytest
 
@@ -22,7 +23,7 @@ from hbd.frontend import (
     to_io_diagrams,
     to_split_blocks,
 )
-from hbd.io_diagrams import io_equiv
+from hbd.harness import io_equiv
 from hbd.terms import Atom, rewrite_basic
 from hbd.translator import Incremental
 from hbd.types import BaseType
@@ -349,6 +350,26 @@ class TestLibrary:
     def test_gain_requires_k(self):
         with pytest.raises(SchemaError):
             parse_doc(json.dumps(_doc(blocks=[{"id": "G", "kind": "Gain"}])))
+
+    @pytest.mark.parametrize(
+        "kind, key, literal",
+        [("Gain", "k", "NaN"), ("Constant", "value", "-Infinity"), ("UnitDelay", "init", "1e400")],
+    )
+    def test_non_finite_parameter_in_json_text(self, kind, key, literal):
+        doc = _doc(blocks=[{"id": "G", "kind": kind, "params": {key: 7.5}}])
+        with pytest.raises(SchemaError, match="finite"):
+            parse_doc(json.dumps(doc).replace("7.5", literal))
+
+    def test_non_finite_parameter_in_loaded_dict(self):
+        for kind, params in [
+            ("Gain", {"k": math.nan}),
+            ("Gain", {"k": 10**400}),  # too large for a Real
+            ("Constant", {"value": math.inf}),
+            ("UnitDelay", {"init": -math.inf, "type": "Real"}),
+        ]:
+            doc = _doc(blocks=[{"id": "G", "kind": kind, "params": params}])
+            with pytest.raises(SchemaError, match="finite"):
+                parse_doc(doc)
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):

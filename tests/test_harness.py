@@ -1,6 +1,11 @@
 """Determinacy harness report invariants."""
 
-from hbd.exprs import Bin, ExprFun, Ref
+import importlib
+import math
+import runpy
+from pathlib import Path
+
+from hbd.exprs import Bin, ExprFun, Lit, Ref
 from hbd.harness import StrategyRun, equivalence_matrix, run_determinacy, translate_all
 from hbd.io_diagrams import EquivConfig, IoDiagram
 from hbd.terms import mk_atom
@@ -36,6 +41,40 @@ def test_inequivalent_runs_are_flagged_with_counterexample():
     assert not cell and cell.counterexample is not None
     rendered = report.render()
     assert "FAIL" in rendered and "counterexample" in rendered
+    assert rendered.count("counterexample") == 1  # each pair is listed once
+
+
+def test_divergent_strategy_is_a_fail_cell():
+    """x = u*inf - u*inf is NaN for finite u.  A NaN fed back never equals
+    the previous iterate, so the feedback strategies find no fixed point;
+    fbless composes the loop away and evaluates."""
+    u, x, y = Var("u", R), Var("x", R), Var("y", R)
+    nan = Bin("-", Bin("*", Ref("u"), Lit(math.inf)), Bin("*", Ref("u"), Lit(math.inf)))
+    d = IoDiagram((u, x), (x, y), mk_atom("F", ExprFun((u, x), (nan, Ref("x")))))
+    report = run_determinacy([d], seeds=range(2), samples=20)
+    labels = [r.label for r in report.runs]
+    assert labels == ["fbpar", "incr", "rand0", "rand1", "fbless"]
+    for i in range(4):
+        for cell in report.matrix[i]:
+            assert not cell and "no fixed point" in cell.reason
+    assert report.matrix[4][4]
+    rendered = report.render()
+    assert "at None" not in rendered
+    pairs = [line.split(":")[0] for line in rendered.splitlines() if line.startswith("counter")]
+    # each failing pair once, a diverging run against itself included
+    assert len(pairs) == len(set(pairs)) == 5 + 4 + 3 + 2
+
+
+def test_benchmark_bindings_resolve():
+    """The benchmark's traced run wraps these hbd entry points by name; a
+    missing one fails every benchmark run, so it must fail here first."""
+    spans = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"))
+    for _, owner, attr, _ in spans["BINDINGS"]:
+        module = importlib.import_module("hbd.terms" if owner == "api" else f"hbd.{owner}")
+        assert callable(getattr(module, attr, None)), (owner, attr)
+    from hbd.compiled import Compiled
+
+    assert callable(Compiled.run)
 
 
 def test_translate_all_labels(running_example):

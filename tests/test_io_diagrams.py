@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 from hbd.compiled import compile_term
 from hbd.errors import CompositionError, TypeMismatchError
 from hbd.exprs import Bin, ExprFun, Ref
+from hbd.harness import io_equiv
 from hbd.io_diagrams import (
     EquivConfig,
     IoDiagram,
     equivalence_samples,
     inter,
-    io_equiv,
     is_perm,
     minus,
     named_feedback,

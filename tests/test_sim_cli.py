@@ -137,6 +137,14 @@ def test_cli_simulate_csv_mismatch_exit_2(sum_path, tmp_path, capsys):
     assert main(["simulate", sum_path, "--inputs", str(csv_path)]) == 2
 
 
+def test_cli_simulate_non_finite_cell_exit_2(sum_path, tmp_path, capsys):
+    csv_path = tmp_path / "inputs.csv"
+    for cell in ("nan", "inf", "-Infinity", "1e400"):
+        csv_path.write_text(f"u\n1\n{cell}\n")
+        assert main(["simulate", sum_path, "--inputs", str(csv_path)]) == 2, cell
+        assert "finite" in capsys.readouterr().err
+
+
 def test_cli_simulate_fbless_strategy(sum_path, tmp_path, capsys):
     csv_path = tmp_path / "inputs.csv"
     csv_path.write_text("u\n1\n2\n3\n4\n")

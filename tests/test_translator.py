@@ -6,7 +6,8 @@ import random
 import pytest
 
 from hbd.errors import PreconditionError
-from hbd.io_diagrams import EquivConfig, IoDiagram, io_equiv, named_feedback, switch_vars
+from hbd.harness import io_equiv
+from hbd.io_diagrams import EquivConfig, IoDiagram, fold_parallel, named_feedback, switch_vars
 from hbd.terms import (
     Feedback,
     Id,
@@ -175,10 +176,19 @@ def test_strategies_pairwise_equivalent(running_example):
             assert io_equiv(ri, rj, cfg)
 
 
-def test_debug_mode_checks_loop_invariant(running_example):
-    add, delay, split = running_example
-    out = translate([add, delay, split], RandomChoices(3), debug=True)
-    assert out.inputs and out.outputs
+def test_steps_keep_loop_invariant(running_example):
+    """Every working list a strategy yields is io-distinct, and FB of its
+    parallel fold stays io-equivalent to FB of the starting list's fold."""
+    ds = list(running_example)
+    reference = named_feedback(fold_parallel(ds))
+    cfg = EquivConfig(samples=40, exhaustive_limit=81)
+    strategies = [FeedbackParallel(), Incremental()] + [RandomChoices(s) for s in range(4)]
+    for strategy in strategies:
+        steps = list(strategy.steps(ds))
+        assert steps and len(steps[-1]) == 1, strategy
+        for step in steps:
+            assert check_io_distinct(step), strategy
+            assert io_equiv(named_feedback(fold_parallel(step)), reference, cfg), strategy
 
 
 def test_translate_random_lists():
