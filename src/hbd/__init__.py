@@ -8,11 +8,13 @@ from .terms import (
     Feedback,
     Id,
     Parallel,
+    Route,
     Serial,
     Sink,
     Split,
     Switch,
     Term,
+    expand_routes,
     feedback_n,
     mk_arb,
     mk_atom,

@@ -1,8 +1,8 @@
 """Batch evaluator used by the sampling oracles.
 
 Compiles a term once and evaluates it on many input tuples at a time,
-column-wise.  Regions built purely from wiring constants (identity, split,
-sink, switch, and their serial/parallel/feedback compositions) collapse to
+column-wise.  Regions built purely from wiring (identity, split, sink,
+switch, route, and their serial/parallel/feedback compositions) collapse to
 index maps, so the per-sample cost is dominated by atoms and fixpoint
 iterations rather than by plumbing size.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FixpointDivergence, TypeMismatchError
+from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from .semantics import (
     BOT,
@@ -25,10 +25,11 @@ from .semantics import (
     EvalStats,
     binop_table,
     check_kinds,
+    fixpoint_divergence,
     op_neg,
     op_not,
 )
-from .terms import Atom, Feedback, Id, Parallel, Serial, Sink, Split, Switch, Term
+from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
 
 # An index map sends each output position to an input position, or to None
 # for a constantly-unknown output.
@@ -127,9 +128,7 @@ class _FbC(_Node):
                     ctx.stats.record(n, iters)
                 return res[n:]
             if iters >= cap:
-                raise FixpointDivergence(
-                    f"no fixed point within {cap} iterations (non-monotone atom?)"
-                )
+                raise fixpoint_divergence(cap, (v for col in new for v in col))
             xs = new
 
 
@@ -199,6 +198,8 @@ def _compile(term: Term, cfg: EvalConfig) -> _Node:
     if isinstance(term, Switch):
         n, k = len(term.t), len(term.t2)
         return _MapC(n + k, tuple(range(n, n + k)) + tuple(range(n)))
+    if isinstance(term, Route):
+        return _MapC(len(term.t), term.imap)
     if isinstance(term, Atom):
         return _AtomC(len(term.fn.params), compile_exprfun(term.fn, cfg))
     if isinstance(term, Serial):

@@ -5,8 +5,7 @@ accurate per-output input dependencies.  If the refined output->input
 dependency relation has no cycle, internal variables are eliminated one at
 a time by composing each producer serially into all of its consumers; the
 surviving blocks are folded in parallel.  The result contains no feedback
-operator (the only tolerated occurrences are inside Arb constants that a
-switch may introduce for unread names).
+operator outside Arb constants.
 """
 
 from __future__ import annotations
@@ -195,22 +194,64 @@ def internal_serial(a: SplitBlock, b: SplitBlock) -> SplitBlock:
     return b
 
 
+def _internal_by_first_seen(blocks) -> list:
+    """Internal variables in the order their producers appear in ``blocks``."""
+    first_seen = {b.output: i for i, b in enumerate(blocks)}
+    return sorted(internal_vars(blocks), key=lambda v: first_seen[v])
+
+
 @dataclass(frozen=True)
 class GivenOrder:
     names: tuple  # tuple of variable names or Vars, elimination order
 
+    def order(self, blocks) -> list:
+        internal = internal_vars(blocks)
+        by_name = {v.name: v for v in internal}
+        order = []
+        for item in self.names:
+            name = item.name if isinstance(item, Var) else item
+            if name not in by_name:
+                raise PreconditionError(
+                    f"GivenOrder names unknown internal variable {name!r}"
+                )
+            order.append(by_name[name])
+        if set(order) != internal or len(order) != len(internal):
+            raise PreconditionError(
+                "GivenOrder must list every internal variable exactly once"
+            )
+        return order
+
 
 @dataclass(frozen=True)
 class Topological:
-    pass
+    def order(self, blocks) -> list:
+        # u precedes w when w's producer depends on u: eliminating upstream
+        # variables first maximizes reuse of already-composed producers.
+        deps_of = {b.output: b.deps for b in blocks}
+        nodes = _internal_by_first_seen(blocks)
+        internal = set(nodes)
+        indeg = {u: sum(1 for w in deps_of.get(u, ()) if w in internal) for u in nodes}
+        order = []
+        remaining = set(nodes)
+        while remaining:
+            ready = [u for u in nodes if u in remaining and indeg[u] == 0]
+            pick = ready[0] if ready else next(u for u in nodes if u in remaining)
+            remaining.discard(pick)
+            order.append(pick)
+            for u in nodes:
+                if u in remaining and pick in deps_of.get(u, ()):
+                    indeg[u] -= 1
+        return order
 
 
 @dataclass(frozen=True)
 class RandomOrder:
     seed: int
 
-
-OrderPolicy = object
+    def order(self, blocks) -> list:
+        order = _internal_by_first_seen(blocks)
+        random.Random(self.seed).shuffle(order)
+        return order
 
 
 def validate_ok_fbless(blocks) -> None:
@@ -236,53 +277,13 @@ def ok_fbless(blocks) -> bool:
         return False
 
 
-def _resolve_order(blocks, policy) -> list:
-    internal = internal_vars(blocks)
-    first_seen = {b.output: i for i, b in enumerate(blocks)}
-    if isinstance(policy, GivenOrder):
-        by_name = {v.name: v for v in internal}
-        order = []
-        for item in policy.names:
-            name = item.name if isinstance(item, Var) else item
-            if name not in by_name:
-                raise PreconditionError(
-                    f"GivenOrder names unknown internal variable {name!r}"
-                )
-            order.append(by_name[name])
-        if set(order) != internal or len(order) != len(internal):
-            raise PreconditionError(
-                "GivenOrder must list every internal variable exactly once"
-            )
-        return order
-    if isinstance(policy, RandomOrder):
-        order = sorted(internal, key=lambda v: first_seen[v])
-        random.Random(policy.seed).shuffle(order)
-        return order
-    if isinstance(policy, Topological):
-        # u precedes w when w's producer depends on u: eliminating upstream
-        # variables first maximizes reuse of already-composed producers.
-        deps_of = {b.output: b.deps for b in blocks}
-        nodes = sorted(internal, key=lambda v: first_seen[v])
-        indeg = {u: sum(1 for w in deps_of.get(u, ()) if w in internal) for u in nodes}
-        order = []
-        remaining = set(nodes)
-        while remaining:
-            ready = [u for u in nodes if u in remaining and indeg[u] == 0]
-            pick = ready[0] if ready else min(remaining, key=lambda v: first_seen[v])
-            remaining.discard(pick)
-            order.append(pick)
-            for u in nodes:
-                if u in remaining and pick in deps_of.get(u, ()):
-                    indeg[u] -= 1
-        return order
-    raise PreconditionError(f"unknown order policy: {policy!r}")
-
-
-def fbless_translate(blocks, order_policy: OrderPolicy = Topological()) -> IoDiagram:
-    """Algorithm: eliminate one internal variable per step, then fold in parallel."""
+def fbless_translate(blocks, order_policy=Topological()) -> IoDiagram:
+    """Algorithm: eliminate one internal variable per step, then fold in
+    parallel.  ``order_policy`` (GivenOrder, Topological or RandomOrder)
+    picks the elimination order."""
     blocks = list(blocks)
     validate_ok_fbless(blocks)
-    order = _resolve_order(blocks, order_policy)
+    order = order_policy.order(blocks)
     for u in order:
         producer = next(b for b in blocks if b.output == u)
         rest = [b for b in blocks if b is not producer]

@@ -32,7 +32,13 @@ from .errors import (
     TypeMismatchError,
 )
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, fmt_expr, lit_kind
-from .feedbackless import OrderPolicy, Topological, fbless_translate, split_block
+from .feedbackless import (
+    GivenOrder,
+    RandomOrder,
+    Topological,
+    fbless_translate,
+    split_block,
+)
 from .io_diagrams import IoDiagram
 from .terms import mk_atom
 from .translator import Incremental, translate
@@ -748,7 +754,7 @@ def _flatten(doc: DiagramDoc, stack) -> DiagramDoc:
 class FbLess:
     """Strategy marker selecting the feedbackless translation."""
 
-    order_policy: OrderPolicy = Topological()
+    order_policy: GivenOrder | RandomOrder | Topological = Topological()
 
 
 @dataclass

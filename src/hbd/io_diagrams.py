@@ -2,9 +2,9 @@
 
 An io-diagram is a triple (input variables, output variables, term); the
 variable lists are duplicate-free and type-consistent with the term.  The
-named compositions connect matching variable names via general switch
-terms, which route, duplicate, discard and (for absent names) invent
-unknown values.
+named compositions connect matching variable names via general switches,
+one ``Route`` node each, which route, duplicate, discard and (for absent
+names) invent unknown values.
 """
 
 from __future__ import annotations
@@ -18,17 +18,14 @@ from .errors import CompositionError, TypeMismatchError
 from .semantics import BOT, EvalConfig, sample_inputs, value_kind
 from .terms import (
     Id,
-    Parallel,
-    Serial,
+    Route,
     Sink,
-    Split,
     Term,
-    mk_arb,
     mk_feedback,
     mk_parallel,
     mk_serial,
 )
-from .types import BaseType, TypeList, Var, types_of
+from .types import BaseType, TypeList, types_of
 
 VarList = tuple  # tuple[Var, ...]
 
@@ -100,22 +97,14 @@ def vars_between(a: IoDiagram, b: IoDiagram) -> VarList:
 
 # -- general switch -----------------------------------------------------------
 
-def _route_one(x: VarList, u: Var) -> Term:
-    # [x -> u]: value of the first x_i named u, else an unknown.
-    if not x:
-        return mk_arb(u.ty)
-    head, rest = x[0], x[1:]
-    if head == u:
-        return Parallel(Id((head.ty,)), Sink(types_of(rest)))
-    return Parallel(Sink((head.ty,)), _route_one(rest, u))
-
-
 def switch_vars(x, y) -> Term:
     """Wiring term of type T(x) -> T(y) routing names of x to names of y.
 
     Output j carries the input of the first x_i with the same name as y_j,
-    or an unknown value when no such input exists.  The degenerate case
-    y == x is the identity.
+    or an unknown value when no such input exists.  The degenerate cases
+    are the identity (y == x) and the sink (empty y); every other switch is
+    one ``Route`` node, which ``terms.expand_routes`` rebuilds from the
+    constants.
     """
     x = tuple(x)
     y = tuple(y)
@@ -123,11 +112,10 @@ def switch_vars(x, y) -> Term:
         return Id(types_of(x))
     if not y:
         return Sink(types_of(x))
-    if len(y) == 1:
-        return _route_one(x, y[0])
-    return Serial(
-        Split(types_of(x)), Parallel(_route_one(x, y[0]), switch_vars(x, y[1:]))
-    )
+    first: dict = {}
+    for i, v in enumerate(x):
+        first.setdefault(v, i)
+    return Route(types_of(x), types_of(y), tuple(first.get(v) for v in y))
 
 
 # -- named compositions -------------------------------------------------------

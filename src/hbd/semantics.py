@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import FixpointDivergence, TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
-from .terms import Atom, Feedback, Id, Parallel, Serial, Sink, Split, Switch, Term
+from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
 from .types import BaseType, TypeList
 
 
@@ -219,6 +219,18 @@ def eval_expr(fn: ExprFun, args, cfg: EvalConfig = DEFAULT_CONFIG):
 
 # -- term evaluation ----------------------------------------------------------
 
+def fixpoint_divergence(cap: int, fed) -> FixpointDivergence:
+    """The error for a feedback that has not settled within ``cap``
+    iterations; ``fed`` holds the values its wires carried last."""
+    if any(v != v for v in fed):  # NaN never equals the NaN before it
+        return FixpointDivergence(
+            f"no fixed point within {cap} iterations: a feedback wire carries NaN"
+        )
+    return FixpointDivergence(
+        f"no fixed point within {cap} iterations (non-monotone atom?)"
+    )
+
+
 def _collect_tower(term: Feedback):
     n = 0
     while isinstance(term, Feedback):
@@ -249,6 +261,8 @@ def _ev(term, vals, cfg, binops, stats):
     if isinstance(term, Switch):
         n = len(term.t)
         return vals[n:] + vals[:n]
+    if isinstance(term, Route):
+        return tuple(BOT if i is None else vals[i] for i in term.imap)
     if isinstance(term, Atom):
         env = {p.name: a for p, a in zip(term.fn.params, vals)}
         return tuple(_eval_expr_node(b, env, binops) for b in term.fn.bodies)
@@ -279,9 +293,7 @@ def _feedback_single(body, vals, cfg, binops, stats):
                 stats.record(1, iters)
             return out[1:]
         if iters >= cap:
-            raise FixpointDivergence(
-                f"no fixed point within {cap} iterations (non-monotone atom?)"
-            )
+            raise fixpoint_divergence(cap, out[:1])
         x = out[0]
 
 
@@ -298,9 +310,7 @@ def _feedback_joint(n, body, vals, cfg, binops, stats):
                 stats.record(n, iters)
             return out[n:]
         if iters >= cap:
-            raise FixpointDivergence(
-                f"no fixed point within {cap} iterations (non-monotone atom?)"
-            )
+            raise fixpoint_divergence(cap, new)
         xs = new
 
 

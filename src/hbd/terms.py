@@ -2,7 +2,9 @@
 
 Terms are built from four wiring constants (identity, duplication, discard,
 segment swap), named atoms carrying an expression function, and three
-composition operators: serial, parallel and feedback.  Every well-formed
+composition operators: serial, parallel and feedback.  The general switch
+is one derived ``Route`` node; ``expand_routes`` rewrites it into the four
+constants, which is how the paper defines it.  Every well-formed
 term has a unique derived typing ``in_types -> out_types``; the smart
 constructors enforce the arity rules and raise ``TypeMismatchError`` naming
 the offending subterm otherwise.
@@ -20,8 +22,10 @@ from .errors import ParseError, TypeMismatchError
 from .exprs import ExprFun
 from .types import BaseType, EPSILON, TypeList, base_type, fmt_types
 
-# Deep but legal terms arise from long rewrite chains; the default limit is
-# too tight for recursive typing/printing on them.
+# Translations are deep: at random_diagram(7, 200, 200) the un-rewritten incr
+# term is 2,013 nodes deep and the fbpar term 860.  Typing, printing,
+# rewriting, compiling and evaluating all recurse, so the default limit of
+# 1,000 is too tight.
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
 
@@ -89,6 +93,31 @@ class Switch(Term):
 
     def __repr__(self):
         return f"Switch{fmt_types(self.t)}{fmt_types(self.t2)}"
+
+
+@dataclass(frozen=True)
+class Route(Term):
+    """The general switch as one node: output j carries input ``imap[j]``,
+    or an unknown value where ``imap[j]`` is None."""
+
+    t: TypeList
+    t2: TypeList
+    imap: tuple  # tuple[int | None, ...], one entry per output
+
+    @cached_property
+    def typing(self):
+        if len(self.imap) != len(self.t2):
+            raise TypeMismatchError(
+                f"route has {len(self.imap)} indices for {len(self.t2)} outputs: {self!r}"
+            )
+        for i, k in zip(self.imap, self.t2):
+            if i is not None and not (0 <= i < len(self.t) and self.t[i] is k):
+                raise TypeMismatchError(f"route index {i} cannot yield {k}: {self!r}")
+        return (self.t, self.t2)
+
+    def __repr__(self):
+        idx = " ".join("_" if i is None else str(i) for i in self.imap)
+        return f"Route{fmt_types(self.t)}{fmt_types(self.t2)}[{idx}]"
 
 
 @dataclass(frozen=True)
@@ -323,10 +352,63 @@ def rewrite_basic(term: Term) -> Term:
     return term
 
 
+def _route_output(t: TypeList, i, ty: BaseType) -> Term:
+    # One output of the switch: Sink every input but input i, which passes
+    # through; with no source (i is None) the output is Arb of type ty.
+    if i is None:
+        out, k = mk_arb(ty), len(t)
+    else:
+        out, k = Parallel(Id((t[i],)), Sink(t[i + 1:])), i
+    for j in reversed(range(k)):
+        out = Parallel(Sink((t[j],)), out)
+    return out
+
+
+def _expand_route(r: Route) -> Term:
+    # [x -> y] as the paper builds it: Id when y == x, Sink when y is empty,
+    # else Split(x) ;; ([x -> y_1] || [x -> y_2 ...]), where the tail is again
+    # Id once it equals x, and a single output's route at the end.
+    t, imap = r.t, r.imap
+    ident = tuple(range(len(t)))
+    if imap == ident:
+        return Id(t)
+    if not imap:
+        return Sink(t)
+    tail = len(imap) - len(t)
+    if 1 <= tail < len(imap) and imap[tail:] == ident:
+        out = Id(t)
+    else:
+        tail = len(imap) - 1
+        out = _route_output(t, imap[tail], r.t2[tail])
+    for j in reversed(range(tail)):
+        out = Serial(Split(t), Parallel(_route_output(t, imap[j], r.t2[j]), out))
+    return out
+
+
+def expand_routes(term: Term) -> Term:
+    """``term`` with every Route rebuilt from the four wiring constants.
+
+    For a Route that ``switch_vars(x, y)`` built from a duplicate-free ``x``
+    this is exactly the tree the paper's definition of ``[x -> y]`` gives,
+    so Route is derived notation only."""
+    if isinstance(term, Route):
+        return _expand_route(term)
+    if isinstance(term, Serial):
+        return Serial(expand_routes(term.first), expand_routes(term.second))
+    if isinstance(term, Parallel):
+        return Parallel(expand_routes(term.left), expand_routes(term.right))
+    if isinstance(term, Feedback):
+        return Feedback(expand_routes(term.body))
+    return term
+
+
 # -- textual format ----------------------------------------------------------
 
 def print_term(term: Term) -> str:
-    """Prefix textual form, e.g. ``(serial (par (atom Add) (id Real)) ...)``."""
+    """Prefix textual form, e.g. ``(serial (par (atom Add) (id Real)) ...)``.
+
+    A Route prints its input types, output types and index map, with ``_``
+    for an unknown output: ``(route (Real Int) (Int Real) (1 _))``."""
     if isinstance(term, Id):
         return "(id" + "".join(" " + t.value for t in term.t) + ")"
     if isinstance(term, Split):
@@ -337,6 +419,11 @@ def print_term(term: Term) -> str:
         left = " ".join(t.value for t in term.t)
         right = " ".join(t.value for t in term.t2)
         return f"(switch ({left}) ({right}))"
+    if isinstance(term, Route):
+        left = " ".join(t.value for t in term.t)
+        right = " ".join(t.value for t in term.t2)
+        idx = " ".join("_" if i is None else str(i) for i in term.imap)
+        return f"(route ({left}) ({right}) ({idx}))"
     if isinstance(term, Atom):
         return f"(atom {term.name})"
     if isinstance(term, Serial):
@@ -387,6 +474,12 @@ def parse_term(text: str, atoms=None) -> Term:
             pos += 1
         return tuple(out)
 
+    def paren_types() -> TypeList:
+        need("(")
+        t = types_until_close()
+        need(")")
+        return t
+
     def parse() -> Term:
         nonlocal pos
         need("(")
@@ -399,14 +492,22 @@ def parse_term(text: str, atoms=None) -> Term:
             need(")")
             return {"id": Id, "split": Split, "sink": Sink}[head](t)
         if head == "switch":
-            need("(")
-            t = types_until_close()
-            need(")")
-            need("(")
-            t2 = types_until_close()
-            need(")")
+            t, t2 = paren_types(), paren_types()
             need(")")
             return Switch(t, t2)
+        if head == "route":
+            t, t2 = paren_types(), paren_types()
+            need("(")
+            imap = []
+            while pos < len(toks) and toks[pos] != ")":
+                tok = toks[pos]
+                if tok != "_" and not (tok.isascii() and tok.isdigit()):
+                    raise ParseError(f"bad route index {tok!r} at token {pos}")
+                imap.append(None if tok == "_" else int(tok))
+                pos += 1
+            need(")")
+            need(")")
+            return Route(t, t2, tuple(imap))
         if head == "atom":
             name = toks[pos]
             pos += 1

@@ -57,6 +57,7 @@ def test_divergent_strategy_is_a_fail_cell():
     for i in range(4):
         for cell in report.matrix[i]:
             assert not cell and "no fixed point" in cell.reason
+            assert "NaN" in cell.reason and "non-monotone" not in cell.reason
     assert report.matrix[4][4]
     rendered = report.render()
     assert "at None" not in rendered

@@ -4,7 +4,7 @@ io-equivalence oracle."""
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hbd.compiled import compile_term
 from hbd.errors import CompositionError, TypeMismatchError
@@ -14,6 +14,7 @@ from hbd.io_diagrams import (
     EquivConfig,
     IoDiagram,
     equivalence_samples,
+    fold_parallel,
     inter,
     is_perm,
     minus,
@@ -26,7 +27,21 @@ from hbd.io_diagrams import (
     vars_between,
 )
 from hbd.semantics import BOT, eval_term, sample_inputs
-from hbd.terms import Id, Sink, mk_atom, mk_parallel, mk_serial, rewrite_basic
+from hbd.terms import (
+    Id,
+    Parallel,
+    Route,
+    Serial,
+    Sink,
+    Split,
+    expand_routes,
+    iter_subterms,
+    mk_arb,
+    mk_atom,
+    mk_parallel,
+    mk_serial,
+    rewrite_basic,
+)
 from hbd.types import BaseType, Var, types_of
 
 from util import perm_variant, random_io_list
@@ -96,6 +111,7 @@ def test_vars_between(running_example):
 class TestSwitchVars:
     def test_paper_example(self):
         sw = switch_vars((u, v), (v, u, w, u))
+        assert sw == Route((R, R), (R, R, R, R), (1, 0, None, 0))
         assert types_of((v, u, w, u)) == sw.out_types
         assert eval_term(sw, (1.0, 2.0)) == (2.0, 1.0, BOT, 1.0)
 
@@ -122,6 +138,67 @@ class TestSwitchVars:
             )
             sw = switch_vars(xs, ys)
             assert sw.typing == (types_of(xs), types_of(ys))
+
+
+def _paper_route_one(x, u):
+    # [x -> u]: the first x_i named u passes, every other input is sunk.
+    if not x:
+        return mk_arb(u.ty)
+    head, rest = x[0], x[1:]
+    if head == u:
+        return Parallel(Id((head.ty,)), Sink(types_of(rest)))
+    return Parallel(Sink((head.ty,)), _paper_route_one(rest, u))
+
+
+def paper_switch(x, y):
+    """The paper's general switch [x -> y], built from the constants."""
+    if y == x:
+        return Id(types_of(x))
+    if not y:
+        return Sink(types_of(x))
+    if len(y) == 1:
+        return _paper_route_one(x, y[0])
+    return Serial(
+        Split(types_of(x)), Parallel(_paper_route_one(x, y[0]), paper_switch(x, y[1:]))
+    )
+
+
+_KINDS = st.sampled_from((R, I, B))
+# names that are never inputs, one of each kind
+_MISSING = (Var("p", R), Var("q", I), Var("r", B))
+
+
+@st.composite
+def switch_lists(draw):
+    """Duplicate-free x of mixed kinds; y reuses, repeats and misses names
+    of x, and sometimes ends in all of x (the identity tail)."""
+    names = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=5))
+    x = tuple(Var(n, draw(_KINDS)) for n in names)
+    y = tuple(draw(st.lists(st.sampled_from(x + _MISSING), max_size=6)))
+    if draw(st.booleans()):
+        y += x
+    return x, y
+
+
+class TestExpandRoutes:
+    @settings(max_examples=150)
+    @given(switch_lists())
+    def test_expansion_is_the_paper_switch(self, xy):
+        x, y = xy
+        sw = switch_vars(x, y)
+        expanded = expand_routes(sw)
+        assert expanded == paper_switch(x, y)
+        assert not any(isinstance(t, Route) for t in iter_subterms(expanded))
+        for row in equivalence_samples(types_of(x), EquivConfig(samples=20)):
+            assert eval_term(sw, row) == eval_term(expanded, row)
+
+    def test_translated_body_expands(self, running_example):
+        body = named_feedback(fold_parallel(running_example)).body
+        expanded = expand_routes(body)
+        assert expanded.typing == body.typing
+        assert not any(isinstance(t, Route) for t in iter_subterms(expanded))
+        rows = equivalence_samples(body.in_types, EquivConfig(samples=40))
+        assert compile_term(expanded).run(rows) == compile_term(body).run(rows)
 
 
 class TestNamedSerial:

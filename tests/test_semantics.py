@@ -186,8 +186,25 @@ def test_fixpoint_divergence_guard():
         [lambda row: 0 if row[0] is BOT else row[0] + 1, lambda row: row[1]],
     )
     fb = _FbC(1, flip)
-    with pytest.raises(FixpointDivergence):
+    with pytest.raises(FixpointDivergence, match="non-monotone atom"):
         fb.run([[5]], _Ctx(1, None, 8))
+
+
+def test_nan_feedback_divergence_names_nan():
+    """x = u*inf - u*inf feeds a fresh NaN back on every iteration; all
+    three fixpoint loops blame the NaN, not the (monotone) atom."""
+    nan = Bin("-", Bin("*", Ref("u"), Lit(float("inf"))), Bin("*", Ref("u"), Lit(float("inf"))))
+    loop = mk_feedback(
+        mk_atom("F", ExprFun((Var("x", R), Var("u", R)), (nan, Ref("x"))))
+    )
+    runs = (
+        lambda: eval_term(loop, (1.0,)),
+        lambda: eval_term(loop, (1.0,), EvalConfig(nested_feedback=True)),
+        lambda: compile_term(loop).run([(1.0,)]),
+    )
+    for run in runs:
+        with pytest.raises(FixpointDivergence, match="a feedback wire carries NaN"):
+            run()
 
 
 def test_joint_equals_nested_feedback():

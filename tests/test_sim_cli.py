@@ -6,9 +6,11 @@ import sys
 
 from hbd.cli import main
 from hbd.frontend import flatten_or_recurse, normalize
-from hbd.gen import loop_diagram
+from hbd.gen import loop_diagram, random_diagram
 from hbd.semantics import BOT
 from hbd.sim import simulate_direct, simulate_translated, traces_match
+from hbd.terms import print_term, rewrite_basic
+from hbd.types import BaseType
 from hbd.translator import FeedbackParallel, Incremental
 from hbd.frontend import FbLess
 
@@ -45,6 +47,20 @@ def test_translated_matches_direct_interpreter(sum_doc):
     assert [s.state_after for s in translated.steps] == [
         s.state_after for s in direct.steps
     ]
+
+
+def test_hundred_block_fbpar_translates_and_simulates():
+    """At 100 blocks the fbpar term used to exceed the recursion limit in
+    rewrite_basic/print_term; with one node per switch it translates, prints
+    and simulates like the direct interpreter."""
+    doc = random_diagram(7, 100, 100)
+    result = flatten_or_recurse(doc, "flatten", FeedbackParallel())
+    text = print_term(rewrite_basic(result.diagram.body))
+    assert text.startswith("(")
+    value = {BaseType.BOOL: lambda k: k % 2 == 0, BaseType.INT: int, BaseType.REAL: float}
+    rows = [{e.name: value[e.ty](k) for e in result.doc.inputs} for k in (1, 2)]
+    translated = simulate_translated(result.diagram, result.state_table, rows)
+    assert traces_match(translated, simulate_direct(result.doc, rows))
 
 
 def test_state_threading_invariant(sum_doc):
@@ -96,7 +112,7 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_cli_fbless_loop_exit_3(tmp_path, capsys):
-    from hbd.gen import loop_diagram
+    from hbd.gen import loop_diagram, random_diagram
 
     doc = loop_diagram()
     path = tmp_path / "loop.hbd.json"

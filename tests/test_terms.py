@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from hbd.errors import ParseError
 from hbd.exprs import Bin, ExprFun, Ref
-from hbd.semantics import eval_term, sample_inputs
+from hbd.semantics import BOT, eval_term, sample_inputs
 from hbd.terms import (
     Feedback,
     Id,
+    Route,
     Sink,
     Split,
     Switch,
@@ -153,6 +154,10 @@ def test_print_parse_round_trip():
         mk_serial(mk_parallel(ADD, Id((R,))), mk_parallel(Id((R,)), Id((R,)))),
         mk_feedback(Switch((R,), (R,))),
         mk_arb(I),
+        Route((R, I), (I, R), (1, None)),
+        Route((R,), (R, R, R), (0, 0, 0)),
+        Route((), (B,), (None,)),
+        mk_serial(Route((R, R), (R,), (1,)), mk_parallel(Id((R,)), Route((), (R,), (None,)))),
     ]
     for t in terms:
         text = print_term(t)
@@ -162,6 +167,24 @@ def test_print_parse_round_trip():
 def test_print_example_shape():
     t = mk_serial(mk_parallel(ADD, Id((R,))), Id((R, R)))
     assert print_term(t) == "(serial (par (atom Add) (id Real)) (id Real Real))"
+
+
+def test_route_typing_and_text():
+    r = Route((R, I), (I, R, B), (1, 0, None))
+    assert type_of(r) == ((R, I), (I, R, B))
+    assert print_term(r) == "(route (Real Int) (Int Real Bool) (1 0 _))"
+    assert eval_term(r, (1.5, 2)) == (2, 1.5, BOT)
+    for bad in (
+        Route((R,), (I,), (0,)),  # kind clash
+        Route((R,), (R,), (1,)),  # index out of range
+        Route((R,), (R, R), (0,)),  # one index short
+    ):
+        with pytest.raises(TypeError):
+            type_of(bad)
+    with pytest.raises(ParseError):
+        parse_term("(route (Real) (Real) (x))")
+    with pytest.raises(TypeError):
+        parse_term("(route (Real) (Int) (0))")
 
 
 def test_parse_errors():
