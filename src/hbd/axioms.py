@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .compiled import compile_term
 from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
-from .io_diagrams import EquivConfig, differences
+from .io_diagrams import differences
 from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats, sample_inputs
 from .terms import (
     Id,
@@ -362,7 +362,7 @@ def check_equation(
         )
     rows = sample_inputs(eq.lhs.in_types, samples, seed, include_bottom=True)
     outs = [compile_term(t, cfg).run(rows, stats=stats) for t in (eq.lhs, eq.rhs)]
-    return list(differences(rows, *outs, EquivConfig()))
+    return list(differences(rows, *outs))
 
 
 def run_axiom_suite(

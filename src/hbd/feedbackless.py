@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
 
 from .compiled import compile_term
 from .errors import PreconditionError
@@ -25,7 +24,6 @@ from .io_diagrams import (
     named_serial,
     switch_vars,
 )
-from .semantics import DEFAULT_CONFIG, EvalConfig
 from .terms import Atom, Id, Serial, Term, iter_subterms, mk_atom, mk_parallel, mk_serial
 from .exprs import ExprFun, Ref, free_refs
 from .types import Var, types_of
@@ -37,7 +35,6 @@ class SplitBlock:
 
     base: IoDiagram
     deps: frozenset  # frozenset[Var]
-    deterministic: bool = True
 
     def __post_init__(self):
         if len(self.base.outputs) != 1:
@@ -52,40 +49,30 @@ class SplitBlock:
         return self.base.outputs[0]
 
 
-def check_deterministic(
-    a: IoDiagram, samples: int = 64, seed: int = 0, cfg: EvalConfig = DEFAULT_CONFIG
-) -> bool:
+def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
     """Sampling check of [x -> x,x] ;; (S || S) == S ;; [y -> y,y]."""
     x = a.inputs
     y = a.outputs
     lhs = mk_serial(switch_vars(x, x + x), mk_parallel(a.body, a.body))
     rhs = mk_serial(a.body, switch_vars(y, y + y))
-    ecfg = EquivConfig(samples=samples, seed=seed, eval_config=cfg)
-    rows = equivalence_samples(types_of(x), ecfg)
-    outs = [compile_term(t, cfg).run(rows) for t in (lhs, rhs)]
-    return next(differences(rows, *outs, ecfg), None) is None
+    rows = equivalence_samples(types_of(x), EquivConfig(samples=samples))
+    outs = [compile_term(t).run(rows) for t in (lhs, rhs)]
+    return next(differences(rows, *outs), None) is None
 
 
-def split_block(
-    a: IoDiagram,
-    dep_table: Optional[Mapping[Var, Sequence[Var]]] = None,
-    deterministic: bool = True,
-) -> list:
+def split_block(a: IoDiagram) -> list:
     """One single-output block per output of ``a``.
 
-    Per-output dependencies come from ``dep_table`` when given, from the
-    free variables of the output's expression when the body is an atom,
-    and fall back to the full input list otherwise (the generic projection
-    ``S ;; [u1..un -> ui]``, which over-approximates dependencies).
+    Per-output dependencies are the free variables of the output's
+    expression when the body is an atom, and fall back to the full input
+    list otherwise (the generic projection ``S ;; [u1..un -> ui]``, which
+    over-approximates dependencies).
     """
-    if not deterministic:
-        raise PreconditionError(f"cannot split block marked nondeterministic: {a!r}")
     if len(a.outputs) == 1:
-        deps = _deps_for(a, 0, dep_table)
-        return [SplitBlock(a, deps, True)]
+        return [SplitBlock(a, _deps_for(a, 0))]
     out = []
     for i, u in enumerate(a.outputs):
-        deps = _deps_for(a, i, dep_table)
+        deps = _deps_for(a, i)
         if isinstance(a.body, Atom):
             body_expr = a.body.fn.bodies[i]
             kept = tuple(v for v in a.inputs if v in deps)
@@ -97,17 +84,14 @@ def split_block(
                 base = IoDiagram(
                     kept, (u,), mk_atom(f"{a.body.name}.{u.name}", fn)
                 )
-            out.append(SplitBlock(base, frozenset(kept), True))
+            out.append(SplitBlock(base, frozenset(kept)))
         else:
             body = mk_serial(a.body, switch_vars(a.outputs, (u,)))
-            out.append(SplitBlock(IoDiagram(a.inputs, (u,), body), deps, True))
+            out.append(SplitBlock(IoDiagram(a.inputs, (u,), body), deps))
     return out
 
 
-def _deps_for(a, i, dep_table) -> frozenset:
-    u = a.outputs[i]
-    if dep_table is not None and u in dep_table:
-        return frozenset(dep_table[u])
+def _deps_for(a, i) -> frozenset:
     if isinstance(a.body, Atom):
         names = free_refs(a.body.fn.bodies[i])
         return frozenset(v for v in a.inputs if v.name in names)
@@ -190,7 +174,7 @@ def internal_serial(a: SplitBlock, b: SplitBlock) -> SplitBlock:
     if a.output in set(b.base.inputs):
         base = named_serial(a.base, b.base)
         deps = (b.deps - {a.output}) | a.deps
-        return SplitBlock(base, deps & set(base.inputs), a.deterministic and b.deterministic)
+        return SplitBlock(base, deps & set(base.inputs))
     return b
 
 
@@ -257,9 +241,6 @@ class RandomOrder:
 def validate_ok_fbless(blocks) -> None:
     if not blocks:
         raise PreconditionError("feedbackless translation needs at least one block")
-    for b in blocks:
-        if not b.deterministic:
-            raise PreconditionError(f"block {b.base!r} is not deterministic")
     outs = [b.output for b in blocks]
     if len(set(outs)) != len(outs):
         raise PreconditionError(f"duplicate outputs: {[v.name for v in outs]}")

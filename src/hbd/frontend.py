@@ -49,10 +49,8 @@ from .types import BaseType, Var, base_type
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A stateful block's internal state: current/next roles plus the initial value."""
+    """A stateful block's internal state: its initial value and type."""
 
-    role_in: str
-    role_out: str
     init: object
     ty: BaseType
 
@@ -64,18 +62,6 @@ class BlockSpec:
     out_ports: tuple
     fn: ExprFun  # params: in_ports then state roles; bodies: out_ports then next-state roles
     states: tuple = ()  # (StateSpec, ...)
-
-    def in_port(self, name: str) -> Optional[BaseType]:
-        for n, t in self.in_ports:
-            if n == name:
-                return t
-        return None
-
-    def out_port(self, name: str) -> Optional[BaseType]:
-        for n, t in self.out_ports:
-            if n == name:
-                return t
-        return None
 
 
 def _num_type(params) -> BaseType:
@@ -149,7 +135,7 @@ def _make_delay(params):
         (("x", t),),
         (("y", t),),
         fn,
-        states=(StateSpec("s", "s'", init, t),),
+        states=(StateSpec(init, t),),
     )
 
 
@@ -268,19 +254,12 @@ class DiagramDoc:
     wires: list
     subsystems: dict = field(default_factory=dict)
     # set by normalize():
-    port_in_var: Optional[dict] = None  # PortRef -> Var
-    port_out_var: Optional[dict] = None  # PortRef -> Var
+    interfaces: Optional[dict] = None  # block id -> (input Vars, output Vars)
     state_table: Optional[list] = None  # [StateEntry]
 
     @property
     def normalized(self) -> bool:
-        return self.port_in_var is not None
-
-    def block(self, block_id: str) -> BlockInst:
-        for b in self.blocks:
-            if b.id == block_id:
-                return b
-        raise DanglingPortError(f"unknown block {block_id!r}")
+        return self.interfaces is not None
 
 
 class _NameGen:
@@ -509,7 +488,11 @@ def validate_doc(doc: DiagramDoc) -> None:
 
 def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
     """Insert split blocks for fan-out, name every wire, and introduce
-    state-variable pairs for stateful blocks.  Idempotent."""
+    state-variable pairs for stateful blocks.  Idempotent.
+
+    Every block, split blocks and subsystem instances included, gets its
+    interface in ``interfaces``: input and output Vars, ports first in their
+    declared order and the state pair last."""
     if doc.normalized:
         return doc
     ins_t, outs_t = _port_tables(doc)
@@ -525,8 +508,8 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
         consumers.setdefault(e.source, []).append(("ext", e))
 
     blocks = list(doc.blocks)
-    port_in_var: dict = {}
-    port_out_var: dict = {}
+    port_var: dict = {}  # PortRef -> Var; a block's in- and out-port names differ
+    interfaces: dict = {}
     split_n = 0
 
     def consumer_var(cons) -> Var:
@@ -534,7 +517,7 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
         if kind == "ext":
             return Var(payload.name, payload.ty)
         var = Var(names.wire(), ins_t[payload.block][payload.port])
-        port_in_var[payload] = var
+        port_var[payload] = var
         return var
 
     def spread(src_var: Var, ty: BaseType, conss) -> None:
@@ -548,18 +531,15 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
             blocks.append(
                 BlockInst(sid, "SplitBlk", (("type", ty.value),))
             )
-            port_in_var[PortRef(sid, "x")] = current
             left = consumer_var(remaining[0])
-            port_out_var[PortRef(sid, "out1")] = left
             if len(remaining) == 2:
                 right = consumer_var(remaining[1])
-                port_out_var[PortRef(sid, "out2")] = right
                 remaining = []
             else:
                 right = Var(names.wire(), ty)
-                port_out_var[PortRef(sid, "out2")] = right
-                current = right
                 remaining = remaining[1:]
+            interfaces[sid] = ((current,), (left, right))
+            current = right
         if remaining:
             kind, payload = remaining[0]
             if kind == "ext":
@@ -567,7 +547,7 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
                 if src_var.name != payload.name:
                     raise AssertionError("external naming must be pre-assigned")
             else:
-                port_in_var[payload] = src_var
+                port_var[payload] = src_var
 
     # name outputs of blocks and route them
     for blk in doc.blocks:
@@ -575,36 +555,27 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
             ref = PortRef(blk.id, port)
             conss = consumers.get(ref, [])
             if len(conss) == 1 and conss[0][0] == "ext":
-                var = Var(conss[0][1].name, ty)
-                port_out_var[ref] = var
-            elif len(conss) <= 1:
-                var = Var(names.wire(), ty)
-                port_out_var[ref] = var
-                if conss:
-                    spread(var, ty, conss)
-                continue
+                port_var[ref] = Var(conss[0][1].name, ty)
             else:
-                var = Var(names.wire(), ty)
-                port_out_var[ref] = var
+                port_var[ref] = var = Var(names.wire(), ty)
                 spread(var, ty, conss)
-                continue
     # external inputs
     for e in doc.inputs:
-        var = Var(e.name, e.ty)
-        conss = [("port", t) for t in e.targets]
-        spread(var, e.ty, conss)
+        spread(Var(e.name, e.ty), e.ty, [("port", t) for t in e.targets])
 
-    # state pairs
+    # interfaces and state pairs
     state_table = []
     for blk in doc.blocks:
+        ins = tuple(port_var[PortRef(blk.id, p)] for p in ins_t[blk.id])
+        outs = tuple(port_var[PortRef(blk.id, p)] for p in outs_t[blk.id])
         spec = _resolve_spec(doc, blk)
-        if spec is None or not spec.states:
-            continue
-        for st in spec.states:
+        for st in spec.states if spec is not None else ():
             cur, nxt = names.state()
-            state_table.append(
-                StateEntry(blk.id, Var(cur, st.ty), Var(nxt, st.ty), st.init)
-            )
+            entry = StateEntry(blk.id, Var(cur, st.ty), Var(nxt, st.ty), st.init)
+            state_table.append(entry)
+            ins += (entry.state,)
+            outs += (entry.next_state,)
+        interfaces[blk.id] = (ins, outs)
 
     return DiagramDoc(
         doc.name,
@@ -613,25 +584,20 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
         blocks,
         doc.wires,
         doc.subsystems,
-        port_in_var=port_in_var,
-        port_out_var=port_out_var,
+        interfaces=interfaces,
         state_table=state_table,
     )
 
 
-def _block_interface(doc: DiagramDoc, blk: BlockInst):
-    """(input vars, output vars, spec) for a normalized library block."""
-    spec = _resolve_spec(doc, blk)
-    if spec is None:
+def _atom_diagram(doc: DiagramDoc, blk: BlockInst) -> IoDiagram:
+    """A normalized library block as an atom io-diagram over its wire names."""
+    if blk.kind in doc.subsystems:
         raise SchemaError(
             f"block {blk.id!r} is a subsystem instance; flatten or translate it first"
         )
-    ins = tuple(doc.port_in_var[PortRef(blk.id, p)] for p, _ in spec.in_ports)
-    outs = tuple(doc.port_out_var[PortRef(blk.id, p)] for p, _ in spec.out_ports)
-    states = [e for e in doc.state_table if e.block_id == blk.id]
-    ins += tuple(e.state for e in states)
-    outs += tuple(e.next_state for e in states)
-    return ins, outs, spec
+    ins, outs = doc.interfaces[blk.id]
+    fn = block_spec(blk.kind, blk.params_dict).fn.rename_params(v.name for v in ins)
+    return IoDiagram(ins, outs, mk_atom(blk.id, fn))
 
 
 def to_io_diagrams(doc: DiagramDoc):
@@ -642,12 +608,7 @@ def to_io_diagrams(doc: DiagramDoc):
     """
     if not doc.normalized:
         doc = normalize(doc)
-    diagrams = []
-    for blk in doc.blocks:
-        ins, outs, spec = _block_interface(doc, blk)
-        fn = spec.fn.rename_params(v.name for v in ins)
-        diagrams.append(IoDiagram(ins, outs, mk_atom(blk.id, fn)))
-    return diagrams, list(doc.state_table)
+    return [_atom_diagram(doc, blk) for blk in doc.blocks], list(doc.state_table)
 
 
 def to_split_blocks(doc: DiagramDoc):
@@ -803,21 +764,15 @@ def document_io_list(
         if blk.kind in norm.subsystems:
             sub = flatten_or_recurse(norm.subsystems[blk.kind], "recursive", method, names)
             state_table.extend(sub.state_table)
-            ext_in = {e.name for e in sub.doc.inputs}
-            ext_out = {e.name for e in sub.doc.outputs}
-            ren_in = [
-                norm.port_in_var[PortRef(blk.id, v.name)] if v.name in ext_in else v
-                for v in sub.diagram.inputs  # non-externals are state variables
-            ]
-            ren_out = [
-                norm.port_out_var[PortRef(blk.id, v.name)] if v.name in ext_out else v
-                for v in sub.diagram.outputs
-            ]
-            diagrams.append(sub.diagram.rename(ren_in, ren_out))
+            ins, outs = norm.interfaces[blk.id]
+            # the instance's ports, in the subsystem's declared order
+            ext = dict(zip([e.name for e in sub.doc.inputs + sub.doc.outputs], ins + outs))
+            diagrams.append(sub.diagram.rename(
+                [ext.get(v.name, v) for v in sub.diagram.inputs],  # others are states
+                [ext.get(v.name, v) for v in sub.diagram.outputs],
+            ))
         else:
-            ins, outs, spec = _block_interface(norm, blk)
-            fn = spec.fn.rename_params(v.name for v in ins)
-            diagrams.append(IoDiagram(ins, outs, mk_atom(blk.id, fn)))
+            diagrams.append(_atom_diagram(norm, blk))
     state_table.extend(norm.state_table)
     return diagrams, state_table, norm
 
@@ -856,15 +811,15 @@ def dump_doc(doc: DiagramDoc) -> str:
     for blk in doc.blocks:
         params = ", ".join(f"{k}={v!r}" for k, v in blk.params)
         lines.append(f"block {blk.id}: {blk.kind}" + (f" [{params}]" if params else ""))
-        ins, outs, spec = _block_interface(doc, blk)
-        fn = spec.fn.rename_params(v.name for v in ins)
-        bodies = ", ".join(fmt_expr(b) for b in fn.bodies)
+        ins, outs = doc.interfaces[blk.id]
+        if blk.kind in doc.subsystems:
+            body = f"subsystem {blk.kind}"
+        else:
+            fn = _atom_diagram(doc, blk).body.fn
+            body = f"[{', '.join(v.name for v in ins)} ~> {', '.join(map(fmt_expr, fn.bodies))}]"
         lines.append(
-            "  ("
-            + ", ".join(v.name for v in ins)
-            + ") -> ("
-            + ", ".join(v.name for v in outs)
-            + f")  =  [{', '.join(v.name for v in ins)} ~> {bodies}]"
+            f"  ({', '.join(v.name for v in ins)}) -> ({', '.join(v.name for v in outs)})"
+            f"  =  {body}"
         )
     for e in doc.state_table:
         lines.append(
@@ -882,24 +837,15 @@ def dot_doc(doc: DiagramDoc) -> str:
         lines.append(f'  "out:{e.name}" [shape=plaintext label="{e.name}"];')
     for blk in doc.blocks:
         lines.append(f'  "{blk.id}" [shape=box label="{blk.id}\\n{blk.kind}"];')
-    seen = set()
-    for ref, var in doc.port_out_var.items():
-        for dst, var2 in doc.port_in_var.items():
-            if var2 == var:
-                lines.append(f'  "{ref.block}" -> "{dst.block}" [label="{var.name}"];')
-                seen.add(var)
-    for e in doc.inputs:
-        for dst, var in doc.port_in_var.items():
-            if var.name == e.name:
-                lines.append(f'  "in:{e.name}" -> "{dst.block}";')
+    producer = {v.name: b for b, (_, outs) in doc.interfaces.items() for v in outs}
+    ext_in = {e.name for e in doc.inputs}
+    for blk in doc.blocks:
+        for v in doc.interfaces[blk.id][0]:
+            if v.name in producer:
+                lines.append(f'  "{producer[v.name]}" -> "{blk.id}" [label="{v.name}"];')
+            elif v.name in ext_in:
+                lines.append(f'  "in:{v.name}" -> "{blk.id}";')
     for e in doc.outputs:
-        lines.append(f'  "{_src_block(doc, e)}" -> "out:{e.name}";')
+        lines.append(f'  "{producer[e.name]}" -> "out:{e.name}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-def _src_block(doc: DiagramDoc, ext: ExtOut) -> str:
-    for ref, var in doc.port_out_var.items():
-        if var.name == ext.name:
-            return ref.block
-    return "?"

@@ -31,8 +31,6 @@ def random_diagram(
     seed: int,
     min_blocks: int = 5,
     max_blocks: int = 12,
-    name: str = None,
-    bool_logic: bool = True,
 ) -> DiagramDoc:
     rng = random.Random(seed)
     n = rng.randint(min_blocks, max_blocks)
@@ -46,9 +44,9 @@ def random_diagram(
             kind, params = "Constant", {"value": float(rng.randint(-3, 3))}
         elif roll < 0.42:
             kind, params = "Gain", {"k": float(rng.choice((-2, -1, 2, 3)))}
-        elif bool_logic and roll < 0.50:
+        elif roll < 0.50:
             kind, params = "Relational", {}
-        elif bool_logic and roll < 0.56:
+        elif roll < 0.56:
             kind, params = "SwitchBlk", {}
         else:
             kind, params = rng.choice(_STATELESS), {}
@@ -106,7 +104,7 @@ def random_diagram(
         ext_outputs.append(ExtOut(f"out{out_n}", pty, PortRef(blk.id, pname)))
 
     doc = DiagramDoc(
-        name or f"random{seed}", ext_inputs, ext_outputs, blocks, wires, {}
+        f"random{seed}", ext_inputs, ext_outputs, blocks, wires, {}
     )
     validate_doc(doc)
     return doc

@@ -80,11 +80,7 @@ class RunReport:
         return "\n".join(lines)
 
 
-def translate_all(
-    diagrams: Sequence[IoDiagram],
-    seeds: Sequence[int] = range(20),
-    include_fbless: bool = True,
-):
+def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20)):
     """(label, io-diagram, seconds) for fbpar, incr, each seed, and fbless
     when the split block list is loop-free."""
     runs = []
@@ -98,10 +94,9 @@ def translate_all(
     timed("incr", lambda: translate(diagrams, Incremental()))
     for seed in seeds:
         timed(f"rand{seed}", lambda s=seed: translate(diagrams, RandomChoices(s)))
-    if include_fbless:
-        blocks = [sb for d in diagrams for sb in split_block(d)]
-        if loop_free(blocks):
-            timed("fbless", lambda: fbless_translate(blocks))
+    blocks = [sb for d in diagrams for sb in split_block(d)]
+    if loop_free(blocks):
+        timed("fbless", lambda: fbless_translate(blocks))
     return runs
 
 
@@ -155,7 +150,7 @@ def equivalence_cells(
         for j in range(i, n):
             a, b = aligned[i], aligned[j]
             reason = a if isinstance(a, str) else b if isinstance(b, str) else None
-            diff = None if reason or a == b else next(differences(samples, a, b, cfg), None)
+            diff = None if reason or a == b else next(differences(samples, a, b), None)
             if reason or diff:
                 cell = EquivResult(False, reason or "semantic difference", diff)
             else:
@@ -189,9 +184,8 @@ def run_determinacy(
     diagrams: Sequence[IoDiagram],
     seeds: Sequence[int] = range(20),
     samples: int = 200,
-    include_fbless: bool = True,
 ) -> RunReport:
     if not diagrams:
         raise PreconditionError("no diagrams to check")
-    runs = translate_all(diagrams, seeds, include_fbless)
+    runs = translate_all(diagrams, seeds)
     return equivalence_matrix(runs, EquivConfig(samples=samples))

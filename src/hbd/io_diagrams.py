@@ -184,8 +184,6 @@ class EquivConfig:
     samples: int = 200
     exhaustive_limit: int = 4096
     seed: int = 0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
     eval_config: EvalConfig = field(default_factory=EvalConfig)
 
 
@@ -199,21 +197,23 @@ class EquivResult:
         return self.equivalent
 
 
-def values_close(a, b, rel_tol: float, abs_tol: float) -> bool:
+REL_TOL = 1e-9  # tolerances of every Real comparison (values_close)
+ABS_TOL = 1e-12
+
+
+def values_close(a, b) -> bool:
     if a is BOT or b is BOT:
         return a is BOT and b is BOT
     ka, kb = value_kind(a), value_kind(b)
     if ka is not kb:
         return False
     if ka is BaseType.REAL:
-        return abs(a - b) <= max(abs_tol, rel_tol * max(abs(a), abs(b)))
+        return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
     return a == b
 
 
-def tuples_close(xs, ys, rel_tol: float, abs_tol: float) -> bool:
-    return len(xs) == len(ys) and all(
-        values_close(a, b, rel_tol, abs_tol) for a, b in zip(xs, ys)
-    )
+def tuples_close(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(values_close(a, b) for a, b in zip(xs, ys))
 
 
 _CANONICAL = {
@@ -255,9 +255,9 @@ def permutation_wrapped_body(a: IoDiagram, b: IoDiagram) -> Term:
     )
 
 
-def differences(rows, outs_a, outs_b, cfg: EquivConfig):
+def differences(rows, outs_a, outs_b):
     """(input, out_a, out_b) for each sampled input on which two evaluations
-    differ beyond the tolerances of ``cfg``."""
+    differ beyond ``REL_TOL`` and ``ABS_TOL``."""
     for row, oa, ob in zip(rows, outs_a, outs_b):
-        if not tuples_close(oa, ob, cfg.rel_tol, cfg.abs_tol):
+        if not tuples_close(oa, ob):
             yield row, oa, ob

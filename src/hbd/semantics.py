@@ -76,7 +76,6 @@ def check_kinds(values, t: TypeList, what: str = "input") -> None:
 class EvalConfig:
     strict_multiply: bool = True
     max_fix_iters: int = 8
-    real_tolerance: float = 1e-9
     nested_feedback: bool = False
 
     def __post_init__(self):
@@ -95,12 +94,6 @@ class EvalStats:
 
     def record(self, width: int, iters: int) -> None:
         self.feedback_runs.append((width, iters))
-
-    def max_iters(self, width: Optional[int] = None) -> int:
-        runs = [
-            it for (w, it) in self.feedback_runs if width is None or w == width
-        ]
-        return max(runs, default=0)
 
 
 # -- scalar operations (shared by the reference and compiled evaluators) -----

@@ -4,10 +4,12 @@ Two executions of the same document are provided:
 
 * ``simulate_translated`` runs the algebra term produced by a translation,
   threading state variables between steps per the state table.
-* ``simulate_direct`` executes the normalized wire graph itself by fixpoint
-  iteration over wire assignments, never building terms.  It shares only
-  the value domain and expression evaluation with the algebra evaluator and
-  serves as the independent oracle for simulation results.
+* ``simulate_direct`` executes the blocks' io-diagrams (``to_io_diagrams``)
+  by fixpoint iteration over wire assignments: each atom's expression
+  function fires on its named inputs, and no composed term is built or
+  evaluated.  It shares only the value domain and expression evaluation
+  with the algebra evaluator and serves as the independent oracle for
+  simulation results.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional
 
 from .compiled import compile_term
 from .errors import FixpointDivergence, SchemaError, TypeMismatchError
-from .frontend import DiagramDoc, _block_interface, normalize
-from .io_diagrams import IoDiagram
+from .frontend import DiagramDoc, normalize, to_io_diagrams
+from .io_diagrams import IoDiagram, values_close
 from .semantics import BOT, DEFAULT_CONFIG, EvalConfig, eval_expr, value_kind
 
 
@@ -109,11 +111,8 @@ def simulate_direct(
     """Execute the wire graph directly: per step, iterate block firings from
     all-unknown wires to the least fixpoint."""
     doc = normalize(doc)
-    blocks = []
-    for blk in doc.blocks:
-        ins, outs, spec = _block_interface(doc, blk)
-        fn = spec.fn.rename_params(v.name for v in ins)
-        blocks.append((ins, outs, fn))
+    diagrams, _ = to_io_diagrams(doc)
+    blocks = [(d.inputs, d.outputs, d.body.fn) for d in diagrams]
     all_vars = {v.name for ins, outs, _ in blocks for v in ins + outs}
     for e in doc.inputs:
         all_vars.add(e.name)
@@ -159,21 +158,13 @@ def simulate_direct(
     return trace
 
 
-def traces_match(
-    a: SimTrace,
-    b: SimTrace,
-    names: Optional[list] = None,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> bool:
+def traces_match(a: SimTrace, b: SimTrace, names: Optional[list] = None) -> bool:
     """Compare two traces on the given output names (all shared names by default)."""
-    from .io_diagrams import values_close
-
     if len(a.steps) != len(b.steps):
         return False
     for sa, sb in zip(a.steps, b.steps):
         keys = names if names is not None else sorted(set(sa.outputs) & set(sb.outputs))
         for k in keys:
-            if not values_close(sa.outputs[k], sb.outputs[k], rel_tol, abs_tol):
+            if not values_close(sa.outputs[k], sb.outputs[k]):
                 return False
     return True

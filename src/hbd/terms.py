@@ -7,7 +7,8 @@ is one derived ``Route`` node; ``expand_routes`` rewrites it into the four
 constants, which is how the paper defines it.  Every well-formed
 term has a unique derived typing ``in_types -> out_types``; the smart
 constructors enforce the arity rules and raise ``TypeMismatchError`` naming
-the offending subterm otherwise.
+the node kinds and the clashing types otherwise.  The message never prints
+a subterm, so its size does not grow with the term.
 
 Feedback always peels exactly one leading wire; ``feedback_n`` iterates it.
 """
@@ -144,8 +145,8 @@ class Serial(Term):
         (tmid2, tout) = self.second.typing
         if tmid != tmid2:
             raise TypeMismatchError(
-                f"serial mismatch: {self.first!r} yields {fmt_types(tmid)} "
-                f"but {self.second!r} expects {fmt_types(tmid2)}"
+                f"serial mismatch: {_kind(self.first)} yields {fmt_types(tmid)} "
+                f"but {_kind(self.second)} expects {fmt_types(tmid2)}"
             )
         return (tin, tout)
 
@@ -175,18 +176,19 @@ class Feedback(Term):
     @cached_property
     def typing(self):
         (tin, tout) = self.body.typing
-        if not tin or not tout:
+        if not tin or not tout or tin[0] is not tout[0]:
             raise TypeMismatchError(
-                f"feedback needs a leading wire on both sides: {self.body!r}"
-            )
-        if tin[0] is not tout[0]:
-            raise TypeMismatchError(
-                f"feedback leading types disagree: {tin[0]} vs {tout[0]} in {self.body!r}"
+                f"feedback needs one leading wire type on both sides of its "
+                f"{_kind(self.body)} body: {fmt_types(tin)} -> {fmt_types(tout)}"
             )
         return (tin[1:], tout[1:])
 
     def __repr__(self):
         return f"feedback({self.body!r})"
+
+
+def _kind(term: Term) -> str:
+    return type(term).__name__
 
 
 def type_of(term: Term):
@@ -219,7 +221,8 @@ def feedback_n(n: int, body: Term) -> Term:
         (tin, tout) = body.typing
         if not tin or not tout or tin[0] is not tout[0]:
             raise TypeMismatchError(
-                f"feedback_n: wire {i} cannot be fed back on {body!r}"
+                f"feedback_n: wire {i} cannot be fed back on a {_kind(body)} "
+                f"body typed {fmt_types(tin)} -> {fmt_types(tout)}"
             )
         body = Feedback(body)
     return body

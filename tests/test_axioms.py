@@ -81,7 +81,7 @@ def test_sampler_distinguishes_the_two_multiply_models():
     # on inputs pairing bot with zero, so the oracle must see through it
     from hbd.compiled import compile_term
     from hbd.exprs import Bin, ExprFun, Ref
-    from hbd.io_diagrams import EquivConfig, differences
+    from hbd.io_diagrams import differences
     from hbd.semantics import sample_inputs
     from hbd.terms import mk_atom
     from hbd.types import Var
@@ -92,7 +92,7 @@ def test_sampler_distinguishes_the_two_multiply_models():
     strict = compile_term(mul, EvalConfig(strict_multiply=True))
     lazy = compile_term(mul, EvalConfig(strict_multiply=False))
     rows = sample_inputs((R, R), 200, seed=3)
-    diffs = list(differences(rows, strict.run(rows), lazy.run(rows), EquivConfig()))
+    diffs = list(differences(rows, strict.run(rows), lazy.run(rows)))
     assert diffs, "sampling must produce bot-with-zero pairs"
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +241,47 @@ SUB_DOC = {
 }
 
 
+# Two inputs and two outputs around a Sub block; the outer document lists
+# the instance's ports in the reverse of the subsystem's declared order, so
+# renaming them by position in the outer document would swap them.
+DIFF_DOC = {
+    "version": 1,
+    "name": "outer-diff",
+    "inputs": [
+        {"name": "x", "type": "Real", "to": "G.a"},
+        {"name": "y", "type": "Real", "to": "S1.p"},
+    ],
+    "outputs": [
+        {"name": "o1", "type": "Real", "from": "S1.e"},
+        {"name": "o2", "type": "Real", "from": "S1.d"},
+    ],
+    "blocks": [
+        {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
+        {"id": "S1", "kind": "Diff"},
+    ],
+    "wires": [{"from": "G.out", "to": "S1.q"}],
+    "subsystems": {
+        "Diff": {
+            "version": 1,
+            "name": "diff",
+            "inputs": [
+                {"name": "p", "type": "Real", "to": "Sub.a"},
+                {"name": "q", "type": "Real", "to": ["Sub.b", "K.a"]},
+            ],
+            "outputs": [
+                {"name": "d", "type": "Real", "from": "Sub.out"},
+                {"name": "e", "type": "Real", "from": "K.out"},
+            ],
+            "blocks": [
+                {"id": "Sub", "kind": "Sub"},
+                {"id": "K", "kind": "Gain", "params": {"k": 3.0}},
+            ],
+            "wires": [],
+        }
+    },
+}
+
+
 class TestHierarchy:
     def test_flatten_inlines_blocks(self):
         doc = parse_doc(json.dumps(SUB_DOC))
@@ -325,6 +368,19 @@ class TestHierarchy:
         trace = simulate_translated(flat.diagram, flat.state_table, rows)
         assert trace.column("y") == [0.0, 11.0, 33.0]
 
+    def test_modes_agree_on_reversed_instance_ports(self):
+        from hbd.compiled import compile_term
+
+        doc = parse_doc(json.dumps(DIFF_DOC))
+        assert normalize(doc).interfaces["S1"][0][0].name == "y"  # declared order: p, q
+        flat = flatten_or_recurse(doc, "flatten", Incremental())
+        rec = flatten_or_recurse(doc, "recursive", Incremental())
+        assert io_equiv(flat.diagram, rec.diagram)
+        d = rec.diagram
+        env = {"x": 1.0, "y": 10.0}  # q = 2x = 2, p = y = 10
+        out = compile_term(d.body).run_one(tuple(env[v.name] for v in d.inputs))
+        assert dict(zip((v.name for v in d.outputs), out)) == {"o1": 6.0, "o2": 8.0}
+
     def test_recursive_mode_with_fbless(self):
         doc = parse_doc(json.dumps(SUB_DOC))
         rec = flatten_or_recurse(doc, "recursive", FbLess())
@@ -344,6 +400,33 @@ class TestRendering:
     def test_dot_shape(self, sum_doc):
         text = dot_doc(sum_doc)
         assert text.startswith("digraph") and '"Add" -> "Delay"' in text
+
+    @pytest.mark.parametrize(
+        "name, edges",
+        [
+            ("sum", {"Add->Delay [w1]", "Delay->Split [w2]", "Split->Add [w3]",
+                     "in:u->Add", "Split->out:v"}),
+            ("loop", {"G->A [w1]", "A->__split1 [w2]", "__split1->G [w3]",
+                      "in:u->A", "__split1->out:y"}),
+            ("nested", {"in:u->S1", "S1->out:y"}),
+        ],
+    )
+    def test_dot_edge_set(self, name, edges):
+        path = Path(__file__).resolve().parent.parent / "diagrams" / f"{name}.hbd.json"
+        text = dot_doc(parse_doc(path.read_bytes()))
+        found = [
+            f"{src}->{dst}" + (f" [{label}]" if label else "")
+            for src, dst, label in re.findall(
+                r'"([^"]+)" -> "([^"]+)"(?: \[label="([^"]+)"\])?;', text
+            )
+        ]
+        assert len(found) == len(set(found))
+        assert set(found) == edges
+
+    def test_dump_shows_a_subsystem_instance(self):
+        text = dump_doc(parse_doc(json.dumps(DIFF_DOC)))
+        assert "block S1: Diff" in text
+        assert "  (y, w1) -> (o2, o1)  =  subsystem Diff" in text
 
 
 class TestLibrary:

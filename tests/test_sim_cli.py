@@ -189,6 +189,16 @@ def test_cli_print(sum_path, capsys):
     assert "diagram summation" in out
 
 
+def test_cli_print_nested_diagram(capsys):
+    import pathlib
+
+    path = str(pathlib.Path(__file__).resolve().parent.parent / "diagrams" / "nested.hbd.json")
+    assert main(["print", path]) == 0
+    out = capsys.readouterr().out
+    assert "block S1: Accumulator" in out
+    assert "(u) -> (y)  =  subsystem Accumulator" in out
+
+
 def test_cli_check_permuted_file_block_order(sum_doc, tmp_path, capsys):
     # listing the blocks in a different order changes no verdict
     data = _doc_to_json(sum_doc)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hbd.errors import ParseError
+from hbd.errors import ParseError, TypeMismatchError
 from hbd.exprs import Bin, ExprFun, Ref
 from hbd.semantics import BOT, eval_term, sample_inputs
 from hbd.terms import (
@@ -213,3 +213,24 @@ def test_var_equality_is_by_name(k):
     assert Var("x", k) == Var("x", R)
     assert Var("x", k) != Var("y", k)
     assert hash(Var("x", k)) == hash(Var("x", R))
+
+
+def test_type_error_messages_stay_small():
+    """A type error names node kinds and types, never whole subterms, so its
+    message does not grow with a 3,000-node translation."""
+    from hbd.frontend import flatten_or_recurse
+    from hbd.gen import random_diagram
+    from hbd.translator import Incremental
+
+    doc = random_diagram(7, 100, 100)
+    body = flatten_or_recurse(doc, "flatten", Incremental()).diagram.body
+    assert term_size(body) > 3000
+    drained = mk_serial(body, Sink(body.out_types))
+    for build in (
+        lambda: mk_serial(body, Id(())),
+        lambda: mk_feedback(drained),
+        lambda: feedback_n(1, drained),
+    ):
+        with pytest.raises(TypeMismatchError) as err:
+            build()
+        assert len(str(err.value)) < 2000
