@@ -4,32 +4,34 @@ Compiles a term once and evaluates it on many input tuples at a time,
 column-wise.  Regions built purely from wiring (identity, split, sink,
 switch, route, and their serial/parallel/feedback compositions) collapse to
 index maps, so the per-sample cost is dominated by atoms and fixpoint
-iterations rather than by plumbing size.
+iterations rather than by plumbing size.  Each atom becomes a generated
+column kernel, one list comprehension per output, whose code is compiled
+once per shape and shared by every atom of that shape.
 
-Semantics are identical to ``semantics.eval_term`` (same scalar kernels,
-same joint Kleene iteration); the two evaluators are cross-checked by a
-property test.
+Semantics are identical to ``semantics.eval_term`` (the kernels inline its
+scalar operations; same joint Kleene iteration); the two evaluators are
+cross-checked by property tests.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import TypeMismatchError
-from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
+from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, infer_kind
 from .semantics import (
     BOT,
     DEFAULT_CONFIG,
     EvalConfig,
     EvalStats,
-    binop_table,
     check_kinds,
     fixpoint_divergence,
-    op_neg,
-    op_not,
 )
 from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
+from .types import BaseType
 
 # An index map sends each output position to an input position, or to None
 # for a constantly-unknown output.
@@ -66,16 +68,15 @@ class _MapC(_Node):
 
 
 class _AtomC(_Node):
-    __slots__ = ("closures",)
+    __slots__ = ("kernel",)
 
-    def __init__(self, in_arity: int, closures):
+    def __init__(self, in_arity: int, out_arity: int, kernel):
         self.in_arity = in_arity
-        self.out_arity = len(closures)
-        self.closures = closures
+        self.out_arity = out_arity
+        self.kernel = kernel
 
     def run(self, cols, ctx):
-        rows = list(zip(*cols)) if cols else [()] * ctx.m
-        return [[f(row) for row in rows] for f in self.closures]
+        return self.kernel(cols, ctx.m)
 
 
 class _SerialC(_Node):
@@ -151,39 +152,128 @@ def _map_feedback(m: _MapC) -> _MapC:
     return _MapC(m.in_arity - 1, rest)
 
 
-def compile_exprfun(fn: ExprFun, cfg: EvalConfig):
-    """Each body becomes a closure over the argument row."""
-    binops = binop_table(cfg)
-    index = {p.name: i for i, p in enumerate(fn.params)}
+class _KernelSource:
+    """Source text of one atom's column kernel.
 
-    def comp(e):
-        if isinstance(e, Lit):
-            v = e.value
-            return lambda row: v
+    Parameters become the row variables ``v0``.. (their columns ``c0``..),
+    literals the names ``k0``.. that ``bind`` receives, and each non-leaf
+    operand a temporary ``t0``.. assigned where it is first evaluated, so
+    the text holds no wire name and no literal value.  Each rule below is
+    the matching scalar operation of ``semantics`` written inline.
+    """
+
+    def __init__(self, fn: ExprFun, cfg: EvalConfig):
+        self.index = {p.name: i for i, p in enumerate(fn.params)}
+        self.kinds = {p.name: p.ty for p in fn.params}
+        self.strict_multiply = cfg.strict_multiply
+        self.lits = []
+        self.temps = 0
+        self.used = set()  # parameter indices read by the current body
+        outs = "".join(f"            {self.column(b)},\n" for b in fn.bodies)
+        names = ", ".join(f"k{i}" for i in range(len(self.lits)))
+        unpack = "".join(f"c{i}, " for i in range(len(fn.params)))
+        self.text = (
+            f"def bind({names}):\n"
+            "    def kernel(cols, m):\n"
+            + (f"        {unpack}= cols\n" if unpack else "")
+            + f"        return [\n{outs}        ]\n"
+            "    return kernel\n"
+        )
+
+    def column(self, e) -> str:
         if isinstance(e, Ref):
-            i = index[e.name]
-            return lambda row: row[i]
+            return f"c{self.index[e.name]}"  # the input column itself
+        if isinstance(e, Lit):
+            return f"[{self.expr(e)}] * m"
+        self.used = set()
+        code = self.expr(e)
+        used = sorted(self.used)
+        if not used:
+            return f"[{code} for _ in range(m)]"
+        if len(used) == 1:
+            return f"[{code} for v{used[0]} in c{used[0]}]"
+        names = ", ".join(f"v{i}" for i in used)
+        return f"[{code} for {names} in zip({', '.join(f'c{i}' for i in used)})]"
+
+    def operand(self, e):
+        """(code evaluating ``e``, name holding it after, whether it can be
+        bot); a literal is never bot."""
+        if isinstance(e, (Lit, Ref)):
+            name = self.expr(e)
+            return name, name, isinstance(e, Ref)
+        t = f"t{self.temps}"
+        self.temps += 1
+        return f"({t} := {self.expr(e)})", t, True
+
+    @staticmethod
+    def strict(operands, result: str, extra: str = "") -> str:
+        guards = [f"{first} is BOT" for first, _, maybe_bot in operands if maybe_bot]
+        if extra:
+            guards.append(extra)
+        return f"(BOT if {' or '.join(guards)} else {result})" if guards else result
+
+    def expr(self, e) -> str:
+        if isinstance(e, Lit):
+            self.lits.append(e.value)
+            return f"k{len(self.lits) - 1}"
+        if isinstance(e, Ref):
+            i = self.index[e.name]
+            self.used.add(i)
+            return f"v{i}"
         if isinstance(e, Un):
-            fa = comp(e.a)
-            op = op_neg if e.op == "neg" else op_not
-            return lambda row: op(fa(row))
-        if isinstance(e, Bin):
-            fa, fb = comp(e.a), comp(e.b)
-            op = binops[e.op]
-            return lambda row: op(fa(row), fb(row))
+            a = self.operand(e.a)
+            return self.strict([a], f"(-{a[1]})" if e.op == "neg" else f"(not {a[1]})")
         if isinstance(e, Ite):
-            fc, ft, fe = comp(e.cond), comp(e.then), comp(e.orelse)
+            first, c, maybe_bot = self.operand(e.cond)
+            pick = f"({self.expr(e.then)} if {c} else {self.expr(e.orelse)})"
+            return f"(BOT if {first} is BOT else {pick})" if maybe_bot else pick
+        if not isinstance(e, Bin):
+            raise TypeMismatchError(f"not an expression: {e!r}")
+        a, b = self.operand(e.a), self.operand(e.b)
+        x, y = a[1], b[1]
+        if e.op == "*" and not self.strict_multiply:
+            # v * 0 == 0 even for unknown v; the zero's kind fixes the result kind
+            return (
+                f"({x} * {y} if ({a[0]} is not BOT) & ({b[0]} is not BOT) else "
+                f"{x} if {x} is not BOT and {x} == 0 else "
+                f"{y} if {y} is not BOT and {y} == 0 else BOT)"
+            )
+        if e.op == "/":
+            # bot on a zero divisor; floor division on Int
+            div = "//" if infer_kind(e.a, self.kinds) is BaseType.INT else "/"
+            return self.strict([a, b], f"{x} {div} {y}", f"{y} == 0")
+        if e.op == "min":  # min(x, y) and max(x, y) keep x unless y wins
+            return self.strict([a, b], f"({y} if {y} < {x} else {x})")
+        if e.op == "max":
+            return self.strict([a, b], f"({y} if {y} > {x} else {x})")
+        return self.strict([a, b], f"({x} {e.op} {y})")
 
-            def ite(row):
-                c = fc(row)
-                if c is BOT:
-                    return BOT
-                return ft(row) if c else fe(row)
 
-            return ite
-        raise TypeMismatchError(f"not an expression: {e!r}")
+@functools.lru_cache(maxsize=1024)
+def _kernel_binder(text: str):
+    namespace = {"BOT": BOT}
+    exec(compile(text, "<atom kernel>", "exec"), namespace)
+    return namespace["bind"]
 
-    return [comp(b) for b in fn.bodies]
+
+# Kernels are pure functions, so every term that contains one expression
+# function (the strategies of one diagram list share their atoms) reuses its
+# kernel while the function lives.  Keyed by id: equal ExprFuns may differ in
+# literal kind (1, 1.0, True) or sign (0.0, -0.0).
+_KERNELS: dict = {}
+
+
+def compile_exprfun(fn: ExprFun, cfg: EvalConfig):
+    """The atom as a column kernel ``kernel(cols, m) -> out_cols``: one list
+    comprehension per body over the input columns.  Kernels of one shape
+    share their code; literal values are bound per instance."""
+    key = (id(fn), cfg.strict_multiply)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        src = _KernelSource(fn, cfg)
+        kernel = _KERNELS[key] = _kernel_binder(src.text)(*src.lits)
+        weakref.finalize(fn, _KERNELS.pop, key, None)
+    return kernel
 
 
 def _compile(term: Term, cfg: EvalConfig) -> _Node:
@@ -201,7 +291,8 @@ def _compile(term: Term, cfg: EvalConfig) -> _Node:
     if isinstance(term, Route):
         return _MapC(len(term.t), term.imap)
     if isinstance(term, Atom):
-        return _AtomC(len(term.fn.params), compile_exprfun(term.fn, cfg))
+        fn = term.fn
+        return _AtomC(len(fn.params), len(fn.bodies), compile_exprfun(fn, cfg))
     if isinstance(term, Serial):
         a = _compile(term.first, cfg)
         b = _compile(term.second, cfg)

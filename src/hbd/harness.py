@@ -115,10 +115,11 @@ def equivalence_cells(
     """
     ref = diagrams[0]
     samples = equivalence_samples(types_of(ref.inputs), cfg)
+    columns = list(zip(*samples))
     in_pos = {v: i for i, v in enumerate(ref.inputs)}
     # names compare equal regardless of type, so the types are pinned too
     ref_ty = {v.name: v.ty for v in ref.inputs + ref.outputs}
-    aligned = []  # per diagram: its outputs in ref's order, or why there are none
+    aligned = []  # per diagram: its output columns in ref's order, or why there are none
     for d in diagrams:
         if not is_perm(d.inputs, ref.inputs):
             aligned.append("input lists are not permutations")
@@ -132,7 +133,7 @@ def equivalence_cells(
             aligned.append(f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}")
             continue
         in_map = [in_pos[v] for v in d.inputs]
-        rows = [tuple(row[i] for i in in_map) for row in samples]
+        rows = list(zip(*[columns[i] for i in in_map])) if in_map else samples
         try:
             outs = compile_term(d.body, cfg.eval_config).run(
                 rows, stats=stats, validate=False
@@ -141,8 +142,8 @@ def equivalence_cells(
             aligned.append(f"fixpoint divergence: {exc}")
             continue
         out_pos = {v: i for i, v in enumerate(d.outputs)}
-        out_map = [out_pos[v] for v in ref.outputs]
-        aligned.append([tuple(o[i] for i in out_map) for o in outs])
+        out_cols = list(zip(*outs))
+        aligned.append([out_cols[out_pos[v]] for v in ref.outputs])
 
     n = len(diagrams)
     matrix = [[None] * n for _ in range(n)]
@@ -150,7 +151,11 @@ def equivalence_cells(
         for j in range(i, n):
             a, b = aligned[i], aligned[j]
             reason = a if isinstance(a, str) else b if isinstance(b, str) else None
-            diff = None if reason or a == b else next(differences(samples, a, b), None)
+            diff = (
+                None
+                if reason or a == b
+                else next(differences(samples, zip(*a), zip(*b)), None)
+            )
             if reason or diff:
                 cell = EquivResult(False, reason or "semantic difference", diff)
             else:

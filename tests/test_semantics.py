@@ -178,13 +178,14 @@ def test_nonstrict_multiply_feedback_converges_in_two():
 
 def test_fixpoint_divergence_guard():
     # the expression language cannot express a non-monotone atom, so the
-    # divergence guard is exercised with a handcrafted evaluation node
+    # divergence guard is exercised with a handcrafted column kernel
     from hbd.compiled import _AtomC, _Ctx, _FbC
 
-    flip = _AtomC(
-        2,
-        [lambda row: 0 if row[0] is BOT else row[0] + 1, lambda row: row[1]],
-    )
+    def kernel(cols, m):
+        x, u = cols
+        return [[0 if v is BOT else v + 1 for v in x], u]
+
+    flip = _AtomC(2, 2, kernel)
     fb = _FbC(1, flip)
     with pytest.raises(FixpointDivergence, match="non-monotone atom"):
         fb.run([[5]], _Ctx(1, None, 8))
