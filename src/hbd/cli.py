@@ -8,8 +8,9 @@
     hbd print FILE
 
 Exit codes: 0 success; 1 equivalence or axiom counterexample; 2 parse/type
-errors; 3 feedbackless precondition violation (cycle witness printed);
-4 fixpoint divergence during simulation.
+errors; 3 precondition violation (a document with no blocks, or a
+feedbackless cycle, whose witness is printed); 4 fixpoint divergence during
+simulation.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ def cmd_check(args) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PreconditionError as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)
+        return 3
     print(report.render())
     return 0 if report.all_equivalent else 1
 

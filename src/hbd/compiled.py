@@ -1,12 +1,14 @@
 """Batch evaluator used by the sampling oracles.
 
-Compiles a term once and evaluates it on many input tuples at a time,
-column-wise.  Regions built purely from wiring (identity, split, sink,
-switch, route, and their serial/parallel/feedback compositions) collapse to
-index maps, so the per-sample cost is dominated by atoms and fixpoint
-iterations rather than by plumbing size.  Each atom becomes a generated
-column kernel, one list comprehension per output, whose code is compiled
-once per shape and shared by every atom of that shape.
+Compiles a term once into a flat register program and evaluates it on many
+input tuples at a time, column-wise.  Wiring (identity, split, sink, switch,
+route, and their serial/parallel/feedback compositions) is resolved at
+compile time to register numbers and emits no step, so the per-sample cost
+is that of atoms and fixpoint iterations rather than of plumbing size.  An
+atom is one step that runs a generated column kernel, one list
+comprehension per output, whose code is compiled once per shape and shared
+by every atom of that shape.  A feedback tower around atoms is one loop
+step over its body's program; only such loops nest at run time.
 
 Semantics are identical to ``semantics.eval_term`` (the kernels inline its
 scalar operations; same joint Kleene iteration); the two evaluators are
@@ -16,6 +18,7 @@ cross-checked by property tests.
 from __future__ import annotations
 
 import functools
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -27,129 +30,12 @@ from .semantics import (
     DEFAULT_CONFIG,
     EvalConfig,
     EvalStats,
+    _collect_tower,
     check_kinds,
     fixpoint_divergence,
 )
 from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
 from .types import BaseType
-
-# An index map sends each output position to an input position, or to None
-# for a constantly-unknown output.
-IndexMap = tuple
-
-
-class _Ctx:
-    __slots__ = ("m", "bot_col", "stats", "max_fix_iters")
-
-    def __init__(self, m: int, stats, max_fix_iters: int):
-        self.m = m
-        self.bot_col = [BOT] * m
-        self.stats = stats
-        self.max_fix_iters = max_fix_iters
-
-
-class _Node:
-    __slots__ = ("in_arity", "out_arity")
-
-    def run(self, cols, ctx):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class _MapC(_Node):
-    __slots__ = ("imap",)
-
-    def __init__(self, in_arity: int, imap: IndexMap):
-        self.in_arity = in_arity
-        self.out_arity = len(imap)
-        self.imap = imap
-
-    def run(self, cols, ctx):
-        return [ctx.bot_col if i is None else cols[i] for i in self.imap]
-
-
-class _AtomC(_Node):
-    __slots__ = ("kernel",)
-
-    def __init__(self, in_arity: int, out_arity: int, kernel):
-        self.in_arity = in_arity
-        self.out_arity = out_arity
-        self.kernel = kernel
-
-    def run(self, cols, ctx):
-        return self.kernel(cols, ctx.m)
-
-
-class _SerialC(_Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: _Node, b: _Node):
-        self.a = a
-        self.b = b
-        self.in_arity = a.in_arity
-        self.out_arity = b.out_arity
-
-    def run(self, cols, ctx):
-        return self.b.run(self.a.run(cols, ctx), ctx)
-
-
-class _ParC(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Node, right: _Node):
-        self.left = left
-        self.right = right
-        self.in_arity = left.in_arity + right.in_arity
-        self.out_arity = left.out_arity + right.out_arity
-
-    def run(self, cols, ctx):
-        n = self.left.in_arity
-        return self.left.run(cols[:n], ctx) + self.right.run(cols[n:], ctx)
-
-
-class _FbC(_Node):
-    __slots__ = ("n", "body")
-
-    def __init__(self, n: int, body: _Node):
-        self.n = n
-        self.body = body
-        self.in_arity = body.in_arity - n
-        self.out_arity = body.out_arity - n
-
-    def run(self, cols, ctx):
-        n = self.n
-        xs = [ctx.bot_col] * n
-        iters = 0
-        cap = ctx.max_fix_iters + n - 1
-        while True:
-            res = self.body.run(xs + cols, ctx)
-            iters += 1
-            new = res[:n]
-            if new == xs:
-                if ctx.stats is not None:
-                    ctx.stats.record(n, iters)
-                return res[n:]
-            if iters >= cap:
-                raise fixpoint_divergence(cap, (v for col in new for v in col))
-            xs = new
-
-
-def _map_serial(m1: _MapC, m2: _MapC) -> _MapC:
-    imap = tuple(None if i is None else m1.imap[i] for i in m2.imap)
-    return _MapC(m1.in_arity, imap)
-
-
-def _map_parallel(m1: _MapC, m2: _MapC) -> _MapC:
-    shifted = tuple(None if i is None else i + m1.in_arity for i in m2.imap)
-    return _MapC(m1.in_arity + m2.in_arity, m1.imap + shifted)
-
-
-def _map_feedback(m: _MapC) -> _MapC:
-    first = m.imap[0]
-    x = None if first is None or first == 0 else first - 1
-    rest = tuple(
-        None if i is None else (x if i == 0 else i - 1) for i in m.imap[1:]
-    )
-    return _MapC(m.in_arity - 1, rest)
 
 
 class _KernelSource:
@@ -276,53 +162,90 @@ def compile_exprfun(fn: ExprFun, cfg: EvalConfig):
     return kernel
 
 
-def _compile(term: Term, cfg: EvalConfig) -> _Node:
+# A program is a list of steps over a register file: numbered slots that hold
+# one column each, register 0 the unknown (bot) column.  An atom step is
+# (kernel, input registers, output registers, None); a loop step, one
+# feedback tower, is (None, fed-back registers, new-value registers, body
+# program).  Wiring emits no step: it only decides which registers later
+# steps read.
+
+
+def _emit(term: Term, regs: list, steps: list, fresh, cfg: EvalConfig) -> list:
+    """Append ``term``'s steps to ``steps`` given the registers holding its
+    inputs; returns the registers holding its outputs."""
     if isinstance(term, Id):
-        n = len(term.t)
-        return _MapC(n, tuple(range(n)))
+        return regs
     if isinstance(term, Split):
-        n = len(term.t)
-        return _MapC(n, tuple(range(n)) * 2)
+        return regs + regs
     if isinstance(term, Sink):
-        return _MapC(len(term.t), ())
+        return []
     if isinstance(term, Switch):
-        n, k = len(term.t), len(term.t2)
-        return _MapC(n + k, tuple(range(n, n + k)) + tuple(range(n)))
+        n = len(term.t)
+        return regs[n:] + regs[:n]
     if isinstance(term, Route):
-        return _MapC(len(term.t), term.imap)
+        return [0 if i is None else regs[i] for i in term.imap]
     if isinstance(term, Atom):
-        fn = term.fn
-        return _AtomC(len(fn.params), len(fn.bodies), compile_exprfun(fn, cfg))
+        outs = [next(fresh) for _ in term.fn.bodies]
+        steps.append((compile_exprfun(term.fn, cfg), regs, outs, None))
+        return outs
     if isinstance(term, Serial):
-        a = _compile(term.first, cfg)
-        b = _compile(term.second, cfg)
-        if isinstance(a, _MapC) and isinstance(b, _MapC):
-            return _map_serial(a, b)
-        return _SerialC(a, b)
+        mid = _emit(term.first, regs, steps, fresh, cfg)
+        return _emit(term.second, mid, steps, fresh, cfg)
     if isinstance(term, Parallel):
-        a = _compile(term.left, cfg)
-        b = _compile(term.right, cfg)
-        if isinstance(a, _MapC) and isinstance(b, _MapC):
-            return _map_parallel(a, b)
-        return _ParC(a, b)
+        n = len(term.left.in_types)
+        left = _emit(term.left, regs[:n], steps, fresh, cfg)
+        return left + _emit(term.right, regs[n:], steps, fresh, cfg)
     if isinstance(term, Feedback):
-        n = 0
-        inner = term
-        while isinstance(inner, Feedback):
-            n += 1
-            inner = inner.body
-        body = _compile(inner, cfg)
-        if isinstance(body, _MapC):
+        n, body = _collect_tower(term)
+        fed = [next(fresh) for _ in range(n)]
+        program = []
+        outs = _emit(body, fed + regs, program, fresh, cfg)
+        if program:
+            steps.append((None, fed, outs[:n], program))
+            return outs[n:]
+        # Pure wiring: a fed-back wire settles on the register that its chain
+        # of fed-back wires ends at (within n links), or on bot in a cycle.
+        new = dict(zip(fed, outs[:n]))
+        ends = []
+        for r in outs[n:]:
             for _ in range(n):
-                body = _map_feedback(body)
-            return body
-        return _FbC(n, body)
+                r = new.get(r, r)
+            ends.append(0 if r in new else r)
+        return ends
     raise TypeMismatchError(f"not a term: {term!r}")
+
+
+def _exec(steps: list, regs: list, m: int, stats, max_fix_iters: int) -> None:
+    for kernel, ins, outs, program in steps:
+        if program is None:
+            for r, col in zip(outs, kernel([regs[i] for i in ins], m)):
+                regs[r] = col
+            continue
+        # joint Kleene iteration of the tower from bot; ``ins`` are fed back
+        n = len(ins)
+        xs = [regs[0]] * n
+        iters = 0
+        cap = max_fix_iters + n - 1
+        while True:
+            for r, col in zip(ins, xs):
+                regs[r] = col
+            _exec(program, regs, m, stats, max_fix_iters)
+            iters += 1
+            new = [regs[r] for r in outs]
+            if new == xs:
+                break
+            if iters >= cap:
+                raise fixpoint_divergence(cap, (v for col in new for v in col))
+            xs = new
+        if stats is not None:
+            stats.record(n, iters)
 
 
 @dataclass
 class Compiled:
-    root: _Node
+    steps: list
+    outs: list  # the registers holding the term's outputs
+    size: int  # registers in the file
     in_types: tuple
     out_types: tuple
     cfg: EvalConfig
@@ -336,12 +259,14 @@ class Compiled:
         m = len(rows)
         if m == 0:
             return []
-        ctx = _Ctx(m, stats, self.cfg.max_fix_iters)
-        cols = [list(col) for col in zip(*rows)] if self.in_types else []
-        out_cols = self.root.run(cols, ctx)
-        if not out_cols:
+        regs = [None] * self.size
+        regs[0] = [BOT] * m
+        if self.in_types:
+            regs[1 : 1 + len(self.in_types)] = [list(col) for col in zip(*rows)]
+        _exec(self.steps, regs, m, stats, self.cfg.max_fix_iters)
+        if not self.outs:
             return [()] * m
-        return list(zip(*out_cols))
+        return list(zip(*(regs[r] for r in self.outs)))
 
     def run_one(self, row, stats: Optional[EvalStats] = None):
         return self.run([row], stats=stats)[0]
@@ -349,4 +274,7 @@ class Compiled:
 
 def compile_term(term: Term, cfg: EvalConfig = DEFAULT_CONFIG) -> Compiled:
     term.typing
-    return Compiled(_compile(term, cfg), term.in_types, term.out_types, cfg)
+    fresh = itertools.count(1 + len(term.in_types))
+    steps = []
+    outs = _emit(term, list(range(1, 1 + len(term.in_types))), steps, fresh, cfg)
+    return Compiled(steps, outs, next(fresh), term.in_types, term.out_types, cfg)

@@ -247,14 +247,6 @@ def equivalence_samples(t: TypeList, cfg: EquivConfig):
     return rows
 
 
-def permutation_wrapped_body(a: IoDiagram, b: IoDiagram) -> Term:
-    """[I(a) -> I(b)] ;; D(b) ;; [O(b) -> O(a)]: b conjugated to a's interface."""
-    return mk_serial(
-        switch_vars(a.inputs, b.inputs),
-        mk_serial(b.body, switch_vars(b.outputs, a.outputs)),
-    )
-
-
 def differences(rows, outs_a, outs_b):
     """(input, out_a, out_b) for each sampled input on which two evaluations
     differ beyond ``REL_TOL`` and ``ABS_TOL``."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .io_diagrams import IoDiagram, fold_parallel, inter, named_feedback, named_serial
+from .io_diagrams import IoDiagram, fold_parallel, named_feedback, named_serial
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ class RandomChoices:
 
 
 def check_io_distinct(ds: Sequence[IoDiagram]) -> bool:
-    """Pairwise disjointness of input names and of output names."""
-    for i in range(len(ds)):
-        for j in range(i + 1, len(ds)):
-            if inter(ds[i].inputs, ds[j].inputs) or inter(ds[i].outputs, ds[j].outputs):
-                return False
-    return True
+    """No input name occurs twice across the list, nor any output name.
+    Each io-diagram's own lists are duplicate-free, so this is pairwise
+    disjointness of input names and of output names."""
+    ins = [v.name for d in ds for v in d.inputs]
+    outs = [v.name for d in ds for v in d.outputs]
+    return len(set(ins)) == len(ins) and len(set(outs)) == len(outs)
 
 
 def topo_order(ds: Sequence[IoDiagram]):

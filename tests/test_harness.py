@@ -1,6 +1,7 @@
 """Determinacy harness report invariants."""
 
 import importlib
+import inspect
 import math
 import runpy
 from pathlib import Path
@@ -66,16 +67,30 @@ def test_divergent_strategy_is_a_fail_cell():
     assert len(pairs) == len(set(pairs)) == 5 + 4 + 3 + 2
 
 
-def test_benchmark_bindings_resolve():
+def test_benchmark_bindings_resolve(monkeypatch):
     """The benchmark's traced run wraps these hbd entry points by name; a
     missing one fails every benchmark run, so it must fail here first."""
     spans = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"))
     for _, owner, attr, _ in spans["BINDINGS"]:
         module = importlib.import_module("hbd.terms" if owner == "api" else f"hbd.{owner}")
         assert callable(getattr(module, attr, None)), (owner, attr)
-    from hbd.compiled import Compiled
+    from hbd.compiled import Compiled, compile_term
 
-    assert callable(Compiled.run)
+    # The traced run replaces Compiled.run by a wrapper with these parameters
+    # and counts rows and the fixpoint census only there, so run_one must go
+    # through run.
+    params = list(inspect.signature(Compiled.run).parameters)
+    assert params == ["self", "rows", "stats", "validate"]
+    batches = []
+    run = Compiled.run
+
+    def counted(compiled, rows, stats=None, validate=True):
+        batches.append(list(rows))
+        return run(compiled, batches[-1], stats=stats, validate=validate)
+
+    monkeypatch.setattr(Compiled, "run", counted)
+    assert compile_term(_blk("A", "+").body).run_one((1.0, 2.0)) == (3.0,)
+    assert batches == [[(1.0, 2.0)]]
 
 
 def test_translate_all_labels(running_example):

@@ -23,7 +23,10 @@ from hbd.semantics import (
     value_leq,
 )
 from hbd.terms import (
+    Atom,
+    Feedback,
     Id,
+    Route,
     Sink,
     Split,
     Switch,
@@ -32,6 +35,7 @@ from hbd.terms import (
     mk_feedback,
     mk_parallel,
     mk_serial,
+    iter_subterms,
 )
 from hbd.types import BaseType, Var
 
@@ -176,19 +180,20 @@ def test_nonstrict_multiply_feedback_converges_in_two():
     assert stats.feedback_runs == [(1, 2)]
 
 
-def test_fixpoint_divergence_guard():
+def test_fixpoint_divergence_guard(monkeypatch):
     # the expression language cannot express a non-monotone atom, so the
     # divergence guard is exercised with a handcrafted column kernel
-    from hbd.compiled import _AtomC, _Ctx, _FbC
+    import hbd.compiled
 
     def kernel(cols, m):
         x, u = cols
         return [[0 if v is BOT else v + 1 for v in x], u]
 
-    flip = _AtomC(2, 2, kernel)
-    fb = _FbC(1, flip)
+    monkeypatch.setattr(hbd.compiled, "compile_exprfun", lambda fn, cfg: kernel)
+    flip = mk_atom("flip", ExprFun((Var("x", I), Var("u", I)), (Ref("x"), Ref("u"))))
+    compiled = compile_term(mk_feedback(flip), EvalConfig(max_fix_iters=8))
     with pytest.raises(FixpointDivergence, match="non-monotone atom"):
-        fb.run([[5]], _Ctx(1, None, 8))
+        compiled.run([(5,)])
 
 
 def test_nan_feedback_divergence_names_nan():
@@ -230,6 +235,43 @@ def test_compiled_agrees_with_reference():
         got = compiled.run(rows)
         for row, out in zip(rows, got):
             assert out == eval_term(t, row)
+
+
+def _feedback_bodies(t):
+    return [s.body for s in iter_subterms(t) if isinstance(s, Feedback)]
+
+
+def test_compiled_census_matches_reference():
+    # one row at a time, the batch evaluator runs the same fixpoints, in the
+    # same order and with the same iteration counts, as the reference; every
+    # feedback body holds an atom, so that no feedback is pure wiring
+    rng = random.Random(29)
+    checked = nested = 0
+    while checked < 80:
+        t = random_term(rng, tuple(rng.choice((R, I, B)) for _ in range(rng.randint(0, 3))), 3)
+        bodies = _feedback_bodies(t)
+        if not bodies or not all(any(isinstance(s, Atom) for s in iter_subterms(b)) for b in bodies):
+            continue
+        compiled = compile_term(t)
+        for row in sample_inputs(t.in_types, 5, seed=checked):
+            want, got = EvalStats(), EvalStats()
+            assert compiled.run([row], got) == [eval_term(t, row, stats=want)]
+            assert got.feedback_runs == want.feedback_runs
+        nested += any(_feedback_bodies(b) for b in bodies)
+        checked += 1
+    assert nested >= 10
+
+
+def test_pure_wiring_feedback_runs_no_loop():
+    # a feedback around wiring alone settles at compile time: no fixpoint is
+    # recorded, and a wire fed back only to itself is unknown
+    arb_pair = mk_feedback(mk_feedback(Route((R, R, R), (R, R, R), (1, 0, 0))))
+    chain = mk_feedback(mk_feedback(Route((R, R, R), (R, R, R), (1, 2, 0))))
+    for t, row, out in ((mk_arb(R), (), (BOT,)), (arb_pair, (1.0,), (BOT,)), (chain, (1.0,), (1.0,))):
+        assert eval_term(t, row) == out
+        stats = EvalStats()
+        assert compile_term(t).run([row], stats) == [out]
+        assert stats.feedback_runs == []
 
 
 def test_compiled_output_kinds_match():

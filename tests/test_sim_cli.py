@@ -224,6 +224,16 @@ def test_cli_check_single_block(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_cli_check_document_without_blocks_exit_3(tmp_path, capsys):
+    # exit 1 would claim a counterexample; there is nothing to check
+    doc = {"version": 1, "name": "empty", "inputs": [], "outputs": [], "blocks": [], "wires": []}
+    path = tmp_path / "empty.hbd.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 3
+    assert "no diagrams to check" in capsys.readouterr().err
+    assert main(["translate", str(path)]) == 3
+
+
 def test_hbd_seed_environment_default(monkeypatch):
     from hbd.cli import build_parser
 
