@@ -16,7 +16,7 @@ from .compiled import compile_term
 from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from .io_diagrams import differences
-from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats, sample_inputs
+from .semantics import DEFAULT_CONFIG, EvalConfig, sample_inputs
 from .terms import (
     Id,
     Sink,
@@ -353,7 +353,6 @@ def check_equation(
     samples: int,
     seed: int,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    stats: EvalStats = None,
 ):
     """Counterexamples (input, lhs value, rhs value) on sampled inputs."""
     if eq.lhs.typing != eq.rhs.typing:
@@ -361,7 +360,7 @@ def check_equation(
             f"equation sides have different typings: {eq.lhs.typing} vs {eq.rhs.typing}"
         )
     rows = sample_inputs(eq.lhs.in_types, samples, seed, include_bottom=True)
-    outs = [compile_term(t, cfg).run(rows, stats=stats) for t in (eq.lhs, eq.rhs)]
+    outs = [compile_term(t, cfg).run(rows) for t in (eq.lhs, eq.rhs)]
     return list(differences(rows, *outs))
 
 
@@ -370,7 +369,6 @@ def run_axiom_suite(
     samples: int = 100,
     seed: int = 0,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    stats: EvalStats = None,
 ):
     """One outcome per axiom; an axiom fails if any instance has a counterexample."""
     outcomes = []
@@ -380,7 +378,7 @@ def run_axiom_suite(
         for i in range(instances):
             for eq in builder(rng):
                 outcome.instances += 1
-                bad = check_equation(eq, samples, seed + i, cfg, stats)
+                bad = check_equation(eq, samples, seed + i, cfg)
                 if bad:
                     outcome.failures.append(bad[0])
         outcomes.append(outcome)

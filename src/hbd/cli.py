@@ -7,10 +7,12 @@
     hbd axioms [--instances N] [--samples M] [--seed N]
     hbd print FILE
 
-Exit codes: 0 success; 1 equivalence or axiom counterexample; 2 parse/type
-errors; 3 precondition violation (a document with no blocks, or a
-feedbackless cycle, whose witness is printed); 4 fixpoint divergence during
-simulation.
+Exit codes, mapped from the error types in ``main`` alone: 0 success; 1 an
+equivalence or axiom counterexample, or a FAIL cell of ``check`` (a strategy
+whose translation failed is one); 2 parse, schema, type, subsystem-cycle or
+file errors; 3 "precondition failed", with the reason (a document with no
+blocks, or a feedbackless algebraic loop with its witness); 4 fixpoint
+divergence during simulation.
 """
 
 from __future__ import annotations
@@ -30,15 +32,21 @@ from .errors import (
     SchemaError,
     TypeMismatchError,
 )
-from .frontend import FbLess, DiagramDoc, dot_doc, dump_doc, flatten_or_recurse, parse_doc
+from .frontend import (
+    DiagramDoc,
+    FbLess,
+    document_io_list,
+    dot_doc,
+    dump_doc,
+    flatten_or_recurse,
+    parse_doc,
+)
 from .harness import run_determinacy
 from .semantics import BOT
 from .sim import simulate_translated
 from .terms import print_term, rewrite_basic, term_size
 from .translator import FeedbackParallel, Incremental, RandomChoices
 from .types import BaseType
-
-_PARSE_ERRORS = (ParseError, SchemaError, TypeMismatchError, CycleError, OSError)
 
 
 def _default_seed() -> int:
@@ -66,15 +74,8 @@ def _load(path: str) -> DiagramDoc:
 
 
 def cmd_translate(args) -> int:
-    try:
-        doc = _load(args.file)
-        result = flatten_or_recurse(doc, args.mode, _method(args.strategy, args.seed))
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"feedbackless precondition failed: {exc}", file=sys.stderr)
-        return 3
+    doc = _load(args.file)
+    result = flatten_or_recurse(doc, args.mode, _method(args.strategy, args.seed))
     if args.emit == "dot":
         print(dot_doc(result.doc))
         return 0
@@ -88,20 +89,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        doc = _load(args.file)
-        from .frontend import document_io_list
-
-        diagrams, _, _ = document_io_list(doc, args.mode)
-        report = run_determinacy(
-            diagrams, seeds=range(args.seeds), samples=args.samples
-        )
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 3
+    diagrams, _, _ = document_io_list(_load(args.file), args.mode)
+    report = run_determinacy(diagrams, seeds=range(args.seeds), samples=args.samples)
     print(report.render())
     return 0 if report.all_equivalent else 1
 
@@ -157,24 +146,10 @@ def _read_csv(path: str, doc: DiagramDoc, steps):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        doc = _load(args.file)
-        result = flatten_or_recurse(doc, "flatten", _method(args.strategy, args.seed))
-        rows = _read_csv(args.inputs, result.doc, args.steps)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"feedbackless precondition failed: {exc}", file=sys.stderr)
-        return 3
-    try:
-        trace = simulate_translated(result.diagram, result.state_table, rows)
-    except FixpointDivergence as exc:
-        print(f"fixpoint divergence: {exc}", file=sys.stderr)
-        return 4
-    except (SchemaError, TypeMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = _load(args.file)
+    result = flatten_or_recurse(doc, "flatten", _method(args.strategy, args.seed))
+    rows = _read_csv(args.inputs, result.doc, args.steps)
+    trace = simulate_translated(result.diagram, result.state_table, rows)
     in_names = [e.name for e in result.doc.inputs]
     out_names = [e.name for e in result.doc.outputs]
     state_names = [e.state.name for e in result.state_table]
@@ -217,12 +192,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_print(args) -> int:
-    try:
-        doc = _load(args.file)
-        print(dump_doc(doc))
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(dump_doc(_load(args.file)))
     return 0
 
 
@@ -274,7 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ParseError, SchemaError, TypeMismatchError, CycleError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except PreconditionError as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)
+        return 3
+    except FixpointDivergence as exc:
+        print(f"fixpoint divergence: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .io_diagrams import (
 )
 from .terms import Atom, Id, Serial, Term, iter_subterms, mk_atom, mk_parallel, mk_serial
 from .exprs import ExprFun, Ref, free_refs
+from .translator import stable_topo_order
 from .types import Var, types_of
 
 
@@ -209,23 +210,12 @@ class GivenOrder:
 @dataclass(frozen=True)
 class Topological:
     def order(self, blocks) -> list:
-        # u precedes w when w's producer depends on u: eliminating upstream
+        # u precedes w when w's producer reads u: eliminating upstream
         # variables first maximizes reuse of already-composed producers.
         deps_of = {b.output: b.deps for b in blocks}
         nodes = _internal_by_first_seen(blocks)
-        internal = set(nodes)
-        indeg = {u: sum(1 for w in deps_of.get(u, ()) if w in internal) for u in nodes}
-        order = []
-        remaining = set(nodes)
-        while remaining:
-            ready = [u for u in nodes if u in remaining and indeg[u] == 0]
-            pick = ready[0] if ready else next(u for u in nodes if u in remaining)
-            remaining.discard(pick)
-            order.append(pick)
-            for u in nodes:
-                if u in remaining and pick in deps_of.get(u, ()):
-                    indeg[u] -= 1
-        return order
+        succs = [{j for j, w in enumerate(nodes) if u in deps_of[w]} for u in nodes]
+        return [nodes[i] for i in stable_topo_order(succs)]
 
 
 @dataclass(frozen=True)
@@ -243,11 +233,13 @@ def validate_ok_fbless(blocks) -> None:
         raise PreconditionError("feedbackless translation needs at least one block")
     outs = [b.output for b in blocks]
     if len(set(outs)) != len(outs):
-        raise PreconditionError(f"duplicate outputs: {[v.name for v in outs]}")
+        raise PreconditionError(
+            f"feedbackless translation: duplicate outputs: {[v.name for v in outs]}"
+        )
     if not loop_free(blocks):
         cycle = find_cycle(blocks)
         path = " -> ".join(v.name for v in cycle) if cycle else "?"
-        raise PreconditionError(f"algebraic loop: {path}")
+        raise PreconditionError(f"feedbackless translation: algebraic loop: {path}")
 
 
 def ok_fbless(blocks) -> bool:

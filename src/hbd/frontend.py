@@ -611,36 +611,15 @@ def to_io_diagrams(doc: DiagramDoc):
     return [_atom_diagram(doc, blk) for blk in doc.blocks], list(doc.state_table)
 
 
-def to_split_blocks(doc: DiagramDoc):
-    """Single-output blocks with exact per-output dependencies."""
-    diagrams, state_table = to_io_diagrams(doc)
-    blocks = []
-    for d in diagrams:
-        blocks.extend(split_block(d))
-    return blocks, state_table
-
-
-def check_var_occurrences(diagrams) -> bool:
-    """Every variable occurs at most once as an input and once as an output."""
-    as_in: dict = {}
-    as_out: dict = {}
-    for d in diagrams:
-        for v in d.inputs:
-            as_in[v] = as_in.get(v, 0) + 1
-        for v in d.outputs:
-            as_out[v] = as_out.get(v, 0) + 1
-    return all(c <= 1 for c in as_in.values()) and all(c <= 1 for c in as_out.values())
-
-
 # -- hierarchy -----------------------------------------------------------------
 
 def flatten(doc: DiagramDoc) -> DiagramDoc:
     """Inline every subsystem instance into a flat document."""
     check_subsystem_cycles(doc)
-    return _flatten(doc, ())
+    return _flatten(doc)
 
 
-def _flatten(doc: DiagramDoc, stack) -> DiagramDoc:
+def _flatten(doc: DiagramDoc) -> DiagramDoc:
     if not any(b.kind in doc.subsystems for b in doc.blocks):
         return doc
     blocks = []
@@ -681,9 +660,7 @@ def _flatten(doc: DiagramDoc, stack) -> DiagramDoc:
         if blk.kind not in doc.subsystems:
             blocks.append(blk)
             continue
-        if blk.kind in stack:
-            raise CycleError(f"subsystem {blk.kind!r} instantiates itself")
-        sub = _flatten(doc.subsystems[blk.kind], stack + (blk.kind,))
+        sub = _flatten(doc.subsystems[blk.kind])
         prefix = f"{blk.id}/"
         for b in sub.blocks:
             blocks.append(replace(b, id=prefix + b.id))
@@ -727,9 +704,7 @@ class TranslationResult:
 
 def _translate_list(diagrams, method) -> IoDiagram:
     if isinstance(method, FbLess):
-        blocks = []
-        for d in diagrams:
-            blocks.extend(split_block(d))
+        blocks = [sb for d in diagrams for sb in split_block(d)]
         return fbless_translate(blocks, method.order_policy)
     return translate(diagrams, method)
 

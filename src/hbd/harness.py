@@ -3,7 +3,8 @@
 pairwise equivalence matrix with the one sampling oracle,
 ``equivalence_cells``, which evaluates each result once on shared samples
 with inputs and outputs aligned by variable name.  ``io_equiv`` is its
-two-diagram case.
+two-diagram case.  A strategy whose translation fails, like one that finds
+no fixed point, fails its row and column with the reason.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .compiled import compile_term
-from .errors import FixpointDivergence, PreconditionError
+from .errors import (
+    CompositionError,
+    FixpointDivergence,
+    PreconditionError,
+    TypeMismatchError,
+)
 from .feedbackless import fbless_translate, loop_free, split_block
 from .io_diagrams import (
     EquivConfig,
@@ -32,16 +38,17 @@ from .types import types_of
 @dataclass
 class StrategyRun:
     label: str
-    diagram: IoDiagram
+    diagram: Optional[IoDiagram]  # None when the translation failed
     seconds: float
+    failure: str = ""  # why there is no diagram
 
     @property
     def size(self) -> int:
-        return term_size(self.diagram.body)
+        return 0 if self.diagram is None else term_size(self.diagram.body)
 
     @property
     def term_text(self) -> str:
-        return print_term(self.diagram.body)
+        return "" if self.diagram is None else print_term(self.diagram.body)
 
 
 @dataclass
@@ -80,15 +87,22 @@ class RunReport:
         return "\n".join(lines)
 
 
+_TRANSLATION_ERRORS = (CompositionError, PreconditionError, TypeMismatchError, RecursionError)
+
+
 def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20)):
     """(label, io-diagram, seconds) for fbpar, incr, each seed, and fbless
-    when the split block list is loop-free."""
+    when the split block list is loop-free.  A strategy whose translation
+    raises gets no io-diagram and records why in ``failure``."""
     runs = []
 
     def timed(label, thunk):
         t0 = time.perf_counter()
-        result = thunk()
-        runs.append(StrategyRun(label, result, time.perf_counter() - t0))
+        try:
+            result, failure = thunk(), ""
+        except _TRANSLATION_ERRORS as exc:
+            result, failure = None, f"translation failed: {type(exc).__name__}: {exc}"
+        runs.append(StrategyRun(label, result, time.perf_counter() - t0, failure))
 
     timed("fbpar", lambda: translate(diagrams, FeedbackParallel()))
     timed("incr", lambda: translate(diagrams, Incremental()))
@@ -105,26 +119,32 @@ def equivalence_cells(
     cfg: EquivConfig = EquivConfig(),
     stats: Optional[EvalStats] = None,
 ):
-    """(samples, matrix): pairwise io-equivalence of nonempty ``diagrams``.
+    """(samples, matrix): pairwise io-equivalence of ``diagrams``.
 
-    Inputs are sampled for the first diagram; each body runs once with its
-    arguments and results aligned to that interface by name, which evaluates
-    ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a)]``.  A diagram whose interface is
-    not a permutation of the first's, or that finds no fixed point, fails
-    its whole row and column with that reason.
+    An entry may be a string in place of an io-diagram: the reason a
+    strategy produced none.  Inputs are sampled for the first io-diagram;
+    each body runs once with its arguments and results aligned to that
+    interface by name, which evaluates ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a)]``.
+    A string entry, a diagram whose interface is not a permutation of the
+    first's, or one that finds no fixed point fails its whole row and column
+    with that reason.
     """
-    ref = diagrams[0]
-    samples = equivalence_samples(types_of(ref.inputs), cfg)
+    ref = next((d for d in diagrams if not isinstance(d, str)), None)
+    ref_ins, ref_outs = ((), ()) if ref is None else (ref.inputs, ref.outputs)
+    samples = [] if ref is None else equivalence_samples(types_of(ref_ins), cfg)
     columns = list(zip(*samples))
-    in_pos = {v: i for i, v in enumerate(ref.inputs)}
+    in_pos = {v: i for i, v in enumerate(ref_ins)}
     # names compare equal regardless of type, so the types are pinned too
-    ref_ty = {v.name: v.ty for v in ref.inputs + ref.outputs}
+    ref_ty = {v.name: v.ty for v in ref_ins + ref_outs}
     aligned = []  # per diagram: its output columns in ref's order, or why there are none
     for d in diagrams:
-        if not is_perm(d.inputs, ref.inputs):
+        if isinstance(d, str):
+            aligned.append(d)
+            continue
+        if not is_perm(d.inputs, ref_ins):
             aligned.append("input lists are not permutations")
             continue
-        if not is_perm(d.outputs, ref.outputs):
+        if not is_perm(d.outputs, ref_outs):
             aligned.append("output lists are not permutations")
             continue
         clash = [v for v in d.inputs + d.outputs if ref_ty[v.name] is not v.ty]
@@ -135,15 +155,13 @@ def equivalence_cells(
         in_map = [in_pos[v] for v in d.inputs]
         rows = list(zip(*[columns[i] for i in in_map])) if in_map else samples
         try:
-            outs = compile_term(d.body, cfg.eval_config).run(
-                rows, stats=stats, validate=False
-            )
+            outs = compile_term(d.body).run(rows, stats=stats, validate=False)
         except FixpointDivergence as exc:
             aligned.append(f"fixpoint divergence: {exc}")
             continue
         out_pos = {v: i for i, v in enumerate(d.outputs)}
         out_cols = list(zip(*outs))
-        aligned.append([out_cols[out_pos[v]] for v in ref.outputs])
+        aligned.append([out_cols[out_pos[v]] for v in ref_outs])
 
     n = len(diagrams)
     matrix = [[None] * n for _ in range(n)]
@@ -179,7 +197,7 @@ def equivalence_matrix(
     report = RunReport(runs=list(runs), stats=stats or EvalStats())
     if runs:
         samples, report.matrix = equivalence_cells(
-            [run.diagram for run in runs], cfg, report.stats
+            [run.failure or run.diagram for run in runs], cfg, report.stats
         )
         report.samples_used = len(samples)
     return report

@@ -10,12 +10,12 @@ names) invent unknown values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
 from .errors import CompositionError, TypeMismatchError
-from .semantics import BOT, EvalConfig, sample_inputs, value_kind
+from .semantics import BOT, sample_inputs, value_kind
 from .terms import (
     Id,
     Route,
@@ -183,8 +183,6 @@ def named_feedback(a: IoDiagram) -> IoDiagram:
 class EquivConfig:
     samples: int = 200
     exhaustive_limit: int = 4096
-    seed: int = 0
-    eval_config: EvalConfig = field(default_factory=EvalConfig)
 
 
 @dataclass
@@ -243,7 +241,7 @@ def equivalence_samples(t: TypeList, cfg: EquivConfig):
         if all(k is BaseType.BOOL for k in t):
             return rows  # the canonical grid is the whole domain
     if len(rows) < cfg.samples:
-        rows.extend(sample_inputs(t, cfg.samples - len(rows), cfg.seed, True))
+        rows.extend(sample_inputs(t, cfg.samples - len(rows), seed=0))
     return rows
 
 

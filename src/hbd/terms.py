@@ -268,22 +268,9 @@ def term_size(term: Term) -> int:
 
 def feedbacks_outside_arb(term: Term) -> int:
     """Count Feedback nodes that are not the one inside an Arb constant."""
-    count = 0
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if is_arb(t):
-            continue
-        if isinstance(t, Feedback):
-            count += 1
-            stack.append(t.body)
-        elif isinstance(t, Serial):
-            stack.append(t.first)
-            stack.append(t.second)
-        elif isinstance(t, Parallel):
-            stack.append(t.left)
-            stack.append(t.right)
-    return count
+    return sum(
+        1 for t in iter_subterms(term) if isinstance(t, Feedback) and not is_arb(t)
+    )
 
 
 # -- rewriting ---------------------------------------------------------------

@@ -73,8 +73,7 @@ def topo_order(ds: Sequence[IoDiagram]):
     """Stable topological order of the wire dependency graph.
 
     Edges point from the diagram producing a variable to the one consuming
-    it.  Members of a cycle keep their original relative order (the
-    smallest-index remaining node is released when no source exists).
+    it.  Members of a cycle keep their original relative order.
     """
     n = len(ds)
     out_sets = [set(d.outputs) for d in ds]
@@ -83,6 +82,15 @@ def topo_order(ds: Sequence[IoDiagram]):
         {j for j in range(n) if j != i and out_sets[i] & in_sets[j]}
         for i in range(n)
     ]
+    return [ds[i] for i in stable_topo_order(succs)]
+
+
+def stable_topo_order(succs) -> list:
+    """Node indices 0..n-1 in a stable topological order of the graph whose
+    successor sets are ``succs``.  The smallest-index node without a
+    remaining predecessor goes next; when every remaining node has one (a
+    cycle), the smallest-index remaining node does."""
+    n = len(succs)
     indeg = [0] * n
     for i in range(n):
         for j in succs[i]:
@@ -97,7 +105,7 @@ def topo_order(ds: Sequence[IoDiagram]):
         for j in succs[pick]:
             if j in remaining:
                 indeg[j] -= 1
-    return [ds[i] for i in order]
+    return order
 
 
 def _pair_step(a: IoDiagram, b: IoDiagram) -> IoDiagram:

@@ -35,6 +35,7 @@ from hbd.io_diagrams import (
     named_feedback,
 )
 from hbd.terms import Id, feedbacks_outside_arb, mk_arb, mk_atom, rewrite_basic
+from hbd.translator import topo_order
 from hbd.types import BaseType, Var
 
 R = BaseType.REAL
@@ -190,6 +191,19 @@ def _fanout_chain_blocks():
         SplitBlock(C, frozenset((c,))),
         SplitBlock(D, frozenset((d,))),
     ]
+
+
+def test_topological_orders_are_pinned(running_example):
+    """fbless's elimination order and incr's diagram order share one sort:
+    the smallest-index node with no remaining predecessor goes next, and in
+    a cycle the smallest-index remaining node does."""
+    blocks = list(reversed(_fanout_chain_blocks()))
+    assert [v.name for v in Topological().order(blocks)] == ["a", "b", "d", "c"]
+    # A -> B -> (split1 -> C, split2 -> D), listed in reverse dependency order
+    D, C, split2, split1, B, A = (b.base for b in blocks)
+    assert topo_order([D, C, split2, split1, B, A]) == [A, B, split2, D, split1, C]
+    add, delay, split = running_example
+    assert topo_order([delay, split, add]) == [delay, split, add]
 
 
 class TestInternalSerial:

@@ -15,7 +15,6 @@ from hbd.errors import (
 )
 from hbd.frontend import (
     FbLess,
-    check_var_occurrences,
     dot_doc,
     dump_doc,
     flatten,
@@ -23,7 +22,6 @@ from hbd.frontend import (
     normalize,
     parse_doc,
     to_io_diagrams,
-    to_split_blocks,
 )
 from hbd.harness import io_equiv
 from hbd.terms import Atom, rewrite_basic
@@ -162,12 +160,6 @@ class TestNormalize:
         doc = parse_doc(json.dumps(_doc()))
         assert normalize(doc).state_table == []
 
-    def test_variables_occur_at_most_twice(self, sum_doc, corpus_diagrams):
-        ds, _ = to_io_diagrams(normalize(sum_doc))
-        assert check_var_occurrences(ds)
-        for _, diagrams, _ in corpus_diagrams:
-            assert check_var_occurrences(diagrams)
-
     def test_io_distinct_by_construction(self, sum_doc, corpus_diagrams):
         from hbd.translator import check_io_distinct
 
@@ -204,10 +196,11 @@ class TestToIoDiagrams:
         assert ds[0].inputs == ()
 
     def test_split_blocks_have_exact_deps(self, sum_doc):
-        blocks, _ = to_split_blocks(normalize(sum_doc))
-        assert len(blocks) == 5  # Add, Delay1, Delay2, Split1, Split2
-        from hbd.feedbackless import loop_free
+        from hbd.feedbackless import loop_free, split_block
 
+        ds, _ = to_io_diagrams(normalize(sum_doc))
+        blocks = [sb for d in ds for sb in split_block(d)]
+        assert len(blocks) == 5  # Add, Delay1, Delay2, Split1, Split2
         assert loop_free(blocks)
         deps_sizes = sorted(len(b.deps) for b in blocks)
         assert deps_sizes == [1, 1, 1, 1, 2]  # only Add reads two inputs

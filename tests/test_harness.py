@@ -110,3 +110,41 @@ def test_translated_terms_round_trip_through_text(running_example, corpus_diagra
         for run in runs:
             body = run.diagram.body
             assert parse_term(print_term(body), collect_atoms(body)) == body
+
+
+def test_failed_translation_is_a_fail_cell(running_example, sum_path, monkeypatch, capsys):
+    """A strategy whose translation raises fails only its own row and
+    column; ``hbd check`` reports the reason and exits 1."""
+    import hbd.harness as harness
+    from hbd.cli import main
+    from hbd.errors import CompositionError
+    from hbd.translator import FeedbackParallel, RandomChoices
+
+    translate = harness.translate
+    broken = set()
+
+    def failing(diagrams, strategy):
+        if strategy in broken:
+            raise CompositionError("planted clash")
+        return translate(diagrams, strategy)
+
+    monkeypatch.setattr(harness, "translate", failing)
+    reason = "translation failed: CompositionError: planted clash"
+    # the second round also fails fbpar, so the inputs are sampled for incr
+    for planted, failed in ((RandomChoices(1), {3}), (FeedbackParallel(), {0, 3})):
+        broken.add(planted)
+        report = run_determinacy(list(running_example), seeds=range(3), samples=20)
+        labels = [r.label for r in report.runs]
+        assert labels == ["fbpar", "incr", "rand0", "rand1", "rand2", "fbless"]
+        for i, row in enumerate(report.matrix):
+            for j, cell in enumerate(row):
+                assert bool(cell) == (not failed & {i, j})
+                if i in failed:
+                    assert cell.reason == reason
+        assert report.samples_used == 20
+        assert reason in report.render()
+    broken.discard(FeedbackParallel())
+    assert main(["check", sum_path, "--seeds", "3", "--samples", "20"]) == 1
+    out = capsys.readouterr().out
+    assert f"counterexample fbpar vs rand1: {reason}" in out
+    assert "counterexample fbpar vs incr" not in out

@@ -109,6 +109,8 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert main(["translate", str(bad)]) == 2
     missing = tmp_path / "missing.hbd.json"
     assert main(["translate", str(missing)]) == 2
+    assert main(["print", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_fbless_loop_exit_3(tmp_path, capsys):
@@ -231,7 +233,9 @@ def test_cli_check_document_without_blocks_exit_3(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 3
     assert "no diagrams to check" in capsys.readouterr().err
-    assert main(["translate", str(path)]) == 3
+    assert main(["translate", str(path)]) == 3  # the default strategy, incr
+    err = capsys.readouterr().err
+    assert "no blocks to translate" in err and "feedbackless" not in err
 
 
 def test_hbd_seed_environment_default(monkeypatch):
@@ -263,7 +267,8 @@ def test_cli_shipped_loop_diagram(capsys):
 
     path = str(pathlib.Path(__file__).resolve().parent.parent / "diagrams" / "loop.hbd.json")
     assert main(["translate", path, "--strategy", "fbless"]) == 3
-    assert "->" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "feedbackless" in err and "w1 -> w3 -> w2 -> w1" in err  # the witness
     # the feedback-based strategies still translate it (outputs are unknown)
     assert main(["translate", path, "--strategy", "incr"]) == 0
     assert main(["check", path, "--seeds", "3", "--samples", "40"]) == 0
