@@ -263,10 +263,13 @@ class DiagramDoc:
 
 
 class _NameGen:
-    def __init__(self, reserved):
-        self.reserved = set(reserved)
+    """Fresh wire, state and split-block names for one document tree."""
+
+    def __init__(self, doc: DiagramDoc):
+        self.reserved = {e.name for e in doc.inputs} | {e.name for e in doc.outputs}
         self.wire_n = 0
         self.state_n = 0
+        self.split_n = 0
 
     def wire(self) -> str:
         while True:
@@ -275,6 +278,10 @@ class _NameGen:
             if name not in self.reserved:
                 self.reserved.add(name)
                 return name
+
+    def split(self) -> str:
+        self.split_n += 1
+        return f"__split{self.split_n}"
 
     def state(self):
         while True:
@@ -497,8 +504,7 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
         return doc
     ins_t, outs_t = _port_tables(doc)
     if names is None:
-        reserved = {e.name for e in doc.inputs} | {e.name for e in doc.outputs}
-        names = _NameGen(reserved)
+        names = _NameGen(doc)
 
     # driver -> consumers, in document order (wires first, then outputs)
     consumers: dict = {}
@@ -510,7 +516,6 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
     blocks = list(doc.blocks)
     port_var: dict = {}  # PortRef -> Var; a block's in- and out-port names differ
     interfaces: dict = {}
-    split_n = 0
 
     def consumer_var(cons) -> Var:
         kind, payload = cons
@@ -522,12 +527,10 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
 
     def spread(src_var: Var, ty: BaseType, conss) -> None:
         """Wire one driver value to its consumers through a binary split chain."""
-        nonlocal split_n
         current = src_var
         remaining = list(conss)
         while len(remaining) > 1:
-            split_n += 1
-            sid = f"__split{split_n}"
+            sid = names.split()
             blocks.append(
                 BlockInst(sid, "SplitBlk", (("type", ty.value),))
             )
@@ -593,7 +596,7 @@ def _atom_diagram(doc: DiagramDoc, blk: BlockInst) -> IoDiagram:
     """A normalized library block as an atom io-diagram over its wire names."""
     if blk.kind in doc.subsystems:
         raise SchemaError(
-            f"block {blk.id!r} is a subsystem instance; flatten or translate it first"
+            f"block {blk.id!r} is a subsystem instance; expand it with document_io_list"
         )
     ins, outs = doc.interfaces[blk.id]
     fn = block_spec(blk.kind, blk.params_dict).fn.rename_params(v.name for v in ins)
@@ -613,77 +616,22 @@ def to_io_diagrams(doc: DiagramDoc):
 
 # -- hierarchy -----------------------------------------------------------------
 
-def flatten(doc: DiagramDoc) -> DiagramDoc:
-    """Inline every subsystem instance into a flat document."""
-    check_subsystem_cycles(doc)
-    return _flatten(doc)
+def _prefixed(sub: DiagramDoc, prefix: str, ins, outs) -> DiagramDoc:
+    """The subsystem as one instance sees it: ``prefix`` before every block
+    id it declares or refers to, and its external names replaced by the
+    instance's port variables ``ins`` and ``outs`` (in declared order)."""
 
+    def ref(port: PortRef) -> PortRef:
+        return PortRef(prefix + port.block, port.port)
 
-def _flatten(doc: DiagramDoc) -> DiagramDoc:
-    if not any(b.kind in doc.subsystems for b in doc.blocks):
-        return doc
-    blocks = []
-    wires = list(doc.wires)
-    inputs = list(doc.inputs)
-    outputs = list(doc.outputs)
-
-    def retarget_in(old: PortRef, new_targets):
-        """Replace every reference *into* old by the given targets."""
-        nonlocal wires, inputs
-        new_wires = []
-        for w in wires:
-            if w.dst == old:
-                new_wires.extend(WireDecl(w.src, t) for t in new_targets)
-            else:
-                new_wires.append(w)
-        wires = new_wires
-        inputs = [
-            replace(
-                e,
-                targets=tuple(
-                    t2 for t in e.targets for t2 in (new_targets if t == old else (t,))
-                ),
-            )
-            for e in inputs
-        ]
-
-    def retarget_out(old: PortRef, new_src: PortRef):
-        nonlocal wires, outputs
-        wires = [
-            WireDecl(new_src if w.src == old else w.src, w.dst) for w in wires
-        ]
-        outputs = [
-            replace(e, source=new_src) if e.source == old else e for e in outputs
-        ]
-
-    for blk in doc.blocks:
-        if blk.kind not in doc.subsystems:
-            blocks.append(blk)
-            continue
-        sub = _flatten(doc.subsystems[blk.kind])
-        prefix = f"{blk.id}/"
-        for b in sub.blocks:
-            blocks.append(replace(b, id=prefix + b.id))
-        for w in sub.wires:
-            wires.append(
-                WireDecl(
-                    PortRef(prefix + w.src.block, w.src.port),
-                    PortRef(prefix + w.dst.block, w.dst.port),
-                )
-            )
-        for e in sub.inputs:
-            retarget_in(
-                PortRef(blk.id, e.name),
-                tuple(PortRef(prefix + t.block, t.port) for t in e.targets),
-            )
-        for e in sub.outputs:
-            retarget_out(
-                PortRef(blk.id, e.name),
-                PortRef(prefix + e.source.block, e.source.port),
-            )
-    flat = DiagramDoc(doc.name, inputs, outputs, blocks, wires, {})
-    validate_doc(flat)
-    return flat
+    return DiagramDoc(
+        sub.name,
+        [ExtIn(v.name, e.ty, tuple(map(ref, e.targets))) for e, v in zip(sub.inputs, ins)],
+        [ExtOut(v.name, e.ty, ref(e.source)) for e, v in zip(sub.outputs, outs)],
+        [replace(b, id=prefix + b.id) for b in sub.blocks],
+        [WireDecl(ref(w.src), ref(w.dst)) for w in sub.wires],
+        sub.subsystems,
+    )
 
 
 # -- document-level translation --------------------------------------------------
@@ -699,7 +647,7 @@ class FbLess:
 class TranslationResult:
     diagram: IoDiagram
     state_table: list
-    doc: DiagramDoc  # normalized document actually translated
+    doc: DiagramDoc  # the normalized top-level document; instances stay blocks
 
 
 def _translate_list(diagrams, method) -> IoDiagram:
@@ -717,37 +665,31 @@ def document_io_list(
 ):
     """The io-distinct diagram list a document translates from.
 
-    ``flatten`` inlines all subsystems into one flat block list;
-    ``recursive`` translates each subsystem bottom-up (with ``method``) into
-    a single io-diagram used as an atomic element of the parent's list.
-    Returns (diagrams, state table, normalized document).
+    A subsystem instance ``S1`` expands into its subsystem's own list, with
+    every block id under the instance path (``S1/Sum``) and the subsystem's
+    external names replaced by the instance's port variables.  ``flatten``
+    splices that list in; ``recursive`` first translates it with ``method``
+    into one io-diagram.  ``names`` is the generator the whole document tree
+    shares.  Returns (diagrams, state table, normalized document).
     """
-    check_subsystem_cycles(doc)
-    if mode == "flatten":
-        flat = normalize(flatten(doc), names)
-        diagrams, state_table = to_io_diagrams(flat)
-        return diagrams, state_table, flat
-    if mode != "recursive":
+    if mode not in ("flatten", "recursive"):
         raise ValueError(f"unknown mode {mode!r}")
-
     if names is None:
-        names = _NameGen(_all_ext_names(doc))
+        check_subsystem_cycles(doc)
+        names = _NameGen(doc)
     norm = normalize(doc, names)
     diagrams = []
     state_table = []
     for blk in norm.blocks:
-        if blk.kind in norm.subsystems:
-            sub = flatten_or_recurse(norm.subsystems[blk.kind], "recursive", method, names)
-            state_table.extend(sub.state_table)
-            ins, outs = norm.interfaces[blk.id]
-            # the instance's ports, in the subsystem's declared order
-            ext = dict(zip([e.name for e in sub.doc.inputs + sub.doc.outputs], ins + outs))
-            diagrams.append(sub.diagram.rename(
-                [ext.get(v.name, v) for v in sub.diagram.inputs],  # others are states
-                [ext.get(v.name, v) for v in sub.diagram.outputs],
-            ))
-        else:
+        if blk.kind not in norm.subsystems:
             diagrams.append(_atom_diagram(norm, blk))
+            continue
+        instance = _prefixed(norm.subsystems[blk.kind], f"{blk.id}/", *norm.interfaces[blk.id])
+        inner, inner_states, _ = document_io_list(instance, mode, method, names)
+        if mode == "recursive" and inner:
+            inner = [_translate_list(inner, method)]
+        diagrams.extend(inner)
+        state_table.extend(inner_states)
     state_table.extend(norm.state_table)
     return diagrams, state_table, norm
 
@@ -756,24 +698,12 @@ def flatten_or_recurse(
     doc: DiagramDoc,
     mode: str = "flatten",
     method: object = Incremental(),
-    names: Optional[_NameGen] = None,
 ) -> TranslationResult:
     """Translate a whole document; the two modes yield io-equivalent results."""
-    diagrams, state_table, norm = document_io_list(doc, mode, method, names)
+    diagrams, state_table, norm = document_io_list(doc, mode, method)
     if not diagrams:
         raise PreconditionError("document has no blocks to translate")
     return TranslationResult(_translate_list(diagrams, method), state_table, norm)
-
-
-def _all_ext_names(doc: DiagramDoc, _seen=None):
-    _seen = set() if _seen is None else _seen
-    if id(doc) in _seen:
-        return set()
-    _seen.add(id(doc))
-    names = {e.name for e in doc.inputs} | {e.name for e in doc.outputs}
-    for sub in doc.subsystems.values():
-        names |= _all_ext_names(sub, _seen)
-    return names
 
 
 # -- rendering -----------------------------------------------------------------

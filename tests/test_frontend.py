@@ -16,8 +16,8 @@ from hbd.errors import (
 from hbd.frontend import (
     FbLess,
     dot_doc,
+    document_io_list,
     dump_doc,
-    flatten,
     flatten_or_recurse,
     normalize,
     parse_doc,
@@ -278,11 +278,9 @@ DIFF_DOC = {
 class TestHierarchy:
     def test_flatten_inlines_blocks(self):
         doc = parse_doc(json.dumps(SUB_DOC))
-        flat = flatten(doc)
-        assert sorted(b.id for b in flat.blocks) == ["S1/Dly", "S1/Spl", "S1/Sum"]
-        assert not flat.subsystems or all(
-            b.kind not in flat.subsystems for b in flat.blocks
-        )
+        diagrams, _, norm = document_io_list(doc, "flatten")
+        assert sorted(d.body.name for d in diagrams) == ["S1/Dly", "S1/Spl", "S1/Sum"]
+        assert [b.id for b in norm.blocks] == ["S1"]  # the document keeps its instance
 
     def test_modes_agree(self, sum_doc):
         doc = parse_doc(json.dumps(SUB_DOC))
