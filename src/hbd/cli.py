@@ -12,7 +12,8 @@ equivalence or axiom counterexample, or a FAIL cell of ``check`` (a strategy
 whose translation failed is one); 2 parse, schema, type, subsystem-cycle or
 file errors; 3 "precondition failed", with the reason (a document with no
 blocks, or a feedbackless algebraic loop with its witness); 4 fixpoint
-divergence during simulation.
+divergence during simulation.  A malformed option value, such as a negative
+count, is rejected by the argument parser, also with exit code 2.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ def _method(name: str, seed: int):
     if name == "fbless":
         return FbLess()
     raise ValueError(f"unknown strategy {name!r}")
+
+
+def _at_least(least: int):
+    """An argparse type: an int no smaller than ``least``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is less than {least}")
+        return value
+
+    return count
 
 
 def _load(path: str) -> DiagramDoc:
@@ -215,15 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="determinacy harness: all strategies, pairwise")
     p.add_argument("file")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seeds", type=_at_least(0), default=20)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--mode", choices=("flatten", "recursive"), default="flatten")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("simulate", help="step the diagram on csv inputs")
     p.add_argument("file")
     p.add_argument("--inputs", required=True, help="csv with one column per input")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_at_least(0), default=None)
     p.add_argument(
         "--strategy", choices=("fbpar", "incr", "fbless", "random"), default="incr"
     )
@@ -231,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("axioms", help="run the algebra law suite")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--instances", type=_at_least(0), default=100)
+    p.add_argument("--samples", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(fn=cmd_axioms)
 

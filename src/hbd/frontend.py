@@ -11,7 +11,9 @@ Schema (version 1):
       "wires":   [{"from": "Blk.port", "to": "Blk.port"}],
       "subsystems": {name: document} }
 
-Unknown fields are rejected.  Every wire has one source and one target;
+Unknown fields and values of the wrong JSON type are rejected.  A block id
+may not contain ``/``, which separates the instance path of an expanded
+subsystem block (``S1/Sum``).  Every wire has one source and one target;
 fan-out is expressed by several wires sharing a source and is normalized
 into chains of binary split blocks.
 """
@@ -301,10 +303,29 @@ def _parse_port(text, where: str) -> PortRef:
     return PortRef(blk, port)
 
 
-def _check_fields(obj: dict, allowed, where: str):
-    unknown = set(obj) - set(allowed)
+_JSON_NAMES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    (str, list): "a string or a list",
+}
+
+
+def _record(raw, where: str, required: dict, optional: dict = {}) -> None:
+    """``raw`` checked as a JSON object whose fields map to the given types:
+    no unknown field, no required one missing, each value of its type."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be an object, got {raw!r}")
+    fields = {**required, **optional}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+    if not set(required) <= set(raw):
+        raise SchemaError(f"{where}: {', '.join(required)} are required")
+    for key, value in raw.items():
+        if not isinstance(value, fields[key]):
+            raise SchemaError(f"{where}.{key} must be {_JSON_NAMES[fields[key]]}, got {value!r}")
 
 
 def parse_doc(data) -> DiagramDoc:
@@ -324,39 +345,31 @@ def _parse_raw(data) -> DiagramDoc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("document must be a JSON object")
-    _check_fields(
-        data, ("version", "name", "inputs", "outputs", "blocks", "wires", "subsystems"),
-        "document",
-    )
+    _record(data, "document", {}, {
+        "version": int, "name": str, "inputs": list, "outputs": list,
+        "blocks": list, "wires": list, "subsystems": dict,
+    })
     if data.get("version") != 1:
         raise SchemaError(f"unsupported version {data.get('version')!r}")
     name = data.get("name", "diagram")
 
-    subsystems = {
-        key: _parse_raw(sub) for key, sub in (data.get("subsystems") or {}).items()
-    }
+    subsystems = {key: _parse_raw(sub) for key, sub in data.get("subsystems", {}).items()}
 
     blocks = []
     seen_ids = set()
-    for i, raw in enumerate(data.get("blocks") or []):
-        _check_fields(raw, ("id", "kind", "params"), f"blocks[{i}]")
-        if "id" not in raw or "kind" not in raw:
-            raise SchemaError(f"blocks[{i}]: id and kind are required")
+    for i, raw in enumerate(data.get("blocks", [])):
+        _record(raw, f"blocks[{i}]", {"id": str, "kind": str}, {"params": dict})
         if raw["id"] in seen_ids:
             raise SchemaError(f"duplicate block id {raw['id']!r}")
+        if "/" in raw["id"]:
+            raise SchemaError(f"block id {raw['id']!r}: '/' separates instance paths")
         seen_ids.add(raw["id"])
-        params = raw.get("params") or {}
-        if not isinstance(params, dict):
-            raise SchemaError(f"blocks[{i}]: params must be an object")
-        blocks.append(
-            BlockInst(raw["id"], raw["kind"], tuple(sorted(params.items())))
-        )
+        params = tuple(sorted(raw.get("params", {}).items()))
+        blocks.append(BlockInst(raw["id"], raw["kind"], params))
 
     wires = []
-    for i, raw in enumerate(data.get("wires") or []):
-        _check_fields(raw, ("from", "to"), f"wires[{i}]")
-        if "from" not in raw or "to" not in raw:
-            raise SchemaError(f"wires[{i}]: from and to are required")
+    for i, raw in enumerate(data.get("wires", [])):
+        _record(raw, f"wires[{i}]", {"from": str, "to": str})
         wires.append(
             WireDecl(
                 _parse_port(raw["from"], f"wires[{i}].from"),
@@ -365,10 +378,8 @@ def _parse_raw(data) -> DiagramDoc:
         )
 
     inputs = []
-    for i, raw in enumerate(data.get("inputs") or []):
-        _check_fields(raw, ("name", "type", "to"), f"inputs[{i}]")
-        if "name" not in raw or "type" not in raw or "to" not in raw:
-            raise SchemaError(f"inputs[{i}]: name, type and to are required")
+    for i, raw in enumerate(data.get("inputs", [])):
+        _record(raw, f"inputs[{i}]", {"name": str, "type": str, "to": (str, list)})
         to = raw["to"] if isinstance(raw["to"], list) else [raw["to"]]
         if not to:
             raise SchemaError(f"inputs[{i}]: input {raw['name']!r} is not connected")
@@ -376,10 +387,8 @@ def _parse_raw(data) -> DiagramDoc:
         inputs.append(ExtIn(raw["name"], base_type(raw["type"]), targets))
 
     outputs = []
-    for i, raw in enumerate(data.get("outputs") or []):
-        _check_fields(raw, ("name", "type", "from"), f"outputs[{i}]")
-        if "name" not in raw or "type" not in raw or "from" not in raw:
-            raise SchemaError(f"outputs[{i}]: name, type and from are required")
+    for i, raw in enumerate(data.get("outputs", [])):
+        _record(raw, f"outputs[{i}]", {"name": str, "type": str, "from": str})
         outputs.append(
             ExtOut(
                 raw["name"],

@@ -96,7 +96,7 @@ class EvalStats:
         self.feedback_runs.append((width, iters))
 
 
-# -- scalar operations (shared by the reference and compiled evaluators) -----
+# -- scalar operations of the reference evaluator -----------------------------
 
 def op_neg(a):
     return BOT if a is BOT else -a

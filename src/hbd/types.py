@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import SchemaError
+
 
 class BaseType(enum.Enum):
     REAL = "Real"
@@ -32,10 +34,9 @@ _BY_NAME = {t.value: t for t in BaseType}
 
 
 def base_type(name: str) -> BaseType:
-    try:
+    if isinstance(name, str) and name in _BY_NAME:
         return _BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown base type {name!r}") from None
+    raise SchemaError(f"unknown base type {name!r}")
 
 
 def fmt_types(t: TypeList) -> str:

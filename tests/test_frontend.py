@@ -24,7 +24,7 @@ from hbd.frontend import (
     to_io_diagrams,
 )
 from hbd.harness import io_equiv
-from hbd.terms import Atom, rewrite_basic
+from hbd.terms import Atom, collect_atoms, parse_term, print_term, rewrite_basic
 from hbd.translator import Incremental
 from hbd.types import BaseType
 
@@ -95,6 +95,23 @@ class TestParse:
         )
         with pytest.raises(TypeMismatchError):
             parse_doc(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"inputs": [{"name": "u", "type": "Float", "to": "G.a"}]},
+            {"blocks": [{"id": "G", "kind": "Gain", "params": {"k": 2.0, "type": [5]}}]},
+            {"blocks": ["G"]},
+            {"wires": [5]},
+            {"subsystems": []},
+            {"outputs": [{"name": ["y"], "type": "Real", "from": "G.out"}]},
+            {"blocks": [{"id": 5, "kind": "Gain", "params": {"k": 2.0}}]},
+            {"wires": None},
+        ],
+    )
+    def test_mistyped_fields_are_schema_errors(self, overrides):
+        with pytest.raises(SchemaError):
+            parse_doc(json.dumps(_doc(**overrides)))
 
     def test_empty_diagram_is_valid(self):
         doc = parse_doc(json.dumps({"version": 1, "name": "empty"}))
@@ -275,6 +292,58 @@ DIFF_DOC = {
 }
 
 
+TWINS_DOC = {
+    "version": 1,
+    "name": "twins",
+    "inputs": [
+        {"name": "u1", "type": "Real", "to": "S1.p"},
+        {"name": "u2", "type": "Real", "to": "S2.p"},
+    ],
+    "outputs": [{"name": "y", "type": "Real", "from": "Sum.out"}],
+    "blocks": [
+        {"id": "S1", "kind": "Inner"},
+        {"id": "S2", "kind": "Inner"},
+        {"id": "Sum", "kind": "Add"},
+    ],
+    "wires": [
+        {"from": "S1.q", "to": "Sum.a"},
+        {"from": "S2.q", "to": "Sum.b"},
+    ],
+    "subsystems": SUB_DOC["subsystems"],
+}
+
+
+FANOUT_DOC = {
+    "version": 1,
+    "name": "fan-out",
+    "inputs": [{"name": "u", "type": "Real", "to": "G.a"}],
+    "outputs": [
+        {"name": "y", "type": "Real", "from": "S1.q"},
+        {"name": "z", "type": "Real", "from": "H.out"},
+    ],
+    "blocks": [
+        {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
+        {"id": "S1", "kind": "Pair"},
+        {"id": "H", "kind": "Gain", "params": {"k": 10.0}},
+    ],
+    "wires": [{"from": "G.out", "to": "S1.p"}, {"from": "G.out", "to": "H.a"}],
+    "subsystems": {
+        "Pair": {
+            "version": 1,
+            "name": "pair",
+            "inputs": [{"name": "p", "type": "Real", "to": ["A.a", "B.a"]}],
+            "outputs": [{"name": "q", "type": "Real", "from": "Sum.out"}],
+            "blocks": [
+                {"id": "A", "kind": "Gain", "params": {"k": 3.0}},
+                {"id": "B", "kind": "Gain", "params": {"k": 5.0}},
+                {"id": "Sum", "kind": "Add"},
+            ],
+            "wires": [{"from": "A.out", "to": "Sum.a"}, {"from": "B.out", "to": "Sum.b"}],
+        }
+    },
+}
+
+
 class TestHierarchy:
     def test_flatten_inlines_blocks(self):
         doc = parse_doc(json.dumps(SUB_DOC))
@@ -308,6 +377,16 @@ class TestHierarchy:
         assert a.diagram.outputs == b.diagram.outputs
         assert rewrite_basic(a.diagram.body) == rewrite_basic(b.diagram.body)
 
+    def test_slash_in_block_id_rejected(self):
+        """An outer block ``S1/Sum`` next to the instance ``S1`` holding a
+        ``Sum`` would give two atoms one name."""
+        doc = dict(SUB_DOC)
+        doc["inputs"] = [{"name": "u", "type": "Real", "to": ["S1.p", "S1/Sum.a"]}]
+        doc["outputs"] = SUB_DOC["outputs"] + [{"name": "z", "type": "Real", "from": "S1/Sum.out"}]
+        doc["blocks"] = SUB_DOC["blocks"] + [{"id": "S1/Sum", "kind": "Gain", "params": {"k": 2.0}}]
+        with pytest.raises(SchemaError, match="instance paths"):
+            parse_doc(json.dumps(doc))
+
     def test_self_reference_is_a_cycle(self):
         doc = dict(SUB_DOC)
         doc["subsystems"] = {
@@ -324,26 +403,7 @@ class TestHierarchy:
             parse_doc(json.dumps(doc))
 
     def test_two_instances_get_independent_state(self):
-        doc_json = {
-            "version": 1,
-            "name": "twins",
-            "inputs": [
-                {"name": "u1", "type": "Real", "to": "S1.p"},
-                {"name": "u2", "type": "Real", "to": "S2.p"},
-            ],
-            "outputs": [{"name": "y", "type": "Real", "from": "Sum.out"}],
-            "blocks": [
-                {"id": "S1", "kind": "Inner"},
-                {"id": "S2", "kind": "Inner"},
-                {"id": "Sum", "kind": "Add"},
-            ],
-            "wires": [
-                {"from": "S1.q", "to": "Sum.a"},
-                {"from": "S2.q", "to": "Sum.b"},
-            ],
-            "subsystems": SUB_DOC["subsystems"],
-        }
-        doc = parse_doc(json.dumps(doc_json))
+        doc = parse_doc(json.dumps(TWINS_DOC))
         for mode in ("flatten", "recursive"):
             res = flatten_or_recurse(doc, mode, Incremental())
             assert len(res.state_table) == 2
@@ -358,6 +418,36 @@ class TestHierarchy:
         rows = [{"u1": 1.0, "u2": 10.0}, {"u1": 2.0, "u2": 20.0}, {"u1": 3.0, "u2": 30.0}]
         trace = simulate_translated(flat.diagram, flat.state_table, rows)
         assert trace.column("y") == [0.0, 11.0, 33.0]
+
+    def test_twin_instances_name_atoms_by_path(self):
+        """Two instances of one subsystem next to an outer ``Sum``: both modes
+        name the same atoms, and every term round-trips through its text."""
+        doc = parse_doc(json.dumps(TWINS_DOC))
+        names = {}
+        for label, method in (("incr", Incremental()), ("fbless", FbLess())):
+            for mode in ("flatten", "recursive"):
+                body = flatten_or_recurse(doc, mode, method).diagram.body
+                atoms = collect_atoms(body)
+                assert parse_term(print_term(body), atoms) == body
+                names[label, mode] = sorted(atoms)
+            assert names[label, "flatten"] == names[label, "recursive"]
+        assert names["incr", "flatten"] == [
+            "S1/Dly", "S1/Spl", "S1/Sum", "S2/Dly", "S2/Spl", "S2/Sum", "Sum"
+        ]
+
+    def test_fan_out_on_both_sides_of_an_instance(self):
+        """``G.out`` feeds the instance and ``H``; inside, ``p`` feeds ``A``
+        and ``B``.  At u = 1: G = 2, A + B = 6 + 10, H = 20."""
+        from hbd.compiled import compile_term
+
+        doc = parse_doc(json.dumps(FANOUT_DOC))
+        for method in (Incremental(), FbLess()):
+            flat = flatten_or_recurse(doc, "flatten", method)
+            rec = flatten_or_recurse(doc, "recursive", method)
+            assert io_equiv(flat.diagram, rec.diagram)
+            for d in (flat.diagram, rec.diagram):
+                out = compile_term(d.body).run_one((1.0,))
+                assert dict(zip((v.name for v in d.outputs), out)) == {"y": 16.0, "z": 20.0}
 
     def test_modes_agree_on_reversed_instance_ports(self):
         from hbd.compiled import compile_term

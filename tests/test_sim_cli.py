@@ -1,9 +1,17 @@
 """Step simulation (translated term vs direct interpreter) and the CLI."""
 
+import copy
+import functools
 import json
+import operator
+import pathlib
+import re
 import subprocess
 import sys
 
+import pytest
+
+from hbd import cli
 from hbd.cli import main
 from hbd.frontend import flatten_or_recurse, normalize
 from hbd.gen import loop_diagram, random_diagram
@@ -111,6 +119,61 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert main(["translate", str(missing)]) == 2
     assert main(["print", str(missing)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+NESTED = pathlib.Path(__file__).resolve().parent.parent / "diagrams" / "nested.hbd.json"
+
+
+def _fields(node, path=()):
+    """The key or index path of every value in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def test_cli_malformed_document_exits_with_a_reason(tmp_path, monkeypatch, capsys):
+    """Each field of the nested example replaced by a value of another JSON
+    type or an unknown type name: every run reports and exits, none raises."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # building it dominates a run
+    base = json.loads(NESTED.read_text())
+    path = tmp_path / "doc.hbd.json"
+    for field in _fields(base):
+        for value in (5, "x", None, [], {}, [5], True, 1.5, "Float"):
+            doc = copy.deepcopy(base)
+            functools.reduce(operator.getitem, field[:-1], doc)[field[-1]] = value
+            path.write_text(json.dumps(doc))
+            for command in ("translate", "print"):
+                assert main([command, str(path)]) in (0, 2, 3), (field, value, command)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "FILE", "--inputs", "CSV", "--steps", "-1"],
+        ["axioms", "--samples", "-1"],
+        ["axioms", "--samples", "0"],
+        ["axioms", "--instances", "-2"],
+        ["check", "FILE", "--seeds", "-1"],
+    ],
+)
+def test_cli_rejects_negative_counts(argv, sum_path, tmp_path, capsys):
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text("u\n1\n2\n")
+    argv = [{"FILE": sum_path, "CSV": str(csv_path)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "is less than" in capsys.readouterr().err
+
+
+def test_cli_dot_edges_agree_across_modes(capsys):
+    edges = []
+    for mode in ("flatten", "recursive"):
+        assert main(["translate", str(NESTED), "--emit", "dot", "--mode", mode]) == 0
+        edges.append(set(re.findall(r'"([^"]+)" -> "([^"]+)"', capsys.readouterr().out)))
+    assert edges[0] == edges[1] == {("in:u", "S1"), ("S1", "out:y")}
 
 
 def test_cli_fbless_loop_exit_3(tmp_path, capsys):
