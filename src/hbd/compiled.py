@@ -1,4 +1,5 @@
-"""Batch evaluator used by the sampling oracles.
+"""Batch evaluator of the sampling oracles.  The harness runs it once per
+class of equal output graphs (``hbd.symbolic``).
 
 Compiles a term once into a flat register program and evaluates it on many
 input tuples at a time, column-wise.  Wiring (identity, split, sink, switch,
@@ -11,8 +12,9 @@ by every atom of that shape.  A feedback tower around atoms is one loop
 step over its body's program; only such loops nest at run time.
 
 Semantics are identical to ``semantics.eval_term`` (the kernels inline its
-scalar operations; same joint Kleene iteration); the two evaluators are
-cross-checked by property tests.
+scalar operations; same joint Kleene iteration, whose settle test reads NaN
+as equal to NaN once plain ``==`` has failed up to the cap); the two
+evaluators are cross-checked by property tests.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .semantics import (
     _collect_tower,
     check_kinds,
     fixpoint_divergence,
+    same_value,
 )
 from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
 from .types import BaseType
@@ -235,7 +238,9 @@ def _exec(steps: list, regs: list, m: int, stats, max_fix_iters: int) -> None:
             if new == xs:
                 break
             if iters >= cap:
-                raise fixpoint_divergence(cap, (v for col in new for v in col))
+                if all(map(same_value, itertools.chain(*new), itertools.chain(*xs))):
+                    break
+                raise fixpoint_divergence(cap)
             xs = new
         if stats is not None:
             stats.record(n, iters)

@@ -269,6 +269,14 @@ class _NameGen:
 
     def __init__(self, doc: DiagramDoc):
         self.reserved = {e.name for e in doc.inputs} | {e.name for e in doc.outputs}
+        self.block_ids = set()  # of every document in the tree, which split ids skip
+        todo, seen = [doc], set()
+        while todo:
+            d = todo.pop()
+            if id(d) not in seen:
+                seen.add(id(d))
+                self.block_ids.update(b.id for b in d.blocks)
+                todo.extend(d.subsystems.values())
         self.wire_n = 0
         self.state_n = 0
         self.split_n = 0
@@ -282,8 +290,11 @@ class _NameGen:
                 return name
 
     def split(self) -> str:
-        self.split_n += 1
-        return f"__split{self.split_n}"
+        while True:
+            self.split_n += 1
+            name = f"__split{self.split_n}"
+            if name not in self.block_ids:
+                return name
 
     def state(self):
         while True:

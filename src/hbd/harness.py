@@ -1,10 +1,12 @@
 """Determinacy harness: translate one diagram list under many strategies
 (``translate`` runs each strategy's step generator to its end) and fill the
-pairwise equivalence matrix with the one sampling oracle,
-``equivalence_cells``, which evaluates each result once on shared samples
-with inputs and outputs aligned by variable name.  ``io_equiv`` is its
-two-diagram case.  A strategy whose translation fails, like one that finds
-no fixed point, fails its row and column with the reason.
+pairwise equivalence matrix with the one oracle, ``equivalence_cells``.  It
+aligns inputs and outputs by variable name and evaluates each result
+symbolically (``hbd.symbolic``): strategies with the same output graphs
+compute the same function, so their cell is proved, and only one of them
+runs on the shared samples.  Every other cell is sampled.  ``io_equiv`` is
+its two-diagram case.  A strategy whose translation fails, like one that
+finds no fixed point, fails its row and column with the reason.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .io_diagrams import (
     is_perm,
 )
 from .semantics import EvalStats
+from .symbolic import Graph
 from .terms import print_term, term_size
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
 from .types import types_of
@@ -69,13 +72,20 @@ class RunReport:
                 f"{run.label:>12}: {run.size:5d} nodes  {run.seconds * 1000:8.1f} ms"
             )
         lines.append(f"samples per pair: {self.samples_used}")
+        cells = [row[j] for i, row in enumerate(self.matrix) for j in range(i, len(row))]
+        proved = sum(c.proved for c in cells)
+        failed = sum(not c for c in cells)
+        lines.append(
+            f"pairs: {proved} proved (equal output graphs), "
+            f"{len(cells) - proved - failed} sampled, {failed} failed"
+        )
         labels = [r.label for r in self.runs]
         width = max(len(l) for l in labels) if labels else 0
         header = " " * (width + 2) + " ".join(f"{l:>6}"[:6] for l in labels)
         lines.append(header)
         for label, row in zip(labels, self.matrix):
-            cells = " ".join(f"{'ok' if c else 'FAIL':>6}" for c in row)
-            lines.append(f"{label:>{width}}  {cells}")
+            marks = (("proved" if c.proved else "ok") if c else "FAIL" for c in row)
+            lines.append(f"{label:>{width}}  " + " ".join(f"{m:>6}" for m in marks))
         for i, row in enumerate(self.matrix):
             for j in range(i, len(row)):
                 cell = row[j]
@@ -114,6 +124,18 @@ def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20
     return runs
 
 
+def _misaligned(d: IoDiagram, ref_ins, ref_outs, ref_ty) -> Optional[str]:
+    """Why ``d``'s interface cannot be aligned by name to the reference one."""
+    if not is_perm(d.inputs, ref_ins):
+        return "input lists are not permutations"
+    if not is_perm(d.outputs, ref_outs):
+        return "output lists are not permutations"
+    for v in d.inputs + d.outputs:
+        if ref_ty[v.name] is not v.ty:
+            return f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}"
+    return None
+
+
 def equivalence_cells(
     diagrams: Sequence[IoDiagram],
     cfg: EquivConfig = EquivConfig(),
@@ -122,12 +144,15 @@ def equivalence_cells(
     """(samples, matrix): pairwise io-equivalence of ``diagrams``.
 
     An entry may be a string in place of an io-diagram: the reason a
-    strategy produced none.  Inputs are sampled for the first io-diagram;
-    each body runs once with its arguments and results aligned to that
-    interface by name, which evaluates ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a)]``.
-    A string entry, a diagram whose interface is not a permutation of the
-    first's, or one that finds no fixed point fails its whole row and column
-    with that reason.
+    strategy produced none.  Inputs are sampled for the first io-diagram,
+    and each body is aligned to that interface by name, which evaluates
+    ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a)]``.  First each body is evaluated
+    symbolically (``symbolic.Graph``) into its aligned output graphs.  Then
+    it runs on the samples only when no earlier body with the same graphs
+    has run; otherwise it reuses that body's output columns.  A cell between
+    equal graphs is proved; any other cell is sampled.  A string entry, a
+    diagram whose interface is not a permutation of the first's, or one that
+    finds no fixed point fails its whole row and column with that reason.
     """
     ref = next((d for d in diagrams if not isinstance(d, str)), None)
     ref_ins, ref_outs = ((), ()) if ref is None else (ref.inputs, ref.outputs)
@@ -136,32 +161,35 @@ def equivalence_cells(
     in_pos = {v: i for i, v in enumerate(ref_ins)}
     # names compare equal regardless of type, so the types are pinned too
     ref_ty = {v.name: v.ty for v in ref_ins + ref_outs}
+    graph = Graph()
+    symbols = [graph.symbol(i) for i in range(len(ref_ins))]
     aligned = []  # per diagram: its output columns in ref's order, or why there are none
+    dags = []  # per diagram: its output graphs in ref's order, or None
+    evaluated = {}  # output graphs -> the aligned columns of the first body that ran
     for d in diagrams:
-        if isinstance(d, str):
-            aligned.append(d)
-            continue
-        if not is_perm(d.inputs, ref_ins):
-            aligned.append("input lists are not permutations")
-            continue
-        if not is_perm(d.outputs, ref_outs):
-            aligned.append("output lists are not permutations")
-            continue
-        clash = [v for v in d.inputs + d.outputs if ref_ty[v.name] is not v.ty]
-        if clash:
-            v = clash[0]
-            aligned.append(f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}")
-            continue
-        in_map = [in_pos[v] for v in d.inputs]
-        rows = list(zip(*[columns[i] for i in in_map])) if in_map else samples
-        try:
-            outs = compile_term(d.body).run(rows, stats=stats, validate=False)
-        except FixpointDivergence as exc:
-            aligned.append(f"fixpoint divergence: {exc}")
-            continue
-        out_pos = {v: i for i, v in enumerate(d.outputs)}
-        out_cols = list(zip(*outs))
-        aligned.append([out_cols[out_pos[v]] for v in ref_outs])
+        reason = d if isinstance(d, str) else _misaligned(d, ref_ins, ref_outs, ref_ty)
+        dag = None
+        if reason is None:
+            in_map = [in_pos[v] for v in d.inputs]
+            out_pos = {v: i for i, v in enumerate(d.outputs)}
+            nodes = graph.outputs(d.body, [symbols[i] for i in in_map], stats)
+            if nodes is not None:
+                dag = tuple(nodes[out_pos[v]] for v in ref_outs)
+            if dag in evaluated:
+                cols = evaluated[dag]
+            else:
+                rows = list(zip(*[columns[i] for i in in_map])) if in_map else samples
+                try:
+                    outs = compile_term(d.body).run(rows, stats=stats, validate=False)
+                except FixpointDivergence as exc:
+                    reason = f"fixpoint divergence: {exc}"
+                else:
+                    out_cols = list(zip(*outs))
+                    cols = [out_cols[out_pos[v]] for v in ref_outs]
+                    if dag is not None:
+                        evaluated[dag] = cols
+        aligned.append(reason or cols)
+        dags.append(dag)
 
     n = len(diagrams)
     matrix = [[None] * n for _ in range(n)]
@@ -177,13 +205,13 @@ def equivalence_cells(
             if reason or diff:
                 cell = EquivResult(False, reason or "semantic difference", diff)
             else:
-                cell = EquivResult(True)
+                cell = EquivResult(True, proved=dags[i] is not None and dags[i] == dags[j])
             matrix[i][j] = matrix[j][i] = cell
     return samples, matrix
 
 
 def io_equiv(a: IoDiagram, b: IoDiagram, cfg: EquivConfig = EquivConfig()) -> EquivResult:
-    """Sampling check of equality up to interface permutation: the
+    """Equality up to interface permutation, proved or sampled: the
     off-diagonal cell of ``equivalence_cells([a, b], cfg)``."""
     return equivalence_cells([a, b], cfg)[1][0][1]
 

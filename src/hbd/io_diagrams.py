@@ -10,12 +10,13 @@ names) invent unknown values.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
 from .errors import CompositionError, TypeMismatchError
-from .semantics import BOT, sample_inputs, value_kind
+from .semantics import BOT, same_value, sample_inputs, value_kind
 from .terms import (
     Id,
     Route,
@@ -190,6 +191,7 @@ class EquivResult:
     equivalent: bool
     reason: str = ""
     counterexample: Optional[tuple] = None  # (input, out_a, out_b)
+    proved: bool = False  # equal output graphs, not only equal on the samples
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -200,14 +202,21 @@ ABS_TOL = 1e-12
 
 
 def values_close(a, b) -> bool:
+    """Equal kinds and values, Reals within the tolerances.  NaN equals NaN,
+    and an infinity equals only itself."""
     if a is BOT or b is BOT:
         return a is BOT and b is BOT
     ka, kb = value_kind(a), value_kind(b)
     if ka is not kb:
         return False
-    if ka is BaseType.REAL:
-        return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
-    return a == b
+    if same_value(a, b):
+        return True
+    return (
+        ka is BaseType.REAL
+        and math.isfinite(a)
+        and math.isfinite(b)
+        and abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
+    )
 
 
 def tuples_close(xs, ys) -> bool:

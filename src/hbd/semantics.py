@@ -5,6 +5,7 @@ flat (``BOT <= v`` and otherwise only ``v <= v``).  Atoms evaluate their
 expression function with strict bottom propagation (optionally the
 nonstrict rule ``v * 0 == 0``), and feedback is the least fixpoint of the
 fed-back component, computed by Kleene iteration starting from ``BOT``.
+NaN equals NaN in the fixpoint tests, so a wire that carries NaN settles.
 
 A maximal tower of nested feedbacks is iterated jointly (simultaneous
 fixpoint, equal to the nested least fixpoints for monotone bodies); the
@@ -88,9 +89,12 @@ DEFAULT_CONFIG = EvalConfig()
 
 @dataclass
 class EvalStats:
-    """Per-run fixpoint census: (tower width, Kleene iterations) pairs."""
+    """Fixpoint census: (tower width, Kleene iterations) pairs, one per tower
+    evaluation of a run (``feedback_runs``) and one per tower the symbolic
+    evaluator solved (``symbolic_runs``)."""
 
     feedback_runs: list = field(default_factory=list)
+    symbolic_runs: list = field(default_factory=list)
 
     def record(self, width: int, iters: int) -> None:
         self.feedback_runs.append((width, iters))
@@ -212,16 +216,18 @@ def eval_expr(fn: ExprFun, args, cfg: EvalConfig = DEFAULT_CONFIG):
 
 # -- term evaluation ----------------------------------------------------------
 
-def fixpoint_divergence(cap: int, fed) -> FixpointDivergence:
-    """The error for a feedback that has not settled within ``cap``
-    iterations; ``fed`` holds the values its wires carried last."""
-    if any(v != v for v in fed):  # NaN never equals the NaN before it
-        return FixpointDivergence(
-            f"no fixed point within {cap} iterations: a feedback wire carries NaN"
-        )
+def fixpoint_divergence(cap: int) -> FixpointDivergence:
+    """The error for a feedback that has not settled within ``cap`` iterations."""
     return FixpointDivergence(
         f"no fixed point within {cap} iterations (non-monotone atom?)"
     )
+
+
+def same_value(a, b) -> bool:
+    """Equality of the fixpoint tests, under which NaN equals NaN.  Each loop
+    tries plain ``==`` first and this only once the cap is reached, where a
+    fed-back NaN, which never equals the NaN before it, counts as settled."""
+    return a == b or (a != a and b != b)
 
 
 def _collect_tower(term: Feedback):
@@ -282,12 +288,15 @@ def _feedback_single(body, vals, cfg, binops, stats):
         out = _ev(body, (x,) + vals, cfg, binops, stats)
         iters += 1
         if value_leq(out[0], x) and value_leq(x, out[0]):
-            if stats is not None:
-                stats.record(1, iters)
-            return out[1:]
+            break
         if iters >= cap:
-            raise fixpoint_divergence(cap, out[:1])
+            if same_value(out[0], x):
+                break
+            raise fixpoint_divergence(cap)
         x = out[0]
+    if stats is not None:
+        stats.record(1, iters)
+    return out[1:]
 
 
 def _feedback_joint(n, body, vals, cfg, binops, stats):
@@ -299,12 +308,15 @@ def _feedback_joint(n, body, vals, cfg, binops, stats):
         iters += 1
         new = out[:n]
         if new == xs:
-            if stats is not None:
-                stats.record(n, iters)
-            return out[n:]
+            break
         if iters >= cap:
-            raise fixpoint_divergence(cap, new)
+            if all(map(same_value, new, xs)):
+                break
+            raise fixpoint_divergence(cap)
         xs = new
+    if stats is not None:
+        stats.record(n, iters)
+    return out[n:]
 
 
 # -- input sampling and monotonicity ------------------------------------------

@@ -1,0 +1,179 @@
+"""Symbolic evaluator: the outputs of a term as hash-consed expression graphs.
+
+A term is evaluated once with its inputs as symbols.  Every value is a node
+of one ``Graph``: an int naming a key ``(op, *operand nodes)`` that the graph
+stores once, so equal expressions are one node and a term's outputs form a
+DAG.  Atom bodies are applied to their argument nodes, and a feedback tower
+is Kleene-iterated from bot until the fed-back tuple is the same node tuple.
+
+Each node rule is the matching scalar rule of ``semantics``, applied only
+where an operand is bot or a literal; every other operation stays a node
+that the scalar rule decides per input.  So evaluating an output graph at an
+input gives what ``eval_term`` gives there, and two terms with the same
+output nodes compute the same function on every input.  (The concrete
+settle test reads 0.0 == -0.0 and may stop a tower an iteration earlier;
+that changes at most the sign of a zero, which ``values_close`` ignores.)
+A tower that has not settled within the concrete cap,
+``max_fix_iters + n - 1``, makes the term undecided: ``outputs`` returns
+None and the caller samples instead.  A tower that settles here settles in
+the concrete evaluators within the same cap, because their fixpoint tests
+read NaN as equal to NaN.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .errors import TypeMismatchError
+from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, infer_kind
+from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats, _collect_tower
+from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
+from .types import BaseType
+
+BOT = 0  # the node of the unknown value in every graph
+
+
+class _Undecided(Exception):
+    """A feedback tower has not settled within the concrete cap."""
+
+
+class Graph:
+    """Hash-consed expression nodes shared by every term evaluated in it.
+
+    ``keys[n]`` is node ``n``'s key: ``("bot",)``, ``("in", i)`` for input
+    symbol ``i``, ``("lit", type, repr, value)`` for a literal, or
+    ``(op, *operand nodes)`` with ``op`` one of ``neg not + - * / // min max
+    < <= == and or ite``; ``//`` is division of Ints, which floors.  The
+    multiply rule follows ``cfg.strict_multiply``.
+    """
+
+    def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG):
+        self.cfg = cfg
+        self.keys = [("bot",)]
+        self._ids = {("bot",): BOT}
+        self._bodies = {}  # id(ExprFun) -> (the function, its bodies as op trees)
+
+    def node(self, key: tuple) -> int:
+        n = self._ids.get(key)
+        if n is None:
+            n = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+        return n
+
+    def symbol(self, i: int) -> int:
+        return self.node(("in", i))
+
+    def lit(self, value) -> int:
+        # The kind and the sign of zero are part of the identity, though
+        # Python has 1 == True == 1.0 and 0.0 == -0.0: the repr tells them apart.
+        return self.node(("lit", type(value), repr(value), value))
+
+    def apply(self, op: str, *args: int) -> int:
+        """The node of ``op`` on operand nodes, by the scalar rules."""
+        keys = self.keys
+        if op == "ite":
+            c = args[0]
+            if c == BOT:
+                return BOT
+            if keys[c][0] == "lit":
+                return args[1] if keys[c][3] else args[2]
+        elif BOT in args:
+            if op != "*" or self.cfg.strict_multiply:
+                return BOT
+            # op_mul_nonstrict: bot times a literal zero is that literal
+            x = args[1] if args[0] == BOT else args[0]
+            if keys[x][0] == "lit":
+                return x if keys[x][3] == 0 else BOT
+            if x == BOT:
+                return BOT
+            # whether x is zero depends on the input: the node decides per input
+        return self.node((op,) + args)
+
+    def outputs(self, term: Term, inputs, stats: Optional[EvalStats] = None):
+        """The output nodes of ``term`` given its input nodes, or None when a
+        feedback tower has not settled within the cap.  Each tower solved is
+        recorded in ``stats.symbolic_runs`` as (width, Kleene iterations)."""
+        try:
+            return self._ev(term, tuple(inputs), {}, stats)
+        except _Undecided:
+            return None
+
+    def _fn_trees(self, fn: ExprFun):
+        got = self._bodies.get(id(fn))
+        if got is None:  # the entry keeps fn alive, so its id stays unique
+            index = {p.name: i for i, p in enumerate(fn.params)}
+            kinds = {p.name: p.ty for p in fn.params}
+
+            def tree(e):
+                if isinstance(e, Ref):
+                    return ("arg", index[e.name])
+                if isinstance(e, Lit):
+                    return ("node", self.lit(e.value))
+                if isinstance(e, Un):
+                    return (e.op, tree(e.a))
+                if isinstance(e, Ite):
+                    return ("ite", tree(e.cond), tree(e.then), tree(e.orelse))
+                if not isinstance(e, Bin):
+                    raise TypeMismatchError(f"not an expression: {e!r}")
+                op = e.op
+                if op == "/" and infer_kind(e.a, kinds) is BaseType.INT:
+                    op = "//"
+                return (op, tree(e.a), tree(e.b))
+
+            got = self._bodies[id(fn)] = (fn, tuple(tree(b) for b in fn.bodies))
+        return got[1]
+
+    def _apply_tree(self, t, args):
+        op = t[0]
+        if op == "arg":
+            return args[t[1]]
+        if op == "node":
+            return t[1]
+        return self.apply(op, *[self._apply_tree(c, args) for c in t[1:]])
+
+    def _ev(self, term, vals, memo, stats):
+        cls = type(term)
+        if cls is Serial:
+            return self._ev(term.second, self._ev(term.first, vals, memo, stats), memo, stats)
+        if cls is Parallel:
+            n = len(term.left.in_types)
+            left = self._ev(term.left, vals[:n], memo, stats)
+            return left + self._ev(term.right, vals[n:], memo, stats)
+        if cls is Route:
+            return tuple(BOT if i is None else vals[i] for i in term.imap)
+        if cls is Atom:
+            return tuple(self._apply_tree(t, vals) for t in self._fn_trees(term.fn))
+        if cls is Id:
+            return vals
+        if cls is Split:
+            return vals + vals
+        if cls is Sink:
+            return ()
+        if cls is Switch:
+            n = len(term.t)
+            return vals[n:] + vals[:n]
+        if cls is Feedback:
+            # keyed by identity: a frozen-dataclass hash walks the whole subterm
+            key = (id(term), vals)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = self._tower(term, vals, memo, stats)
+            return out
+        raise TypeMismatchError(f"not a term: {term!r}")
+
+    def _tower(self, term, vals, memo, stats):
+        n, body = _collect_tower(term)
+        xs = (BOT,) * n
+        cap = self.cfg.max_fix_iters + n - 1
+        iters = 0
+        while True:
+            out = self._ev(body, xs + vals, memo, stats)
+            iters += 1
+            if out[:n] == xs:
+                break
+            if iters >= cap:
+                raise _Undecided
+            xs = out[:n]
+        if stats is not None:
+            stats.symbolic_runs.append((n, iters))
+        return out[n:]

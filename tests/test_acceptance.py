@@ -76,7 +76,8 @@ def test_criterion_1_axiom_suite():
 
 def test_criterion_2_determinacy(corpus_docs, corpus_reports, running_example):
     """fbpar, incr and 20 random seeds pairwise equivalent on the corpus
-    plus the running example, 200 oracle samples per pair."""
+    plus the running example, 200 oracle samples per pair; every corpus
+    cell is proved by equal output graphs."""
     sizes = [len(doc.blocks) for doc in corpus_docs]
     assert len(corpus_docs) >= 30
     assert min(sizes) >= 5 and max(sizes) <= 12
@@ -100,6 +101,8 @@ def test_criterion_2_determinacy(corpus_docs, corpus_reports, running_example):
         assert report.samples_used >= 200
         if not report.all_equivalent:
             failures.append(i)
+        elif not all(cell.proved for row in report.matrix for cell in row):
+            failures.append(f"{i} (sampled, not proved)")
     example_report = run_determinacy(
         list(running_example), seeds=range(20), samples=200
     )
@@ -372,9 +375,10 @@ def test_criterion_9_monotonicity_and_kleene(
         if not check_monotone(out.body, 500, seed=3).ok:
             problems.append(f"running example {strat}")
 
-    # Kleene iteration bound over everything the matrices evaluated
+    # Kleene iteration bound over everything the matrices evaluated, on
+    # samples or symbolically
     for i, report in enumerate(corpus_reports):
-        for width, iters in report.stats.feedback_runs:
+        for width, iters in report.stats.feedback_runs + report.stats.symbolic_runs:
             bound = 2 if width == 1 else width + 1
             if iters > bound:
                 problems.append(f"corpus {i}: tower {width} took {iters} iterations")

@@ -18,50 +18,14 @@ from hbd.frontend import block_spec
 from hbd.semantics import BOT, EvalConfig, eval_expr
 from hbd.types import BaseType, Var
 
+from util import VALUES as _VALUES, expr_all_ops as _expr
+
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 INF = float("inf")
 BIG = 2**80
 
 STRICT = EvalConfig()
 NONSTRICT = EvalConfig(strict_multiply=False)
-
-# Zero and negative divisors, big ints, signed zeros and infinities, so that
-# floor division, NaN and exact Int arithmetic all occur.
-_VALUES = {
-    R: (0.0, -0.0, 1.0, -2.5, 3.0, INF, -INF),
-    I: (0, 1, -1, 3, -7, BIG, -BIG, BIG + 1),
-    B: (True, False),
-}
-
-
-def _leaf(rng, params, want):
-    pool = [p for p in params if p.ty is want]
-    if pool and rng.random() < 0.6:
-        return Ref(rng.choice(pool).name)
-    return Lit(rng.choice(_VALUES[want]))
-
-
-def _expr(rng, params, want, depth):
-    """A type-correct expression of kind ``want`` using every operator."""
-    if depth <= 0 or rng.random() < 0.2:
-        return _leaf(rng, params, want)
-    sub = lambda k: _expr(rng, params, k, depth - 1)  # noqa: E731
-    if rng.random() < 0.15:
-        return Ite(sub(B), sub(want), sub(want))
-    if want is B:
-        choice = rng.random()
-        if choice < 0.4:
-            k = rng.choice((R, I))
-            return Bin(rng.choice(("<", "<=", "==")), sub(k), sub(k))
-        if choice < 0.55:
-            return Un("not", sub(B))
-        if choice < 0.65:
-            return Bin("==", sub(B), sub(B))
-        return Bin(rng.choice(("and", "or")), sub(B), sub(B))
-    if rng.random() < 0.1:
-        return Un("neg", sub(want))
-    op = rng.choice(("+", "-", "*", "*", "/", "/", "min", "max"))
-    return Bin(op, sub(want), sub(want))
 
 
 def _random_value(rng, k):

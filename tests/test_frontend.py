@@ -173,6 +173,36 @@ class TestNormalize:
         splits = [b for b in norm.blocks if b.kind == "SplitBlk"]
         assert len(splits) == 2
 
+    def test_split_ids_skip_user_block_ids(self):
+        """A user block named like a generated split block keeps its own
+        interface: the document translates and simulates as it does with
+        the block renamed."""
+        from hbd.sim import simulate_translated
+
+        def doc(gid):
+            return parse_doc(json.dumps(_doc(
+                inputs=[{"name": "u", "type": "Real", "to": [f"{gid}.a", "G.a"]}],
+                outputs=[
+                    {"name": "y", "type": "Real", "from": "G.out"},
+                    {"name": "z", "type": "Real", "from": f"{gid}.out"},
+                ],
+                blocks=[
+                    {"id": gid, "kind": "Gain", "params": {"k": 3.0}},
+                    {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
+                ],
+            )))
+
+        clash, plain = doc("__split1"), doc("H")
+        norm = normalize(clash)
+        assert [b.id for b in norm.blocks].count("__split1") == 1
+        rows = [{"u": 1.0}, {"u": -2.5}]
+        traces = []
+        for d in (clash, plain):
+            res = flatten_or_recurse(d)
+            traces.append(simulate_translated(res.diagram, res.state_table, rows))
+        assert traces[0].column("y") == traces[1].column("y") == [2.0, -5.0]
+        assert traces[0].column("z") == traces[1].column("z") == [3.0, -7.5]
+
     def test_stateless_doc_has_empty_state_table(self):
         doc = parse_doc(json.dumps(_doc()))
         assert normalize(doc).state_table == []

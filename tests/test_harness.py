@@ -9,6 +9,7 @@ from pathlib import Path
 from hbd.exprs import Bin, ExprFun, Lit, Ref
 from hbd.harness import StrategyRun, equivalence_matrix, run_determinacy, translate_all
 from hbd.io_diagrams import EquivConfig, IoDiagram
+from hbd.semantics import BOT
 from hbd.terms import mk_atom
 from hbd.types import BaseType, Var
 
@@ -45,23 +46,54 @@ def test_inequivalent_runs_are_flagged_with_counterexample():
     assert rendered.count("counterexample") == 1  # each pair is listed once
 
 
-def test_divergent_strategy_is_a_fail_cell():
-    """x = u*inf - u*inf is NaN for finite u.  A NaN fed back never equals
-    the previous iterate, so the feedback strategies find no fixed point;
-    fbless composes the loop away and evaluates."""
+def _loop_diagram(x_body):
+    """((u, x), (x, y), [u, x -> x_body, x]) with x fed back by every
+    strategy but fbless, which composes the loop away."""
     u, x, y = Var("u", R), Var("x", R), Var("y", R)
+    return IoDiagram((u, x), (x, y), mk_atom("F", ExprFun((u, x), (x_body, Ref("x")))))
+
+
+def test_nan_loop_cells_are_proved():
+    """x = u*inf - u*inf is NaN for finite u.  NaN equals NaN in the fixpoint
+    tests and in the comparison, so every strategy settles and every cell
+    is proved."""
     nan = Bin("-", Bin("*", Ref("u"), Lit(math.inf)), Bin("*", Ref("u"), Lit(math.inf)))
-    d = IoDiagram((u, x), (x, y), mk_atom("F", ExprFun((u, x), (nan, Ref("x")))))
+    report = run_determinacy([_loop_diagram(nan)], seeds=range(2), samples=20)
+    assert [r.label for r in report.runs] == ["fbpar", "incr", "rand0", "rand1", "fbless"]
+    assert all(cell.proved for row in report.matrix for cell in row)
+    assert "pairs: 15 proved (equal output graphs), 0 sampled, 0 failed" in report.render()
+
+
+def test_divergent_strategy_is_a_fail_cell(monkeypatch):
+    """The expression language cannot express a non-monotone atom, so F's
+    column kernel is replaced by one that never settles.  Its output graphs
+    are those of fbless, but each feedback strategy diverges when it runs and
+    is a FAIL cell; the next strategy with the same graphs runs in its place."""
+    import hbd.compiled
+
+    d = _loop_diagram(Ref("u"))
+    kernels = hbd.compiled.compile_exprfun
+
+    def flip(cols, m):
+        u, x = cols
+        return [[0.0 if v is BOT else v + 1.0 for v in x], x]
+
+    monkeypatch.setattr(
+        hbd.compiled,
+        "compile_exprfun",
+        lambda fn, cfg: flip if fn is d.body.fn else kernels(fn, cfg),
+    )
     report = run_determinacy([d], seeds=range(2), samples=20)
     labels = [r.label for r in report.runs]
     assert labels == ["fbpar", "incr", "rand0", "rand1", "fbless"]
     for i in range(4):
         for cell in report.matrix[i]:
             assert not cell and "no fixed point" in cell.reason
-            assert "NaN" in cell.reason and "non-monotone" not in cell.reason
-    assert report.matrix[4][4]
+            assert "non-monotone" in cell.reason
+    assert report.matrix[4][4].proved
     rendered = report.render()
     assert "at None" not in rendered
+    assert "pairs: 1 proved (equal output graphs), 0 sampled, 14 failed" in rendered
     pairs = [line.split(":")[0] for line in rendered.splitlines() if line.startswith("counter")]
     # each failing pair once, a diverging run against itself included
     assert len(pairs) == len(set(pairs)) == 5 + 4 + 3 + 2

@@ -23,6 +23,7 @@ from hbd.io_diagrams import (
     named_serial,
     switch_vars,
     union_ord,
+    values_close,
     vars_between,
 )
 from hbd.semantics import BOT, eval_term, sample_inputs
@@ -319,6 +320,23 @@ class TestNamedFeedback:
 
 
 class TestIoEquiv:
+    @pytest.mark.parametrize(
+        "a, b, close",
+        [
+            (float("nan"), float("nan"), True),  # NaN equals NaN
+            (float("nan"), 1.0, False),
+            (float("inf"), float("inf"), True),
+            (float("inf"), 5.0, False),  # within REL_TOL of inf by arithmetic alone
+            (float("inf"), -float("inf"), False),
+            (1.0, 1.0 + 1e-12, True),
+            (0.0, -0.0, True),
+            (1, True, False),
+            (BOT, BOT, True),
+        ],
+    )
+    def test_values_close(self, a, b, close):
+        assert values_close(a, b) is close and values_close(b, a) is close
+
     def test_reflexive(self, running_example):
         add, delay, split = running_example
         for d in running_example:

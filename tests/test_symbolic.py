@@ -1,0 +1,343 @@
+"""The symbolic oracle: output graphs against the reference evaluator, the
+node rules one by one, and the harness verdicts it proves or leaves to
+sampling."""
+
+import random
+
+import pytest
+
+import hbd.harness
+from hbd.compiled import Compiled
+from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
+from hbd.harness import equivalence_cells, run_determinacy
+from hbd.io_diagrams import EquivConfig, IoDiagram, equivalence_samples
+from hbd.semantics import (
+    BOT,
+    EvalConfig,
+    EvalStats,
+    binop_table,
+    eval_term,
+    op_neg,
+    op_not,
+    same_value,
+    value_kind,
+)
+from hbd.symbolic import BOT as BOT_NODE
+from hbd.symbolic import Graph
+from hbd.terms import (
+    Feedback,
+    Parallel,
+    Route,
+    Serial,
+    Split,
+    feedback_n,
+    mk_atom,
+    mk_feedback,
+    mk_parallel,
+    mk_serial,
+)
+from hbd.translator import Incremental, translate
+from hbd.types import Var
+
+from util import KINDS, expr_all_ops
+
+R, I, B = KINDS
+STRICT = EvalConfig()
+NONSTRICT = EvalConfig(strict_multiply=False)
+
+
+# -- a graph interpreter, written from the scalar rules -----------------------
+
+def graph_value(graph: Graph, node: int, row, memo: dict):
+    """The value of ``node`` when input symbol i holds ``row[i]``."""
+    if node in memo:
+        return memo[node]
+    key = graph.keys[node]
+    op = key[0]
+    val = lambda n: graph_value(graph, n, row, memo)  # noqa: E731
+    if op == "bot":
+        v = BOT
+    elif op == "in":
+        v = row[key[1]]
+    elif op == "lit":
+        v = key[3]
+    elif op == "ite":
+        c = val(key[1])
+        v = BOT if c is BOT else val(key[2] if c else key[3])
+    elif op in ("neg", "not"):
+        v = (op_neg if op == "neg" else op_not)(val(key[1]))
+    elif op in ("/", "//"):
+        a, b = val(key[1]), val(key[2])
+        if a is BOT or b is BOT or b == 0:
+            v = BOT
+        else:
+            assert isinstance(a, int) == (op == "//")  # the kind is static
+            v = a // b if op == "//" else a / b
+    else:
+        v = binop_table(graph.cfg)[op](val(key[1]), val(key[2]))
+    memo[node] = v
+    return v
+
+
+def _same(a, b) -> bool:
+    """Equal kind and value, NaN equal to NaN.  The sign of zero is not
+    compared: the concrete fixpoint test reads 0.0 == -0.0 and may stop a
+    tower one iteration before its graph settles, and in this language the
+    sign of a zero reaches nothing but the sign of a zero."""
+    return value_kind(a) is value_kind(b) and same_value(a, b)
+
+
+def _atom(rng, in_t, out_t):
+    params = tuple(Var(f"p{i}", k) for i, k in enumerate(in_t))
+    bodies = tuple(expr_all_ops(rng, params, k, 3) for k in out_t)
+    return mk_atom(f"f{rng.randrange(10**6)}", ExprFun(params, bodies))
+
+
+def _kinds(rng, lo, hi):
+    return tuple(rng.choice(KINDS) for _ in range(rng.randint(lo, hi)))
+
+
+def _term(rng, in_t, depth):
+    """A random term over every operator, with routes and feedback towers
+    one to three wires wide around arbitrary bodies."""
+    c = rng.random()
+    if depth <= 0 or c < 0.2:
+        if in_t and c < 0.08:
+            imap = tuple(rng.choice((None,) + tuple(range(len(in_t)))) for _ in range(3))
+            t2 = tuple(rng.choice(KINDS) if i is None else in_t[i] for i in imap)
+            return Route(in_t, t2, imap)
+        return _atom(rng, in_t, _kinds(rng, 1, 2))
+    if c < 0.45:
+        first = _term(rng, in_t, depth - 1)
+        return mk_serial(first, _term(rng, first.out_types, depth - 1))
+    if c < 0.6 and len(in_t) >= 2:
+        k = rng.randint(1, len(in_t) - 1)
+        return mk_parallel(_term(rng, in_t[:k], depth - 1), _term(rng, in_t[k:], depth - 1))
+    lead = _kinds(rng, 1, 3)
+    inner = _term(rng, lead + in_t, depth - 1)
+    return feedback_n(len(lead), mk_serial(inner, _atom(rng, inner.out_types, lead + _kinds(rng, 0, 2))))
+
+
+@pytest.mark.parametrize("cfg", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
+def test_graphs_evaluate_like_eval_term(cfg):
+    rng = random.Random(41)
+    decided = towers = 0
+    for _ in range(150):
+        term = _term(rng, _kinds(rng, 0, 3), 3)
+        graph = Graph(cfg)
+        stats = EvalStats()
+        outs = graph.outputs(term, [graph.symbol(i) for i in range(len(term.in_types))], stats)
+        if outs is None:
+            continue
+        decided += 1
+        towers += len(stats.symbolic_runs)
+        for row in equivalence_samples(term.in_types, EquivConfig(samples=25, exhaustive_limit=64)):
+            memo = {}
+            got = tuple(graph_value(graph, n, row, memo) for n in outs)
+            want = eval_term(term, row, cfg)
+            assert all(map(_same, got, want)), (term, row, got, want)
+    assert decided >= 90 and towers >= 60, (decided, towers)
+
+
+# -- node rules ----------------------------------------------------------------
+
+def test_literal_identity_keeps_kind_and_sign_of_zero():
+    g = Graph()
+    assert len({g.lit(1), g.lit(True), g.lit(1.0)}) == 3
+    assert g.lit(0.0) != g.lit(-0.0)
+    assert g.lit(1) == g.lit(1) and g.lit(-0.0) == g.lit(-0.0)
+
+
+def test_strict_operators_give_bot_on_a_bot_operand():
+    g = Graph()
+    u, one = g.symbol(0), g.lit(1.0)
+    for op in ("+", "-", "*", "/", "min", "max", "<", "<=", "=="):
+        assert g.apply(op, BOT_NODE, u) == BOT_NODE
+        assert g.apply(op, one, BOT_NODE) == BOT_NODE
+    assert g.apply("neg", BOT_NODE) == g.apply("not", BOT_NODE) == BOT_NODE
+    assert g.apply("and", BOT_NODE, g.lit(False)) == BOT_NODE
+    assert g.apply("+", u, one) == g.apply("+", u, one) != g.apply("+", one, u)
+
+
+def test_ite_with_bot_or_literal_condition():
+    g = Graph()
+    c, u, v = g.symbol(0), g.symbol(1), g.symbol(2)
+    assert g.apply("ite", BOT_NODE, u, v) == BOT_NODE
+    assert g.apply("ite", g.lit(True), u, v) == u
+    assert g.apply("ite", g.lit(False), u, v) == v
+    assert g.apply("ite", c, u, BOT_NODE) == g.node(("ite", c, u, BOT_NODE))
+
+
+def test_nonstrict_multiply_keeps_the_literal_zero():
+    g, s = Graph(NONSTRICT), Graph(STRICT)
+    for zero in (0.0, -0.0, 0):
+        z = g.lit(zero)
+        assert g.apply("*", BOT_NODE, z) == z and g.apply("*", z, BOT_NODE) == z
+        assert s.apply("*", BOT_NODE, s.lit(zero)) == BOT_NODE
+    assert g.apply("*", BOT_NODE, g.lit(2.0)) == BOT_NODE
+    assert g.apply("*", BOT_NODE, BOT_NODE) == BOT_NODE
+    # whether the symbol is zero is up to the input, so the node stays
+    u = g.symbol(0)
+    assert g.apply("*", u, BOT_NODE) == g.node(("*", u, BOT_NODE))
+
+
+def test_division_keeps_its_static_kind_and_stays_a_node():
+    for ty, op, zero in ((I, "//", 0), (R, "/", 0.0)):
+        params = (Var("a", ty), Var("b", ty))
+        bodies = (Bin("/", Ref("a"), Ref("b")), Bin("/", Ref("a"), Lit(zero)))
+        g = Graph()
+        a, b = g.symbol(0), g.symbol(1)
+        q, by_zero = g.outputs(mk_atom("div", ExprFun(params, bodies)), (a, b))
+        assert g.keys[q] == (op, a, b)
+        assert g.keys[by_zero] == (op, a, g.lit(zero))  # bot comes per input
+
+
+# -- feedback ------------------------------------------------------------------
+
+def _loop(body_x):
+    """feedback of [x, u, c -> body_x, x] over one wire x."""
+    params = (Var("x", R), Var("u", R), Var("c", B))
+    return mk_feedback(mk_atom("F", ExprFun(params, (body_x, Ref("x")))))
+
+
+def test_kleene_iteration_from_bot_and_the_cap():
+    g = Graph()
+    u, c = g.symbol(0), g.symbol(1)
+    stats = EvalStats()
+    # x = u + x settles on bot at once; x = ite(c, u, u) in two iterations
+    assert g.outputs(_loop(Bin("+", Ref("u"), Ref("x"))), (u, c), stats) == (BOT_NODE,)
+    (x,) = g.outputs(_loop(Ite(Ref("c"), Ref("u"), Ref("u"))), (u, c), stats)
+    assert x == g.node(("ite", c, u, u))
+    assert stats.symbolic_runs[:2] == [(1, 1), (1, 2)]
+    # a chain x <- y <- z <- 1.0 settles after four iterations
+    params = tuple(Var(n, R) for n in "xyzu")
+    chain = mk_atom("C", ExprFun(params, (Ref("y"), Ref("z"), Lit(1.0), Ref("x"))))
+    assert g.outputs(feedback_n(3, chain), (u,), stats) == (g.lit(1.0),)
+    assert stats.symbolic_runs[-1] == (3, 4)
+    # x = ite(c, u, x) grows one node per iteration: undecided at the cap
+    stats = EvalStats()
+    assert g.outputs(_loop(Ite(Ref("c"), Ref("u"), Ref("x"))), (u, c), stats) is None
+    assert stats.symbolic_runs == []
+
+
+def test_each_feedback_is_solved_once_per_input_nodes():
+    """The same Feedback object on the same input nodes is solved once; the
+    reference evaluator solves it each time."""
+    fb = _loop(Ite(Ref("c"), Ref("u"), Ref("u")))
+    term = Serial(Split((R, B)), Parallel(fb, fb))
+    g = Graph()
+    stats = EvalStats()
+    outs = g.outputs(term, (g.symbol(0), g.symbol(1)), stats)
+    assert outs[0] == outs[1] and stats.symbolic_runs == [(1, 2)]
+    ref = EvalStats()
+    eval_term(term, (1.0, True), stats=ref)
+    assert ref.feedback_runs == [(1, 2), (1, 2)]
+
+
+# -- the harness -----------------------------------------------------------------
+
+def _replace_first(term, pred, f):
+    """``term`` with its first subterm (in pre-order) satisfying ``pred``
+    replaced by ``f`` of it."""
+    done = False
+
+    def go(t):
+        nonlocal done
+        if done:
+            return t
+        if pred(t):
+            done = True
+            return f(t)
+        if isinstance(t, Serial):
+            return Serial(go(t.first), go(t.second))
+        if isinstance(t, Parallel):
+            return Parallel(go(t.left), go(t.right))
+        if isinstance(t, Feedback):
+            return Feedback(go(t.body))
+        return t
+
+    out = go(term)
+    assert done
+    return out
+
+
+def _swap_route(r: Route) -> Route:
+    imap = list(r.imap)
+    i, j = next(
+        (i, j)
+        for i in range(len(imap))
+        for j in range(i + 1, len(imap))
+        if imap[i] != imap[j] and r.t2[i] is r.t2[j]
+    )
+    imap[i], imap[j] = imap[j], imap[i]
+    return Route(r.t, r.t2, tuple(imap))
+
+
+def _drop_feedback(fb: Feedback):
+    """The body with bot on its first input and its first output discarded."""
+    tin, tout = fb.body.typing
+    return mk_serial(
+        Route(tin[1:], tin, (None,) + tuple(range(len(tin) - 1))),
+        mk_serial(fb.body, Route(tout, tout[1:], tuple(range(1, len(tout))))),
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda t: _replace_first(t, lambda s: isinstance(s, Route) and len(set(s.imap)) > 1, _swap_route),
+        lambda t: _replace_first(t, lambda s: isinstance(s, Feedback), _drop_feedback),
+    ],
+    ids=["swapped-route", "dropped-feedback"],
+)
+def test_mutations_change_the_graph_and_fail_by_sampling(running_example, mutate):
+    d = translate(list(running_example), Incremental())
+    m = IoDiagram(d.inputs, d.outputs, mutate(d.body))
+    g = Graph()
+    symbols = [g.symbol(i) for i in range(len(d.inputs))]
+    assert g.outputs(d.body, symbols) != g.outputs(m.body, symbols)
+    _, matrix = equivalence_cells([d, m], EquivConfig(samples=40))
+    assert matrix[0][0].proved and matrix[1][1].proved
+    cell = matrix[0][1]
+    assert not cell and not cell.proved
+    assert cell.reason == "semantic difference" and cell.counterexample is not None
+
+
+@pytest.fixture
+def compiled_runs(monkeypatch):
+    """One entry per ``Compiled.run`` call while the test runs."""
+    runs = []
+    run = Compiled.run
+    monkeypatch.setattr(Compiled, "run", lambda *a, **k: runs.append(1) or run(*a, **k))
+    return runs
+
+
+class _NoGraphs(Graph):
+    """Leaves every term undecided, which samples every cell as before the
+    symbolic oracle."""
+
+    def outputs(self, term, inputs, stats=None):
+        return None
+
+
+def test_undecided_tower_is_sampled_with_the_sampling_verdict(monkeypatch, compiled_runs):
+    """x = ite(c, u, x) never settles as a graph, so each strategy runs and
+    every cell is sampled; the verdicts equal those of sampling alone."""
+    u, c, x, y = Var("u", R), Var("c", B), Var("x", R), Var("y", R)
+    fn = ExprFun((x, u, c), (Ite(Ref("c"), Ref("u"), Ref("x")), Bin("*", Ref("x"), Lit(2.0))))
+    d = IoDiagram((x, u, c), (x, y), mk_atom("F", fn))
+    report = run_determinacy([d], seeds=range(2), samples=30)
+    assert len(compiled_runs) == len(report.runs) == 4  # no fbless: x depends on x
+    assert report.all_equivalent
+    assert not any(cell.proved for row in report.matrix for cell in row)
+    monkeypatch.setattr(hbd.harness, "Graph", _NoGraphs)
+    sampled = run_determinacy([d], seeds=range(2), samples=30)
+    assert report.matrix == sampled.matrix
+
+
+def test_each_output_graph_runs_once(compiled_runs, corpus_diagrams):
+    """Strategies with equal output graphs share one evaluation."""
+    report = run_determinacy(corpus_diagrams[0][1], seeds=range(4), samples=30)
+    assert len(report.runs) >= 6 and len(compiled_runs) == 1
+    assert len(report.stats.symbolic_runs) > len(report.stats.feedback_runs)
+    assert all(cell.proved for row in report.matrix for cell in row)

@@ -178,7 +178,8 @@ def test_strategies_pairwise_equivalent(running_example):
 
 def test_steps_keep_loop_invariant(running_example):
     """Every working list a strategy yields is io-distinct, and FB of its
-    parallel fold stays io-equivalent to FB of the starting list's fold."""
+    parallel fold has the output graphs of FB of the starting list's fold,
+    so the two are equivalent on every input, not only on the samples."""
     ds = list(running_example)
     reference = named_feedback(fold_parallel(ds))
     cfg = EquivConfig(samples=40, exhaustive_limit=81)
@@ -188,7 +189,8 @@ def test_steps_keep_loop_invariant(running_example):
         assert steps and len(steps[-1]) == 1, strategy
         for step in steps:
             assert check_io_distinct(step), strategy
-            assert io_equiv(named_feedback(fold_parallel(step)), reference, cfg), strategy
+            cell = io_equiv(named_feedback(fold_parallel(step)), reference, cfg)
+            assert cell and cell.proved, strategy
 
 
 def test_translate_random_lists():

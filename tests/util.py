@@ -3,12 +3,51 @@
 import random
 
 from hbd.axioms import _random_expr
-from hbd.exprs import ExprFun
+from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.io_diagrams import IoDiagram, switch_vars
 from hbd.terms import mk_atom, mk_serial
 from hbd.types import BaseType, Var
 
 KINDS = (BaseType.REAL, BaseType.INT, BaseType.BOOL)
+R, I, B = KINDS
+
+# Zero and negative divisors, big ints, signed zeros and infinities, so that
+# floor division, NaN and exact Int arithmetic all occur.
+VALUES = {
+    R: (0.0, -0.0, 1.0, -2.5, 3.0, float("inf"), -float("inf")),
+    I: (0, 1, -1, 3, -7, 2**80, -(2**80), 2**80 + 1),
+    B: (True, False),
+}
+
+
+def _leaf(rng, params, want):
+    pool = [p for p in params if p.ty is want]
+    if pool and rng.random() < 0.6:
+        return Ref(rng.choice(pool).name)
+    return Lit(rng.choice(VALUES[want]))
+
+
+def expr_all_ops(rng: random.Random, params, want, depth):
+    """A type-correct expression of kind ``want`` using every operator."""
+    if depth <= 0 or rng.random() < 0.2:
+        return _leaf(rng, params, want)
+    sub = lambda k: expr_all_ops(rng, params, k, depth - 1)  # noqa: E731
+    if rng.random() < 0.15:
+        return Ite(sub(B), sub(want), sub(want))
+    if want is B:
+        choice = rng.random()
+        if choice < 0.4:
+            k = rng.choice((R, I))
+            return Bin(rng.choice(("<", "<=", "==")), sub(k), sub(k))
+        if choice < 0.55:
+            return Un("not", sub(B))
+        if choice < 0.65:
+            return Bin("==", sub(B), sub(B))
+        return Bin(rng.choice(("and", "or")), sub(B), sub(B))
+    if rng.random() < 0.1:
+        return Un("neg", sub(want))
+    op = rng.choice(("+", "-", "*", "*", "/", "/", "min", "max"))
+    return Bin(op, sub(want), sub(want))
 
 
 def random_io_list(rng: random.Random, n: int, names: int = 8, real_only=False):
