@@ -18,7 +18,7 @@ from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from .io_diagrams import differences
 from .semantics import DEFAULT_CONFIG, EvalConfig, sample_inputs
-from .symbolic import Graph
+from .symbolic import equal_graphs
 from .terms import (
     Id,
     Sink,
@@ -358,15 +358,12 @@ def check_equation(
 ):
     """Counterexamples (input, lhs value, rhs value) on sampled inputs; none,
     without sampling, when both sides have the same output graphs under
-    ``cfg`` (``symbolic.Graph``)."""
+    ``cfg`` (``symbolic.equal_graphs``)."""
     if eq.lhs.typing != eq.rhs.typing:
         raise TypeMismatchError(
             f"equation sides have different typings: {eq.lhs.typing} vs {eq.rhs.typing}"
         )
-    graph = Graph(cfg)
-    symbols = [graph.symbol(i) for i in range(len(eq.lhs.in_types))]
-    lhs = graph.outputs(eq.lhs, symbols)
-    if lhs is not None and lhs == graph.outputs(eq.rhs, symbols):
+    if equal_graphs(eq.lhs, eq.rhs, cfg):
         return []
     rows = sample_inputs(eq.lhs.in_types, samples, seed, include_bottom=True)
     outs = [compile_term(t, cfg).run(rows) for t in (eq.lhs, eq.rhs)]

@@ -269,6 +269,9 @@ class _NameGen:
 
     def __init__(self, doc: DiagramDoc):
         self.reserved = {e.name for e in doc.inputs} | {e.name for e in doc.outputs}
+        # a normalized document has named its wires and states already
+        for ins, outs in (doc.interfaces or {}).values():
+            self.reserved.update(v.name for v in ins + outs)
         self.block_ids = set()  # of every document in the tree, which split ids skip
         todo, seen = [doc], set()
         while todo:

@@ -5,8 +5,10 @@ aligns inputs and outputs by variable name and evaluates each result
 symbolically (``hbd.symbolic``): strategies with the same output graphs
 compute the same function, so their cell is proved, and only one of them
 runs on the shared samples.  Every other cell is sampled.  ``io_equiv`` is
-its two-diagram case.  A strategy whose translation fails, like one that
-finds no fixed point, fails its row and column with the reason.
+its two-diagram case.  A strategy whose translation fails fails its row and
+column with the reason.  So does an undecided strategy whose feedback finds
+no fixed point when it runs; a decided one runs as straight-line code and
+cannot diverge.
 """
 
 from __future__ import annotations
@@ -151,8 +153,9 @@ def equivalence_cells(
     it runs on the samples only when no earlier body with the same graphs
     has run; otherwise it reuses that body's output columns.  A cell between
     equal graphs is proved; any other cell is sampled.  A string entry, a
-    diagram whose interface is not a permutation of the first's, or one that
-    finds no fixed point fails its whole row and column with that reason.
+    diagram whose interface is not a permutation of the first's, or an
+    undecided one that finds no fixed point fails its whole row and column
+    with that reason.
     """
     ref = next((d for d in diagrams if not isinstance(d, str)), None)
     ref_ins, ref_outs = ((), ()) if ref is None else (ref.inputs, ref.outputs)
@@ -181,7 +184,7 @@ def equivalence_cells(
                 rows = list(zip(*[columns[i] for i in in_map])) if in_map else samples
                 try:
                     outs = compile_term(d.body).run(rows, stats=stats, validate=False)
-                except FixpointDivergence as exc:
+                except FixpointDivergence as exc:  # only a loop node iterates: dag is None
                     reason = f"fixpoint divergence: {exc}"
                 else:
                     out_cols = list(zip(*outs))

@@ -43,9 +43,13 @@ def _get_bot():
     return BOT
 
 
+_KINDS = {bool: BaseType.BOOL, int: BaseType.INT, float: BaseType.REAL}
+
+
 def value_kind(v) -> Optional[BaseType]:
-    if v is BOT:
-        return None
+    kind = _KINDS.get(type(v))
+    if kind is not None or v is BOT:
+        return kind
     if isinstance(v, bool):
         return BaseType.BOOL
     if isinstance(v, int):
@@ -90,8 +94,9 @@ DEFAULT_CONFIG = EvalConfig()
 @dataclass
 class EvalStats:
     """Fixpoint census: (tower width, Kleene iterations) pairs, one per tower
-    evaluation of a run (``feedback_runs``) and one per tower the symbolic
-    evaluator solved (``symbolic_runs``)."""
+    iterated at run time, by ``eval_term`` or inside ``Compiled.run``
+    (``feedback_runs``), and one per tower the symbolic evaluator solved
+    (``symbolic_runs``)."""
 
     feedback_runs: list = field(default_factory=list)
     symbolic_runs: list = field(default_factory=list)
@@ -276,7 +281,8 @@ def _ev(term, vals, cfg, binops, stats):
         if cfg.nested_feedback:
             return _feedback_single(term.body, vals, cfg, binops, stats)
         n, body = _collect_tower(term)
-        return _feedback_joint(n, body, vals, cfg, binops, stats)
+        step = lambda xs: _ev(body, xs + vals, cfg, binops, stats)  # noqa: E731
+        return kleene(step, n, cfg.max_fix_iters + n - 1, stats)
     raise TypeMismatchError(f"not a term: {term!r}")
 
 
@@ -299,12 +305,15 @@ def _feedback_single(body, vals, cfg, binops, stats):
     return out[1:]
 
 
-def _feedback_joint(n, body, vals, cfg, binops, stats):
+def kleene(body, n: int, cap: int, stats: Optional[EvalStats] = None):
+    """Joint Kleene iteration of a tower ``n`` wires wide: ``body`` maps the
+    fed-back values to the body's outputs, and the iteration starts from bot.
+    Returns the outputs after the fed-back ones once these settle, and
+    records (n, iterations) in ``stats.feedback_runs``."""
     xs = (BOT,) * n
     iters = 0
-    cap = cfg.max_fix_iters + n - 1
     while True:
-        out = _ev(body, xs + vals, cfg, binops, stats)
+        out = body(xs)
         iters += 1
         new = out[:n]
         if new == xs:

@@ -21,7 +21,7 @@ from .compiled import compile_term
 from .errors import FixpointDivergence, SchemaError, TypeMismatchError
 from .frontend import DiagramDoc, normalize, to_io_diagrams
 from .io_diagrams import IoDiagram, values_close
-from .semantics import BOT, DEFAULT_CONFIG, EvalConfig, eval_expr, value_kind
+from .semantics import BOT, DEFAULT_CONFIG, EvalConfig, eval_expr, same_value, value_kind
 
 
 @dataclass
@@ -44,8 +44,8 @@ def initial_state(state_table) -> dict:
     return {e.state.name: e.init for e in state_table}
 
 
-def _check_row(row: dict, expected_names, where: str):
-    missing = set(expected_names) - set(row)
+def _check_row(row: dict, expected_names: set, where: str):
+    missing = expected_names - row.keys()
     if missing:
         raise SchemaError(f"{where}: missing inputs {sorted(missing)}")
 
@@ -57,39 +57,39 @@ def simulate_translated(
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> SimTrace:
     """Run the translated io-diagram for one row of external inputs per step."""
-    state_names = {e.state.name for e in state_table}
-    next_of = {e.next_state.name: e.state.name for e in state_table}
-    ext_in = [v for v in diagram.inputs if v.name not in state_names]
     compiled = compile_term(diagram.body, cfg)
-    out_index = {v.name: i for i, v in enumerate(diagram.outputs)}
+    out_names = [v.name for v in diagram.outputs]
+    out_pos = {name: i for i, name in enumerate(out_names)}
     for e in state_table:
-        if e.next_state.name not in out_index:
+        if e.next_state.name not in out_pos:
             raise SchemaError(
                 f"translated diagram lost next-state variable {e.next_state.name}"
             )
+    # The state is a tuple over state_names; each diagram input reads either
+    # a position of it or an external input of the row.
+    state_names = [e.state.name for e in state_table]
+    state_pos = {name: i for i, name in enumerate(state_names)}
+    sources = [(state_pos.get(v.name), v) for v in diagram.inputs]
+    ext_in = [v for pos, v in sources if pos is None]
+    ext_names = {v.name for v in ext_in}
+    next_pos = [out_pos[e.next_state.name] for e in state_table]
 
-    state = initial_state(state_table)
+    state = tuple(e.init for e in state_table)
     trace = SimTrace()
     for step, row in enumerate(rows):
-        _check_row(row, (v.name for v in ext_in), f"step {step}")
-        values = []
-        for v in diagram.inputs:
-            if v.name in state:
-                values.append(state[v.name])
-            else:
-                values.append(_typed(row[v.name], v, step))
-        out = compiled.run_one(tuple(values))
-        outputs = {v.name: out[i] for i, v in enumerate(diagram.outputs)}
-        new_state = {
-            next_of[e.next_state.name]: outputs[e.next_state.name]
-            for e in state_table
-        }
+        _check_row(row, ext_names, f"step {step}")
+        values = [
+            _typed(row[v.name], v, step) if pos is None else state[pos] for pos, v in sources
+        ]
+        # _typed checked the external inputs; the state holds typed outputs
+        (out,) = compiled.run([values], validate=False)
+        new_state = tuple(out[i] for i in next_pos)
         trace.steps.append(
             StepRow(
-                inputs={v.name: val for v, val in zip(diagram.inputs, values) if v.name not in state},
-                outputs=outputs,
-                state_before=dict(state),
-                state_after=dict(new_state),
+                inputs={v.name: row[v.name] for v in ext_in},
+                outputs=dict(zip(out_names, out)),
+                state_before=dict(zip(state_names, state)),
+                state_after=dict(zip(state_names, new_state)),
             )
         )
         state = new_state
@@ -119,11 +119,12 @@ def simulate_direct(
     for e in doc.outputs:
         all_vars.add(e.name)
     ext_in_names = [e.name for e in doc.inputs]
+    ext_names = set(ext_in_names)
 
     state = initial_state(doc.state_table)
     trace = SimTrace()
     for step, row in enumerate(rows):
-        _check_row(row, ext_in_names, f"step {step}")
+        _check_row(row, ext_names, f"step {step}")
         env = {name: BOT for name in all_vars}
         env.update(state)
         for name in ext_in_names:
@@ -135,7 +136,8 @@ def simulate_direct(
                 args = tuple(env[v.name] for v in ins)
                 result = eval_expr(fn, args, cfg)
                 for v, val in zip(outs, result):
-                    if env[v.name] != val or (env[v.name] is BOT) != (val is BOT):
+                    old = env[v.name]
+                    if not same_value(old, val) or (old is BOT) != (val is BOT):
                         env[v.name] = val
                         changed = True
             if not changed:

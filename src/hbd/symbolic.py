@@ -1,4 +1,5 @@
-"""Symbolic evaluator: the outputs of a term as hash-consed expression graphs.
+"""Symbolic evaluator: the outputs of a term as hash-consed expression
+graphs, and those graphs as straight-line Python.
 
 A term is evaluated once with its inputs as symbols.  Every value is a node
 of one ``Graph``: an int naming a key ``(op, *operand nodes)`` that the graph
@@ -14,10 +15,16 @@ output nodes compute the same function on every input.  (The concrete
 settle test reads 0.0 == -0.0 and may stop a tower an iteration earlier;
 that changes at most the sign of a zero, which ``values_close`` ignores.)
 A tower that has not settled within the concrete cap,
-``max_fix_iters + n - 1``, makes the term undecided: ``outputs`` returns
-None and the caller samples instead.  A tower that settles here settles in
-the concrete evaluators within the same cap, because their fixpoint tests
-read NaN as equal to NaN.
+``max_fix_iters + n - 1``, becomes one opaque loop node over its input
+nodes.  Such a term is undecided: ``outputs`` returns None and the caller
+samples instead.  A tower that settles here settles in the concrete
+evaluators within the same cap, because their fixpoint tests read NaN as
+equal to NaN.
+
+``Graph.function`` emits the nodes that a term's outputs reach as one
+Python function with one assignment per node, each the scalar rule of its
+operation written inline; ``hbd.compiled`` runs it and supplies the Kleene
+iteration of each loop node.
 """
 
 from __future__ import annotations
@@ -26,25 +33,67 @@ from typing import Optional
 
 from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, infer_kind
-from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats, _collect_tower
+from .semantics import BOT as BOT_VALUE, DEFAULT_CONFIG, EvalConfig, EvalStats, _collect_tower
 from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
 from .types import BaseType
 
 BOT = 0  # the node of the unknown value in every graph
 
+# The Python of each operation over its operand names, without the bot tests
+# (``Graph._code``): the scalar rules of ``semantics`` written inline.
+_RULES = {
+    "neg": "-{0}",
+    "not": "not {0}",
+    "+": "{0} + {1}",
+    "-": "{0} - {1}",
+    "*": "{0} * {1}",
+    "/": "{0} / {1}",
+    "//": "{0} // {1}",
+    # min(x, y) and max(x, y) keep x unless y wins
+    "min": "{1} if {1} < {0} else {0}",
+    "max": "{1} if {1} > {0} else {0}",
+    "<": "{0} < {1}",
+    "<=": "{0} <= {1}",
+    "==": "{0} == {1}",
+    "and": "{0} and {1}",
+    "or": "{0} or {1}",
+}
 
-class _Undecided(Exception):
-    """A feedback tower has not settled within the concrete cap."""
+
+def _name(node: int) -> str:
+    return "BOT" if node == BOT else f"v{node}"
+
+
+def _operands(key: tuple) -> tuple:
+    tag = key[0]
+    if tag in ("bot", "in", "lit"):
+        return ()
+    if tag == "loop":
+        return key[2:]
+    if tag == "out":
+        return key[1:2]
+    return key[1:]
+
+
+def equal_graphs(lhs: Term, rhs: Term, cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
+    """Whether two terms of one typing have decided and equal output
+    graphs, which proves them equal on every input."""
+    graph = Graph(cfg)
+    symbols = [graph.symbol(i) for i in range(len(lhs.in_types))]
+    nodes = graph.outputs(lhs, symbols)
+    return nodes is not None and nodes == graph.outputs(rhs, symbols)
 
 
 class Graph:
     """Hash-consed expression nodes shared by every term evaluated in it.
 
     ``keys[n]`` is node ``n``'s key: ``("bot",)``, ``("in", i)`` for input
-    symbol ``i``, ``("lit", type, repr, value)`` for a literal, or
+    symbol ``i``, ``("lit", type, repr, value)`` for a literal,
     ``(op, *operand nodes)`` with ``op`` one of ``neg not + - * / // min max
-    < <= == and or ite``; ``//`` is division of Ints, which floors.  The
-    multiply rule follows ``cfg.strict_multiply``.
+    < <= == and or ite`` (``//`` is division of Ints, which floors),
+    ``("loop", k, *input nodes)`` for the unsettled tower ``towers[k]`` and
+    ``("out", loop node, i)`` for its output ``i``.  The multiply rule
+    follows ``cfg.strict_multiply``.
     """
 
     def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -52,6 +101,9 @@ class Graph:
         self.keys = [("bot",)]
         self._ids = {("bot",): BOT}
         self._bodies = {}  # id(ExprFun) -> (the function, its bodies as op trees)
+        self.towers = []  # the Feedback term of each loop node's tower
+        self._tower_ids = {}  # id(Feedback) -> its index in towers
+        self.unsettled = 0  # tower evaluations that became loop nodes
 
     def node(self, key: tuple) -> int:
         n = self._ids.get(key)
@@ -93,10 +145,73 @@ class Graph:
         """The output nodes of ``term`` given its input nodes, or None when a
         feedback tower has not settled within the cap.  Each tower solved is
         recorded in ``stats.symbolic_runs`` as (width, Kleene iterations)."""
-        try:
-            return self._ev(term, tuple(inputs), {}, stats)
-        except _Undecided:
-            return None
+        unsettled = self.unsettled
+        nodes = self.evaluate(term, inputs, stats)
+        return None if self.unsettled > unsettled else nodes
+
+    def evaluate(self, term: Term, inputs, stats: Optional[EvalStats] = None):
+        """The output nodes of ``term`` given its input nodes, where a tower
+        that has not settled within the cap is a loop node."""
+        return self._ev(term, tuple(inputs), {}, stats)
+
+    def function(self, inputs, outputs, loop):
+        """(``row``, its source): the nodes ``outputs`` as one Python function
+        ``row(stats, *values of inputs)`` returning their tuple of values.
+
+        Each node that ``outputs`` reach is one assignment, in node order, so
+        its operands come first.  A literal is a global bound to its value.
+        The loop node of ``towers[k]`` calls ``loop(width, body)``, given
+        the tower's width and body, as ``L{k}(stats, *input values)``: it
+        returns the tower's outputs."""
+        keys = self.keys
+        live, todo = set(outputs), list(outputs)
+        while todo:
+            for m in _operands(keys[todo.pop()]):
+                if m not in live:
+                    live.add(m)
+                    todo.append(m)
+        env = {"BOT": BOT_VALUE}
+        lines = ["def row(stats" + "".join(f", v{n}" for n in inputs) + "):"]
+        for n in sorted(live):
+            key = keys[n]
+            tag = key[0]
+            if tag == "lit":
+                env[f"v{n}"] = key[3]
+            elif tag == "loop":
+                env[f"L{key[1]}"] = loop(*_collect_tower(self.towers[key[1]]))
+                args = "".join(f", {_name(m)}" for m in key[2:])
+                lines.append(f"    v{n} = L{key[1]}(stats{args})")
+            elif tag == "out":
+                lines.append(f"    v{n} = v{key[1]}[{key[2]}]")
+            elif tag not in ("bot", "in"):
+                lines.append(f"    v{n} = {self._code(key)}")
+        lines.append("    return (" + "".join(f"{_name(n)}, " for n in outputs) + ")")
+        text = "\n".join(lines) + "\n"
+        exec(compile(text, "<hbd row>", "exec"), env)
+        return env["row"], text
+
+    def _code(self, key: tuple) -> str:
+        """The scalar rule of an operation node, over its operand names; a
+        literal operand is never bot, so it needs no bot test."""
+        op, args = key[0], key[1:]
+        names = [_name(a) for a in args]
+        if op == "ite":  # the condition is neither bot nor a literal here
+            c, t, e = names
+            return f"BOT if {c} is BOT else {t} if {c} else {e}"
+        if op == "*" and not self.cfg.strict_multiply:
+            x, y = names
+            # op_mul_nonstrict: v * 0 == 0 even for unknown v; the zero's kind
+            # fixes the result kind
+            return (
+                f"{x} * {y} if {x} is not BOT and {y} is not BOT else "
+                f"{x} if {x} is not BOT and {x} == 0 else "
+                f"{y} if {y} is not BOT and {y} == 0 else BOT"
+            )
+        guards = [f"{v} is BOT" for v, a in zip(names, args) if self.keys[a][0] != "lit"]
+        if op in ("/", "//"):  # bot on a zero divisor
+            guards.append(f"{names[1]} == 0")
+        code = _RULES[op].format(*names)
+        return f"BOT if {' or '.join(guards)} else {code}" if guards else code
 
     def _fn_trees(self, fn: ExprFun):
         got = self._bodies.get(id(fn))
@@ -172,8 +287,18 @@ class Graph:
             if out[:n] == xs:
                 break
             if iters >= cap:
-                raise _Undecided
+                return self._loop(term, vals, len(out) - n)
             xs = out[:n]
         if stats is not None:
             stats.symbolic_runs.append((n, iters))
         return out[n:]
+
+    def _loop(self, term, vals, width):
+        """The output nodes of the loop node of tower ``term`` on ``vals``."""
+        self.unsettled += 1
+        k = self._tower_ids.get(id(term))
+        if k is None:  # towers keeps term alive, so its id stays unique
+            k = self._tower_ids[id(term)] = len(self.towers)
+            self.towers.append(term)
+        loop = self.node(("loop", k) + vals)
+        return tuple(self.node(("out", loop, i)) for i in range(width))

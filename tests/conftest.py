@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from hbd.compiled import Compiled
 from hbd.exprs import Bin, ExprFun, Ref
 from hbd.frontend import normalize, parse_doc, to_io_diagrams
 from hbd.io_diagrams import IoDiagram
@@ -78,3 +79,12 @@ def corpus_reports(corpus_diagrams):
         run_determinacy(diagrams, seeds=range(20), samples=200)
         for (_, diagrams, _) in corpus_diagrams
     ]
+
+
+@pytest.fixture
+def compiled_runs(monkeypatch):
+    """One entry per ``Compiled.run`` call while the test runs."""
+    runs = []
+    run = Compiled.run
+    monkeypatch.setattr(Compiled, "run", lambda *a, **k: runs.append(1) or run(*a, **k))
+    return runs

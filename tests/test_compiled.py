@@ -1,7 +1,8 @@
-"""Column kernels of atoms: agreement with the reference expression
-evaluator, shared code per shape, and the pure-Python dependency set."""
+"""The compiled row functions: one-atom terms, whose row function is the
+atom's kernel, against the reference expression evaluator; deep
+expressions; loop nodes and their census; and the pure-Python dependency
+set."""
 
-import gc
 import math
 import os
 import pathlib
@@ -12,13 +13,15 @@ import sys
 import pytest
 
 import hbd
-from hbd.compiled import _KERNELS, compile_exprfun
+from hbd.compiled import compile_term
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
-from hbd.frontend import block_spec
-from hbd.semantics import BOT, EvalConfig, eval_expr
+from hbd.frontend import FbLess, flatten_or_recurse
+from hbd.semantics import BOT, EvalConfig, EvalStats, eval_expr, eval_term, sample_inputs
+from hbd.terms import mk_atom
+from hbd.translator import FeedbackParallel, Incremental
 from hbd.types import BaseType, Var
 
-from util import VALUES as _VALUES, expr_all_ops as _expr
+from util import VALUES as _VALUES, expr_all_ops as _expr, growing_tower
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 INF = float("inf")
@@ -45,13 +48,17 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _kernel(fn, cfg=STRICT):
+    """The compiled one-atom term of ``fn``: its row function is the kernel."""
+    return compile_term(mk_atom("f", fn), cfg)
+
+
 def _check(fn, rows, cfg):
-    cols = [list(col) for col in zip(*rows)] if fn.params else []
-    out_cols = compile_exprfun(fn, cfg)(cols, len(rows))
-    assert len(out_cols) == len(fn.bodies)
-    for j, row in enumerate(rows):
+    outs = _kernel(fn, cfg).run(rows)
+    assert len(outs) == len(rows)
+    for row, got in zip(rows, outs):
         want = eval_expr(fn, row, cfg)
-        got = tuple(col[j] for col in out_cols)
+        assert len(got) == len(fn.bodies)
         assert all(map(_same, got, want)), (fn, row, got, want)
 
 
@@ -108,39 +115,68 @@ def test_kernel_values_by_hand():
     i2 = (Var("a", I), Var("b", I))
     r2 = (Var("a", R), Var("b", R))
     div = (Bin("/", Ref("a"), Ref("b")),)
-    run = lambda params, bodies, cols, cfg=STRICT: compile_exprfun(  # noqa: E731
-        ExprFun(params, bodies), cfg
-    )(cols, len(cols[0]))
-    assert run(i2, div, [[7, -7, 7, 0, BIG], [-2, 2, 0, 0, 3]]) == [
-        [-4, -4, BOT, BOT, BIG // 3]
+    run = lambda params, bodies, rows, cfg=STRICT: [  # noqa: E731
+        out for (out,) in _kernel(ExprFun(params, bodies), cfg).run(rows)
     ]
-    assert run(r2, div, [[7.0, 1.0], [-2.0, -0.0]]) == [[-3.5, BOT]]
+    assert run(i2, div, [(7, -2), (-7, 2), (7, 0), (0, 0), (BIG, 3)]) == [
+        -4, -4, BOT, BOT, BIG // 3
+    ]
+    assert run(r2, div, [(7.0, -2.0), (1.0, -0.0)]) == [-3.5, BOT]
     mul = (Bin("*", Ref("a"), Ref("b")),)
-    assert run(r2, mul, [[BOT, BOT, -0.0], [0.0, 1.0, BOT]], NONSTRICT) == [[0.0, BOT, -0.0]]
-    assert run(r2, mul, [[BOT], [0.0]]) == [[BOT]]
+    assert run(r2, mul, [(BOT, 0.0), (BOT, 1.0), (-0.0, BOT)], NONSTRICT) == [0.0, BOT, -0.0]
+    assert run(r2, mul, [(BOT, 0.0)]) == [BOT]
 
 
 def test_ref_and_literal_columns():
-    """A Ref body hands back its input column itself, so a NaN passing
-    through a feedback unchanged counts as settled; a Lit body is one
-    value repeated."""
-    fn = ExprFun((Var("x", R), Var("s", R)), (Ref("s"), Ref("x"), Lit(2.5)))
-    x, s = [1.0, float("nan")], [BOT, 0.0]
-    out = compile_exprfun(fn, STRICT)([x, s], 2)
+    """A Ref body hands back its input value itself, so a NaN passing
+    through a feedback unchanged counts as settled; a Lit body is its
+    literal, kind and sign included."""
+    fn = ExprFun((Var("x", R), Var("s", R)), (Ref("s"), Ref("x"), Lit(2.5), Lit(-0.0)))
+    x, s = float("nan"), 0.0
+    out = _kernel(fn).run_one((x, s))
     assert out[0] is s and out[1] is x
-    assert out[2] == [2.5, 2.5]
+    assert out[2] == 2.5 and _same(out[3], -0.0)
 
 
-def test_one_code_object_per_shape():
-    def gain(k, wire, cfg):
-        fn = block_spec("Gain", {"k": k}).fn.rename_params([wire])
-        return compile_exprfun(fn, cfg)
+def test_deep_expression_compiles():
+    """One assignment per node: an atom nested 300 deep compiles and runs,
+    though one nested Python expression for it would exceed the parser's
+    nesting limit."""
+    e = Ref("a")
+    for i in range(300):
+        e = Bin("+", e, Lit(1)) if i % 2 else Bin("min", Lit(1000), e)
+    fn = ExprFun((Var("a", I),), (e,))
+    rows = [(0,), (7,), (BOT,), (2000,)]
+    assert _kernel(fn).run(rows) == [eval_expr(fn, row) for row in rows]
+    assert _kernel(fn).run_one((0,)) == (150,)
 
-    g1, g2 = gain(2.0, "u1", STRICT), gain(-0.5, "w7", STRICT)
-    assert g1.__code__ is g2.__code__
-    assert g1([[4.0]], 1) == [[8.0]] and g2([[4.0]], 1) == [[-2.0]]
-    assert gain(2.0, "u1", NONSTRICT).__code__ is not g1.__code__
-    assert gain(3.0, "u1", NONSTRICT).__code__ is gain(0.0, "v", NONSTRICT).__code__
+
+def test_unsettled_tower_is_a_loop_node():
+    """x = ite(c, u, x) grows one node per iteration, so its graph never
+    settles: the tower is one loop node whose body is compiled on its own,
+    and its Kleene iteration at run time records what eval_term records."""
+    loop = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
+    compiled = compile_term(loop)
+    assert len(compiled.loops) == 1 and compiled.loops[0].loops == ()
+    assert compiled.source.count(" = L0(stats, ") == 1
+    rows = sample_inputs(loop.in_types, 60, seed=3)
+    got, want = EvalStats(), EvalStats()
+    assert compiled.run(rows, got) == [eval_term(loop, row, stats=want) for row in rows]
+    assert got.feedback_runs == want.feedback_runs
+    assert set(got.feedback_runs) == {(1, 1), (1, 2)}
+    assert got.symbolic_runs == []
+
+
+def test_simulated_terms_have_no_loop_node(corpus_docs):
+    """Every tower of the 84 terms `hbd simulate` runs on the corpus (each
+    document with a UnitDelay, under fbpar, incr and fbless) settles as a
+    graph, so no Kleene iteration is left to run time."""
+    docs = [d for d in corpus_docs if any(b.kind == "UnitDelay" for b in d.blocks)]
+    assert len(docs) == 28
+    for doc in docs:
+        for method in (FeedbackParallel(), Incremental(), FbLess()):
+            body = flatten_or_recurse(doc, "flatten", method).diagram.body
+            assert compile_term(body).loops == (), (doc.name, method)
 
 
 def test_import_hbd_leaves_numpy_out():
@@ -149,14 +185,3 @@ def test_import_hbd_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, hbd, hbd.cli; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
-
-
-def test_kernel_memo_lives_as_long_as_its_function():
-    before = len(_KERNELS)
-    fns = [block_spec("Gain", {"k": float(k)}).fn for k in range(5)]
-    kernels = [compile_exprfun(fn, STRICT) for fn in fns]
-    assert [compile_exprfun(fn, STRICT) for fn in fns] == kernels
-    assert len(_KERNELS) == before + 5
-    del fns
-    gc.collect()
-    assert len(_KERNELS) == before

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from hbd.compiled import Compiled
 from hbd.errors import PreconditionError
-from hbd.exprs import Bin, ExprFun, Ref
+from hbd.exprs import Bin, ExprFun, Ite, Ref
 from hbd.feedbackless import (
     GivenOrder,
     RandomOrder,
@@ -36,7 +37,10 @@ from hbd.io_diagrams import (
 )
 from hbd.terms import Id, feedbacks_outside_arb, mk_arb, mk_atom, rewrite_basic
 from hbd.translator import topo_order
+from hbd.semantics import BOT
 from hbd.types import BaseType, Var
+
+from util import growing_tower
 
 R = BaseType.REAL
 
@@ -122,6 +126,29 @@ class TestCheckDeterministic:
         # both copies of an unknown output are the same unknown
         d = IoDiagram((), (v,), mk_arb(R))
         assert check_deterministic(d)
+
+
+    def test_decided_by_graphs_without_sampling(self, running_example, compiled_runs):
+        for diagram in running_example:
+            assert check_deterministic(diagram)
+        assert compiled_runs == []
+
+    def test_undecided_difference_is_found_by_sampling(self, compiled_runs, monkeypatch):
+        """x = ite(c, u, x) leaves both sides' graphs undecided, so both are
+        sampled; a block that gives another output on its second run (faked
+        by replacing that run's outputs with bot) is found out."""
+        body = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
+        d = IoDiagram((u, Var("c", BaseType.BOOL)), (v,), body)
+        assert check_deterministic(d)
+        assert len(compiled_runs) == 2
+        run = Compiled.run
+
+        def second_differs(compiled, rows, stats=None, validate=True):
+            outs = run(compiled, rows, stats, validate)  # counted by the fixture
+            return outs if len(compiled_runs) % 2 else [(BOT,) * len(o) for o in outs]
+
+        monkeypatch.setattr(Compiled, "run", second_differs)
+        assert not check_deterministic(d)
 
 
 class TestDependencyAnalysis:

@@ -479,6 +479,14 @@ class TestHierarchy:
                 out = compile_term(d.body).run_one((1.0,))
                 assert dict(zip((v.name for v in d.outputs), out)) == {"y": 16.0, "z": 20.0}
 
+    def test_normalized_document_with_instances(self):
+        """Expanding a document normalized beforehand: the instances' wires
+        do not reuse the wire names its interfaces already bind."""
+        doc = parse_doc(json.dumps(FANOUT_DOC))
+        for mode in ("flatten", "recursive"):
+            again = flatten_or_recurse(normalize(doc), mode, Incremental())
+            assert io_equiv(again.diagram, flatten_or_recurse(doc, mode, Incremental()).diagram)
+
     def test_modes_agree_on_reversed_instance_ports(self):
         from hbd.compiled import compile_term
 

@@ -6,12 +6,13 @@ import math
 import runpy
 from pathlib import Path
 
-from hbd.exprs import Bin, ExprFun, Lit, Ref
+from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.harness import StrategyRun, equivalence_matrix, run_determinacy, translate_all
 from hbd.io_diagrams import EquivConfig, IoDiagram
-from hbd.semantics import BOT
 from hbd.terms import mk_atom
 from hbd.types import BaseType, Var
+
+from util import non_monotone_neg
 
 R = BaseType.REAL
 
@@ -65,38 +66,26 @@ def test_nan_loop_cells_are_proved():
 
 
 def test_divergent_strategy_is_a_fail_cell(monkeypatch):
-    """The expression language cannot express a non-monotone atom, so F's
-    column kernel is replaced by one that never settles.  Its output graphs
-    are those of fbless, but each feedback strategy diverges when it runs and
-    is a FAIL cell; the next strategy with the same graphs runs in its place."""
-    import hbd.compiled
-
-    d = _loop_diagram(Ref("u"))
-    kernels = hbd.compiled.compile_exprfun
-
-    def flip(cols, m):
-        u, x = cols
-        return [[0.0 if v is BOT else v + 1.0 for v in x], x]
-
-    monkeypatch.setattr(
-        hbd.compiled,
-        "compile_exprfun",
-        lambda fn, cfg: flip if fn is d.body.fn else kernels(fn, cfg),
-    )
+    """x = ite(c, u, -x) never settles as a graph, so every strategy runs it
+    as a loop node, and with a non-monotone ``neg`` each finds no fixed
+    point: every cell fails with the reason, and each pair is listed once."""
+    non_monotone_neg(monkeypatch)
+    x, u, c, y = Var("x", R), Var("u", R), Var("c", BaseType.BOOL), Var("y", R)
+    fn = ExprFun((x, u, c), (Ite(Ref("c"), Ref("u"), Un("neg", Ref("x"))), Ref("x")))
+    d = IoDiagram((x, u, c), (x, y), mk_atom("F", fn))
     report = run_determinacy([d], seeds=range(2), samples=20)
     labels = [r.label for r in report.runs]
-    assert labels == ["fbpar", "incr", "rand0", "rand1", "fbless"]
-    for i in range(4):
-        for cell in report.matrix[i]:
-            assert not cell and "no fixed point" in cell.reason
+    assert labels == ["fbpar", "incr", "rand0", "rand1"]  # no fbless: x depends on x
+    for row in report.matrix:
+        for cell in row:
+            assert not cell and "no fixed point within 8 iterations" in cell.reason
             assert "non-monotone" in cell.reason
-    assert report.matrix[4][4].proved
     rendered = report.render()
     assert "at None" not in rendered
-    assert "pairs: 1 proved (equal output graphs), 0 sampled, 14 failed" in rendered
+    assert "pairs: 0 proved (equal output graphs), 0 sampled, 10 failed" in rendered
     pairs = [line.split(":")[0] for line in rendered.splitlines() if line.startswith("counter")]
     # each failing pair once, a diverging run against itself included
-    assert len(pairs) == len(set(pairs)) == 5 + 4 + 3 + 2
+    assert len(pairs) == len(set(pairs)) == 4 + 3 + 2 + 1
 
 
 def test_benchmark_bindings_resolve(monkeypatch):

@@ -40,6 +40,8 @@ from hbd.terms import (
 )
 from hbd.types import BaseType, Var
 
+from util import growing_tower, non_monotone_neg
+
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
 
@@ -182,39 +184,40 @@ def test_nonstrict_multiply_feedback_converges_in_two():
 
 
 def test_fixpoint_divergence_guard(monkeypatch):
-    # the expression language cannot express a non-monotone atom, so the
-    # divergence guard is exercised with a handcrafted column kernel
-    import hbd.compiled
-
-    def kernel(cols, m):
-        x, u = cols
-        return [[0 if v is BOT else v + 1 for v in x], u]
-
-    monkeypatch.setattr(hbd.compiled, "compile_exprfun", lambda fn, cfg: kernel)
-    flip = mk_atom("flip", ExprFun((Var("x", I), Var("u", I)), (Ref("x"), Ref("u"))))
-    compiled = compile_term(mk_feedback(flip), EvalConfig(max_fix_iters=8))
-    with pytest.raises(FixpointDivergence, match="non-monotone atom"):
-        compiled.run([(5,)])
+    """A loop node whose body is not monotone finds no fixed point within
+    the cap and says so; where the body settles, the same term runs."""
+    non_monotone_neg(monkeypatch)
+    loop = growing_tower(Ite(Ref("c"), Ref("u"), Un("neg", Ref("x"))))
+    compiled = compile_term(loop, EvalConfig(max_fix_iters=8))
+    assert len(compiled.loops) == 1
+    stats = EvalStats()
+    assert compiled.run([(1.0, True)], stats) == [(2.0,)]
+    assert stats.feedback_runs == [(1, 2)]
+    with pytest.raises(FixpointDivergence, match=r"within 8 iterations \(non-monotone atom\?\)"):
+        compiled.run([(1.0, False)], stats)
 
 
 def test_nan_feedback_settles_to_nan():
     """x = u*inf - u*inf feeds a fresh NaN back on every iteration.  NaN
     equals NaN in the fixpoint tests, which try it once plain == has failed
-    up to the cap, so all three fixpoint loops settle there on NaN."""
+    up to the cap, so both reference loops settle there on NaN.  As a graph
+    the tower settles after two iterations, at compile time: the compiled
+    term holds no loop node and records no run-time fixpoint."""
     nan = Bin("-", Bin("*", Ref("u"), Lit(float("inf"))), Bin("*", Ref("u"), Lit(float("inf"))))
     loop = mk_feedback(
         mk_atom("F", ExprFun((Var("x", R), Var("u", R)), (nan, Ref("x"))))
     )
-    runs = (
-        lambda stats: eval_term(loop, (1.0,), stats=stats),
-        lambda stats: eval_term(loop, (1.0,), EvalConfig(nested_feedback=True), stats),
-        lambda stats: compile_term(loop).run([(1.0,)], stats=stats)[0],
-    )
-    for run in runs:
+    for cfg in (EvalConfig(), EvalConfig(nested_feedback=True)):
         stats = EvalStats()
-        (out,) = run(stats)
+        (out,) = eval_term(loop, (1.0,), cfg, stats)
         assert math.isnan(out)
         assert stats.feedback_runs == [(1, 8)]
+    compiled = compile_term(loop)
+    assert compiled.loops == ()
+    stats = EvalStats()
+    ((out,),) = compiled.run([(1.0,)], stats=stats)
+    assert math.isnan(out)
+    assert stats.feedback_runs == [] and stats.symbolic_runs == []
 
 
 def test_joint_equals_nested_feedback():
@@ -245,25 +248,63 @@ def _feedback_bodies(t):
     return [s.body for s in iter_subterms(t) if isinstance(s, Feedback)]
 
 
+def _nested_growing(rng, depth):
+    """(u, c) -> (y): a tower x = ite(c, g, x) whose graph never settles,
+    where g is u or, nested, such a tower on (ite(c, u, x), c)."""
+    if depth == 0:
+        return growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
+    x, u, c, w, y = Var("x", R), Var("u", R), Var("c", B), Var("w", R), Var("y", R)
+    pre = mk_atom(
+        f"pre{depth}",
+        ExprFun((x, u, c), (Ref("x"), Ref("c"), Ite(Ref("c"), Ref("u"), Ref("x")), Ref("c"))),
+    )
+    op = rng.choice(("+", "*", "max"))
+    post = mk_atom(
+        f"post{depth}",
+        ExprFun((x, c, y), (Ite(Ref("c"), Ref("y"), Ref("x")), Bin(op, Ref("y"), Lit(2.0)))),
+    )
+    inner = mk_parallel(Id((R, B)), _nested_growing(rng, depth - 1))
+    return mk_feedback(mk_serial(pre, mk_serial(inner, post)))
+
+
 def test_compiled_census_matches_reference():
-    # one row at a time, the batch evaluator runs the same fixpoints, in the
-    # same order and with the same iteration counts, as the reference; every
-    # feedback body holds an atom, so that no feedback is pure wiring
+    """Compiled.run records a tower only where it iterates at run time, one
+    entry per row.  A term whose towers all settle as graphs records
+    nothing; towers that never settle as graphs, nested, record row by row
+    the same fixpoints in the same order, with the same iteration counts, as
+    the reference."""
     rng = random.Random(29)
-    checked = nested = 0
+    checked = undecided = 0
     while checked < 80:
         t = random_term(rng, tuple(rng.choice((R, I, B)) for _ in range(rng.randint(0, 3))), 3)
         bodies = _feedback_bodies(t)
         if not bodies or not all(any(isinstance(s, Atom) for s in iter_subterms(b)) for b in bodies):
             continue
         compiled = compile_term(t)
+        if compiled.loops:
+            undecided += 1
+            assert undecided <= 3
+            continue
         for row in sample_inputs(t.in_types, 5, seed=checked):
             want, got = EvalStats(), EvalStats()
             assert compiled.run([row], got) == [eval_term(t, row, stats=want)]
-            assert got.feedback_runs == want.feedback_runs
-        nested += any(_feedback_bodies(b) for b in bodies)
+            assert got.feedback_runs == [] and want.feedback_runs
         checked += 1
-    assert nested >= 10
+    for depth in range(4):
+        t = _nested_growing(rng, depth)
+        compiled = compile_term(t)
+        rows = sample_inputs(t.in_types, 40, seed=depth)
+        got, want = EvalStats(), EvalStats()
+        assert compiled.run(rows, got) == [eval_term(t, row, stats=want) for row in rows]
+        nesting, c = 0, compiled
+        while c.loops:
+            (c,) = c.loops
+            nesting += 1
+        assert nesting == depth + 1
+        assert got.feedback_runs == want.feedback_runs
+        assert len(got.feedback_runs) >= 40 * (depth + 1)
+        assert {width for width, _ in got.feedback_runs} == {1}
+        assert max(iters for _, iters in got.feedback_runs) >= 2
 
 
 def test_pure_wiring_feedback_runs_no_loop():

@@ -71,6 +71,34 @@ def test_hundred_block_fbpar_translates_and_simulates():
     assert traces_match(translated, simulate_direct(result.doc, rows))
 
 
+def test_nan_wire_settles_in_both_simulators():
+    """u fans out to two Gain(k=1e300) blocks that feed a Sub: at u = 1e10
+    both products overflow to inf and y is NaN.  NaN equals NaN in the
+    direct interpreter's settle test too, so both simulators give NaN."""
+    from hbd.frontend import parse_doc
+
+    doc = parse_doc(json.dumps({
+        "version": 1,
+        "name": "nan",
+        "inputs": [{"name": "u", "type": "Real", "to": ["G1.a", "G2.a"]}],
+        "outputs": [{"name": "y", "type": "Real", "from": "D.out"}],
+        "blocks": [
+            {"id": "G1", "kind": "Gain", "params": {"k": 1e300}},
+            {"id": "G2", "kind": "Gain", "params": {"k": 1e300}},
+            {"id": "D", "kind": "Sub"},
+        ],
+        "wires": [{"from": "G1.out", "to": "D.a"}, {"from": "G2.out", "to": "D.b"}],
+    }))
+    rows = [{"u": 1e10}, {"u": 1.0}]
+    result = flatten_or_recurse(doc, "flatten", Incremental())
+    translated = simulate_translated(result.diagram, result.state_table, rows)
+    direct = simulate_direct(result.doc, rows)
+    for trace in (translated, direct):
+        y = trace.column("y")
+        assert y[0] != y[0] and y[1] == 0.0
+    assert traces_match(translated, direct)
+
+
 def test_state_threading_invariant(sum_doc):
     rows = [{"u": float(k)} for k in (2, 4, 8)]
     result = flatten_or_recurse(sum_doc, "flatten", Incremental())

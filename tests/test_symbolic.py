@@ -7,7 +7,6 @@ import random
 import pytest
 
 import hbd.harness
-from hbd.compiled import Compiled
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.harness import equivalence_cells, run_determinacy
 from hbd.io_diagrams import EquivConfig, IoDiagram, equivalence_samples
@@ -301,15 +300,6 @@ def test_mutations_change_the_graph_and_fail_by_sampling(running_example, mutate
     cell = matrix[0][1]
     assert not cell and not cell.proved
     assert cell.reason == "semantic difference" and cell.counterexample is not None
-
-
-@pytest.fixture
-def compiled_runs(monkeypatch):
-    """One entry per ``Compiled.run`` call while the test runs."""
-    runs = []
-    run = Compiled.run
-    monkeypatch.setattr(Compiled, "run", lambda *a, **k: runs.append(1) or run(*a, **k))
-    return runs
 
 
 class _NoGraphs(Graph):

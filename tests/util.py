@@ -5,7 +5,8 @@ import random
 from hbd.axioms import _random_expr
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.io_diagrams import IoDiagram, switch_vars
-from hbd.terms import mk_atom, mk_serial
+from hbd.symbolic import Graph
+from hbd.terms import mk_atom, mk_feedback, mk_serial
 from hbd.types import BaseType, Var
 
 KINDS = (BaseType.REAL, BaseType.INT, BaseType.BOOL)
@@ -48,6 +49,30 @@ def expr_all_ops(rng: random.Random, params, want, depth):
         return Un("neg", sub(want))
     op = rng.choice(("+", "-", "*", "*", "/", "/", "min", "max"))
     return Bin(op, sub(want), sub(want))
+
+
+def growing_tower(x_body):
+    """The tower x = x_body around [x, u, c -> x_body, x * 2.0]; with
+    x_body = ite(c, u, x) its graph grows one node per iteration and never
+    settles, so it compiles to a loop node."""
+    params = (Var("x", R), Var("u", R), Var("c", B))
+    y = Bin("*", Ref("x"), Lit(2.0))
+    return mk_feedback(mk_atom("F", ExprFun(params, (x_body, y))))
+
+
+def non_monotone_neg(monkeypatch):
+    """The expression language cannot express a non-monotone atom, so the
+    compiled code of ``neg`` becomes x -> 0.0 on bot and x + 1.0 otherwise,
+    which never settles in a loop node."""
+    code = Graph._code
+
+    def flip(graph, key):
+        if key[0] != "neg":
+            return code(graph, key)
+        x = f"v{key[1]}"
+        return f"0.0 if {x} is BOT else {x} + 1.0"
+
+    monkeypatch.setattr(Graph, "_code", flip)
 
 
 def random_io_list(rng: random.Random, n: int, names: int = 8, real_only=False):
