@@ -1,9 +1,10 @@
 """The sixteen algebra laws as executable checks.
 
 Each law is instantiated with randomly generated well-typed terms (atoms
-drawn from a small expression library plus wiring constants).  An instance
-holds when both sides have the same output graphs (``symbolic.Graph``);
-otherwise both sides are compared on sampled inputs including unknowns.
+drawn from a small expression library plus wiring constants) and checked by
+the harness's oracle, ``term_cells``: an instance holds when both sides have
+the same output graphs, and otherwise both sides are compared on sampled
+inputs including unknowns.
 The constructive-functions model satisfies all sixteen, so any
 counterexample indicates an implementation bug.
 """
@@ -12,13 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from .compiled import compile_term
-from .errors import TypeMismatchError
+from .errors import FixpointDivergence, TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un
-from .io_diagrams import differences
+from .harness import term_cells
 from .semantics import DEFAULT_CONFIG, EvalConfig, sample_inputs
-from .symbolic import equal_graphs
 from .terms import (
     Id,
     Sink,
@@ -356,18 +356,21 @@ def check_equation(
     seed: int,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ):
-    """Counterexamples (input, lhs value, rhs value) on sampled inputs; none,
-    without sampling, when both sides have the same output graphs under
-    ``cfg`` (``symbolic.equal_graphs``)."""
+    """[] when ``term_cells`` proves the equation or finds no counterexample
+    on ``samples`` inputs drawn with bot from ``seed``; else a list of the
+    first one, (input, lhs value, rhs value).  A side that finds no fixed
+    point raises ``FixpointDivergence``."""
     if eq.lhs.typing != eq.rhs.typing:
         raise TypeMismatchError(
             f"equation sides have different typings: {eq.lhs.typing} vs {eq.rhs.typing}"
         )
-    if equal_graphs(eq.lhs, eq.rhs, cfg):
+    rows = partial(sample_inputs, eq.lhs.in_types, samples, seed, include_bottom=True)
+    cell = term_cells([eq.lhs, eq.rhs], rows, cfg)[0][1]
+    if cell:
         return []
-    rows = sample_inputs(eq.lhs.in_types, samples, seed, include_bottom=True)
-    outs = [compile_term(t, cfg).run(rows) for t in (eq.lhs, eq.rhs)]
-    return list(differences(rows, *outs))
+    if cell.counterexample is None:  # the only failure without one
+        raise FixpointDivergence(cell.reason.removeprefix("fixpoint divergence: "))
+    return [cell.counterexample]
 
 
 def run_axiom_suite(

@@ -12,8 +12,9 @@ equivalence or axiom counterexample, or a FAIL cell of ``check`` (a strategy
 whose translation failed is one); 2 parse, schema, type, subsystem-cycle or
 file errors; 3 "precondition failed", with the reason (a document with no
 blocks, or a feedbackless algebraic loop with its witness); 4 fixpoint
-divergence during simulation.  A malformed option value, such as a negative
-count, is rejected by the argument parser, also with exit code 2.
+divergence during simulation or in an axiom instance.  A malformed option
+value, such as a negative count, or a malformed ``HBD_SEED`` is rejected by
+the argument parser, also with exit code 2.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ from .sim import simulate_translated
 from .terms import print_term, rewrite_basic, term_size
 from .translator import FeedbackParallel, Incremental, RandomChoices
 from .types import BaseType
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("HBD_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _method(name: str, seed: int):
@@ -214,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hbd", description="block diagram to algebra-term translator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
+    seed = os.environ.get("HBD_SEED", "0")  # parsed by type=int, like --seed
 
     p = sub.add_parser("translate", help="translate a diagram and print the term")
     p.add_argument("file")

@@ -1,21 +1,22 @@
 """Determinacy harness: translate one diagram list under many strategies
 (``translate`` runs each strategy's step generator to its end) and fill the
-pairwise equivalence matrix with the one oracle, ``equivalence_cells``.  It
-aligns inputs and outputs by variable name and evaluates each result
-symbolically (``hbd.symbolic``): strategies with the same output graphs
-compute the same function, so their cell is proved, and only one of them
-runs on the shared samples.  Every other cell is sampled.  ``io_equiv`` is
-its two-diagram case.  A strategy whose translation fails fails its row and
-column with the reason.  So does an undecided strategy whose feedback finds
-no fixed point when it runs; a decided one runs as straight-line code and
-cannot diverge.
+pairwise equivalence matrix.  ``term_cells`` is the one oracle of hbd, also
+behind the axiom suite and ``feedbackless.check_deterministic``: terms with
+the same symbolic output graphs (``hbd.symbolic``) compute the same
+function, so their cell is proved and neither runs; every other cell is
+sampled, and a graph class runs only when a sampled cell needs it.
+``equivalence_cells`` aligns each io-diagram to the first by name with
+``Route`` wiring; ``io_equiv`` is its two-diagram case.  A strategy whose
+translation fails fails its row and column with the reason.  So does an
+undecided strategy whose feedback finds no fixed point when it runs; a
+decided one runs as straight-line code and cannot diverge.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .compiled import compile_term
 from .errors import (
@@ -32,10 +33,11 @@ from .io_diagrams import (
     differences,
     equivalence_samples,
     is_perm,
+    switch_vars,
 )
-from .semantics import EvalStats
+from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats
 from .symbolic import Graph
-from .terms import print_term, term_size
+from .terms import mk_serial, print_term, term_size
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
 from .types import types_of
 
@@ -83,11 +85,11 @@ class RunReport:
         )
         labels = [r.label for r in self.runs]
         width = max(len(l) for l in labels) if labels else 0
-        header = " " * (width + 2) + " ".join(f"{l:>6}"[:6] for l in labels)
-        lines.append(header)
+        col = max(width, 6)  # fits every label and the widest mark, "proved"
+        lines.append(" " * (width + 2) + " ".join(f"{l:>{col}}" for l in labels))
         for label, row in zip(labels, self.matrix):
             marks = (("proved" if c.proved else "ok") if c else "FAIL" for c in row)
-            lines.append(f"{label:>{width}}  " + " ".join(f"{m:>6}" for m in marks))
+            lines.append(f"{label:>{width}}  " + " ".join(f"{m:>{col}}" for m in marks))
         for i, row in enumerate(self.matrix):
             for j in range(i, len(row)):
                 cell = row[j]
@@ -126,8 +128,67 @@ def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20
     return runs
 
 
-def _misaligned(d: IoDiagram, ref_ins, ref_outs, ref_ty) -> Optional[str]:
-    """Why ``d``'s interface cannot be aligned by name to the reference one."""
+def term_cells(
+    terms: Sequence,
+    sample: Callable[[], list],
+    cfg: EvalConfig = DEFAULT_CONFIG,
+    stats: Optional[EvalStats] = None,
+):
+    """The symmetric matrix of ``EquivResult`` cells that compares terms of
+    one typing pairwise: the one oracle of hbd.
+
+    An entry may be a string in place of a term: the reason there is none.
+    Each term is evaluated once in one ``symbolic.Graph``.  A cell between
+    two equal decided output graphs is proved, and neither term runs.  Every
+    other cell is sampled on the rows of ``sample()``, which is called at
+    most once: each graph class runs once, and each undecided term on its
+    own.  A string entry, or an undecided term that finds no fixed point,
+    fails its whole row and column with that reason.
+    """
+    graph = Graph(cfg)
+    typed = next((t for t in terms if not isinstance(t, str)), None)
+    symbols = [] if typed is None else [graph.symbol(i) for i in range(len(typed.in_types))]
+    dags = [None if isinstance(t, str) else graph.outputs(t, symbols, stats) for t in terms]
+    rows = None  # sample(), drawn when the first term runs
+    ran = {}  # graph class, or the index of an undecided term -> outputs or why none
+
+    def outputs(i):
+        """Entry ``i``'s outputs on the rows, or why there are none."""
+        nonlocal rows
+        if isinstance(terms[i], str):
+            return terms[i]
+        key = i if dags[i] is None else dags[i]
+        if key not in ran:
+            if rows is None:
+                rows = sample()
+            try:
+                ran[key] = compile_term(terms[i], cfg).run(rows, stats=stats, validate=False)
+            except FixpointDivergence as exc:  # only a loop node iterates: dags[i] is None
+                ran[key] = f"fixpoint divergence: {exc}"
+        return ran[key]
+
+    n = len(terms)
+    matrix = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if dags[i] is not None and dags[i] == dags[j]:
+                cell = EquivResult(True, proved=True)
+            else:
+                a = outputs(i)
+                b = a if isinstance(a, str) else outputs(j)  # a reason fails the cell
+                failed = isinstance(b, str)
+                diff = None if failed or a == b else next(differences(rows, a, b), None)
+                reason = b if failed else "semantic difference" if diff else ""
+                cell = EquivResult(not reason, reason, diff)
+            matrix[i][j] = matrix[j][i] = cell
+    return matrix
+
+
+def _aligned(d, ref_ins, ref_outs, ref_ty):
+    """``d`` aligned by name to the reference interface (a, a'), as the term
+    ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a')]``, or why it cannot be."""
+    if isinstance(d, str):
+        return d
     if not is_perm(d.inputs, ref_ins):
         return "input lists are not permutations"
     if not is_perm(d.outputs, ref_outs):
@@ -135,7 +196,9 @@ def _misaligned(d: IoDiagram, ref_ins, ref_outs, ref_ty) -> Optional[str]:
     for v in d.inputs + d.outputs:
         if ref_ty[v.name] is not v.ty:
             return f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}"
-    return None
+    return mk_serial(
+        switch_vars(ref_ins, d.inputs), mk_serial(d.body, switch_vars(d.outputs, ref_outs))
+    )
 
 
 def equivalence_cells(
@@ -147,70 +210,17 @@ def equivalence_cells(
 
     An entry may be a string in place of an io-diagram: the reason a
     strategy produced none.  Inputs are sampled for the first io-diagram,
-    and each body is aligned to that interface by name, which evaluates
-    ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a)]``.  First each body is evaluated
-    symbolically (``symbolic.Graph``) into its aligned output graphs.  Then
-    it runs on the samples only when no earlier body with the same graphs
-    has run; otherwise it reuses that body's output columns.  A cell between
-    equal graphs is proved; any other cell is sampled.  A string entry, a
-    diagram whose interface is not a permutation of the first's, or an
-    undecided one that finds no fixed point fails its whole row and column
-    with that reason.
+    and each diagram is aligned to that interface by name (``_aligned``)
+    before ``term_cells`` compares them.  A diagram whose interface is not a
+    permutation of the first's fails its row and column with that reason.
     """
     ref = next((d for d in diagrams if not isinstance(d, str)), None)
     ref_ins, ref_outs = ((), ()) if ref is None else (ref.inputs, ref.outputs)
     samples = [] if ref is None else equivalence_samples(types_of(ref_ins), cfg)
-    columns = list(zip(*samples))
-    in_pos = {v: i for i, v in enumerate(ref_ins)}
     # names compare equal regardless of type, so the types are pinned too
     ref_ty = {v.name: v.ty for v in ref_ins + ref_outs}
-    graph = Graph()
-    symbols = [graph.symbol(i) for i in range(len(ref_ins))]
-    aligned = []  # per diagram: its output columns in ref's order, or why there are none
-    dags = []  # per diagram: its output graphs in ref's order, or None
-    evaluated = {}  # output graphs -> the aligned columns of the first body that ran
-    for d in diagrams:
-        reason = d if isinstance(d, str) else _misaligned(d, ref_ins, ref_outs, ref_ty)
-        dag = None
-        if reason is None:
-            in_map = [in_pos[v] for v in d.inputs]
-            out_pos = {v: i for i, v in enumerate(d.outputs)}
-            nodes = graph.outputs(d.body, [symbols[i] for i in in_map], stats)
-            if nodes is not None:
-                dag = tuple(nodes[out_pos[v]] for v in ref_outs)
-            if dag in evaluated:
-                cols = evaluated[dag]
-            else:
-                rows = list(zip(*[columns[i] for i in in_map])) if in_map else samples
-                try:
-                    outs = compile_term(d.body).run(rows, stats=stats, validate=False)
-                except FixpointDivergence as exc:  # only a loop node iterates: dag is None
-                    reason = f"fixpoint divergence: {exc}"
-                else:
-                    out_cols = list(zip(*outs))
-                    cols = [out_cols[out_pos[v]] for v in ref_outs]
-                    if dag is not None:
-                        evaluated[dag] = cols
-        aligned.append(reason or cols)
-        dags.append(dag)
-
-    n = len(diagrams)
-    matrix = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            a, b = aligned[i], aligned[j]
-            reason = a if isinstance(a, str) else b if isinstance(b, str) else None
-            diff = (
-                None
-                if reason or a == b
-                else next(differences(samples, zip(*a), zip(*b)), None)
-            )
-            if reason or diff:
-                cell = EquivResult(False, reason or "semantic difference", diff)
-            else:
-                cell = EquivResult(True, proved=dags[i] is not None and dags[i] == dags[j])
-            matrix[i][j] = matrix[j][i] = cell
-    return samples, matrix
+    terms = [_aligned(d, ref_ins, ref_outs, ref_ty) for d in diagrams]
+    return samples, term_cells(terms, lambda: samples, stats=stats)
 
 
 def io_equiv(a: IoDiagram, b: IoDiagram, cfg: EquivConfig = EquivConfig()) -> EquivResult:

@@ -81,10 +81,6 @@ class IoDiagram:
                 f"{self.inputs}->{self.outputs}"
             )
 
-    def rename(self, inputs, outputs) -> "IoDiagram":
-        """Relabel the interface; the body depends only on types."""
-        return IoDiagram(tuple(inputs), tuple(outputs), self.body)
-
     def __repr__(self):
         ins = ",".join(v.name for v in self.inputs)
         outs = ",".join(v.name for v in self.outputs)

@@ -11,7 +11,8 @@ Each node rule is the matching scalar rule of ``semantics``, applied only
 where an operand is bot or a literal; every other operation stays a node
 that the scalar rule decides per input.  So evaluating an output graph at an
 input gives what ``eval_term`` gives there, and two terms with the same
-output nodes compute the same function on every input.  (The concrete
+output nodes compute the same function on every input: the proof step of
+``harness.term_cells``, the one oracle.  (The concrete
 settle test reads 0.0 == -0.0 and may stop a tower an iteration earlier;
 that changes at most the sign of a zero, which ``values_close`` ignores.)
 A tower that has not settled within the concrete cap,
@@ -75,15 +76,6 @@ def _operands(key: tuple) -> tuple:
     return key[1:]
 
 
-def equal_graphs(lhs: Term, rhs: Term, cfg: EvalConfig = DEFAULT_CONFIG) -> bool:
-    """Whether two terms of one typing have decided and equal output
-    graphs, which proves them equal on every input."""
-    graph = Graph(cfg)
-    symbols = [graph.symbol(i) for i in range(len(lhs.in_types))]
-    nodes = graph.outputs(lhs, symbols)
-    return nodes is not None and nodes == graph.outputs(rhs, symbols)
-
-
 class Graph:
     """Hash-consed expression nodes shared by every term evaluated in it.
 
@@ -93,7 +85,8 @@ class Graph:
     < <= == and or ite`` (``//`` is division of Ints, which floors),
     ``("loop", k, *input nodes)`` for the unsettled tower ``towers[k]`` and
     ``("out", loop node, i)`` for its output ``i``.  The multiply rule
-    follows ``cfg.strict_multiply``.
+    follows ``cfg.strict_multiply``.  A feedback tower is solved once per
+    tuple of input nodes, however many of the terms evaluated here hold it.
     """
 
     def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -104,6 +97,8 @@ class Graph:
         self.towers = []  # the Feedback term of each loop node's tower
         self._tower_ids = {}  # id(Feedback) -> its index in towers
         self.unsettled = 0  # tower evaluations that became loop nodes
+        # (id(Feedback), input nodes) -> (it, its output nodes, unsettled towers in it)
+        self._solved = {}
 
     def node(self, key: tuple) -> int:
         n = self._ids.get(key)
@@ -152,7 +147,7 @@ class Graph:
     def evaluate(self, term: Term, inputs, stats: Optional[EvalStats] = None):
         """The output nodes of ``term`` given its input nodes, where a tower
         that has not settled within the cap is a loop node."""
-        return self._ev(term, tuple(inputs), {}, stats)
+        return self._ev(term, tuple(inputs), stats)
 
     def function(self, inputs, outputs, loop):
         """(``row``, its source): the nodes ``outputs`` as one Python function
@@ -246,14 +241,14 @@ class Graph:
             return t[1]
         return self.apply(op, *[self._apply_tree(c, args) for c in t[1:]])
 
-    def _ev(self, term, vals, memo, stats):
+    def _ev(self, term, vals, stats):
         cls = type(term)
         if cls is Serial:
-            return self._ev(term.second, self._ev(term.first, vals, memo, stats), memo, stats)
+            return self._ev(term.second, self._ev(term.first, vals, stats), stats)
         if cls is Parallel:
             n = len(term.left.in_types)
-            left = self._ev(term.left, vals[:n], memo, stats)
-            return left + self._ev(term.right, vals[n:], memo, stats)
+            left = self._ev(term.left, vals[:n], stats)
+            return left + self._ev(term.right, vals[n:], stats)
         if cls is Route:
             return tuple(BOT if i is None else vals[i] for i in term.imap)
         if cls is Atom:
@@ -270,19 +265,23 @@ class Graph:
         if cls is Feedback:
             # keyed by identity: a frozen-dataclass hash walks the whole subterm
             key = (id(term), vals)
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = self._tower(term, vals, memo, stats)
-            return out
+            got = self._solved.get(key)
+            if got is None:  # the entry keeps term alive, so its id stays unique
+                unsettled = self.unsettled
+                out = self._tower(term, vals, stats)
+                got = self._solved[key] = (term, out, self.unsettled - unsettled)
+            else:  # a term that reuses an unsettled tower is undecided too
+                self.unsettled += got[2]
+            return got[1]
         raise TypeMismatchError(f"not a term: {term!r}")
 
-    def _tower(self, term, vals, memo, stats):
+    def _tower(self, term, vals, stats):
         n, body = _collect_tower(term)
         xs = (BOT,) * n
         cap = self.cfg.max_fix_iters + n - 1
         iters = 0
         while True:
-            out = self._ev(body, xs + vals, memo, stats)
+            out = self._ev(body, xs + vals, stats)
             iters += 1
             if out[:n] == xs:
                 break

@@ -8,10 +8,15 @@ import sys
 import pytest
 
 import hbd
+import hbd.axioms
 from hbd.axioms import AXIOMS, Equation, check_equation, run_axiom_suite
+from hbd.errors import FixpointDivergence
+from hbd.exprs import Ite, Ref, Un
 from hbd.semantics import EvalConfig, eval_term, sample_inputs
 from hbd.terms import Id, Sink, Split, Switch, mk_feedback, mk_parallel, mk_serial
 from hbd.types import BaseType
+
+from util import growing_tower, non_monotone_neg
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -49,6 +54,23 @@ def test_checker_catches_planted_inequality():
     assert bad, "a false equation must produce counterexamples"
     row, lo, ro = bad[0]
     assert lo != ro
+
+
+def test_diverging_side_raises_and_axioms_exit_4(monkeypatch, capsys):
+    """A side whose feedback finds no fixed point is no counterexample:
+    ``check_equation`` raises ``FixpointDivergence`` and ``hbd axioms``
+    exits 4 with the reason."""
+    from hbd.cli import main
+
+    non_monotone_neg(monkeypatch)
+    loop = growing_tower(Ite(Ref("c"), Ref("u"), Un("neg", Ref("x"))))
+    eq = Equation(loop, loop)
+    with pytest.raises(FixpointDivergence, match="^no fixed point within 8 iterations"):
+        check_equation(eq, samples=20, seed=0)
+    monkeypatch.setattr(hbd.axioms, "AXIOMS", [("diverging", lambda rng: [eq])])
+    assert main(["axioms", "--instances", "1", "--samples", "20"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("fixpoint divergence: no fixed point") and err.count("divergence") == 1
 
 
 def test_suite_small_run_all_pass():

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -45,6 +46,20 @@ def test_inequivalent_runs_are_flagged_with_counterexample():
     rendered = report.render()
     assert "FAIL" in rendered and "counterexample" in rendered
     assert rendered.count("counterexample") == 1  # each pair is listed once
+
+
+def test_matrix_columns_fit_long_labels(running_example):
+    """Each column is as wide as the longest label, so rand10, rand100 and
+    rand101 stay apart and every mark sits under its label."""
+    runs = translate_all(list(running_example), seeds=(10, 100, 101))
+    lines = equivalence_matrix(runs, EquivConfig(samples=20)).render().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("pairs:")) + 1
+    header, rows = lines[at], lines[at + 1 : at + 1 + len(runs)]
+    assert header.split() == ["fbpar", "incr", "rand10", "rand100", "rand101", "fbless"]
+    ends = [m.end() for m in re.finditer(r"\S+", header)]
+    for row in rows:
+        assert [m.end() for m in re.finditer(r"\S+", row)][1:] == ends
+        assert row.split()[1:] == ["proved"] * len(runs)
 
 
 def _loop_diagram(x_body):

@@ -335,9 +335,10 @@ def test_hbd_seed_environment_default(monkeypatch):
     monkeypatch.setenv("HBD_SEED", "17")
     args = build_parser().parse_args(["axioms"])
     assert args.seed == 17
-    monkeypatch.setenv("HBD_SEED", "junk")
-    args = build_parser().parse_args(["axioms"])
-    assert args.seed == 0
+    monkeypatch.setenv("HBD_SEED", "junk")  # a run must not report a seed it did not use
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["axioms"])
+    assert exc.value.code == 2
 
 
 def test_cli_shipped_nested_diagram(capsys):
@@ -366,10 +367,18 @@ def test_cli_shipped_loop_diagram(capsys):
 
 
 def test_cli_entry_point_subprocess(sum_path):
+    import os
+
+    import hbd
+
+    # the child finds hbd where this process did, installed or not
+    src = str(pathlib.Path(hbd.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hbd.cli", "print", sum_path],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "summation" in proc.stdout

@@ -7,8 +7,16 @@ import random
 import pytest
 
 import hbd.harness
+from hbd.axioms import Equation, check_equation
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
-from hbd.harness import equivalence_cells, run_determinacy
+from hbd.feedbackless import check_deterministic
+from hbd.harness import (
+    StrategyRun,
+    equivalence_cells,
+    equivalence_matrix,
+    run_determinacy,
+    translate_all,
+)
 from hbd.io_diagrams import EquivConfig, IoDiagram, equivalence_samples
 from hbd.semantics import (
     BOT,
@@ -25,10 +33,12 @@ from hbd.symbolic import BOT as BOT_NODE
 from hbd.symbolic import Graph
 from hbd.terms import (
     Feedback,
+    Id,
     Parallel,
     Route,
     Serial,
     Split,
+    Switch,
     feedback_n,
     mk_atom,
     mk_feedback,
@@ -38,7 +48,7 @@ from hbd.terms import (
 from hbd.translator import Incremental, translate
 from hbd.types import Var
 
-from util import KINDS, expr_all_ops
+from util import KINDS, expr_all_ops, growing_tower
 
 R, I, B = KINDS
 STRICT = EvalConfig()
@@ -220,14 +230,20 @@ def test_kleene_iteration_from_bot_and_the_cap():
 
 
 def test_each_feedback_is_solved_once_per_input_nodes():
-    """The same Feedback object on the same input nodes is solved once; the
-    reference evaluator solves it each time."""
+    """The same Feedback object on the same input nodes is solved once per
+    graph, also for a later term; the reference evaluator solves it each
+    time."""
     fb = _loop(Ite(Ref("c"), Ref("u"), Ref("u")))
     term = Serial(Split((R, B)), Parallel(fb, fb))
     g = Graph()
+    symbols = (g.symbol(0), g.symbol(1))
     stats = EvalStats()
-    outs = g.outputs(term, (g.symbol(0), g.symbol(1)), stats)
+    outs = g.outputs(term, symbols, stats)
     assert outs[0] == outs[1] and stats.symbolic_runs == [(1, 2)]
+    assert g.outputs(fb, symbols, stats) == outs[:1] and stats.symbolic_runs == [(1, 2)]
+    # a later term that reuses an unsettled tower is undecided as well
+    loop = _loop(Ite(Ref("c"), Ref("u"), Ref("x")))
+    assert g.outputs(loop, symbols) is None and g.outputs(loop, symbols) is None
     ref = EvalStats()
     eval_term(term, (1.0, True), stats=ref)
     assert ref.feedback_runs == [(1, 2), (1, 2)]
@@ -326,8 +342,55 @@ def test_undecided_tower_is_sampled_with_the_sampling_verdict(monkeypatch, compi
 
 
 def test_each_output_graph_runs_once(compiled_runs, corpus_diagrams):
-    """Strategies with equal output graphs share one evaluation."""
+    """Strategies with equal output graphs form one graph class: every cell
+    is proved and nothing runs."""
     report = run_determinacy(corpus_diagrams[0][1], seeds=range(4), samples=30)
-    assert len(report.runs) >= 6 and len(compiled_runs) == 1
+    assert len(report.runs) >= 6 and compiled_runs == []
     assert len(report.stats.symbolic_runs) > len(report.stats.feedback_runs)
     assert all(cell.proved for row in report.matrix for cell in row)
+
+
+def test_each_sampled_graph_class_runs_once(compiled_runs, running_example):
+    """With one strategy's Route swapped there are two graph classes; the
+    sampled cells between them run each class exactly once."""
+    runs = translate_all(list(running_example), seeds=range(2))
+    d = runs[1].diagram
+    swapped = _replace_first(d.body, lambda s: isinstance(s, Route) and len(set(s.imap)) > 1, _swap_route)
+    runs[1] = StrategyRun("swapped", IoDiagram(d.inputs, d.outputs, swapped), 0.0)
+    report = equivalence_matrix(runs, EquivConfig(samples=30))
+    assert len(runs) == 5 and len(compiled_runs) == 2
+    for i, row in enumerate(report.matrix):
+        for j, cell in enumerate(row):
+            assert cell.proved == ((i == 1) == (j == 1))
+            assert bool(cell) == cell.proved  # the swap is found by sampling
+
+
+def test_equation_checks_share_the_oracle(compiled_runs, monkeypatch, running_example):
+    """``check_equation`` and ``check_deterministic`` run nothing on a cell
+    proved by equal graphs and exactly both sides on a sampled one; with no
+    graph decided they reach the same verdicts by sampling alone."""
+    t = (I,)
+    loop = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))  # undecided
+    equations = [
+        Equation(Split(t), mk_serial(Split(t), Switch(t, t))),  # law 7, proved
+        Equation(Switch(t, t), Id((I, I))),  # false: different graphs
+        Equation(loop, loop),  # true, but undecided
+    ]
+    loop_diagram = IoDiagram((Var("u", R), Var("c", B)), (Var("v", R),), loop)
+    checks = [lambda eq=eq: check_equation(eq, samples=40, seed=0) for eq in equations]
+    checks += [lambda d=d: check_deterministic(d) for d in (running_example[0], loop_diagram)]
+
+    def verdicts():
+        out = []
+        for check in checks:
+            before = len(compiled_runs)
+            out.append((check(), len(compiled_runs) - before))
+        return out
+
+    proved = verdicts()
+    assert [runs for _, runs in proved] == [0, 2, 2, 0, 2]
+    assert [bool(v) for v, _ in proved] == [False, True, False, True, True]
+    monkeypatch.setattr(hbd.harness, "Graph", _NoGraphs)
+    sampled = verdicts()
+    assert [v for v, _ in sampled] == [v for v, _ in proved]
+    assert [runs for _, runs in sampled] == [2] * 5
