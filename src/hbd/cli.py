@@ -134,6 +134,8 @@ def _read_csv(path: str, doc: DiagramDoc, steps):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError("empty csv") from None
+        if len(set(header)) != len(header):
+            raise SchemaError(f"csv header names an input twice: {header}")
         unknown = set(header) - set(types)
         missing = set(types) - set(header)
         if unknown or missing:

@@ -328,7 +328,8 @@ _JSON_NAMES = {
 
 def _record(raw, where: str, required: dict, optional: dict = {}) -> None:
     """``raw`` checked as a JSON object whose fields map to the given types:
-    no unknown field, no required one missing, each value of its type."""
+    no unknown field, no required one missing, each value of its type.  No
+    field is a bool, and a bool is no integer, though Python makes it one."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object, got {raw!r}")
     fields = {**required, **optional}
@@ -338,7 +339,7 @@ def _record(raw, where: str, required: dict, optional: dict = {}) -> None:
     if not set(required) <= set(raw):
         raise SchemaError(f"{where}: {', '.join(required)} are required")
     for key, value in raw.items():
-        if not isinstance(value, fields[key]):
+        if not isinstance(value, fields[key]) or isinstance(value, bool):
             raise SchemaError(f"{where}.{key} must be {_JSON_NAMES[fields[key]]}, got {value!r}")
 
 

@@ -8,8 +8,9 @@ sampled, and a graph class runs only when a sampled cell needs it.
 ``equivalence_cells`` aligns each io-diagram to the first by name with
 ``Route`` wiring; ``io_equiv`` is its two-diagram case.  A strategy whose
 translation fails fails its row and column with the reason.  So does an
-undecided strategy whose feedback finds no fixed point when it runs; a
-decided one runs as straight-line code and cannot diverge.
+undecided strategy whose feedback finds no fixed point when it runs on the
+reference evaluator, ``eval_term``; a decided one runs as straight-line code
+and cannot diverge.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def term_cells(
     two equal decided output graphs is proved, and neither term runs.  Every
     other cell is sampled on the rows of ``sample()``, which is called at
     most once: each graph class runs once, and each undecided term on its
-    own.  A string entry, or an undecided term that finds no fixed point,
-    fails its whole row and column with that reason.
+    own, on the reference evaluator.  A string entry, or an undecided term
+    that finds no fixed point, fails its whole row and column with that
+    reason.
     """
     graph = Graph(cfg)
     typed = next((t for t in terms if not isinstance(t, str)), None)
@@ -163,7 +165,7 @@ def term_cells(
                 rows = sample()
             try:
                 ran[key] = compile_term(terms[i], cfg).run(rows, stats=stats, validate=False)
-            except FixpointDivergence as exc:  # only a loop node iterates: dags[i] is None
+            except FixpointDivergence as exc:  # only eval_term iterates: dags[i] is None
                 ran[key] = f"fixpoint divergence: {exc}"
         return ran[key]
 

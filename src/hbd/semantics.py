@@ -94,9 +94,10 @@ DEFAULT_CONFIG = EvalConfig()
 @dataclass
 class EvalStats:
     """Fixpoint census: (tower width, Kleene iterations) pairs, one per tower
-    iterated at run time, by ``eval_term`` or inside ``Compiled.run``
-    (``feedback_runs``), and one per tower the symbolic evaluator solved
-    (``symbolic_runs``)."""
+    ``eval_term`` iterated on values (``feedback_runs``), also when it runs
+    the rows of an undecided term inside ``Compiled.run``, and one per tower
+    the symbolic evaluator solved (``symbolic_runs``).  A decided term's
+    compiled rows record nothing."""
 
     feedback_runs: list = field(default_factory=list)
     symbolic_runs: list = field(default_factory=list)
@@ -309,7 +310,9 @@ def kleene(body, n: int, cap: int, stats: Optional[EvalStats] = None):
     """Joint Kleene iteration of a tower ``n`` wires wide: ``body`` maps the
     fed-back values to the body's outputs, and the iteration starts from bot.
     Returns the outputs after the fed-back ones once these settle, and
-    records (n, iterations) in ``stats.feedback_runs``."""
+    records (n, iterations) in ``stats.feedback_runs``.  ``eval_term`` runs
+    it, also for each row of an undecided compiled term; a decided compiled
+    term has no fixpoint left to run."""
     xs = (BOT,) * n
     iters = 0
     while True:

@@ -15,17 +15,16 @@ output nodes compute the same function on every input: the proof step of
 ``harness.term_cells``, the one oracle.  (The concrete
 settle test reads 0.0 == -0.0 and may stop a tower an iteration earlier;
 that changes at most the sign of a zero, which ``values_close`` ignores.)
-A tower that has not settled within the concrete cap,
-``max_fix_iters + n - 1``, becomes one opaque loop node over its input
-nodes.  Such a term is undecided: ``outputs`` returns None and the caller
-samples instead.  A tower that settles here settles in the concrete
-evaluators within the same cap, because their fixpoint tests read NaN as
-equal to NaN.
+A term decides or declines: at the first tower that has not settled within
+the concrete cap, ``max_fix_iters + n - 1``, ``outputs`` returns None.  Such
+a term is undecided; the harness samples it, and ``hbd.compiled`` runs it on
+``eval_term``.  There are no loop nodes.  A tower that settles here settles
+in the concrete evaluators within the same cap, because their fixpoint tests
+read NaN as equal to NaN.
 
-``Graph.function`` emits the nodes that a term's outputs reach as one
-Python function with one assignment per node, each the scalar rule of its
-operation written inline; ``hbd.compiled`` runs it and supplies the Kleene
-iteration of each loop node.
+``Graph.function`` emits the nodes that a decided term's outputs reach as
+one Python function with one assignment per node, each the scalar rule of
+its operation written inline.
 """
 
 from __future__ import annotations
@@ -66,14 +65,11 @@ def _name(node: int) -> str:
 
 
 def _operands(key: tuple) -> tuple:
-    tag = key[0]
-    if tag in ("bot", "in", "lit"):
-        return ()
-    if tag == "loop":
-        return key[2:]
-    if tag == "out":
-        return key[1:2]
-    return key[1:]
+    return () if key[0] in ("bot", "in", "lit") else key[1:]
+
+
+class _Unsettled(Exception):
+    """A feedback tower has not settled within the cap: the term is undecided."""
 
 
 class Graph:
@@ -82,11 +78,12 @@ class Graph:
     ``keys[n]`` is node ``n``'s key: ``("bot",)``, ``("in", i)`` for input
     symbol ``i``, ``("lit", type, repr, value)`` for a literal,
     ``(op, *operand nodes)`` with ``op`` one of ``neg not + - * / // min max
-    < <= == and or ite`` (``//`` is division of Ints, which floors),
-    ``("loop", k, *input nodes)`` for the unsettled tower ``towers[k]`` and
-    ``("out", loop node, i)`` for its output ``i``.  The multiply rule
-    follows ``cfg.strict_multiply``.  A feedback tower is solved once per
-    tuple of input nodes, however many of the terms evaluated here hold it.
+    < <= == and or ite`` (``//`` is division of Ints, which floors).
+    There is no node of an unsettled tower: the term holding it is
+    undecided.  The multiply rule follows ``cfg.strict_multiply``.  A
+    feedback tower is solved once per tuple of input nodes, however many of
+    the terms evaluated here hold it, and a tower that has not settled
+    leaves undecided every term that reaches it on those nodes.
     """
 
     def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -94,10 +91,7 @@ class Graph:
         self.keys = [("bot",)]
         self._ids = {("bot",): BOT}
         self._bodies = {}  # id(ExprFun) -> (the function, its bodies as op trees)
-        self.towers = []  # the Feedback term of each loop node's tower
-        self._tower_ids = {}  # id(Feedback) -> its index in towers
-        self.unsettled = 0  # tower evaluations that became loop nodes
-        # (id(Feedback), input nodes) -> (it, its output nodes, unsettled towers in it)
+        # (id(Feedback), input nodes) -> (it, its output nodes or None if unsettled)
         self._solved = {}
 
     def node(self, key: tuple) -> int:
@@ -137,27 +131,23 @@ class Graph:
         return self.node((op,) + args)
 
     def outputs(self, term: Term, inputs, stats: Optional[EvalStats] = None):
-        """The output nodes of ``term`` given its input nodes, or None when a
-        feedback tower has not settled within the cap.  Each tower solved is
-        recorded in ``stats.symbolic_runs`` as (width, Kleene iterations)."""
-        unsettled = self.unsettled
-        nodes = self.evaluate(term, inputs, stats)
-        return None if self.unsettled > unsettled else nodes
+        """The output nodes of ``term`` given its input nodes, or None at the
+        first feedback tower that has not settled within the cap.  Each tower
+        solved is recorded in ``stats.symbolic_runs`` as (width, Kleene
+        iterations)."""
+        try:
+            return self._ev(term, tuple(inputs), stats)
+        except _Unsettled:
+            return None
 
-    def evaluate(self, term: Term, inputs, stats: Optional[EvalStats] = None):
-        """The output nodes of ``term`` given its input nodes, where a tower
-        that has not settled within the cap is a loop node."""
-        return self._ev(term, tuple(inputs), stats)
-
-    def function(self, inputs, outputs, loop):
+    def function(self, inputs, outputs):
         """(``row``, its source): the nodes ``outputs`` as one Python function
         ``row(stats, *values of inputs)`` returning their tuple of values.
 
         Each node that ``outputs`` reach is one assignment, in node order, so
         its operands come first.  A literal is a global bound to its value.
-        The loop node of ``towers[k]`` calls ``loop(width, body)``, given
-        the tower's width and body, as ``L{k}(stats, *input values)``: it
-        returns the tower's outputs."""
+        ``stats`` is unused, as no fixpoint is left to run; it keeps the one
+        row signature of ``hbd.compiled``."""
         keys = self.keys
         live, todo = set(outputs), list(outputs)
         while todo:
@@ -169,16 +159,9 @@ class Graph:
         lines = ["def row(stats" + "".join(f", v{n}" for n in inputs) + "):"]
         for n in sorted(live):
             key = keys[n]
-            tag = key[0]
-            if tag == "lit":
+            if key[0] == "lit":
                 env[f"v{n}"] = key[3]
-            elif tag == "loop":
-                env[f"L{key[1]}"] = loop(*_collect_tower(self.towers[key[1]]))
-                args = "".join(f", {_name(m)}" for m in key[2:])
-                lines.append(f"    v{n} = L{key[1]}(stats{args})")
-            elif tag == "out":
-                lines.append(f"    v{n} = v{key[1]}[{key[2]}]")
-            elif tag not in ("bot", "in"):
+            elif key[0] not in ("bot", "in"):
                 lines.append(f"    v{n} = {self._code(key)}")
         lines.append("    return (" + "".join(f"{_name(n)}, " for n in outputs) + ")")
         text = "\n".join(lines) + "\n"
@@ -267,11 +250,13 @@ class Graph:
             key = (id(term), vals)
             got = self._solved.get(key)
             if got is None:  # the entry keeps term alive, so its id stays unique
-                unsettled = self.unsettled
-                out = self._tower(term, vals, stats)
-                got = self._solved[key] = (term, out, self.unsettled - unsettled)
-            else:  # a term that reuses an unsettled tower is undecided too
-                self.unsettled += got[2]
+                try:
+                    out = self._tower(term, vals, stats)
+                except _Unsettled:
+                    out = None
+                got = self._solved[key] = (term, out)
+            if got[1] is None:  # a term that reuses an unsettled tower is undecided too
+                raise _Unsettled
             return got[1]
         raise TypeMismatchError(f"not a term: {term!r}")
 
@@ -286,18 +271,8 @@ class Graph:
             if out[:n] == xs:
                 break
             if iters >= cap:
-                return self._loop(term, vals, len(out) - n)
+                raise _Unsettled
             xs = out[:n]
         if stats is not None:
             stats.symbolic_runs.append((n, iters))
         return out[n:]
-
-    def _loop(self, term, vals, width):
-        """The output nodes of the loop node of tower ``term`` on ``vals``."""
-        self.unsettled += 1
-        k = self._tower_ids.get(id(term))
-        if k is None:  # towers keeps term alive, so its id stays unique
-            k = self._tower_ids[id(term)] = len(self.towers)
-            self.towers.append(term)
-        loop = self.node(("loop", k) + vals)
-        return tuple(self.node(("out", loop, i)) for i in range(width))

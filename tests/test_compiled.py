@@ -1,7 +1,7 @@
 """The compiled row functions: one-atom terms, whose row function is the
 atom's kernel, against the reference expression evaluator; deep
-expressions; loop nodes and their census; and the pure-Python dependency
-set."""
+expressions; undecided terms, which run on the reference evaluator, and
+their census; and the pure-Python dependency set."""
 
 import math
 import os
@@ -21,7 +21,7 @@ from hbd.terms import mk_atom
 from hbd.translator import FeedbackParallel, Incremental
 from hbd.types import BaseType, Var
 
-from util import VALUES as _VALUES, expr_all_ops as _expr, growing_tower
+from util import VALUES as _VALUES, decided, expr_all_ops as _expr, growing_tower
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 INF = float("inf")
@@ -151,32 +151,38 @@ def test_deep_expression_compiles():
     assert _kernel(fn).run_one((0,)) == (150,)
 
 
-def test_unsettled_tower_is_a_loop_node():
+def test_undecided_term_runs_on_eval_term():
     """x = ite(c, u, x) grows one node per iteration, so its graph never
-    settles: the tower is one loop node whose body is compiled on its own,
-    and its Kleene iteration at run time records what eval_term records."""
+    settles: the term is undecided, and each compiled row is eval_term's,
+    value by value, with the same fixpoint census row by row."""
     loop = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
+    assert not decided(loop)
     compiled = compile_term(loop)
-    assert len(compiled.loops) == 1 and compiled.loops[0].loops == ()
-    assert compiled.source.count(" = L0(stats, ") == 1
-    rows = sample_inputs(loop.in_types, 60, seed=3)
-    got, want = EvalStats(), EvalStats()
-    assert compiled.run(rows, got) == [eval_term(loop, row, stats=want) for row in rows]
-    assert got.feedback_runs == want.feedback_runs
-    assert set(got.feedback_runs) == {(1, 1), (1, 2)}
-    assert got.symbolic_runs == []
+    assert compiled.source is None
+    census = set()
+    for row in sample_inputs(loop.in_types, 60, seed=3):
+        got, want = EvalStats(), EvalStats()
+        (out,) = compiled.run([row], got)
+        assert all(map(_same, out, eval_term(loop, row, stats=want)))
+        assert got.feedback_runs == want.feedback_runs and got.symbolic_runs == []
+        census.update(got.feedback_runs)
+    assert census == {(1, 1), (1, 2)}
 
 
-def test_simulated_terms_have_no_loop_node(corpus_docs):
+def test_simulated_terms_are_decided(corpus_docs):
     """Every tower of the 84 terms `hbd simulate` runs on the corpus (each
     document with a UnitDelay, under fbpar, incr and fbless) settles as a
-    graph, so no Kleene iteration is left to run time."""
+    graph: each term is decided and runs as straight-line code, none on the
+    reference evaluator."""
     docs = [d for d in corpus_docs if any(b.kind == "UnitDelay" for b in d.blocks)]
     assert len(docs) == 28
+    terms = 0
     for doc in docs:
         for method in (FeedbackParallel(), Incremental(), FbLess()):
             body = flatten_or_recurse(doc, "flatten", method).diagram.body
-            assert compile_term(body).loops == (), (doc.name, method)
+            assert decided(body), (doc.name, method)
+            terms += 1
+    assert terms == 84
 
 
 def test_import_hbd_leaves_numpy_out():

@@ -58,8 +58,9 @@ class TestParse:
             parse_doc(json.dumps(_doc(blocks=[{"id": "G", "kind": "Gain", "x": 1}])))
 
     def test_version_required(self):
-        with pytest.raises(SchemaError):
-            parse_doc(json.dumps(_doc(version=2)))
+        for version in (2, True):  # true is no integer, though True == 1
+            with pytest.raises(SchemaError):
+                parse_doc(json.dumps(_doc(version=version)))
 
     def test_two_sources_for_one_port(self):
         doc = _doc(

@@ -81,9 +81,10 @@ def test_nan_loop_cells_are_proved():
 
 
 def test_divergent_strategy_is_a_fail_cell(monkeypatch):
-    """x = ite(c, u, -x) never settles as a graph, so every strategy runs it
-    as a loop node, and with a non-monotone ``neg`` each finds no fixed
-    point: every cell fails with the reason, and each pair is listed once."""
+    """x = ite(c, u, -x) never settles as a graph, so every strategy runs
+    on the reference evaluator, and with a non-monotone ``neg`` each finds no
+    fixed point: every cell fails with the reason, and each pair is listed
+    once."""
     non_monotone_neg(monkeypatch)
     x, u, c, y = Var("x", R), Var("u", R), Var("c", BaseType.BOOL), Var("y", R)
     fn = ExprFun((x, u, c), (Ite(Ref("c"), Ref("u"), Un("neg", Ref("x"))), Ref("x")))

@@ -40,7 +40,7 @@ from hbd.terms import (
 )
 from hbd.types import BaseType, Var
 
-from util import growing_tower, non_monotone_neg
+from util import decided, growing_tower, non_monotone_neg
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -184,12 +184,12 @@ def test_nonstrict_multiply_feedback_converges_in_two():
 
 
 def test_fixpoint_divergence_guard(monkeypatch):
-    """A loop node whose body is not monotone finds no fixed point within
-    the cap and says so; where the body settles, the same term runs."""
+    """An undecided term whose tower is not monotone finds no fixed point
+    within the cap and says so; where the body settles, the same term runs."""
     non_monotone_neg(monkeypatch)
     loop = growing_tower(Ite(Ref("c"), Ref("u"), Un("neg", Ref("x"))))
+    assert not decided(loop)
     compiled = compile_term(loop, EvalConfig(max_fix_iters=8))
-    assert len(compiled.loops) == 1
     stats = EvalStats()
     assert compiled.run([(1.0, True)], stats) == [(2.0,)]
     assert stats.feedback_runs == [(1, 2)]
@@ -201,8 +201,8 @@ def test_nan_feedback_settles_to_nan():
     """x = u*inf - u*inf feeds a fresh NaN back on every iteration.  NaN
     equals NaN in the fixpoint tests, which try it once plain == has failed
     up to the cap, so both reference loops settle there on NaN.  As a graph
-    the tower settles after two iterations, at compile time: the compiled
-    term holds no loop node and records no run-time fixpoint."""
+    the tower settles after two iterations, at compile time: the term is
+    decided and records no run-time fixpoint."""
     nan = Bin("-", Bin("*", Ref("u"), Lit(float("inf"))), Bin("*", Ref("u"), Lit(float("inf"))))
     loop = mk_feedback(
         mk_atom("F", ExprFun((Var("x", R), Var("u", R)), (nan, Ref("x"))))
@@ -212,8 +212,8 @@ def test_nan_feedback_settles_to_nan():
         (out,) = eval_term(loop, (1.0,), cfg, stats)
         assert math.isnan(out)
         assert stats.feedback_runs == [(1, 8)]
+    assert decided(loop)
     compiled = compile_term(loop)
-    assert compiled.loops == ()
     stats = EvalStats()
     ((out,),) = compiled.run([(1.0,)], stats=stats)
     assert math.isnan(out)
@@ -269,10 +269,10 @@ def _nested_growing(rng, depth):
 
 def test_compiled_census_matches_reference():
     """Compiled.run records a tower only where it iterates at run time, one
-    entry per row.  A term whose towers all settle as graphs records
-    nothing; towers that never settle as graphs, nested, record row by row
-    the same fixpoints in the same order, with the same iteration counts, as
-    the reference."""
+    entry per row.  A decided term, whose towers all settle as graphs,
+    records nothing; an undecided one, with towers that never settle as
+    graphs, nested, runs on the reference evaluator and records row by row
+    the same fixpoints in the same order, with the same iteration counts."""
     rng = random.Random(29)
     checked = undecided = 0
     while checked < 80:
@@ -280,11 +280,11 @@ def test_compiled_census_matches_reference():
         bodies = _feedback_bodies(t)
         if not bodies or not all(any(isinstance(s, Atom) for s in iter_subterms(b)) for b in bodies):
             continue
-        compiled = compile_term(t)
-        if compiled.loops:
+        if not decided(t):
             undecided += 1
             assert undecided <= 3
             continue
+        compiled = compile_term(t)
         for row in sample_inputs(t.in_types, 5, seed=checked):
             want, got = EvalStats(), EvalStats()
             assert compiled.run([row], got) == [eval_term(t, row, stats=want)]
@@ -292,15 +292,11 @@ def test_compiled_census_matches_reference():
         checked += 1
     for depth in range(4):
         t = _nested_growing(rng, depth)
+        assert not decided(t)
         compiled = compile_term(t)
         rows = sample_inputs(t.in_types, 40, seed=depth)
         got, want = EvalStats(), EvalStats()
         assert compiled.run(rows, got) == [eval_term(t, row, stats=want) for row in rows]
-        nesting, c = 0, compiled
-        while c.loops:
-            (c,) = c.loops
-            nesting += 1
-        assert nesting == depth + 1
         assert got.feedback_runs == want.feedback_runs
         assert len(got.feedback_runs) >= 40 * (depth + 1)
         assert {width for width, _ in got.feedback_runs} == {1}

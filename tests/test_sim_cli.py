@@ -13,14 +13,16 @@ import pytest
 
 from hbd import cli
 from hbd.cli import main
-from hbd.frontend import flatten_or_recurse, normalize
+from hbd.frontend import flatten_or_recurse, normalize, parse_doc
 from hbd.gen import loop_diagram, random_diagram
 from hbd.semantics import BOT
 from hbd.sim import simulate_direct, simulate_translated, traces_match
 from hbd.terms import print_term, rewrite_basic
 from hbd.types import BaseType
-from hbd.translator import FeedbackParallel, Incremental
+from hbd.translator import FeedbackParallel, Incremental, RandomChoices
 from hbd.frontend import FbLess
+
+from util import decided
 
 
 def test_summation_trace(sum_doc):
@@ -60,9 +62,11 @@ def test_translated_matches_direct_interpreter(sum_doc):
 def test_hundred_block_fbpar_translates_and_simulates():
     """At 100 blocks the fbpar term used to exceed the recursion limit in
     rewrite_basic/print_term; with one node per switch it translates, prints
-    and simulates like the direct interpreter."""
+    and simulates like the direct interpreter.  Its term is decided, so it
+    simulates as straight-line code."""
     doc = random_diagram(7, 100, 100)
     result = flatten_or_recurse(doc, "flatten", FeedbackParallel())
+    assert decided(result.diagram.body)
     text = print_term(rewrite_basic(result.diagram.body))
     assert text.startswith("(")
     value = {BaseType.BOOL: lambda k: k % 2 == 0, BaseType.INT: int, BaseType.REAL: float}
@@ -115,6 +119,42 @@ def test_algebraic_loop_yields_unknowns_consistently():
     direct = simulate_direct(normalize(doc), rows)
     assert translated.column("y") == [BOT, BOT]
     assert traces_match(translated, direct)
+
+
+LATCH = {
+    "version": 1,
+    "name": "latch",
+    "inputs": [
+        {"name": "c", "type": "Bool", "to": "S.c"},
+        {"name": "u", "type": "Real", "to": "S.t"},
+    ],
+    "outputs": [{"name": "y", "type": "Real", "from": "S.out"}],
+    "blocks": [{"id": "S", "kind": "SwitchBlk"}],
+    "wires": [{"from": "S.out", "to": "S.e"}],
+}
+
+
+def test_undecided_latch_is_checked_and_simulated(tmp_path, capsys):
+    """A switch whose output feeds its own else input passes u while c is
+    true and is unknown otherwise.  Its tower grows one graph node per
+    iteration, so every translation is undecided: `hbd check` samples every
+    pair, with no fbless column since the latch is an algebraic loop, and
+    each strategy simulates like the direct interpreter."""
+    path = tmp_path / "latch.hbd.json"
+    path.write_text(json.dumps(LATCH))
+    assert main(["check", str(path), "--seeds", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "pairs: 0 proved (equal output graphs), 15 sampled, 0 failed" in out
+    assert "fbless" not in out
+    doc = parse_doc(json.dumps(LATCH))
+    rows = [{"c": c, "u": float(k)} for k, c in enumerate((True, False, True, False, False))]
+    direct = simulate_direct(doc, rows)
+    assert direct.column("y") == [0.0, BOT, 2.0, BOT, BOT]
+    for method in (FeedbackParallel(), Incremental(), RandomChoices(0)):
+        result = flatten_or_recurse(doc, "flatten", method)
+        assert not decided(result.diagram.body), method
+        translated = simulate_translated(result.diagram, result.state_table, rows)
+        assert translated.column("y") == direct.column("y"), method
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -242,8 +282,11 @@ def test_cli_simulate_with_bot_token(sum_path, tmp_path, capsys):
 
 def test_cli_simulate_csv_mismatch_exit_2(sum_path, tmp_path, capsys):
     csv_path = tmp_path / "inputs.csv"
-    csv_path.write_text("wrong\n1\n")
-    assert main(["simulate", sum_path, "--inputs", str(csv_path)]) == 2
+    # an unknown column; u twice, where one column would silently win
+    for text in ("wrong\n1\n", "u,u\n1,2\n3,4\n"):
+        csv_path.write_text(text)
+        assert main(["simulate", sum_path, "--inputs", str(csv_path)]) == 2, text
+        assert "csv header" in capsys.readouterr().err
 
 
 def test_cli_simulate_non_finite_cell_exit_2(sum_path, tmp_path, capsys):

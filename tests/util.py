@@ -2,6 +2,7 @@
 
 import random
 
+from hbd import semantics
 from hbd.axioms import _random_expr
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.io_diagrams import IoDiagram, switch_vars
@@ -54,25 +55,27 @@ def expr_all_ops(rng: random.Random, params, want, depth):
 def growing_tower(x_body):
     """The tower x = x_body around [x, u, c -> x_body, x * 2.0]; with
     x_body = ite(c, u, x) its graph grows one node per iteration and never
-    settles, so it compiles to a loop node."""
+    settles, so the term is undecided and runs on ``eval_term``."""
     params = (Var("x", R), Var("u", R), Var("c", B))
     y = Bin("*", Ref("x"), Lit(2.0))
     return mk_feedback(mk_atom("F", ExprFun(params, (x_body, y))))
 
 
+def decided(term) -> bool:
+    """Whether every feedback tower of ``term`` settles as a graph, so that
+    ``compile_term`` makes it straight-line code rather than ``eval_term``."""
+    graph = Graph()
+    symbols = [graph.symbol(i) for i in range(len(term.in_types))]
+    return graph.outputs(term, symbols) is not None
+
+
 def non_monotone_neg(monkeypatch):
     """The expression language cannot express a non-monotone atom, so the
-    compiled code of ``neg`` becomes x -> 0.0 on bot and x + 1.0 otherwise,
-    which never settles in a loop node."""
-    code = Graph._code
-
-    def flip(graph, key):
-        if key[0] != "neg":
-            return code(graph, key)
-        x = f"v{key[1]}"
-        return f"0.0 if {x} is BOT else {x} + 1.0"
-
-    monkeypatch.setattr(Graph, "_code", flip)
+    reference evaluator's ``neg`` becomes x -> 0.0 on bot and x + 1.0
+    otherwise, which never settles in an undecided term."""
+    monkeypatch.setattr(
+        semantics, "op_neg", lambda x: 0.0 if x is semantics.BOT else x + 1.0
+    )
 
 
 def random_io_list(rng: random.Random, n: int, names: int = 8, real_only=False):
