@@ -7,10 +7,11 @@ assignment per node, each the scalar rule of ``semantics`` written inline.
 Wiring (identity, split, sink, switch, route, and their compositions) leaves
 no trace in that function, and neither do the towers, so it records nothing
 in the census and cannot diverge.  An undecided term, one with a tower that
-has not settled within the cap, runs each row on ``semantics.eval_term``,
-the reference evaluator, with its cap, settle test, census and
-``fixpoint_divergence`` message.  So ``EvalStats.feedback_runs`` counts
-exactly the towers ``eval_term`` iterated on values.
+has not settled within the cap, runs each row on the reference evaluator
+(``semantics.row_evaluator``, ``eval_term`` without its input check), with
+its cap, settle test, census and ``fixpoint_divergence`` message.  So
+``EvalStats.feedback_runs`` counts exactly the towers the reference
+evaluator iterated on values.
 
 Results equal those of ``eval_term``, except that a tower the reference
 stops an iteration early on ``0.0 == -0.0`` may give a zero of the other
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats, check_kinds, eval_term
+from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats, check_kinds, row_evaluator
 from .symbolic import Graph
 from .terms import Term
 
@@ -31,7 +32,7 @@ from .terms import Term
 @dataclass
 class Compiled:
     row: Callable  # row(stats, *input values) -> output values
-    source: Optional[str]  # the Python text of ``row``; None when it runs eval_term
+    source: Optional[str]  # the Python text of ``row``; None when it runs row_evaluator
     in_types: tuple
     out_types: tuple
 
@@ -54,7 +55,7 @@ def compile_term(term: Term, cfg: EvalConfig = DEFAULT_CONFIG) -> Compiled:
     inputs = [graph.symbol(i) for i in range(len(term.in_types))]
     outputs = graph.outputs(term, inputs)
     if outputs is None:  # undecided: the reference evaluator runs each row
-        row, source = (lambda stats, *values: eval_term(term, values, cfg, stats)), None
+        row, source = row_evaluator(term, cfg), None
     else:
         row, source = graph.function(inputs, outputs)
     return Compiled(row, source, term.in_types, term.out_types)

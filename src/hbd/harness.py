@@ -31,6 +31,7 @@ from .io_diagrams import (
     EquivConfig,
     EquivResult,
     IoDiagram,
+    chain,
     differences,
     equivalence_samples,
     is_perm,
@@ -38,7 +39,7 @@ from .io_diagrams import (
 )
 from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats
 from .symbolic import Graph
-from .terms import mk_serial, print_term, term_size
+from .terms import print_term, term_size
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
 from .types import types_of
 
@@ -198,9 +199,7 @@ def _aligned(d, ref_ins, ref_outs, ref_ty):
     for v in d.inputs + d.outputs:
         if ref_ty[v.name] is not v.ty:
             return f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}"
-    return mk_serial(
-        switch_vars(ref_ins, d.inputs), mk_serial(d.body, switch_vars(d.outputs, ref_outs))
-    )
+    return chain(switch_vars(ref_ins, d.inputs), d.body, switch_vars(d.outputs, ref_outs))
 
 
 def equivalence_cells(

@@ -4,7 +4,12 @@ An io-diagram is a triple (input variables, output variables, term); the
 variable lists are duplicate-free and type-consistent with the term.  The
 named compositions connect matching variable names via general switches,
 one ``Route`` node each, which route, duplicate, discard and (for absent
-names) invent unknown values.
+names) invent unknown values.  They emit no identity plumbing: a switch
+that is the identity is left out of its serial chain (``chain``), an
+``Id(())`` unit out of its parallel pair (``beside``), and ``FB`` over no
+common name is its argument.  So a term of the translation loop
+(``hbd.translator``) already has the size ``terms.rewrite_basic`` gives it.
+Interfaces are compared by name, as strings.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ VarList = tuple  # tuple[Var, ...]
 
 def inter(x, y) -> VarList:
     """Common elements, in the order they occur in x."""
-    ys = set(y)
-    return tuple(v for v in x if v in ys)
+    ys = {v.name for v in y}
+    return tuple(v for v in x if v.name in ys)
 
 
 def minus(x, y) -> VarList:
     """Elements of x not occurring in y."""
-    ys = set(y)
-    return tuple(v for v in x if v not in ys)
+    ys = {v.name for v in y}
+    return tuple(v for v in x if v.name not in ys)
 
 
 def union_ord(x, y) -> VarList:
@@ -54,13 +59,17 @@ def is_perm(x, y) -> bool:
         return False
     counts: dict = {}
     for v in x:
-        counts[v] = counts.get(v, 0) + 1
+        counts[v.name] = counts.get(v.name, 0) + 1
     for v in y:
-        c = counts.get(v, 0)
+        c = counts.get(v.name, 0)
         if c == 0:
             return False
-        counts[v] = c - 1
+        counts[v.name] = c - 1
     return True
+
+
+def _distinct(xs) -> bool:
+    return len({v.name for v in xs}) == len(xs)
 
 
 @dataclass(frozen=True)
@@ -70,9 +79,9 @@ class IoDiagram:
     body: Term
 
     def __post_init__(self):
-        if len(set(self.inputs)) != len(self.inputs):
+        if not _distinct(self.inputs):
             raise TypeMismatchError(f"duplicate input names: {self.inputs}")
-        if len(set(self.outputs)) != len(self.outputs):
+        if not _distinct(self.outputs):
             raise TypeMismatchError(f"duplicate output names: {self.outputs}")
         tin, tout = self.body.typing
         if tin != types_of(self.inputs) or tout != types_of(self.outputs):
@@ -111,11 +120,30 @@ def switch_vars(x, y) -> Term:
         return Sink(types_of(x))
     first: dict = {}
     for i, v in enumerate(x):
-        first.setdefault(v, i)
-    return Route(types_of(x), types_of(y), tuple(first.get(v) for v in y))
+        first.setdefault(v.name, i)
+    return Route(types_of(x), types_of(y), tuple(first.get(v.name) for v in y))
 
 
 # -- named compositions -------------------------------------------------------
+
+def chain(*parts: Term) -> Term:
+    """``parts`` in series, right-nested, without the identities among them;
+    the first part stands alone when every part is one."""
+    kept = [p for p in parts if not isinstance(p, Id)] or parts[:1]
+    body = kept[-1]
+    for p in reversed(kept[:-1]):
+        body = mk_serial(p, body)
+    return body
+
+
+def beside(left: Term, right: Term) -> Term:
+    """``left`` and ``right`` in parallel, without an ``Id(())`` unit."""
+    if isinstance(left, Id) and not left.t:
+        return right
+    if isinstance(right, Id) and not right.t:
+        return left
+    return mk_parallel(left, right)
+
 
 def named_serial(a: IoDiagram, b: IoDiagram) -> IoDiagram:
     """Connect a's outputs to b's same-named inputs in series."""
@@ -130,15 +158,11 @@ def named_serial(a: IoDiagram, b: IoDiagram) -> IoDiagram:
     y = minus(a.outputs, v)
     ins = union_ord(a.inputs, x)
     outs = y + b.outputs
-    body = mk_serial(
+    body = chain(
         switch_vars(ins, a.inputs + x),
-        mk_serial(
-            mk_parallel(a.body, switch_vars(x, x)),
-            mk_serial(
-                switch_vars(a.outputs + x, y + b.inputs),
-                mk_parallel(switch_vars(y, y), b.body),
-            ),
-        ),
+        beside(a.body, switch_vars(x, x)),
+        switch_vars(a.outputs + x, y + b.inputs),
+        beside(switch_vars(y, y), b.body),
     )
     return IoDiagram(ins, outs, body)
 
@@ -150,9 +174,7 @@ def named_parallel(a: IoDiagram, b: IoDiagram) -> IoDiagram:
         names = ",".join(w.name for w in clash)
         raise CompositionError(f"parallel composition output clash: {names}")
     ins = union_ord(a.inputs, b.inputs)
-    body = mk_serial(
-        switch_vars(ins, a.inputs + b.inputs), mk_parallel(a.body, b.body)
-    )
+    body = chain(switch_vars(ins, a.inputs + b.inputs), beside(a.body, b.body))
     return IoDiagram(ins, a.outputs + b.outputs, body)
 
 
@@ -161,14 +183,14 @@ def fold_parallel(ds) -> IoDiagram:
 
 
 def named_feedback(a: IoDiagram) -> IoDiagram:
-    """Connect all of a's same-named outputs and inputs in feedback."""
+    """Connect all of a's same-named outputs and inputs in feedback; ``a``
+    itself when they have no name in common."""
     v = inter(a.outputs, a.inputs)
+    if not v:
+        return a
     ins = minus(a.inputs, v)
     outs = minus(a.outputs, v)
-    body = mk_serial(
-        switch_vars(v + ins, a.inputs),
-        mk_serial(a.body, switch_vars(a.outputs, v + outs)),
-    )
+    body = chain(switch_vars(v + ins, a.inputs), a.body, switch_vars(a.outputs, v + outs))
     for w in v:
         body = mk_feedback(body)
     return IoDiagram(ins, outs, body)

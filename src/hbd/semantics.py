@@ -252,8 +252,14 @@ def eval_term(
 ):
     """Reference evaluator; input kinds must match the term's input types."""
     check_kinds(inputs, term.in_types, "input")
+    return row_evaluator(term, cfg)(stats, *inputs)
+
+
+def row_evaluator(term: Term, cfg: EvalConfig = DEFAULT_CONFIG):
+    """``eval_term`` of ``term`` as ``row(stats, *input values)``, for many
+    rows: the operator table is built once, and input kinds go unchecked."""
     binops = binop_table(cfg)
-    return _ev(term, tuple(inputs), cfg, binops, stats)
+    return lambda stats, *values: _ev(term, values, cfg, binops, stats)
 
 
 def _ev(term, vals, cfg, binops, stats):

@@ -17,18 +17,36 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ParseError, TypeMismatchError
 from .exprs import ExprFun
 from .types import BaseType, EPSILON, TypeList, base_type, fmt_types
 
-# Translations are deep: at random_diagram(7, 200, 200) the un-rewritten incr
-# term is 2,013 nodes deep and the fbpar term 860.  Typing, printing,
-# rewriting, compiling and evaluating all recurse, so the default limit of
-# 1,000 is too tight.
+# Translations are deep: the incr term of random_diagram(7, n, n) is 410 nodes
+# deep at n = 200 and 978 at n = 500, the fbpar term 571 and 1,405.  Typing,
+# printing, rewriting, compiling and evaluating all recurse, so the default
+# limit of 1,000 is too tight.
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
+
+
+class _once:
+    """``cached_property`` without its lock (as in Python 3.12): a term's
+    typing is computed on first access, where any type error is raised, and
+    then read from the instance dict.  A racing second computation would
+    give the same typing."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, term, owner=None):
+        if term is None:
+            return self
+        value = term.__dict__[self.name] = self.fn(term)
+        return value
 
 
 class Term:
@@ -51,7 +69,7 @@ class Term:
 class Id(Term):
     t: TypeList
 
-    @cached_property
+    @_once
     def typing(self):
         return (self.t, self.t)
 
@@ -63,7 +81,7 @@ class Id(Term):
 class Split(Term):
     t: TypeList
 
-    @cached_property
+    @_once
     def typing(self):
         return (self.t, self.t + self.t)
 
@@ -75,7 +93,7 @@ class Split(Term):
 class Sink(Term):
     t: TypeList
 
-    @cached_property
+    @_once
     def typing(self):
         return (self.t, EPSILON)
 
@@ -88,7 +106,7 @@ class Switch(Term):
     t: TypeList
     t2: TypeList
 
-    @cached_property
+    @_once
     def typing(self):
         return (self.t + self.t2, self.t2 + self.t)
 
@@ -105,7 +123,7 @@ class Route(Term):
     t2: TypeList
     imap: tuple  # tuple[int | None, ...], one entry per output
 
-    @cached_property
+    @_once
     def typing(self):
         if len(self.imap) != len(self.t2):
             raise TypeMismatchError(
@@ -126,7 +144,7 @@ class Atom(Term):
     name: str
     fn: ExprFun
 
-    @cached_property
+    @_once
     def typing(self):
         return (self.fn.in_kinds, self.fn.out_kinds)
 
@@ -139,7 +157,7 @@ class Serial(Term):
     first: Term
     second: Term
 
-    @cached_property
+    @_once
     def typing(self):
         (tin, tmid) = self.first.typing
         (tmid2, tout) = self.second.typing
@@ -159,7 +177,7 @@ class Parallel(Term):
     left: Term
     right: Term
 
-    @cached_property
+    @_once
     def typing(self):
         (a, b) = self.left.typing
         (c, d) = self.right.typing
@@ -173,7 +191,7 @@ class Parallel(Term):
 class Feedback(Term):
     body: Term
 
-    @cached_property
+    @_once
     def typing(self):
         (tin, tout) = self.body.typing
         if not tin or not tout or tin[0] is not tout[0]:

@@ -216,6 +216,18 @@ class TestNamedSerial:
         with pytest.raises(CompositionError):
             named_serial(a, bdiag)  # w escapes a and is also an output of b
 
+    @pytest.mark.parametrize("b_inputs", [("x",), ("w", "x")])
+    def test_bad_operand_typing_raises(self, b_inputs):
+        # a yields x as a Real, b reads x as an Int: with or without a Route
+        # between them, and so with or without identity wiring dropped
+        fa = ExprFun((Var("p", R),), (Ref("p"),))
+        a_ = IoDiagram((Var("p", R),), (Var("x", R),), mk_atom("f", fa))
+        ins = tuple(Var(n, I) for n in b_inputs)
+        fb = ExprFun(ins, (Ref("x"),))
+        b_ = IoDiagram(ins, (Var("q", I),), mk_atom("g", fb))
+        with pytest.raises((TypeMismatchError, CompositionError)):
+            named_serial(a_, b_)
+
     def test_disjoint_behaves_like_shared_input_parallel(self):
         rng = random.Random(5)
         checked = 0
@@ -298,6 +310,18 @@ class TestNamedFeedback:
         fb = named_feedback(A)
         assert fb.inputs == (a,) and fb.outputs == (u,)
         assert io_equiv(fb, A, EquivConfig())
+
+    def test_no_shared_names_returns_the_argument(self):
+        A = IoDiagram((a,), (u,), mk_atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
+        assert named_feedback(A) is A
+
+    def test_bad_fed_back_typing_raises(self):
+        # u is read as an Int and yielded as a Real; the switches around the
+        # body are both identities
+        fn = ExprFun((Var("u", I), Var("a", R)), (Ref("a"),))
+        A = IoDiagram((Var("u", I), a), (u,), mk_atom("A", fn))
+        with pytest.raises(TypeMismatchError):
+            named_feedback(A)
 
     def test_shared_names_removed_from_both_sides(self):
         # A with inputs (a,b,c,d,e) and outputs (u,e,a,v,d): feedback

@@ -217,13 +217,19 @@ def test_var_equality_is_by_name(k):
 
 def test_type_error_messages_stay_small():
     """A type error names node kinds and types, never whole subterms, so its
-    message does not grow with a 3,000-node translation."""
+    message does not grow with a term of over 3,000 nodes: four 100-block
+    translations side by side."""
+    from functools import reduce
+
     from hbd.frontend import flatten_or_recurse
     from hbd.gen import random_diagram
     from hbd.translator import Incremental
 
-    doc = random_diagram(7, 100, 100)
-    body = flatten_or_recurse(doc, "flatten", Incremental()).diagram.body
+    bodies = [
+        flatten_or_recurse(random_diagram(7 + i, 100, 100), "flatten", Incremental()).diagram.body
+        for i in range(4)
+    ]
+    body = reduce(mk_parallel, bodies)
     assert term_size(body) > 3000
     drained = mk_serial(body, Sink(body.out_types))
     for build in (

@@ -16,6 +16,7 @@ from hbd.terms import (
     mk_parallel,
     mk_serial,
     rewrite_basic,
+    term_size,
 )
 from hbd.translator import (
     FeedbackParallel,
@@ -207,3 +208,13 @@ def test_translate_random_lists():
         assert io_equiv(a, b, cfg)
         assert io_equiv(a, c, cfg)
         checked += 1
+
+
+def test_translations_have_no_identity_plumbing(corpus_diagrams):
+    """The named compositions emit no serial Id and no Id(()) unit, so
+    ``rewrite_basic`` finds nothing to remove in a translation."""
+    strategies = [FeedbackParallel(), Incremental()] + [RandomChoices(s) for s in range(20)]
+    for _, diagrams, _ in corpus_diagrams[:5]:
+        for strategy in strategies:
+            body = translate(diagrams, strategy).body
+            assert term_size(body) == term_size(rewrite_basic(body)), strategy
