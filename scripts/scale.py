@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Translation cost at scale.
+
+For each size n given on the command line (default 250, 500 and 1,000),
+translate ``gen.random_diagram(7, n, n)`` under fbpar, incr and fbless and
+print, per strategy, the translate time, the term size and the route width:
+the sum of ``len(imap)`` over the term's ``Route`` nodes.  A wide Route is
+one node, so the route width shows interface plumbing that the term size
+hides.  The time covers the translation of the document's io-diagram list
+(for fbless, splitting its blocks too), not parsing or normalizing.
+
+    python scripts/scale.py [N ...]
+"""
+
+import argparse
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from hbd.feedbackless import fbless_translate, split_block
+from hbd.frontend import document_io_list
+from hbd.gen import random_diagram
+from hbd.terms import Route, iter_subterms
+from hbd.translator import FeedbackParallel, Incremental, translate
+
+STRATEGIES = {
+    "fbpar": lambda ds: translate(ds, FeedbackParallel()),
+    "incr": lambda ds: translate(ds, Incremental()),
+    "fbless": lambda ds: fbless_translate([sb for d in ds for sb in split_block(d)]),
+}
+
+
+def shape(term) -> tuple:
+    """(term size, route width) of ``term``."""
+    size = width = 0
+    for sub in iter_subterms(term):
+        size += 1
+        if isinstance(sub, Route):
+            width += len(sub.imap)
+    return size, width
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sizes", nargs="*", type=int, default=[250, 500, 1000])
+    args = parser.parse_args(argv)
+    print(f"{'blocks':>6} {'strategy':<8} {'seconds':>8} {'term_size':>10} {'route_width':>12}")
+    for n in args.sizes:
+        diagrams, _, _ = document_io_list(random_diagram(7, n, n))
+        for name, run in STRATEGIES.items():
+            t0 = time.perf_counter()
+            result = run(diagrams)
+            seconds = time.perf_counter() - t0
+            size, width = shape(result.body)
+            print(f"{n:>6} {name:<8} {seconds:>8.3f} {size:>10} {width:>12}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

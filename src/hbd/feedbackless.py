@@ -2,9 +2,11 @@
 
 Multi-output blocks are first split into single-output blocks carrying
 accurate per-output input dependencies.  If the refined output->input
-dependency relation has no cycle, internal variables are eliminated one at
-a time by composing each producer serially into all of its consumers; the
-surviving blocks are folded in parallel.  The result contains no feedback
+dependency relation has no cycle (Kahn's algorithm, ``loop_free``),
+internal variables are eliminated one at a time by composing each producer
+serially into all of its consumers, found through a name -> readers index;
+the surviving blocks are folded in parallel.  The bookkeeping around the
+compositions is linear in the diagram.  The result contains no feedback
 operator outside Arb constants.  ``check_deterministic`` checks a block's
 determinism equation with the harness's oracle, ``term_cells``.
 """
@@ -127,6 +129,8 @@ def _successors(rel):
 
 
 def transitive_closure(rel) -> frozenset:
+    """Every pair (a, c) with a path from a to c in ``rel``.  The tests
+    check ``loop_free`` against it."""
     succ = _successors(rel)
     closure = {a: set(bs) for a, bs in succ.items()}
     changed = True
@@ -143,8 +147,25 @@ def transitive_closure(rel) -> frozenset:
 
 
 def loop_free(items) -> bool:
-    """No variable reaches itself through the dependency relation."""
-    return all(a != b for a, b in transitive_closure(oi_rel(items)))
+    """No variable reaches itself through the dependency relation: Kahn's
+    algorithm removes every variable of ``oi_rel(items)``.  A variable on a
+    cycle, a self-loop included, never runs out of predecessors."""
+    succ: dict = {}
+    indeg: dict = {}
+    for a, b in oi_rel(items):
+        succ.setdefault(a.name, []).append(b.name)
+        indeg[b.name] = indeg.get(b.name, 0) + 1
+        indeg.setdefault(a.name, 0)
+    ready = [v for v, k in indeg.items() if k == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for w in succ.get(v, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return removed == len(indeg)
 
 
 def find_cycle(items):
@@ -215,9 +236,14 @@ class Topological:
     def order(self, blocks) -> list:
         # u precedes w when w's producer reads u: eliminating upstream
         # variables first maximizes reuse of already-composed producers.
-        deps_of = {b.output: b.deps for b in blocks}
+        deps_of = {b.output.name: b.deps for b in blocks}
         nodes = _internal_by_first_seen(blocks)
-        succs = [{j for j, w in enumerate(nodes) if u in deps_of[w]} for u in nodes]
+        index = {u.name: i for i, u in enumerate(nodes)}
+        succs = [set() for _ in nodes]
+        for j, w in enumerate(nodes):
+            for u in deps_of[w.name]:
+                if u.name in index:
+                    succs[index[u.name]].add(j)
         return [nodes[i] for i in stable_topo_order(succs)]
 
 
@@ -256,15 +282,31 @@ def ok_fbless(blocks) -> bool:
 def fbless_translate(blocks, order_policy=Topological()) -> IoDiagram:
     """Algorithm: eliminate one internal variable per step, then fold in
     parallel.  ``order_policy`` (GivenOrder, Topological or RandomOrder)
-    picks the elimination order."""
-    blocks = list(blocks)
-    validate_ok_fbless(blocks)
-    order = order_policy.order(blocks)
+    picks the elimination order.
+
+    The blocks keep their list positions (slots), and the survivors fold in
+    list order.  ``producer`` maps an output name to its slot and
+    ``readers`` maps a name to the slots whose inputs hold it, so
+    eliminating ``u`` composes its producer into the blocks of
+    ``readers[u]`` alone, and every ``internal_serial`` call composes."""
+    slots = list(blocks)
+    validate_ok_fbless(slots)
+    order = order_policy.order(slots)
+    producer = {b.output.name: i for i, b in enumerate(slots)}
+    readers: dict = {}
+    for i, b in enumerate(slots):
+        for v in b.base.inputs:
+            readers.setdefault(v.name, set()).add(i)
     for u in order:
-        producer = next(b for b in blocks if b.output == u)
-        rest = [b for b in blocks if b is not producer]
-        blocks = [internal_serial(producer, b) for b in rest]
-    return fold_parallel([b.base for b in blocks])
+        p = producer.pop(u.name)
+        a, slots[p] = slots[p], None
+        for v in a.base.inputs:
+            readers[v.name].discard(p)
+        for i in readers.pop(u.name, ()):
+            slots[i] = internal_serial(a, slots[i])
+            for v in slots[i].base.inputs:
+                readers.setdefault(v.name, set()).add(i)
+    return fold_parallel([b.base for b in slots if b is not None])
 
 
 @dataclass

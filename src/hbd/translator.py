@@ -16,6 +16,7 @@ list), and a seeded random mix.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,7 +56,8 @@ class RandomChoices:
                 k = rng.randint(2, len(ds))
                 picked = rng.sample(range(len(ds)), k)
                 rng.shuffle(picked)
-                rest = [d for idx, d in enumerate(ds) if idx not in set(picked)]
+                taken = set(picked)
+                rest = [d for idx, d in enumerate(ds) if idx not in taken]
                 ds = [_group_step([ds[i] for i in picked])] + rest
             yield ds
 
@@ -73,14 +75,17 @@ def topo_order(ds: Sequence[IoDiagram]):
     """Stable topological order of the wire dependency graph.
 
     Edges point from the diagram producing a variable to the one consuming
-    it.  Members of a cycle keep their original relative order.
+    it, found through one name -> readers index, so building them is linear
+    in the interface sizes.  Members of a cycle keep their original
+    relative order.
     """
-    n = len(ds)
-    out_sets = [set(d.outputs) for d in ds]
-    in_sets = [set(d.inputs) for d in ds]
+    readers: dict = {}
+    for j, d in enumerate(ds):
+        for v in d.inputs:
+            readers.setdefault(v.name, []).append(j)
     succs = [
-        {j for j in range(n) if j != i and out_sets[i] & in_sets[j]}
-        for i in range(n)
+        {j for v in d.outputs for j in readers.get(v.name, ()) if j != i}
+        for i, d in enumerate(ds)
     ]
     return [ds[i] for i in stable_topo_order(succs)]
 
@@ -89,22 +94,32 @@ def stable_topo_order(succs) -> list:
     """Node indices 0..n-1 in a stable topological order of the graph whose
     successor sets are ``succs``.  The smallest-index node without a
     remaining predecessor goes next; when every remaining node has one (a
-    cycle), the smallest-index remaining node does."""
+    cycle), the smallest-index remaining node does.  A heap holds the ready
+    nodes and a low-water mark finds the smallest remaining one, so the
+    sort takes O((n + e) log n) for e edges."""
     n = len(succs)
     indeg = [0] * n
     for i in range(n):
         for j in succs[i]:
             indeg[j] += 1
-    remaining = set(range(n))
+    ready = [i for i in range(n) if indeg[i] == 0]
+    done = [False] * n
+    low = 0  # every node below ``low`` is done
     order = []
-    while remaining:
-        ready = [i for i in sorted(remaining) if indeg[i] == 0]
-        pick = ready[0] if ready else min(remaining)
-        remaining.discard(pick)
+    while len(order) < n:
+        if ready:
+            pick = heapq.heappop(ready)
+        else:
+            while done[low]:
+                low += 1
+            pick = low
+        done[pick] = True
         order.append(pick)
         for j in succs[pick]:
-            if j in remaining:
+            if not done[j]:
                 indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(ready, j)
     return order
 
 

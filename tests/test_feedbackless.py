@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from hbd import feedbackless
 from hbd.compiled import Compiled
 from hbd.errors import PreconditionError
-from hbd.exprs import Bin, ExprFun, Ite, Ref
+from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.feedbackless import (
     GivenOrder,
     RandomOrder,
@@ -35,12 +36,19 @@ from hbd.io_diagrams import (
     fold_parallel,
     named_feedback,
 )
-from hbd.terms import Id, feedbacks_outside_arb, mk_arb, mk_atom, rewrite_basic
+from hbd.frontend import document_io_list
+from hbd.gen import random_diagram
+from hbd.terms import Id, feedbacks_outside_arb, mk_arb, mk_atom, print_term, rewrite_basic
 from hbd.translator import topo_order
 from hbd.semantics import BOT
 from hbd.types import BaseType, Var
 
-from util import growing_tower
+from util import (
+    TopologicalOracle,
+    fbless_translate_oracle,
+    growing_tower,
+    loop_free_oracle,
+)
 
 R = BaseType.REAL
 
@@ -53,8 +61,6 @@ z, u, x, s, sp, y, v = rvs("z", "u", "x", "s", "s'", "y", "v")
 
 
 def _atom1(name, src, dst, k):
-    from hbd.exprs import Lit
-
     return IoDiagram(
         (src,), (dst,), mk_atom(name, ExprFun((Var(src.name, R),), (Bin("*", Lit(k), Ref(src.name)),)))
     )
@@ -185,6 +191,33 @@ class TestDependencyAnalysis:
     def test_empty_deps_loop_free(self):
         blk = SplitBlock(IoDiagram((), (v,), mk_arb(R)), frozenset())
         assert loop_free([blk])
+
+
+    def test_loop_free_matches_the_closure_oracle(self, corpus_diagrams):
+        lists = []
+        for _, diagrams, _ in corpus_diagrams:
+            lists += [diagrams, [p for d in diagrams for p in split_block(d)]]
+        rng = random.Random(14)
+        lists += [_random_relation_blocks(rng) for _ in range(200)]
+        verdicts = set()
+        for items in lists:
+            verdict = loop_free(items)
+            assert verdict == loop_free_oracle(items)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def _random_relation_blocks(rng):
+    """Split blocks over a small name pool with random dependencies, so
+    that cycles and self-loops occur."""
+    pool = rvs(*(f"w{i}" for i in range(rng.randint(1, 8))))
+    blocks = []
+    for out in rng.sample(pool, rng.randint(1, len(pool))):
+        ins = tuple(w for w in pool if rng.random() < 0.3)
+        deps = frozenset(w for w in ins if rng.random() < 0.6)
+        body = mk_atom(f"F{out.name}", ExprFun(ins, (Lit(0.0),)))
+        blocks.append(SplitBlock(IoDiagram(ins, (out,), body), deps))
+    return blocks
 
 
 class TestInternalVars:
@@ -347,6 +380,38 @@ class TestFblessTranslate:
         for other in results[1:]:
             assert io_equiv(results[0], other)
 
+    def test_matches_the_elimination_oracle(self, corpus_diagrams):
+        """The indexed loop gives the text the rescan of every block gives,
+        under each order policy."""
+        lists = [diagrams for _, diagrams, _ in corpus_diagrams]
+        lists += [document_io_list(random_diagram(7 + i, 50, 50))[0] for i in range(3)]
+        for diagrams in lists:
+            blocks = [p for d in diagrams for p in split_block(d)]
+            names = sorted(v.name for v in internal_vars(blocks))
+            policies = [(Topological(), TopologicalOracle()), (GivenOrder(names),) * 2]
+            policies += [(RandomOrder(seed),) * 2 for seed in range(3)]
+            for policy, oracle_policy in policies:
+                got = fbless_translate(blocks, policy)
+                want = fbless_translate_oracle(blocks, oracle_policy)
+                assert print_term(got.body) == print_term(want.body), policy
+                assert (got.inputs, got.outputs) == (want.inputs, want.outputs)
+
+    def test_every_internal_serial_call_composes(self, monkeypatch):
+        """Eliminating a variable visits only the blocks that read it, so
+        the work is linear in the compositions made."""
+        calls = []
+        compose = feedbackless.internal_serial
+
+        def counted(a, b):
+            result = compose(a, b)
+            calls.append(result is not b)
+            return result
+
+        monkeypatch.setattr(feedbackless, "internal_serial", counted)
+        diagrams, _, _ = document_io_list(random_diagram(7, 200, 200))
+        fbless_translate([p for d in diagrams for p in split_block(d)])
+        assert calls and all(calls), (len(calls), sum(calls))
+
     def test_feedback_freedom_on_corpus(self, corpus_diagrams):
         checked = 0
         for _, diagrams, _ in corpus_diagrams[:8]:
@@ -400,6 +465,16 @@ def _atoms_of(term):
     from hbd.terms import Atom, iter_subterms
 
     return [t for t in iter_subterms(term) if isinstance(t, Atom)]
+
+
+def test_scale_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "20"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["20", name] for name in ("fbpar", "incr", "fbless")]
 
 
 def test_sharing_orders_script_runs():

@@ -23,12 +23,13 @@ from hbd.translator import (
     Incremental,
     RandomChoices,
     check_io_distinct,
+    stable_topo_order,
     topo_order,
     translate,
 )
 from hbd.types import BaseType, Var
 
-from util import random_io_list
+from util import random_io_list, stable_topo_order_oracle, topo_order_oracle
 
 R = BaseType.REAL
 
@@ -64,6 +65,26 @@ def test_topo_order_stability_of_independent_blocks():
     rng = random.Random(3)
     ds = random_io_list(rng, 3, names=0)  # no shared wires at all
     assert topo_order(ds) == ds
+
+
+def test_stable_topo_order_matches_the_quadratic_oracle():
+    """The heap sort picks what a rescan of all remaining nodes picks, on
+    random successor graphs with cycles and self-edges."""
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        density = rng.choice((0.05, 0.15, 0.4))
+        succs = [{j for j in range(n) if rng.random() < density} for _ in range(n)]
+        assert stable_topo_order(succs) == stable_topo_order_oracle(succs), succs
+
+
+def test_topo_order_matches_the_quadratic_oracle(corpus_diagrams):
+    rng = random.Random(14)
+    lists = [diagrams for _, diagrams, _ in corpus_diagrams]
+    lists += [random_io_list(rng, rng.randint(1, 9), names=12) for _ in range(50)]
+    for ds in lists:
+        for order in (ds, list(reversed(ds))):
+            assert topo_order(order) == topo_order_oracle(order)
 
 
 def test_singleton_translates_to_named_feedback(running_example):

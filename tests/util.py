@@ -5,7 +5,14 @@ import random
 from hbd import semantics
 from hbd.axioms import _random_expr
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
-from hbd.io_diagrams import IoDiagram, switch_vars
+from hbd.feedbackless import (
+    internal_serial,
+    internal_vars,
+    oi_rel,
+    transitive_closure,
+    validate_ok_fbless,
+)
+from hbd.io_diagrams import IoDiagram, fold_parallel, switch_vars
 from hbd.symbolic import Graph
 from hbd.terms import mk_atom, mk_feedback, mk_serial
 from hbd.types import BaseType, Var
@@ -112,3 +119,64 @@ def perm_variant(rng: random.Random, a: IoDiagram) -> IoDiagram:
     ins, outs = tuple(ins), tuple(outs)
     body = mk_serial(switch_vars(ins, a.inputs), mk_serial(a.body, switch_vars(a.outputs, outs)))
     return IoDiagram(ins, outs, body)
+
+
+# -- the quadratic definitions the indexed ones replaced, kept as oracles ------
+
+def stable_topo_order_oracle(succs) -> list:
+    """Rescan all remaining nodes for the smallest ready one at every step."""
+    n = len(succs)
+    indeg = [0] * n
+    for i in range(n):
+        for j in succs[i]:
+            indeg[j] += 1
+    remaining = set(range(n))
+    order = []
+    while remaining:
+        ready = [i for i in sorted(remaining) if indeg[i] == 0]
+        pick = ready[0] if ready else min(remaining)
+        remaining.discard(pick)
+        order.append(pick)
+        for j in succs[pick]:
+            if j in remaining:
+                indeg[j] -= 1
+    return order
+
+
+def topo_order_oracle(ds) -> list:
+    """Test every ordered pair of diagrams for a shared wire."""
+    n = len(ds)
+    out_sets = [set(d.outputs) for d in ds]
+    in_sets = [set(d.inputs) for d in ds]
+    succs = [
+        {j for j in range(n) if j != i and out_sets[i] & in_sets[j]}
+        for i in range(n)
+    ]
+    return [ds[i] for i in stable_topo_order_oracle(succs)]
+
+
+def loop_free_oracle(items) -> bool:
+    """No pair (x, x) in the transitive closure of the dependency relation."""
+    return all(a != b for a, b in transitive_closure(oi_rel(items)))
+
+
+class TopologicalOracle:
+    """``Topological``'s order, testing every pair of internal variables."""
+
+    def order(self, blocks) -> list:
+        deps_of = {b.output: b.deps for b in blocks}
+        first_seen = {b.output: i for i, b in enumerate(blocks)}
+        nodes = sorted(internal_vars(blocks), key=lambda v: first_seen[v])
+        succs = [{j for j, w in enumerate(nodes) if u in deps_of[w]} for u in nodes]
+        return [nodes[i] for i in stable_topo_order_oracle(succs)]
+
+
+def fbless_translate_oracle(blocks, order_policy) -> IoDiagram:
+    """Compose each producer into every remaining block, each step."""
+    blocks = list(blocks)
+    validate_ok_fbless(blocks)
+    for u in order_policy.order(blocks):
+        producer = next(b for b in blocks if b.output == u)
+        rest = [b for b in blocks if b is not producer]
+        blocks = [internal_serial(producer, b) for b in rest]
+    return fold_parallel([b.base for b in blocks])
