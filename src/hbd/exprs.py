@@ -9,8 +9,7 @@ of the evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .errors import TypeMismatchError
@@ -151,43 +150,50 @@ def subst_refs(e: Expr, mapping: Mapping[str, str]) -> Expr:
 
 @dataclass(frozen=True)
 class ExprFun:
-    """A tuple-valued function [p1,...,pn -> e1,...,em] over named parameters."""
+    """A tuple-valued function [p1,...,pn -> e1,...,em] over named parameters.
+
+    Construction validates the bodies and keeps the kinds it infers as
+    ``out_kinds``."""
 
     params: tuple  # tuple[Var, ...]
     bodies: tuple  # tuple[Expr, ...]
+    in_kinds: TypeList = field(init=False, repr=False, compare=False)
+    out_kinds: TypeList = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise TypeMismatchError(f"duplicate parameter names: {names}")
         env = dict(zip(names, (p.ty for p in self.params)))
+        out_kinds = []
         for body in self.bodies:
             missing = free_refs(body) - set(names)
             if missing:
                 raise TypeMismatchError(f"unbound names in body: {sorted(missing)}")
-            infer_kind(body, env)
-
-    @cached_property
-    def in_kinds(self) -> TypeList:
-        return tuple(p.ty for p in self.params)
-
-    @cached_property
-    def out_kinds(self) -> TypeList:
-        env = {p.name: p.ty for p in self.params}
-        return tuple(infer_kind(body, env) for body in self.bodies)
+            out_kinds.append(infer_kind(body, env))
+        object.__setattr__(self, "in_kinds", tuple(env.values()))
+        object.__setattr__(self, "out_kinds", tuple(out_kinds))
 
     def rename_params(self, new_names) -> "ExprFun":
         """Rebind parameters to fresh names (e.g. the wire names of a block
-        instance), substituting in all bodies."""
+        instance), substituting in all bodies.  A renaming onto distinct
+        names keeps every kind, so the bodies are not validated again."""
         new_names = list(new_names)
         if len(new_names) != len(self.params):
             raise TypeMismatchError(
                 f"expected {len(self.params)} names, got {len(new_names)}"
             )
+        if len(set(new_names)) != len(new_names):
+            raise TypeMismatchError(f"duplicate parameter names: {new_names}")
         mapping = {p.name: n for p, n in zip(self.params, new_names)}
-        params = tuple(Var(n, p.ty) for p, n in zip(self.params, new_names))
-        bodies = tuple(subst_refs(b, mapping) for b in self.bodies)
-        return ExprFun(params, bodies)
+        renamed = object.__new__(ExprFun)
+        renamed.__dict__.update(
+            params=tuple(Var(n, p.ty) for p, n in zip(self.params, new_names)),
+            bodies=tuple(subst_refs(b, mapping) for b in self.bodies),
+            in_kinds=self.in_kinds,
+            out_kinds=self.out_kinds,
+        )
+        return renamed
 
 
 def fmt_expr(e: Expr) -> str:

@@ -257,6 +257,7 @@ class DiagramDoc:
     subsystems: dict = field(default_factory=dict)
     # set by normalize():
     interfaces: Optional[dict] = None  # block id -> (input Vars, output Vars)
+    specs: Optional[dict] = None  # block id -> BlockSpec, None for an instance
     state_table: Optional[list] = None  # [StateEntry]
 
     @property
@@ -445,18 +446,20 @@ def _validate_tree(doc: DiagramDoc, _seen=None) -> None:
         _validate_tree(sub, _seen)
 
 
-def _resolve_spec(doc: DiagramDoc, blk: BlockInst):
-    """BlockSpec for a library block, or None for a subsystem instance."""
-    if blk.kind in doc.subsystems:
-        return None
-    return block_spec(blk.kind, blk.params_dict)
+def _resolve_specs(doc: DiagramDoc) -> dict:
+    """Block id -> BlockSpec for a library block, or None for a subsystem
+    instance."""
+    return {
+        blk.id: None if blk.kind in doc.subsystems else block_spec(blk.kind, blk.params_dict)
+        for blk in doc.blocks
+    }
 
 
-def _port_tables(doc: DiagramDoc):
+def _port_tables(doc: DiagramDoc, specs: dict):
     """Per block: in-port and out-port name -> type maps."""
     ins, outs = {}, {}
     for blk in doc.blocks:
-        spec = _resolve_spec(doc, blk)
+        spec = specs[blk.id]
         if spec is None:
             sub = doc.subsystems[blk.kind]
             ins[blk.id] = {e.name: e.ty for e in sub.inputs}
@@ -468,7 +471,7 @@ def _port_tables(doc: DiagramDoc):
 
 
 def validate_doc(doc: DiagramDoc) -> None:
-    ins, outs = _port_tables(doc)
+    ins, outs = _port_tables(doc, _resolve_specs(doc))
 
     def in_type(ref: PortRef, where: str) -> BaseType:
         if ref.block not in ins or ref.port not in ins[ref.block]:
@@ -523,10 +526,12 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
 
     Every block, split blocks and subsystem instances included, gets its
     interface in ``interfaces``: input and output Vars, ports first in their
-    declared order and the state pair last."""
+    declared order and the state pair last.  Its spec goes in ``specs``,
+    built once per block, and once per wire type for the split blocks."""
     if doc.normalized:
         return doc
-    ins_t, outs_t = _port_tables(doc)
+    specs = _resolve_specs(doc)
+    ins_t, outs_t = _port_tables(doc, specs)
     if names is None:
         names = _NameGen(doc)
 
@@ -540,6 +545,7 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
     blocks = list(doc.blocks)
     port_var: dict = {}  # PortRef -> Var; a block's in- and out-port names differ
     interfaces: dict = {}
+    split_specs: dict = {}  # wire type -> the SplitBlk spec
 
     def consumer_var(cons) -> Var:
         kind, payload = cons
@@ -558,6 +564,9 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
             blocks.append(
                 BlockInst(sid, "SplitBlk", (("type", ty.value),))
             )
+            if ty not in split_specs:
+                split_specs[ty] = block_spec("SplitBlk", {"type": ty.value})
+            specs[sid] = split_specs[ty]
             left = consumer_var(remaining[0])
             if len(remaining) == 2:
                 right = consumer_var(remaining[1])
@@ -595,7 +604,7 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
     for blk in doc.blocks:
         ins = tuple(port_var[PortRef(blk.id, p)] for p in ins_t[blk.id])
         outs = tuple(port_var[PortRef(blk.id, p)] for p in outs_t[blk.id])
-        spec = _resolve_spec(doc, blk)
+        spec = specs[blk.id]
         for st in spec.states if spec is not None else ():
             cur, nxt = names.state()
             entry = StateEntry(blk.id, Var(cur, st.ty), Var(nxt, st.ty), st.init)
@@ -612,6 +621,7 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
         doc.wires,
         doc.subsystems,
         interfaces=interfaces,
+        specs=specs,
         state_table=state_table,
     )
 
@@ -623,7 +633,7 @@ def _atom_diagram(doc: DiagramDoc, blk: BlockInst) -> IoDiagram:
             f"block {blk.id!r} is a subsystem instance; expand it with document_io_list"
         )
     ins, outs = doc.interfaces[blk.id]
-    fn = block_spec(blk.kind, blk.params_dict).fn.rename_params(v.name for v in ins)
+    fn = doc.specs[blk.id].fn.rename_params(v.name for v in ins)
     return IoDiagram(ins, outs, mk_atom(blk.id, fn))
 
 

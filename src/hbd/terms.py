@@ -24,8 +24,8 @@ from .types import BaseType, EPSILON, TypeList, base_type, fmt_types
 
 # Translations are deep: the incr term of random_diagram(7, n, n) is 410 nodes
 # deep at n = 200 and 978 at n = 500, the fbpar term 571 and 1,405.  Typing,
-# printing, rewriting, compiling and evaluating all recurse, so the default
-# limit of 1,000 is too tight.
+# rewriting, compiling and evaluating all recurse (printing does not), so the
+# default limit of 1,000 is too tight.
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
 
@@ -412,35 +412,63 @@ def expand_routes(term: Term) -> Term:
 
 # -- textual format ----------------------------------------------------------
 
+class _Text(str):
+    """Text that ``print_term`` stacks between subterms, told apart from a
+    term by its type, so that a string passed as a term is still refused."""
+
+
+_SPACE, _CLOSE = _Text(" "), _Text(")")
+
+
+# Type names are read from ``_value_``, the enum's plain attribute: ``.value``
+# is a property, and a dict keyed by the enum calls its Python ``__hash__``.
+
+def _types_text(t: TypeList) -> str:
+    return " ".join([k._value_ for k in t])
+
+
+def _constant_text(head: str, t: TypeList) -> str:
+    return head + "".join([" " + k._value_ for k in t]) + ")"
+
+
 def print_term(term: Term) -> str:
     """Prefix textual form, e.g. ``(serial (par (atom Add) (id Real)) ...)``.
 
     A Route prints its input types, output types and index map, with ``_``
-    for an unknown output: ``(route (Real Int) (Int Real) (1 _))``."""
-    if isinstance(term, Id):
-        return "(id" + "".join(" " + t.value for t in term.t) + ")"
-    if isinstance(term, Split):
-        return "(split" + "".join(" " + t.value for t in term.t) + ")"
-    if isinstance(term, Sink):
-        return "(sink" + "".join(" " + t.value for t in term.t) + ")"
-    if isinstance(term, Switch):
-        left = " ".join(t.value for t in term.t)
-        right = " ".join(t.value for t in term.t2)
-        return f"(switch ({left}) ({right}))"
-    if isinstance(term, Route):
-        left = " ".join(t.value for t in term.t)
-        right = " ".join(t.value for t in term.t2)
-        idx = " ".join("_" if i is None else str(i) for i in term.imap)
-        return f"(route ({left}) ({right}) ({idx}))"
-    if isinstance(term, Atom):
-        return f"(atom {term.name})"
-    if isinstance(term, Serial):
-        return f"(serial {print_term(term.first)} {print_term(term.second)})"
-    if isinstance(term, Parallel):
-        return f"(par {print_term(term.left)} {print_term(term.right)})"
-    if isinstance(term, Feedback):
-        return f"(feedback {print_term(term.body)})"
-    raise TypeError(f"not a term: {term!r}")
+    for an unknown output: ``(route (Real Int) (Int Real) (1 _))``.  The
+    walk keeps its own stack of subterms and closing texts, so a term of
+    any depth prints without recursion."""
+    out: list = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is _Text:
+            out.append(t)
+        elif isinstance(t, Serial):
+            out.append("(serial ")
+            stack += (_CLOSE, t.second, _SPACE, t.first)
+        elif isinstance(t, Parallel):
+            out.append("(par ")
+            stack += (_CLOSE, t.right, _SPACE, t.left)
+        elif isinstance(t, Feedback):
+            out.append("(feedback ")
+            stack += (_CLOSE, t.body)
+        elif isinstance(t, Route):
+            idx = " ".join(["_" if i is None else str(i) for i in t.imap])
+            out.append(f"(route ({_types_text(t.t)}) ({_types_text(t.t2)}) ({idx}))")
+        elif isinstance(t, Atom):
+            out.append(f"(atom {t.name})")
+        elif isinstance(t, Id):
+            out.append(_constant_text("(id", t.t))
+        elif isinstance(t, Split):
+            out.append(_constant_text("(split", t.t))
+        elif isinstance(t, Sink):
+            out.append(_constant_text("(sink", t.t))
+        elif isinstance(t, Switch):
+            out.append(f"(switch ({_types_text(t.t)}) ({_types_text(t.t2)}))")
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def collect_atoms(term: Term) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import SchemaError
 
@@ -63,6 +64,9 @@ class Var:
         return f"{self.name}:{self.ty.value}"
 
 
+_ty = attrgetter("ty")
+
+
 def types_of(xs) -> TypeList:
     """Map a sequence of variables to its TypeList (the function T)."""
-    return tuple(v.ty for v in xs)
+    return tuple(map(_ty, xs))

@@ -473,8 +473,12 @@ def test_scale_script_runs():
         [sys.executable, str(script), "20"], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [row[:2] for row in rows] == [["20", name] for name in ("fbpar", "incr", "fbless")]
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["blocks", "strategy", "seconds", "print", "term_size", "route_width"]
+    names = ("frontend", "fbpar", "incr", "fbless")
+    assert [row[:2] for row in rows] == [["20", name] for name in names]
+    assert all(len(row) == len(header) for row in rows)
+    assert rows[0][3:] == ["-", "-", "-"]
 
 
 def test_sharing_orders_script_runs():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hbd import exprs, frontend
 from hbd.errors import (
     CycleError,
     DanglingPortError,
@@ -23,6 +24,7 @@ from hbd.frontend import (
     parse_doc,
     to_io_diagrams,
 )
+from hbd.gen import random_diagram
 from hbd.harness import io_equiv
 from hbd.terms import Atom, collect_atoms, parse_term, print_term, rewrite_basic
 from hbd.translator import Incremental
@@ -228,6 +230,30 @@ class TestToIoDiagrams:
         assert delay.inputs[0] == add.outputs[0]  # x
         assert split.inputs[0] == delay.outputs[0]  # y
         assert add.inputs[0] == split.outputs[0]  # z
+
+    def test_each_spec_built_once(self, monkeypatch):
+        doc = random_diagram(7, 100, 100)
+        specs, top, depth = [], [], []
+        block_spec, infer_kind = frontend.block_spec, exprs.infer_kind
+
+        def counted_spec(kind, params):
+            specs.append(kind)
+            return block_spec(kind, params)
+
+        def outermost_kind(e, env):
+            if not depth:
+                top.append(e)
+            depth.append(e)
+            try:
+                return infer_kind(e, env)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(frontend, "block_spec", counted_spec)
+        monkeypatch.setattr(exprs, "infer_kind", outermost_kind)
+        diagrams, _, norm = document_io_list(doc)
+        assert len(specs) <= len(norm.blocks)
+        assert len(top) <= sum(len(d.body.fn.bodies) for d in diagrams)
 
     def test_constant_has_empty_inputs(self):
         doc = parse_doc(

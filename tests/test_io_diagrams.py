@@ -6,9 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hbd.axioms import _random_expr
 from hbd.compiled import compile_term
 from hbd.errors import CompositionError, TypeMismatchError
 from hbd.exprs import Bin, ExprFun, Ref
+from hbd.feedbackless import split_block
+from hbd.frontend import document_io_list
+from hbd.gen import random_diagram
 from hbd.harness import io_equiv
 from hbd.io_diagrams import (
     EquivConfig,
@@ -40,11 +44,12 @@ from hbd.terms import (
     mk_atom,
     mk_parallel,
     mk_serial,
+    print_term,
     rewrite_basic,
 )
 from hbd.types import BaseType, Var, types_of
 
-from util import perm_variant, random_io_list
+from util import fold_parallel_oracle, perm_variant, random_io_list, shared_input_list
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -302,6 +307,62 @@ class TestNamedParallel:
                 assert rewrite_basic(lhs.body) == rewrite_basic(rhs.body)
             assert io_equiv(lhs, rhs, EquivConfig(samples=50, exhaustive_limit=128))
             checked += 1
+
+
+class TestFoldParallel:
+    @staticmethod
+    def assert_matches_oracle(ds):
+        got, want = fold_parallel(ds), fold_parallel_oracle(ds)
+        assert print_term(got.body) == print_term(want.body)
+        assert [(x.name, x.ty) for x in got.inputs] == [(x.name, x.ty) for x in want.inputs]
+        assert [(x.name, x.ty) for x in got.outputs] == [(x.name, x.ty) for x in want.outputs]
+
+    def test_corpus_lists(self, corpus_diagrams):
+        for _, ds, _ in corpus_diagrams:
+            self.assert_matches_oracle(ds)
+
+    def test_large_lists(self):
+        for i in range(5):
+            ds, _, _ = document_io_list(random_diagram(7 + i, 50, 50))
+            self.assert_matches_oracle(ds)
+
+    def test_shared_input_names(self, corpus_diagrams):
+        for _, ds, _ in corpus_diagrams:
+            self.assert_matches_oracle([sb.base for d in ds for sb in split_block(d)])
+        rng = random.Random(41)
+        routed = 0
+        for _ in range(60):
+            ds = shared_input_list(rng, rng.randint(1, 8))
+            self.assert_matches_oracle(ds)
+            routed += any(isinstance(t, Route) for t in iter_subterms(fold_parallel(ds).body))
+        assert routed > 30
+
+    def test_output_clash_names_the_same_outputs(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            ds = shared_input_list(rng, rng.randint(2, 6))
+            at = rng.randint(1, len(ds))
+            earlier = [x for d in ds[:at] for x in d.outputs]
+            outs = rng.sample(earlier, rng.randint(1, min(3, len(earlier))))
+            outs.append(Var("fresh", R))
+            rng.shuffle(outs)
+            bodies = tuple(_random_expr(rng, (), x.ty, 1) for x in outs)
+            ds.insert(at, IoDiagram((), tuple(outs), mk_atom("clash", ExprFun((), bodies))))
+            with pytest.raises(CompositionError) as want:
+                fold_parallel_oracle(ds)
+            with pytest.raises(CompositionError) as got:
+                fold_parallel(ds)
+            assert str(got.value) == str(want.value)
+
+    def test_one_interface_check_per_fold(self, monkeypatch):
+        ds = shared_input_list(random.Random(47), 8)
+        checks = []
+        post_init = IoDiagram.__post_init__
+        monkeypatch.setattr(
+            IoDiagram, "__post_init__", lambda self: checks.append(self) or post_init(self)
+        )
+        folded = fold_parallel(ds)
+        assert checks == [folded]
 
 
 class TestNamedFeedback:

@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 
 from hbd.errors import ParseError, TypeMismatchError
 from hbd.exprs import Bin, ExprFun, Ref
+from hbd.feedbackless import fbless_translate, split_block
 from hbd.semantics import BOT, eval_term, sample_inputs
 from hbd.terms import (
     Feedback,
     Id,
     Route,
+    Serial,
     Sink,
     Split,
     Switch,
@@ -28,7 +30,10 @@ from hbd.terms import (
     term_size,
     type_of,
 )
+from hbd.translator import FeedbackParallel, Incremental, RandomChoices, translate
 from hbd.types import BaseType, Var
+
+from util import print_term_oracle
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -142,26 +147,62 @@ def test_rewrite_properties(term):
         assert eval_term(out, row) == eval_term(term, row)
 
 
+# One term of every kind, with empty type lists and unknown route outputs.
+KIND_TERMS = [
+    Id(()),
+    Id((R, I)),
+    Split((B,)),
+    Sink(()),
+    Switch((R,), (I, B)),
+    ADD,
+    mk_serial(mk_parallel(ADD, Id((R,))), mk_parallel(Id((R,)), Id((R,)))),
+    mk_feedback(Switch((R,), (R,))),
+    mk_arb(I),
+    Route((R, I), (I, R), (1, None)),
+    Route((R,), (R, R, R), (0, 0, 0)),
+    Route((), (B,), (None,)),
+    mk_serial(Route((R, R), (R,), (1,)), mk_parallel(Id((R,)), Route((), (R,), (None,)))),
+]
+
+
 def test_print_parse_round_trip():
     atoms = {"Add": ADD}
-    terms = [
-        Id(()),
-        Id((R, I)),
-        Split((B,)),
-        Sink(()),
-        Switch((R,), (I, B)),
-        ADD,
-        mk_serial(mk_parallel(ADD, Id((R,))), mk_parallel(Id((R,)), Id((R,)))),
-        mk_feedback(Switch((R,), (R,))),
-        mk_arb(I),
-        Route((R, I), (I, R), (1, None)),
-        Route((R,), (R, R, R), (0, 0, 0)),
-        Route((), (B,), (None,)),
-        mk_serial(Route((R, R), (R,), (1,)), mk_parallel(Id((R,)), Route((), (R,), (None,)))),
-    ]
-    for t in terms:
+    for t in KIND_TERMS:
         text = print_term(t)
         assert parse_term(text, atoms) == t
+
+
+def test_print_term_matches_the_recursive_oracle(corpus_diagrams):
+    for t in KIND_TERMS:
+        assert print_term(t) == print_term_oracle(t)
+    strategies = (FeedbackParallel(), Incremental(), RandomChoices(0))
+    for _, diagrams, _ in corpus_diagrams:
+        bodies = [translate(diagrams, s).body for s in strategies]
+        bodies.append(fbless_translate([sb for d in diagrams for sb in split_block(d)]).body)
+        for body in bodies + [rewrite_basic(b) for b in bodies]:
+            assert print_term(body) == print_term_oracle(body)
+
+
+def test_print_term_needs_no_recursion_limit():
+    depth = 50_000
+    t, heads, tails = Id((R,)), [], []
+    for i in range(depth):
+        if i % 2:
+            t = Feedback(t)
+            heads.append("(feedback ")
+            tails.append(")")
+        else:
+            t = Serial(t, Sink((R,)))
+            heads.append("(serial ")
+            tails.append(" (sink Real))")
+    assert print_term(t) == "".join(reversed(heads)) + "(id Real)" + "".join(tails)
+
+
+def test_print_term_refuses_a_non_term():
+    with pytest.raises(TypeError, match="not a term"):
+        print_term(")")
+    with pytest.raises(TypeError, match="not a term"):
+        print_term(Serial(ADD, " "))
 
 
 def test_print_example_shape():

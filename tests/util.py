@@ -1,6 +1,7 @@
 """Shared generators for the property suites."""
 
 import random
+from functools import reduce
 
 from hbd import semantics
 from hbd.axioms import _random_expr
@@ -12,9 +13,22 @@ from hbd.feedbackless import (
     transitive_closure,
     validate_ok_fbless,
 )
-from hbd.io_diagrams import IoDiagram, fold_parallel, switch_vars
+from hbd.io_diagrams import IoDiagram, fold_parallel, named_parallel, switch_vars
 from hbd.symbolic import Graph
-from hbd.terms import mk_atom, mk_feedback, mk_serial
+from hbd.terms import (
+    Atom,
+    Feedback,
+    Id,
+    Parallel,
+    Route,
+    Serial,
+    Sink,
+    Split,
+    Switch,
+    mk_atom,
+    mk_feedback,
+    mk_serial,
+)
 from hbd.types import BaseType, Var
 
 KINDS = (BaseType.REAL, BaseType.INT, BaseType.BOOL)
@@ -110,6 +124,21 @@ def random_io_list(rng: random.Random, n: int, names: int = 8, real_only=False):
     return diagrams
 
 
+def shared_input_list(rng: random.Random, n: int, names: int = 6):
+    """Atom diagrams whose inputs come from one small pool of names, so most
+    elements share an input name with the elements before them; every
+    output name is fresh."""
+    pool = [Var(f"s{i}", rng.choice(KINDS)) for i in range(names)]
+    diagrams = []
+    for i in range(n):
+        ins = tuple(rng.sample(pool, rng.randint(0, 3)))
+        outs = tuple(Var(f"o{i}_{k}", rng.choice(KINDS)) for k in range(rng.randint(1, 2)))
+        params = tuple(Var(f"p{k}", v.ty) for k, v in enumerate(ins))
+        bodies = tuple(_random_expr(rng, params, v.ty, 2) for v in outs)
+        diagrams.append(IoDiagram(ins, outs, mk_atom(f"blk{i}", ExprFun(params, bodies))))
+    return diagrams
+
+
 def perm_variant(rng: random.Random, a: IoDiagram) -> IoDiagram:
     """An io-diagram equivalent to ``a`` with permuted interface lists."""
     ins = list(a.inputs)
@@ -180,3 +209,36 @@ def fbless_translate_oracle(blocks, order_policy) -> IoDiagram:
         rest = [b for b in blocks if b is not producer]
         blocks = [internal_serial(producer, b) for b in rest]
     return fold_parallel([b.base for b in blocks])
+
+
+def fold_parallel_oracle(ds) -> IoDiagram:
+    """Fold pair by pair, validating every partial fold."""
+    return reduce(named_parallel, ds)
+
+
+def print_term_oracle(term) -> str:
+    """The recursive printer, one string per subterm."""
+    if isinstance(term, Id):
+        return "(id" + "".join(" " + t.value for t in term.t) + ")"
+    if isinstance(term, Split):
+        return "(split" + "".join(" " + t.value for t in term.t) + ")"
+    if isinstance(term, Sink):
+        return "(sink" + "".join(" " + t.value for t in term.t) + ")"
+    if isinstance(term, Switch):
+        left = " ".join(t.value for t in term.t)
+        right = " ".join(t.value for t in term.t2)
+        return f"(switch ({left}) ({right}))"
+    if isinstance(term, Route):
+        left = " ".join(t.value for t in term.t)
+        right = " ".join(t.value for t in term.t2)
+        idx = " ".join("_" if i is None else str(i) for i in term.imap)
+        return f"(route ({left}) ({right}) ({idx}))"
+    if isinstance(term, Atom):
+        return f"(atom {term.name})"
+    if isinstance(term, Serial):
+        return f"(serial {print_term_oracle(term.first)} {print_term_oracle(term.second)})"
+    if isinstance(term, Parallel):
+        return f"(par {print_term_oracle(term.left)} {print_term_oracle(term.right)})"
+    if isinstance(term, Feedback):
+        return f"(feedback {print_term_oracle(term.body)})"
+    raise TypeError(f"not a term: {term!r}")
