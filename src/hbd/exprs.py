@@ -9,8 +9,8 @@ of the evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+from dataclasses import InitVar, dataclass, field
+from typing import Mapping, Optional, Union
 
 from .errors import TypeMismatchError
 from .types import BaseType, TypeList, Var
@@ -153,26 +153,30 @@ class ExprFun:
     """A tuple-valued function [p1,...,pn -> e1,...,em] over named parameters.
 
     Construction validates the bodies and keeps the kinds it infers as
-    ``out_kinds``."""
+    ``out_kinds``.  ``_out_kinds`` passes them in instead, for a function
+    whose bodies were checked already: ``rename_params`` uses it."""
 
     params: tuple  # tuple[Var, ...]
     bodies: tuple  # tuple[Expr, ...]
+    _out_kinds: InitVar[Optional[TypeList]] = None
     in_kinds: TypeList = field(init=False, repr=False, compare=False)
     out_kinds: TypeList = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
+    def __post_init__(self, _out_kinds):
+        env = {p.name: p.ty for p in self.params}
+        if len(env) != len(self.params):
+            names = [p.name for p in self.params]
             raise TypeMismatchError(f"duplicate parameter names: {names}")
-        env = dict(zip(names, (p.ty for p in self.params)))
-        out_kinds = []
-        for body in self.bodies:
-            missing = free_refs(body) - set(names)
-            if missing:
-                raise TypeMismatchError(f"unbound names in body: {sorted(missing)}")
-            out_kinds.append(infer_kind(body, env))
+        if _out_kinds is None:
+            out_kinds = []
+            for body in self.bodies:
+                missing = free_refs(body).difference(env)
+                if missing:
+                    raise TypeMismatchError(f"unbound names in body: {sorted(missing)}")
+                out_kinds.append(infer_kind(body, env))
+            _out_kinds = tuple(out_kinds)
         object.__setattr__(self, "in_kinds", tuple(env.values()))
-        object.__setattr__(self, "out_kinds", tuple(out_kinds))
+        object.__setattr__(self, "out_kinds", _out_kinds)
 
     def rename_params(self, new_names) -> "ExprFun":
         """Rebind parameters to fresh names (e.g. the wire names of a block
@@ -183,17 +187,12 @@ class ExprFun:
             raise TypeMismatchError(
                 f"expected {len(self.params)} names, got {len(new_names)}"
             )
-        if len(set(new_names)) != len(new_names):
-            raise TypeMismatchError(f"duplicate parameter names: {new_names}")
         mapping = {p.name: n for p, n in zip(self.params, new_names)}
-        renamed = object.__new__(ExprFun)
-        renamed.__dict__.update(
-            params=tuple(Var(n, p.ty) for p, n in zip(self.params, new_names)),
-            bodies=tuple(subst_refs(b, mapping) for b in self.bodies),
-            in_kinds=self.in_kinds,
-            out_kinds=self.out_kinds,
+        return type(self)(
+            tuple(Var(n, p.ty) for p, n in zip(self.params, new_names)),
+            tuple(subst_refs(b, mapping) for b in self.bodies),
+            self.out_kinds,
         )
-        return renamed
 
 
 def fmt_expr(e: Expr) -> str:

@@ -168,21 +168,17 @@ def named_serial(a: IoDiagram, b: IoDiagram) -> IoDiagram:
 
 def named_parallel(a: IoDiagram, b: IoDiagram) -> IoDiagram:
     """Side-by-side composition; shared input names are split."""
-    clash = inter(a.outputs, b.outputs)
-    if clash:
-        names = ",".join(w.name for w in clash)
-        raise CompositionError(f"parallel composition output clash: {names}")
-    ins = union_ord(a.inputs, b.inputs)
-    body = chain(switch_vars(ins, a.inputs + b.inputs), beside(a.body, b.body))
-    return IoDiagram(ins, a.outputs + b.outputs, body)
+    return fold_parallel((a, b))
 
 
 def fold_parallel(ds) -> IoDiagram:
-    """``reduce(named_parallel, ds)``, built in one pass.
+    """The elements of ``ds`` side by side, left to right, built in one pass.
 
-    The body is the same left-nested one, with the same input switch
+    The body is left-nested, as folding the pairs in turn would build it:
     wherever an element shares an input name with the elements before it,
-    and an output clash raises the same error.  Only the result is an
+    one input switch splits the shared names, and an output shared with an
+    earlier element is a ``CompositionError`` naming those outputs in the
+    order the earlier elements give them.  Only the result is an
     ``IoDiagram``, validated once: the partial folds are well formed by
     construction, so their interfaces are not checked again."""
     first, *rest = ds

@@ -412,12 +412,11 @@ def expand_routes(term: Term) -> Term:
 
 # -- textual format ----------------------------------------------------------
 
-class _Text(str):
-    """Text that ``print_term`` stacks between subterms, told apart from a
-    term by its type, so that a string passed as a term is still refused."""
-
-
-_SPACE, _CLOSE = _Text(" "), _Text(")")
+def _term(t) -> Term:
+    """``t`` itself; a ``TypeError`` when it is not a term."""
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    return t
 
 
 # Type names are read from ``_value_``, the enum's plain attribute: ``.value``
@@ -436,23 +435,23 @@ def print_term(term: Term) -> str:
 
     A Route prints its input types, output types and index map, with ``_``
     for an unknown output: ``(route (Real Int) (Int Real) (1 _))``.  The
-    walk keeps its own stack of subterms and closing texts, so a term of
+    walk keeps its own stack of subterms and separating texts, so a term of
     any depth prints without recursion."""
     out: list = []
-    stack = [term]
+    stack = [_term(term)]
     while stack:
         t = stack.pop()
-        if type(t) is _Text:
+        if isinstance(t, str):
             out.append(t)
         elif isinstance(t, Serial):
             out.append("(serial ")
-            stack += (_CLOSE, t.second, _SPACE, t.first)
+            stack += (")", _term(t.second), " ", _term(t.first))
         elif isinstance(t, Parallel):
             out.append("(par ")
-            stack += (_CLOSE, t.right, _SPACE, t.left)
+            stack += (")", _term(t.right), " ", _term(t.left))
         elif isinstance(t, Feedback):
             out.append("(feedback ")
-            stack += (_CLOSE, t.body)
+            stack += (")", _term(t.body))
         elif isinstance(t, Route):
             idx = " ".join(["_" if i is None else str(i) for i in t.imap])
             out.append(f"(route ({_types_text(t.t)}) ({_types_text(t.t2)}) ({idx}))")

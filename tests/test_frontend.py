@@ -252,7 +252,11 @@ class TestToIoDiagrams:
         monkeypatch.setattr(frontend, "block_spec", counted_spec)
         monkeypatch.setattr(exprs, "infer_kind", outermost_kind)
         diagrams, _, norm = document_io_list(doc)
-        assert len(specs) <= len(norm.blocks)
+        splits = [b for b in norm.blocks if b.kind == "SplitBlk"]
+        split_types = {dict(b.params)["type"] for b in splits}
+        assert len(splits) > len(split_types)
+        assert specs.count("SplitBlk") == len(split_types)
+        assert len(specs) - specs.count("SplitBlk") <= len(norm.blocks) - len(splits)
         assert len(top) <= sum(len(d.body.fn.bodies) for d in diagrams)
 
     def test_constant_has_empty_inputs(self):

@@ -13,7 +13,16 @@ from hbd.feedbackless import (
     transitive_closure,
     validate_ok_fbless,
 )
-from hbd.io_diagrams import IoDiagram, fold_parallel, named_parallel, switch_vars
+from hbd.errors import CompositionError
+from hbd.io_diagrams import (
+    IoDiagram,
+    beside,
+    chain,
+    fold_parallel,
+    inter,
+    switch_vars,
+    union_ord,
+)
 from hbd.symbolic import Graph
 from hbd.terms import (
     Atom,
@@ -211,9 +220,20 @@ def fbless_translate_oracle(blocks, order_policy) -> IoDiagram:
     return fold_parallel([b.base for b in blocks])
 
 
+def _parallel_pair(a: IoDiagram, b: IoDiagram) -> IoDiagram:
+    """The pairwise rule: split the shared inputs, put the bodies side by side."""
+    clash = inter(a.outputs, b.outputs)
+    if clash:
+        names = ",".join(w.name for w in clash)
+        raise CompositionError(f"parallel composition output clash: {names}")
+    ins = union_ord(a.inputs, b.inputs)
+    body = chain(switch_vars(ins, a.inputs + b.inputs), beside(a.body, b.body))
+    return IoDiagram(ins, a.outputs + b.outputs, body)
+
+
 def fold_parallel_oracle(ds) -> IoDiagram:
     """Fold pair by pair, validating every partial fold."""
-    return reduce(named_parallel, ds)
+    return reduce(_parallel_pair, ds)
 
 
 def print_term_oracle(term) -> str:
