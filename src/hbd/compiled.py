@@ -1,13 +1,14 @@
 """Batch evaluator of the sampling oracles and of ``hbd simulate``.
 
-``compile_term`` evaluates a term once on input symbols (``hbd.symbolic``).
-A decided term, one whose every feedback tower settles there, becomes its
-output graph as one straight-line Python function of one input row: one
-assignment per node, each the scalar rule of ``semantics`` written inline.
-Wiring (identity, split, sink, switch, route, and their compositions) leaves
-no trace in that function, and neither do the towers, so it records nothing
-in the census and cannot diverge.  An undecided term, one with a tower that
-has not settled within the cap, runs each row on the reference evaluator
+``compile_term`` evaluates a term once on input symbols (``hbd.symbolic``):
+one flat program, its feedback towers solved together.  A decided term,
+one whose towers settle there, becomes its output graph as one
+straight-line Python function of one input row: one assignment per node,
+each the scalar rule of ``semantics`` written inline.  Wiring (identity,
+split, sink, switch, route, and their compositions) leaves no trace in that
+function, and neither do the towers, so it records nothing in the census
+and cannot diverge.  An undecided term, one whose towers have not settled
+within the cap, runs each row on the reference evaluator
 (``semantics.row_evaluator``, ``eval_term`` without its input check), with
 its cap, settle test, census and ``fixpoint_divergence`` message.  So
 ``EvalStats.feedback_runs`` counts exactly the towers the reference

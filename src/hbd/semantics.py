@@ -7,11 +7,10 @@ nonstrict rule ``v * 0 == 0``), and feedback is the least fixpoint of the
 fed-back component, computed by Kleene iteration starting from ``BOT``.
 NaN equals NaN in the fixpoint tests, so a wire that carries NaN settles.
 
-A maximal tower of nested feedbacks is iterated jointly (simultaneous
-fixpoint, equal to the nested least fixpoints for monotone bodies); the
-literal one-wire-at-a-time semantics is available via
-``EvalConfig(nested_feedback=True)`` and is property-tested against the
-joint form.
+A maximal tower of nested feedbacks is iterated jointly: the simultaneous
+fixpoint, which equals the nested least fixpoints for monotone bodies
+(Bekić's lemma).  The property tests check it against the literal
+one-wire-at-a-time semantics.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ def check_kinds(values, t: TypeList, what: str = "input") -> None:
 class EvalConfig:
     strict_multiply: bool = True
     max_fix_iters: int = 8
-    nested_feedback: bool = False
 
     def __post_init__(self):
         if self.max_fix_iters < 2:
@@ -93,11 +91,12 @@ DEFAULT_CONFIG = EvalConfig()
 
 @dataclass
 class EvalStats:
-    """Fixpoint census: (tower width, Kleene iterations) pairs, one per tower
-    ``eval_term`` iterated on values (``feedback_runs``), also when it runs
-    the rows of an undecided term inside ``Compiled.run``, and one per tower
-    the symbolic evaluator solved (``symbolic_runs``).  A decided term's
-    compiled rows record nothing."""
+    """Fixpoint census.  ``feedback_runs`` holds (tower width, Kleene
+    iterations), one per tower ``eval_term`` iterated on values, also when
+    it runs the rows of an undecided term inside ``Compiled.run``.
+    ``symbolic_runs`` holds (total tower width, passes), one per decided
+    term with towers that the symbolic evaluator solved jointly.  A decided
+    term's compiled rows record nothing."""
 
     feedback_runs: list = field(default_factory=list)
     symbolic_runs: list = field(default_factory=list)
@@ -285,31 +284,10 @@ def _ev(term, vals, cfg, binops, stats):
             term.right, vals[n:], cfg, binops, stats
         )
     if isinstance(term, Feedback):
-        if cfg.nested_feedback:
-            return _feedback_single(term.body, vals, cfg, binops, stats)
         n, body = _collect_tower(term)
         step = lambda xs: _ev(body, xs + vals, cfg, binops, stats)  # noqa: E731
         return kleene(step, n, cfg.max_fix_iters + n - 1, stats)
     raise TypeMismatchError(f"not a term: {term!r}")
-
-
-def _feedback_single(body, vals, cfg, binops, stats):
-    x = BOT
-    iters = 0
-    cap = cfg.max_fix_iters
-    while True:
-        out = _ev(body, (x,) + vals, cfg, binops, stats)
-        iters += 1
-        if value_leq(out[0], x) and value_leq(x, out[0]):
-            break
-        if iters >= cap:
-            if same_value(out[0], x):
-                break
-            raise fixpoint_divergence(cap)
-        x = out[0]
-    if stats is not None:
-        stats.record(1, iters)
-    return out[1:]
 
 
 def kleene(body, n: int, cap: int, stats: Optional[EvalStats] = None):

@@ -4,8 +4,22 @@ graphs, and those graphs as straight-line Python.
 A term is evaluated once with its inputs as symbols.  Every value is a node
 of one ``Graph``: an int naming a key ``(op, *operand nodes)`` that the graph
 stores once, so equal expressions are one node and a term's outputs form a
-DAG.  Atom bodies are applied to their argument nodes, and a feedback tower
-is Kleene-iterated from bot until the fed-back tuple is the same node tuple.
+DAG.
+
+The term is first flattened into one program over slots: one instruction
+per operation of every atom occurrence, in evaluation order.  Wiring
+(identity, split, sink, switch, route, and serial and parallel composition)
+only says which slot feeds which, so it is resolved while flattening and
+costs nothing afterwards.  Each feedback occurrence owns a guess slot that
+its body reads and names the slot its body feeds back.  All towers of the
+term are then solved together: each pass writes the current guesses (bot at
+first), runs the program once, and reads the fed-back slots, until they
+repeat.  This simultaneous least fixpoint equals the nested least fixpoints
+of the towers for monotone bodies, by Bekić's lemma (H. Bekić, "Definable
+operations in general algebras, and the theory of automata and flowcharts",
+1969), on which ``semantics.kleene`` already relies for a tower of directly
+nested feedbacks.  A tower nested in another is so solved once per term,
+not once per iteration of the towers around it.
 
 Each node rule is the matching scalar rule of ``semantics``, applied only
 where an operand is bot or a literal; every other operation stays a node
@@ -15,12 +29,14 @@ output nodes compute the same function on every input: the proof step of
 ``harness.term_cells``, the one oracle.  (The concrete
 settle test reads 0.0 == -0.0 and may stop a tower an iteration earlier;
 that changes at most the sign of a zero, which ``values_close`` ignores.)
-A term decides or declines: at the first tower that has not settled within
-the concrete cap, ``max_fix_iters + n - 1``, ``outputs`` returns None.  Such
-a term is undecided; the harness samples it, and ``hbd.compiled`` runs it on
-``eval_term``.  There are no loop nodes.  A tower that settles here settles
-in the concrete evaluators within the same cap, because their fixpoint tests
-read NaN as equal to NaN.
+A term decides or declines: when its towers have not settled within
+``max_fix_iters + w - 1`` passes, for w the total width of its towers (the
+cap of ``eval_term`` for a single tower), ``outputs`` returns None.  Such a
+term is undecided; the harness samples it, and ``hbd.compiled`` runs it on
+``eval_term``.  There are no loop nodes.  The towers of a decided term
+also settle in the concrete evaluators: on monotone bodies a tower w wires
+wide settles within w + 1 iterations, inside their cap, and their fixpoint
+tests read NaN as equal to NaN.
 
 ``Graph.function`` emits the nodes that a decided term's outputs reach as
 one Python function with one assignment per node, each the scalar rule of
@@ -33,7 +49,7 @@ from typing import Optional
 
 from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, infer_kind
-from .semantics import BOT as BOT_VALUE, DEFAULT_CONFIG, EvalConfig, EvalStats, _collect_tower
+from .semantics import BOT as BOT_VALUE, DEFAULT_CONFIG, EvalConfig, EvalStats
 from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
 from .types import BaseType
 
@@ -68,10 +84,6 @@ def _operands(key: tuple) -> tuple:
     return () if key[0] in ("bot", "in", "lit") else key[1:]
 
 
-class _Unsettled(Exception):
-    """A feedback tower has not settled within the cap: the term is undecided."""
-
-
 class Graph:
     """Hash-consed expression nodes shared by every term evaluated in it.
 
@@ -80,10 +92,10 @@ class Graph:
     ``(op, *operand nodes)`` with ``op`` one of ``neg not + - * / // min max
     < <= == and or ite`` (``//`` is division of Ints, which floors).
     There is no node of an unsettled tower: the term holding it is
-    undecided.  The multiply rule follows ``cfg.strict_multiply``.  A
-    feedback tower is solved once per tuple of input nodes, however many of
-    the terms evaluated here hold it, and a tower that has not settled
-    leaves undecided every term that reaches it on those nodes.
+    undecided.  The multiply rule follows ``cfg.strict_multiply``.  Each
+    call of ``outputs`` flattens its term and solves all of the term's
+    feedback towers in one joint Kleene iteration; terms evaluated in one
+    graph share its nodes, not their solves.
     """
 
     def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -91,8 +103,6 @@ class Graph:
         self.keys = [("bot",)]
         self._ids = {("bot",): BOT}
         self._bodies = {}  # id(ExprFun) -> (the function, its bodies as op trees)
-        # (id(Feedback), input nodes) -> (it, its output nodes or None if unsettled)
-        self._solved = {}
 
     def node(self, key: tuple) -> int:
         n = self._ids.get(key)
@@ -131,14 +141,31 @@ class Graph:
         return self.node((op,) + args)
 
     def outputs(self, term: Term, inputs, stats: Optional[EvalStats] = None):
-        """The output nodes of ``term`` given its input nodes, or None at the
-        first feedback tower that has not settled within the cap.  Each tower
-        solved is recorded in ``stats.symbolic_runs`` as (width, Kleene
-        iterations)."""
-        try:
-            return self._ev(term, tuple(inputs), stats)
-        except _Unsettled:
-            return None
+        """The output nodes of ``term`` given its input nodes, or None when
+        its feedback towers have not settled within the cap.  A decided term
+        with towers records one entry in ``stats.symbolic_runs``: (the total
+        width of its towers, the passes of their joint solve)."""
+        values, program, guesses, fed, outs = self._flatten(term, tuple(inputs))
+        apply = self.apply
+        width = len(guesses)
+        cap = self.cfg.max_fix_iters + width - 1
+        xs = (BOT,) * width
+        passes = 0
+        while True:
+            for slot, x in zip(guesses, xs):
+                values[slot] = x
+            for op, args, res in program:
+                values[res] = apply(op, *[values[i] for i in args])
+            passes += 1
+            new = tuple(values[i] for i in fed)
+            if new == xs:
+                break
+            if passes >= cap:
+                return None
+            xs = new
+        if width and stats is not None:
+            stats.symbolic_runs.append((width, passes))
+        return tuple(values[i] for i in outs)
 
     def function(self, inputs, outputs):
         """(``row``, its source): the nodes ``outputs`` as one Python function
@@ -216,63 +243,62 @@ class Graph:
             got = self._bodies[id(fn)] = (fn, tuple(tree(b) for b in fn.bodies))
         return got[1]
 
-    def _apply_tree(self, t, args):
-        op = t[0]
-        if op == "arg":
-            return args[t[1]]
-        if op == "node":
-            return t[1]
-        return self.apply(op, *[self._apply_tree(c, args) for c in t[1:]])
+    def _flatten(self, term: Term, inputs: tuple):
+        """``term`` as one flat program over slots: (values, program,
+        guesses, fed, outs).  ``values`` holds one node per slot: slot 0
+        holds BOT, the unknown value that a ``Route`` gives for None, then
+        come the input nodes.  ``program`` lists one instruction
+        (op, operand slots, result slot) per operation of every atom
+        occurrence, in evaluation order.  Each ``Feedback`` occurrence owns
+        one guess slot in ``guesses``, which its body reads as its first
+        input, and ``fed`` names the slot its body feeds back.  Wiring,
+        and an atom body that is an argument or a literal, is resolved here
+        into slots, so it costs nothing when the program runs."""
+        values = [BOT, *inputs]
+        program, guesses, fed = [], [], []
 
-    def _ev(self, term, vals, stats):
-        cls = type(term)
-        if cls is Serial:
-            return self._ev(term.second, self._ev(term.first, vals, stats), stats)
-        if cls is Parallel:
-            n = len(term.left.in_types)
-            left = self._ev(term.left, vals[:n], stats)
-            return left + self._ev(term.right, vals[n:], stats)
-        if cls is Route:
-            return tuple(BOT if i is None else vals[i] for i in term.imap)
-        if cls is Atom:
-            return tuple(self._apply_tree(t, vals) for t in self._fn_trees(term.fn))
-        if cls is Id:
-            return vals
-        if cls is Split:
-            return vals + vals
-        if cls is Sink:
-            return ()
-        if cls is Switch:
-            n = len(term.t)
-            return vals[n:] + vals[:n]
-        if cls is Feedback:
-            # keyed by identity: a frozen-dataclass hash walks the whole subterm
-            key = (id(term), vals)
-            got = self._solved.get(key)
-            if got is None:  # the entry keeps term alive, so its id stays unique
-                try:
-                    out = self._tower(term, vals, stats)
-                except _Unsettled:
-                    out = None
-                got = self._solved[key] = (term, out)
-            if got[1] is None:  # a term that reuses an unsettled tower is undecided too
-                raise _Unsettled
-            return got[1]
-        raise TypeMismatchError(f"not a term: {term!r}")
+        def slot(tree, ins):
+            """The slot of an atom body's op tree, its arguments in ``ins``."""
+            op = tree[0]
+            if op == "arg":
+                return ins[tree[1]]
+            if op == "node":
+                values.append(tree[1])
+            else:
+                args = tuple(slot(t, ins) for t in tree[1:])
+                values.append(BOT)
+                program.append((op, args, len(values) - 1))
+            return len(values) - 1
 
-    def _tower(self, term, vals, stats):
-        n, body = _collect_tower(term)
-        xs = (BOT,) * n
-        cap = self.cfg.max_fix_iters + n - 1
-        iters = 0
-        while True:
-            out = self._ev(body, xs + vals, stats)
-            iters += 1
-            if out[:n] == xs:
-                break
-            if iters >= cap:
-                raise _Unsettled
-            xs = out[:n]
-        if stats is not None:
-            stats.symbolic_runs.append((n, iters))
-        return out[n:]
+        def flat(term, ins):
+            cls = type(term)
+            if cls is Serial:
+                return flat(term.second, flat(term.first, ins))
+            if cls is Parallel:
+                n = len(term.left.in_types)
+                return flat(term.left, ins[:n]) + flat(term.right, ins[n:])
+            if cls is Route:
+                return tuple(BOT if i is None else ins[i] for i in term.imap)
+            if cls is Atom:
+                return tuple(slot(t, ins) for t in self._fn_trees(term.fn))
+            if cls is Id:
+                return ins
+            if cls is Split:
+                return ins + ins
+            if cls is Sink:
+                return ()
+            if cls is Switch:
+                n = len(term.t)
+                return ins[n:] + ins[:n]
+            if cls is Feedback:
+                k, guess = len(guesses), len(values)
+                guesses.append(guess)
+                fed.append(None)  # the body may hold towers of its own
+                values.append(BOT)
+                outs = flat(term.body, (guess,) + ins)
+                fed[k] = outs[0]
+                return outs[1:]
+            raise TypeMismatchError(f"not a term: {term!r}")
+
+        outs = flat(term, tuple(range(1, 1 + len(inputs))))
+        return values, program, guesses, fed, outs

@@ -473,12 +473,16 @@ def test_scale_script_runs():
         [sys.executable, str(script), "20"], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    header, *rows, check_header, check = [line.split() for line in proc.stdout.splitlines()]
     assert header == ["blocks", "strategy", "seconds", "print", "term_size", "route_width"]
     names = ("frontend", "fbpar", "incr", "fbless")
     assert [row[:2] for row in rows] == [["20", name] for name in names]
     assert all(len(row) == len(header) for row in rows)
     assert rows[0][3:] == ["-", "-", "-"]
+    assert check_header == ["blocks", "check", "seconds", "proved", "cells", "joint"]
+    assert check[:2] == ["20", "check"] and check[3:5] == ["529", "529"]
+    width, passes = map(int, check[5].split("x"))
+    assert width >= 1 and 1 <= passes <= width + 1
 
 
 def test_sharing_orders_script_runs():

@@ -40,7 +40,7 @@ from hbd.terms import (
 )
 from hbd.types import BaseType, Var
 
-from util import decided, growing_tower, non_monotone_neg
+from util import decided, growing_tower, nested_eval_term, non_monotone_neg
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -207,9 +207,9 @@ def test_nan_feedback_settles_to_nan():
     loop = mk_feedback(
         mk_atom("F", ExprFun((Var("x", R), Var("u", R)), (nan, Ref("x"))))
     )
-    for cfg in (EvalConfig(), EvalConfig(nested_feedback=True)):
+    for evaluate in (eval_term, nested_eval_term):
         stats = EvalStats()
-        (out,) = eval_term(loop, (1.0,), cfg, stats)
+        (out,) = evaluate(loop, (1.0,), EvalConfig(), stats)
         assert math.isnan(out)
         assert stats.feedback_runs == [(1, 8)]
     assert decided(loop)
@@ -222,13 +222,12 @@ def test_nan_feedback_settles_to_nan():
 
 def test_joint_equals_nested_feedback():
     rng = random.Random(11)
-    nested_cfg = EvalConfig(nested_feedback=True)
     checked = 0
     for _ in range(120):
         t = random_term(rng, tuple(rng.choice((R, I, B)) for _ in range(rng.randint(0, 2))), 2)
         rows = sample_inputs(t.in_types, 10, seed=checked)
         for row in rows:
-            assert eval_term(t, row, nested_cfg) == eval_term(t, row)
+            assert nested_eval_term(t, row) == eval_term(t, row)
         checked += 1
     assert checked == 120
 
