@@ -255,9 +255,10 @@ class DiagramDoc:
     blocks: list
     wires: list
     subsystems: dict = field(default_factory=dict)
+    # set by validate_doc(), and extended by normalize() with the split blocks:
+    specs: Optional[dict] = None  # block id -> BlockSpec, None for an instance
     # set by normalize():
     interfaces: Optional[dict] = None  # block id -> (input Vars, output Vars)
-    specs: Optional[dict] = None  # block id -> BlockSpec, None for an instance
     state_table: Optional[list] = None  # [StateEntry]
 
     @property
@@ -446,15 +447,6 @@ def _validate_tree(doc: DiagramDoc, _seen=None) -> None:
         _validate_tree(sub, _seen)
 
 
-def _resolve_specs(doc: DiagramDoc) -> dict:
-    """Block id -> BlockSpec for a library block, or None for a subsystem
-    instance."""
-    return {
-        blk.id: None if blk.kind in doc.subsystems else block_spec(blk.kind, blk.params_dict)
-        for blk in doc.blocks
-    }
-
-
 def _port_tables(doc: DiagramDoc, specs: dict):
     """Per block: in-port and out-port name -> type maps."""
     ins, outs = {}, {}
@@ -471,7 +463,18 @@ def _port_tables(doc: DiagramDoc, specs: dict):
 
 
 def validate_doc(doc: DiagramDoc) -> None:
-    ins, outs = _port_tables(doc, _resolve_specs(doc))
+    """Check a document's ports, types and drivers against its block specs,
+    and keep the specs in ``doc.specs`` (block id -> BlockSpec, None for a
+    subsystem instance).  A map set before the call, as the random
+    generator sets one, is checked against, not rebuilt; a document that
+    fails without one keeps none."""
+    specs = doc.specs
+    if specs is None:
+        specs = {
+            blk.id: None if blk.kind in doc.subsystems else block_spec(blk.kind, blk.params_dict)
+            for blk in doc.blocks
+        }
+    ins, outs = _port_tables(doc, specs)
 
     def in_type(ref: PortRef, where: str) -> BaseType:
         if ref.block not in ins or ref.port not in ins[ref.block]:
@@ -518,6 +521,7 @@ def validate_doc(doc: DiagramDoc) -> None:
             ref = PortRef(blk.id, port)
             if ref not in drivers:
                 raise DanglingPortError(f"input port {ref} is not connected")
+    doc.specs = specs
 
 
 def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
@@ -526,11 +530,14 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
 
     Every block, split blocks and subsystem instances included, gets its
     interface in ``interfaces``: input and output Vars, ports first in their
-    declared order and the state pair last.  Its spec goes in ``specs``,
-    built once per block, and once per wire type for the split blocks."""
+    declared order and the state pair last.  ``specs`` is the map validation
+    built, plus one split spec per wire type; a document not validated yet
+    is validated first."""
     if doc.normalized:
         return doc
-    specs = _resolve_specs(doc)
+    if doc.specs is None:
+        validate_doc(doc)
+    specs = dict(doc.specs)
     ins_t, outs_t = _port_tables(doc, specs)
     if names is None:
         names = _NameGen(doc)
@@ -628,24 +635,9 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
 
 def _atom_diagram(doc: DiagramDoc, blk: BlockInst) -> IoDiagram:
     """A normalized library block as an atom io-diagram over its wire names."""
-    if blk.kind in doc.subsystems:
-        raise SchemaError(
-            f"block {blk.id!r} is a subsystem instance; expand it with document_io_list"
-        )
     ins, outs = doc.interfaces[blk.id]
     fn = doc.specs[blk.id].fn.rename_params(v.name for v in ins)
     return IoDiagram(ins, outs, mk_atom(blk.id, fn))
-
-
-def to_io_diagrams(doc: DiagramDoc):
-    """One io-diagram per atomic block; io-distinct by fresh naming.
-
-    Returns (diagrams, state_table).  The document must be normalized and
-    free of subsystem instances.
-    """
-    if not doc.normalized:
-        doc = normalize(doc)
-    return [_atom_diagram(doc, blk) for blk in doc.blocks], list(doc.state_table)
 
 
 # -- hierarchy -----------------------------------------------------------------
@@ -653,11 +645,15 @@ def to_io_diagrams(doc: DiagramDoc):
 def _prefixed(sub: DiagramDoc, prefix: str, ins, outs) -> DiagramDoc:
     """The subsystem as one instance sees it: ``prefix`` before every block
     id it declares or refers to, and its external names replaced by the
-    instance's port variables ``ins`` and ``outs`` (in declared order)."""
+    instance's port variables ``ins`` and ``outs`` (in declared order).  The
+    subsystem is validated on first use, and every instance re-keys its one
+    spec map."""
 
     def ref(port: PortRef) -> PortRef:
         return PortRef(prefix + port.block, port.port)
 
+    if sub.specs is None:
+        validate_doc(sub)
     return DiagramDoc(
         sub.name,
         [ExtIn(v.name, e.ty, tuple(map(ref, e.targets))) for e, v in zip(sub.inputs, ins)],
@@ -665,6 +661,7 @@ def _prefixed(sub: DiagramDoc, prefix: str, ins, outs) -> DiagramDoc:
         [replace(b, id=prefix + b.id) for b in sub.blocks],
         [WireDecl(ref(w.src), ref(w.dst)) for w in sub.wires],
         sub.subsystems,
+        specs={prefix + bid: spec for bid, spec in sub.specs.items()},
     )
 
 
@@ -695,22 +692,26 @@ def document_io_list(
     doc: DiagramDoc,
     mode: str = "flatten",
     method: object = Incremental(),
-    names: Optional[_NameGen] = None,
 ):
-    """The io-distinct diagram list a document translates from.
+    """The io-distinct diagram list a document translates from: one atom
+    io-diagram per library block, over fresh wire names.
 
     A subsystem instance ``S1`` expands into its subsystem's own list, with
     every block id under the instance path (``S1/Sum``) and the subsystem's
     external names replaced by the instance's port variables.  ``flatten``
     splices that list in; ``recursive`` first translates it with ``method``
-    into one io-diagram.  ``names`` is the generator the whole document tree
-    shares.  Returns (diagrams, state table, normalized document).
+    into one io-diagram.  A document not validated yet is validated first.
+    Returns (diagrams, state table of every instance and the document itself,
+    normalized document).
     """
     if mode not in ("flatten", "recursive"):
         raise ValueError(f"unknown mode {mode!r}")
-    if names is None:
-        check_subsystem_cycles(doc)
-        names = _NameGen(doc)
+    check_subsystem_cycles(doc)
+    return _io_list(doc, mode, method, _NameGen(doc))
+
+
+def _io_list(doc: DiagramDoc, mode: str, method, names: _NameGen):
+    """``document_io_list`` under the name generator the whole tree shares."""
     norm = normalize(doc, names)
     diagrams = []
     state_table = []
@@ -719,13 +720,20 @@ def document_io_list(
             diagrams.append(_atom_diagram(norm, blk))
             continue
         instance = _prefixed(norm.subsystems[blk.kind], f"{blk.id}/", *norm.interfaces[blk.id])
-        inner, inner_states, _ = document_io_list(instance, mode, method, names)
+        inner, inner_states, _ = _io_list(instance, mode, method, names)
         if mode == "recursive" and inner:
             inner = [_translate_list(inner, method)]
         diagrams.extend(inner)
         state_table.extend(inner_states)
     state_table.extend(norm.state_table)
     return diagrams, state_table, norm
+
+
+def to_io_diagrams(doc: DiagramDoc):
+    """``document_io_list`` in ``flatten`` mode, without the normalized
+    document: (diagrams, state table)."""
+    diagrams, state_table, _ = document_io_list(doc)
+    return diagrams, state_table
 
 
 def flatten_or_recurse(

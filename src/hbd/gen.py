@@ -104,9 +104,10 @@ def random_diagram(
         ext_outputs.append(ExtOut(f"out{out_n}", pty, PortRef(blk.id, pname)))
 
     doc = DiagramDoc(
-        f"random{seed}", ext_inputs, ext_outputs, blocks, wires, {}
+        f"random{seed}", ext_inputs, ext_outputs, blocks, wires, {},
+        specs={blk.id: spec for blk, spec in zip(blocks, specs)},
     )
-    validate_doc(doc)
+    validate_doc(doc)  # checks against the specs built for wiring
     return doc
 
 

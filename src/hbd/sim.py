@@ -4,12 +4,13 @@ Two executions of the same document are provided:
 
 * ``simulate_translated`` runs the algebra term produced by a translation,
   threading state variables between steps per the state table.
-* ``simulate_direct`` executes the blocks' io-diagrams (``to_io_diagrams``)
-  by fixpoint iteration over wire assignments: each atom's expression
-  function fires on its named inputs, and no composed term is built or
-  evaluated.  It shares only the value domain and expression evaluation
-  with the algebra evaluator and serves as the independent oracle for
-  simulation results.
+* ``simulate_direct`` executes the atom io-diagrams of
+  ``document_io_list`` (in ``flatten`` mode, so every subsystem instance is
+  expanded) by fixpoint iteration over wire assignments: each atom's
+  expression function fires on its named inputs, and no composed term is
+  built or evaluated.  It shares only the value domain and expression
+  evaluation with the algebra evaluator and serves as the independent
+  oracle for simulation results, nested documents included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from typing import Optional
 
 from .compiled import compile_term
 from .errors import FixpointDivergence, SchemaError, TypeMismatchError
-from .frontend import DiagramDoc, normalize, to_io_diagrams
+from .frontend import DiagramDoc, document_io_list
+# Not called here.  perfbench/spans.py wraps ``sim.normalize`` on every
+# benchmark run, so the run fails if this name is missing.
+from .frontend import normalize  # noqa: F401
 from .io_diagrams import IoDiagram, values_close
 from .semantics import BOT, DEFAULT_CONFIG, EvalConfig, eval_expr, same_value, value_kind
 
@@ -109,9 +113,9 @@ def simulate_direct(
     doc: DiagramDoc, rows, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> SimTrace:
     """Execute the wire graph directly: per step, iterate block firings from
-    all-unknown wires to the least fixpoint."""
-    doc = normalize(doc)
-    diagrams, _ = to_io_diagrams(doc)
+    all-unknown wires to the least fixpoint.  The state runs over the whole
+    state table, the instances' states included."""
+    diagrams, state_table, doc = document_io_list(doc)
     blocks = [(d.inputs, d.outputs, d.body.fn) for d in diagrams]
     all_vars = {v.name for ins, outs, _ in blocks for v in ins + outs}
     for e in doc.inputs:
@@ -121,7 +125,7 @@ def simulate_direct(
     ext_in_names = [e.name for e in doc.inputs]
     ext_names = set(ext_in_names)
 
-    state = initial_state(doc.state_table)
+    state = initial_state(state_table)
     trace = SimTrace()
     for step, row in enumerate(rows):
         _check_row(row, ext_names, f"step {step}")
@@ -146,7 +150,7 @@ def simulate_direct(
             raise FixpointDivergence("direct interpreter did not stabilize")
         outputs = {e.name: env[e.name] for e in doc.outputs}
         new_state = {
-            e.state.name: env[e.next_state.name] for e in doc.state_table
+            e.state.name: env[e.next_state.name] for e in state_table
         }
         trace.steps.append(
             StepRow(

@@ -5,6 +5,8 @@ per criterion.  The corpus fixtures are session-scoped, so the expensive
 translations and matrices are computed once and shared.
 """
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from hbd.feedbackless import (
     split_block,
     transitive_closure,
 )
-from hbd.frontend import flatten_or_recurse
+from hbd.frontend import FbLess, flatten_or_recurse, parse_doc
 from hbd.harness import io_equiv, run_determinacy
 from hbd.io_diagrams import (
     EquivConfig,
@@ -45,7 +47,10 @@ from hbd.terms import (
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices, translate
 from hbd.types import BaseType, Var
 
+from util import DIFF_DOC, FANOUT_DOC, SUB_DOC, TWINS_DOC
+
 R = BaseType.REAL
+NESTED = pathlib.Path(__file__).resolve().parent.parent / "diagrams" / "nested.hbd.json"
 
 
 def rvs(*names):
@@ -237,7 +242,9 @@ def test_criterion_5_loop_analysis(running_example):
 
 def test_criterion_6_simulation_oracle(sum_doc, corpus_diagrams, corpus_reports):
     """Summation trace is (0,1,3,6); translated simulation equals the
-    direct interpreter on 50-step random sequences over the corpus."""
+    direct interpreter on 50-step random sequences over the corpus, and on
+    the nested documents in both modes.  The direct interpreter runs on the
+    parsed document and on the translation's normalized one."""
     result = flatten_or_recurse(sum_doc, "flatten", Incremental())
     trace = simulate_translated(
         result.diagram, result.state_table, [{"u": float(k)} for k in (1, 2, 3, 4)]
@@ -272,10 +279,31 @@ def test_criterion_6_simulation_oracle(sum_doc, corpus_diagrams, corpus_reports)
             if not traces_match(translated, direct, names=[e.name for e in norm.outputs]):
                 problems.append((norm.name, label))
                 break
+
+    nested = [parse_doc(json.dumps(d)) for d in (SUB_DOC, DIFF_DOC, TWINS_DOC, FANOUT_DOC)]
+    nested.append(parse_doc(NESTED.read_bytes()))
+    methods = {
+        "fbpar": FeedbackParallel(),
+        "incr": Incremental(),
+        "rand5": RandomChoices(5),
+        "fbless": FbLess(),
+    }
+    for doc in nested:
+        rows = [{e.name: float(rng.randint(-5, 5)) for e in doc.inputs} for _ in range(50)]
+        declared = [e.name for e in doc.outputs]  # the translations add next-state outputs
+        direct = simulate_direct(doc, rows)
+        for mode in ("flatten", "recursive"):
+            for label, method in methods.items():
+                result = flatten_or_recurse(doc, mode, method)
+                translated = simulate_translated(result.diagram, result.state_table, rows)
+                for oracle in (direct, simulate_direct(result.doc, rows)):
+                    if not traces_match(translated, oracle, names=declared):
+                        problems.append((doc.name, mode, label))
+    covered = "30 diagrams x 3 strategies; 5 nested documents x 2 modes x 4 strategies"
     _report(
         "criterion 6: simulation equals the direct interpreter (50-step runs)",
         not problems,
-        str(problems) if problems else "30 diagrams x 3 strategies",
+        str(problems) if problems else covered,
     )
 
 

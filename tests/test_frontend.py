@@ -30,6 +30,8 @@ from hbd.terms import Atom, collect_atoms, parse_term, print_term, rewrite_basic
 from hbd.translator import Incremental
 from hbd.types import BaseType
 
+from util import DIFF_DOC, FANOUT_DOC, SUB_DOC, TWINS_DOC
+
 R = BaseType.REAL
 
 
@@ -206,6 +208,37 @@ class TestNormalize:
         assert traces[0].column("y") == traces[1].column("y") == [2.0, -5.0]
         assert traces[0].column("z") == traces[1].column("z") == [3.0, -7.5]
 
+    def test_unvalidated_documents_are_validated_on_first_use(self):
+        """Hand-built documents, never parsed, raise the frontend's own
+        errors: an undriven port dangles, and a Bool input on an Add is a
+        type mismatch.  A subsystem never validated is validated when an
+        instance of it first expands, like a top-level document."""
+        from hbd.frontend import BlockInst, DiagramDoc, ExtIn, ExtOut, PortRef
+
+        def add_doc(*inputs):
+            return DiagramDoc(
+                "add", list(inputs), [ExtOut("y", R, PortRef("A", "out"))], [BlockInst("A", "Add")], []
+            )
+
+        def instance_of(inner):
+            inputs = [ExtIn(f"x{e.name}", R, (PortRef("S", e.name),)) for e in inner.inputs]
+            outputs = [ExtOut("z", R, PortRef("S", "y"))]
+            return DiagramDoc("outer", inputs, outputs, [BlockInst("S", "Inner")], [], {"Inner": inner})
+
+        a, b = ExtIn("u", R, (PortRef("A", "a"),)), ExtIn("v", R, (PortRef("A", "b"),))
+        for expand in (normalize, document_io_list, to_io_diagrams):
+            with pytest.raises(DanglingPortError, match=r"A\.b"):
+                expand(add_doc(a))
+        with pytest.raises(TypeMismatchError):
+            normalize(add_doc(ExtIn("u", BaseType.BOOL, (PortRef("A", "a"),)), b))
+
+        with pytest.raises(DanglingPortError, match=r"A\.b"):
+            document_io_list(instance_of(add_doc(a)))
+        inner = add_doc(a, b)
+        diagrams, _, _ = document_io_list(instance_of(inner))
+        assert [d.body.name for d in diagrams] == ["S/A"]
+        assert inner.specs["A"].kind == "Add"
+
     def test_stateless_doc_has_empty_state_table(self):
         doc = parse_doc(json.dumps(_doc()))
         assert normalize(doc).state_table == []
@@ -232,13 +265,25 @@ class TestToIoDiagrams:
         assert add.inputs[0] == split.outputs[0]  # z
 
     def test_each_spec_built_once(self, monkeypatch):
-        doc = random_diagram(7, 100, 100)
+        """Validation builds each block's spec, the generator hands over the
+        ones it built for wiring, and twin instances share their
+        subsystem's; expanding a document then builds one split spec per
+        wire type and nothing else."""
         specs, top, depth = [], [], []
-        block_spec, infer_kind = frontend.block_spec, exprs.infer_kind
+        infer_kind = exprs.infer_kind
 
-        def counted_spec(kind, params):
-            specs.append(kind)
-            return block_spec(kind, params)
+        def counted(kind, make):
+            def build(params):
+                specs.append(kind)
+                return make(params)
+
+            return build
+
+        for kind, make in list(frontend.LIBRARY.items()):
+            monkeypatch.setitem(frontend.LIBRARY, kind, counted(kind, make))
+        doc = random_diagram(7, 100, 100)
+        assert len(specs) == len(doc.blocks)
+        specs.clear()
 
         def outermost_kind(e, env):
             if not depth:
@@ -249,15 +294,19 @@ class TestToIoDiagrams:
             finally:
                 depth.pop()
 
-        monkeypatch.setattr(frontend, "block_spec", counted_spec)
         monkeypatch.setattr(exprs, "infer_kind", outermost_kind)
         diagrams, _, norm = document_io_list(doc)
         splits = [b for b in norm.blocks if b.kind == "SplitBlk"]
         split_types = {dict(b.params)["type"] for b in splits}
         assert len(splits) > len(split_types)
-        assert specs.count("SplitBlk") == len(split_types)
-        assert len(specs) - specs.count("SplitBlk") <= len(norm.blocks) - len(splits)
+        assert specs == ["SplitBlk"] * len(split_types)
         assert len(top) <= sum(len(d.body.fn.bodies) for d in diagrams)
+
+        specs.clear()
+        twins = parse_doc(json.dumps(TWINS_DOC))  # no fan-out, so no split spec
+        for mode in ("flatten", "recursive"):
+            document_io_list(twins, mode)
+        assert sorted(specs) == ["Add", "Add", "SplitBlk", "UnitDelay"]  # outer Sum; Inner's Sum, Spl, Dly
 
     def test_constant_has_empty_inputs(self):
         doc = parse_doc(
@@ -282,127 +331,6 @@ class TestToIoDiagrams:
         assert loop_free(blocks)
         deps_sizes = sorted(len(b.deps) for b in blocks)
         assert deps_sizes == [1, 1, 1, 1, 2]  # only Add reads two inputs
-
-
-SUB_DOC = {
-    "version": 1,
-    "name": "outer",
-    "inputs": [{"name": "u", "type": "Real", "to": "S1.p"}],
-    "outputs": [{"name": "y", "type": "Real", "from": "S1.q"}],
-    "blocks": [{"id": "S1", "kind": "Inner"}],
-    "wires": [],
-    "subsystems": {
-        "Inner": {
-            "version": 1,
-            "name": "inner",
-            "inputs": [{"name": "p", "type": "Real", "to": "Sum.b"}],
-            "outputs": [{"name": "q", "type": "Real", "from": "Spl.out2"}],
-            "blocks": [
-                {"id": "Sum", "kind": "Add"},
-                {"id": "Dly", "kind": "UnitDelay", "params": {"init": 0.0}},
-                {"id": "Spl", "kind": "SplitBlk"},
-            ],
-            "wires": [
-                {"from": "Sum.out", "to": "Dly.x"},
-                {"from": "Dly.y", "to": "Spl.x"},
-                {"from": "Spl.out1", "to": "Sum.a"},
-            ],
-        }
-    },
-}
-
-
-# Two inputs and two outputs around a Sub block; the outer document lists
-# the instance's ports in the reverse of the subsystem's declared order, so
-# renaming them by position in the outer document would swap them.
-DIFF_DOC = {
-    "version": 1,
-    "name": "outer-diff",
-    "inputs": [
-        {"name": "x", "type": "Real", "to": "G.a"},
-        {"name": "y", "type": "Real", "to": "S1.p"},
-    ],
-    "outputs": [
-        {"name": "o1", "type": "Real", "from": "S1.e"},
-        {"name": "o2", "type": "Real", "from": "S1.d"},
-    ],
-    "blocks": [
-        {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
-        {"id": "S1", "kind": "Diff"},
-    ],
-    "wires": [{"from": "G.out", "to": "S1.q"}],
-    "subsystems": {
-        "Diff": {
-            "version": 1,
-            "name": "diff",
-            "inputs": [
-                {"name": "p", "type": "Real", "to": "Sub.a"},
-                {"name": "q", "type": "Real", "to": ["Sub.b", "K.a"]},
-            ],
-            "outputs": [
-                {"name": "d", "type": "Real", "from": "Sub.out"},
-                {"name": "e", "type": "Real", "from": "K.out"},
-            ],
-            "blocks": [
-                {"id": "Sub", "kind": "Sub"},
-                {"id": "K", "kind": "Gain", "params": {"k": 3.0}},
-            ],
-            "wires": [],
-        }
-    },
-}
-
-
-TWINS_DOC = {
-    "version": 1,
-    "name": "twins",
-    "inputs": [
-        {"name": "u1", "type": "Real", "to": "S1.p"},
-        {"name": "u2", "type": "Real", "to": "S2.p"},
-    ],
-    "outputs": [{"name": "y", "type": "Real", "from": "Sum.out"}],
-    "blocks": [
-        {"id": "S1", "kind": "Inner"},
-        {"id": "S2", "kind": "Inner"},
-        {"id": "Sum", "kind": "Add"},
-    ],
-    "wires": [
-        {"from": "S1.q", "to": "Sum.a"},
-        {"from": "S2.q", "to": "Sum.b"},
-    ],
-    "subsystems": SUB_DOC["subsystems"],
-}
-
-
-FANOUT_DOC = {
-    "version": 1,
-    "name": "fan-out",
-    "inputs": [{"name": "u", "type": "Real", "to": "G.a"}],
-    "outputs": [
-        {"name": "y", "type": "Real", "from": "S1.q"},
-        {"name": "z", "type": "Real", "from": "H.out"},
-    ],
-    "blocks": [
-        {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
-        {"id": "S1", "kind": "Pair"},
-        {"id": "H", "kind": "Gain", "params": {"k": 10.0}},
-    ],
-    "wires": [{"from": "G.out", "to": "S1.p"}, {"from": "G.out", "to": "H.a"}],
-    "subsystems": {
-        "Pair": {
-            "version": 1,
-            "name": "pair",
-            "inputs": [{"name": "p", "type": "Real", "to": ["A.a", "B.a"]}],
-            "outputs": [{"name": "q", "type": "Real", "from": "Sum.out"}],
-            "blocks": [
-                {"id": "A", "kind": "Gain", "params": {"k": 3.0}},
-                {"id": "B", "kind": "Gain", "params": {"k": 5.0}},
-                {"id": "Sum", "kind": "Add"},
-            ],
-            "wires": [{"from": "A.out", "to": "Sum.a"}, {"from": "B.out", "to": "Sum.b"}],
-        }
-    },
-}
 
 
 class TestHierarchy:

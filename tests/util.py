@@ -368,3 +368,129 @@ def nested_eval_term(term, inputs, cfg=semantics.DEFAULT_CONFIG, stats=None):
 
     semantics.check_kinds(inputs, term.in_types, "input")
     return ev(term, tuple(inputs))
+
+
+# -- nested documents --------------------------------------------------------
+
+# Small documents with subsystem instances, shared by the frontend and
+# simulation suites.
+
+SUB_DOC = {
+    "version": 1,
+    "name": "outer",
+    "inputs": [{"name": "u", "type": "Real", "to": "S1.p"}],
+    "outputs": [{"name": "y", "type": "Real", "from": "S1.q"}],
+    "blocks": [{"id": "S1", "kind": "Inner"}],
+    "wires": [],
+    "subsystems": {
+        "Inner": {
+            "version": 1,
+            "name": "inner",
+            "inputs": [{"name": "p", "type": "Real", "to": "Sum.b"}],
+            "outputs": [{"name": "q", "type": "Real", "from": "Spl.out2"}],
+            "blocks": [
+                {"id": "Sum", "kind": "Add"},
+                {"id": "Dly", "kind": "UnitDelay", "params": {"init": 0.0}},
+                {"id": "Spl", "kind": "SplitBlk"},
+            ],
+            "wires": [
+                {"from": "Sum.out", "to": "Dly.x"},
+                {"from": "Dly.y", "to": "Spl.x"},
+                {"from": "Spl.out1", "to": "Sum.a"},
+            ],
+        }
+    },
+}
+
+
+# Two inputs and two outputs around a Sub block; the outer document lists
+# the instance's ports in the reverse of the subsystem's declared order, so
+# renaming them by position in the outer document would swap them.
+DIFF_DOC = {
+    "version": 1,
+    "name": "outer-diff",
+    "inputs": [
+        {"name": "x", "type": "Real", "to": "G.a"},
+        {"name": "y", "type": "Real", "to": "S1.p"},
+    ],
+    "outputs": [
+        {"name": "o1", "type": "Real", "from": "S1.e"},
+        {"name": "o2", "type": "Real", "from": "S1.d"},
+    ],
+    "blocks": [
+        {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
+        {"id": "S1", "kind": "Diff"},
+    ],
+    "wires": [{"from": "G.out", "to": "S1.q"}],
+    "subsystems": {
+        "Diff": {
+            "version": 1,
+            "name": "diff",
+            "inputs": [
+                {"name": "p", "type": "Real", "to": "Sub.a"},
+                {"name": "q", "type": "Real", "to": ["Sub.b", "K.a"]},
+            ],
+            "outputs": [
+                {"name": "d", "type": "Real", "from": "Sub.out"},
+                {"name": "e", "type": "Real", "from": "K.out"},
+            ],
+            "blocks": [
+                {"id": "Sub", "kind": "Sub"},
+                {"id": "K", "kind": "Gain", "params": {"k": 3.0}},
+            ],
+            "wires": [],
+        }
+    },
+}
+
+
+TWINS_DOC = {
+    "version": 1,
+    "name": "twins",
+    "inputs": [
+        {"name": "u1", "type": "Real", "to": "S1.p"},
+        {"name": "u2", "type": "Real", "to": "S2.p"},
+    ],
+    "outputs": [{"name": "y", "type": "Real", "from": "Sum.out"}],
+    "blocks": [
+        {"id": "S1", "kind": "Inner"},
+        {"id": "S2", "kind": "Inner"},
+        {"id": "Sum", "kind": "Add"},
+    ],
+    "wires": [
+        {"from": "S1.q", "to": "Sum.a"},
+        {"from": "S2.q", "to": "Sum.b"},
+    ],
+    "subsystems": SUB_DOC["subsystems"],
+}
+
+
+FANOUT_DOC = {
+    "version": 1,
+    "name": "fan-out",
+    "inputs": [{"name": "u", "type": "Real", "to": "G.a"}],
+    "outputs": [
+        {"name": "y", "type": "Real", "from": "S1.q"},
+        {"name": "z", "type": "Real", "from": "H.out"},
+    ],
+    "blocks": [
+        {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
+        {"id": "S1", "kind": "Pair"},
+        {"id": "H", "kind": "Gain", "params": {"k": 10.0}},
+    ],
+    "wires": [{"from": "G.out", "to": "S1.p"}, {"from": "G.out", "to": "H.a"}],
+    "subsystems": {
+        "Pair": {
+            "version": 1,
+            "name": "pair",
+            "inputs": [{"name": "p", "type": "Real", "to": ["A.a", "B.a"]}],
+            "outputs": [{"name": "q", "type": "Real", "from": "Sum.out"}],
+            "blocks": [
+                {"id": "A", "kind": "Gain", "params": {"k": 3.0}},
+                {"id": "B", "kind": "Gain", "params": {"k": 5.0}},
+                {"id": "Sum", "kind": "Add"},
+            ],
+            "wires": [{"from": "A.out", "to": "Sum.a"}, {"from": "B.out", "to": "Sum.b"}],
+        }
+    },
+}
