@@ -16,11 +16,16 @@ A second table gives one ``check`` row per size: the seconds
 (200 samples per pair), the cells proved by equal output graphs out of all
 cells, and the largest joint solve, (total tower width, passes), of a term.
 
+A third table gives one ``simulate`` row per size and strategy: the seconds
+``simulate_translated`` takes (compiling the term included) on the fbpar and
+incr translations over 200 seeded input steps, and the steps per second.
+
     python scripts/scale.py [N ...]
 """
 
 import argparse
 import pathlib
+import random
 import sys
 import time
 
@@ -31,14 +36,18 @@ from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
 from hbd.harness import equivalence_matrix, translate_all
 from hbd.io_diagrams import EquivConfig
+from hbd.sim import simulate_translated
 from hbd.terms import Route, iter_subterms, print_term
 from hbd.translator import FeedbackParallel, Incremental, translate
+from hbd.types import BaseType
 
 STRATEGIES = {
     "fbpar": lambda ds: translate(ds, FeedbackParallel()),
     "incr": lambda ds: translate(ds, Incremental()),
     "fbless": lambda ds: fbless_translate([sb for d in ds for sb in split_block(d)]),
 }
+SIMULATED = ("fbpar", "incr")
+STEPS = 200
 
 
 def shape(term) -> tuple:
@@ -59,11 +68,11 @@ def main(argv=None) -> int:
         f"{'blocks':>6} {'strategy':<8} {'seconds':>8} {'print':>8}"
         f" {'term_size':>10} {'route_width':>12}"
     )
-    checks = []
+    checks, sims = [], []
     for n in args.sizes:
         doc = random_diagram(7, n, n)
         t0 = time.perf_counter()
-        diagrams, _, _ = document_io_list(doc)
+        diagrams, state_table, doc = document_io_list(doc)
         seconds = time.perf_counter() - t0
         print(f"{n:>6} {'frontend':<8} {seconds:>8.3f} {'-':>8} {'-':>10} {'-':>12}")
         for name, run in STRATEGIES.items():
@@ -75,11 +84,16 @@ def main(argv=None) -> int:
             printing = time.perf_counter() - t0
             size, width = shape(result.body)
             print(f"{n:>6} {name:<8} {seconds:>8.3f} {printing:>8.3f} {size:>10} {width:>12}")
+            if name in SIMULATED:
+                sims.append((n, name, simulate(result, state_table, doc)))
         checks.append((n, check(diagrams)))
     print(f"{'blocks':>6} {'check':<8} {'seconds':>8} {'proved':>8} {'cells':>6} {'joint':>10}")
     for n, (seconds, proved, cells, (width, passes)) in checks:
         joint = f"{width}x{passes}"
         print(f"{n:>6} {'check':<8} {seconds:>8.3f} {proved:>8} {cells:>6} {joint:>10}")
+    print(f"{'blocks':>6} {'simulate':<8} {'seconds':>8} {'steps/s':>10}")
+    for n, name, seconds in sims:
+        print(f"{n:>6} {name:<8} {seconds:>8.3f} {STEPS / seconds:>10.0f}")
     return 0
 
 
@@ -93,6 +107,21 @@ def check(diagrams) -> tuple:
     cells = [cell for row in report.matrix for cell in row]
     joint = max(report.stats.symbolic_runs, default=(0, 0))
     return seconds, sum(cell.proved for cell in cells), len(cells), joint
+
+
+def simulate(diagram, state_table, doc) -> float:
+    """Seconds ``simulate_translated`` takes on ``STEPS`` input rows drawn
+    from a seed: Bools, Ints in [-5, 5] and Reals on that grid."""
+    rng = random.Random(f"scale/{doc.name}")
+    draw = {
+        BaseType.BOOL: lambda: rng.random() < 0.5,
+        BaseType.INT: lambda: rng.randint(-5, 5),
+        BaseType.REAL: lambda: float(rng.randint(-5, 5)),
+    }
+    rows = [{e.name: draw[e.ty]() for e in doc.inputs} for _ in range(STEPS)]
+    t0 = time.perf_counter()
+    simulate_translated(diagram, state_table, rows)
+    return time.perf_counter() - t0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Batch evaluator of the sampling oracles and of ``hbd simulate``.
+"""Batch evaluator of the sampling oracles, and the row function of
+``hbd simulate``.
 
 ``compile_term`` evaluates a term once on input symbols (``hbd.symbolic``):
 one flat program, its feedback towers solved together.  A decided term,
@@ -13,6 +14,10 @@ within the cap, runs each row on the reference evaluator
 its cap, settle test, census and ``fixpoint_divergence`` message.  So
 ``EvalStats.feedback_runs`` counts exactly the towers the reference
 evaluator iterated on values.
+
+``Compiled.run`` evaluates a batch of rows and serves the oracles;
+``hbd simulate`` (``sim.simulate_translated``) calls ``Compiled.row`` once
+per step, with no stats and no input check of its own.
 
 Results equal those of ``eval_term``, except that a tower the reference
 stops an iteration early on ``0.0 == -0.0`` may give a zero of the other

@@ -3,7 +3,8 @@
 Two executions of the same document are provided:
 
 * ``simulate_translated`` runs the algebra term produced by a translation,
-  threading state variables between steps per the state table.
+  threading state variables between steps per the state table: the term is
+  compiled once, and each step is one call of its ``Compiled.row``.
 * ``simulate_direct`` executes the atom io-diagrams of
   ``document_io_list`` (in ``flatten`` mode, so every subsystem instance is
   expanded) by fixpoint iteration over wire assignments: each atom's
@@ -11,11 +12,16 @@ Two executions of the same document are provided:
   built or evaluated.  It shares only the value domain and expression
   evaluation with the algebra evaluator and serves as the independent
   oracle for simulation results, nested documents included.
+
+Both check every external input of a step, before the step runs, with the
+same messages: ``SchemaError`` for a missing input and ``TypeMismatchError``
+for a value of the wrong kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .compiled import compile_term
@@ -26,6 +32,7 @@ from .frontend import DiagramDoc, document_io_list
 from .frontend import normalize  # noqa: F401
 from .io_diagrams import IoDiagram, values_close
 from .semantics import BOT, DEFAULT_CONFIG, EvalConfig, eval_expr, same_value, value_kind
+from .types import BaseType
 
 
 @dataclass
@@ -60,8 +67,14 @@ def simulate_translated(
     rows,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> SimTrace:
-    """Run the translated io-diagram for one row of external inputs per step."""
-    compiled = compile_term(diagram.body, cfg)
+    """Run the translated io-diagram for one row of external inputs per step.
+
+    What is the same on every step is worked out once: the getters of the
+    external inputs, of the diagram's inputs and of the next state, and the
+    Python types the external inputs should have.  A step calls
+    ``Compiled.row`` once, and runs ``_typed`` on its inputs only when a
+    value is not of its expected type."""
+    row_fn = compile_term(diagram.body, cfg).row
     out_names = [v.name for v in diagram.outputs]
     out_pos = {name: i for i, name in enumerate(out_names)}
     for e in state_table:
@@ -69,28 +82,34 @@ def simulate_translated(
             raise SchemaError(
                 f"translated diagram lost next-state variable {e.next_state.name}"
             )
-    # The state is a tuple over state_names; each diagram input reads either
-    # a position of it or an external input of the row.
+    # Each diagram input reads a position of state + ext: the state, a tuple
+    # over state_names, then the external inputs in diagram-input order.
     state_names = [e.state.name for e in state_table]
     state_pos = {name: i for i, name in enumerate(state_names)}
-    sources = [(state_pos.get(v.name), v) for v in diagram.inputs]
-    ext_in = [v for pos, v in sources if pos is None]
-    ext_names = {v.name for v in ext_in}
-    next_pos = [out_pos[e.next_state.name] for e in state_table]
+    ext_in = [v for v in diagram.inputs if v.name not in state_pos]
+    ext_in_names = [v.name for v in ext_in]
+    ext_names = set(ext_in_names)
+    pos = {name: i for i, name in enumerate(state_names + ext_in_names)}
+    read_ext = _getter(ext_in_names)
+    gather = _getter([pos[v.name] for v in diagram.inputs])
+    next_state = _getter([out_pos[e.next_state.name] for e in state_table])
+    expected = tuple(_PY_TYPES[v.ty] for v in ext_in)
 
     state = tuple(e.init for e in state_table)
     trace = SimTrace()
     for step, row in enumerate(rows):
-        _check_row(row, ext_names, f"step {step}")
-        values = [
-            _typed(row[v.name], v, step) if pos is None else state[pos] for pos, v in sources
-        ]
+        if not row.keys() >= ext_names:
+            _check_row(row, ext_names, f"step {step}")
+        ext = read_ext(row)
+        if tuple(map(type, ext)) != expected:
+            for v, value in zip(ext_in, ext):
+                _typed(value, v, step)
         # _typed checked the external inputs; the state holds typed outputs
-        (out,) = compiled.run([values], validate=False)
-        new_state = tuple(out[i] for i in next_pos)
+        out = row_fn(None, *gather(state + ext))
+        new_state = next_state(out)
         trace.steps.append(
             StepRow(
-                inputs={v.name: row[v.name] for v in ext_in},
+                inputs=dict(zip(ext_in_names, ext)),
                 outputs=dict(zip(out_names, out)),
                 state_before=dict(zip(state_names, state)),
                 state_after=dict(zip(state_names, new_state)),
@@ -98,6 +117,19 @@ def simulate_translated(
         )
         state = new_state
     return trace
+
+
+_PY_TYPES = {BaseType.BOOL: bool, BaseType.INT: int, BaseType.REAL: float}
+
+
+def _getter(keys):
+    """``itemgetter`` over ``keys`` that always returns a tuple."""
+    if not keys:
+        return lambda _: ()
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda x: (x[key],)
+    return itemgetter(*keys)
 
 
 def _typed(value, var, step):
@@ -131,8 +163,8 @@ def simulate_direct(
         _check_row(row, ext_names, f"step {step}")
         env = {name: BOT for name in all_vars}
         env.update(state)
-        for name in ext_in_names:
-            env[name] = row[name]
+        for e in doc.inputs:
+            env[e.name] = _typed(row[e.name], e, step)
         cap = len(all_vars) + cfg.max_fix_iters
         for _ in range(cap):
             changed = False

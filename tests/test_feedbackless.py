@@ -473,7 +473,8 @@ def test_scale_script_runs():
         [sys.executable, str(script), "20"], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    header, *rows, check_header, check = [line.split() for line in proc.stdout.splitlines()]
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    header, *rows, check_header, check, sim_header, fbpar, incr = lines
     assert header == ["blocks", "strategy", "seconds", "print", "term_size", "route_width"]
     names = ("frontend", "fbpar", "incr", "fbless")
     assert [row[:2] for row in rows] == [["20", name] for name in names]
@@ -483,6 +484,9 @@ def test_scale_script_runs():
     assert check[:2] == ["20", "check"] and check[3:5] == ["529", "529"]
     width, passes = map(int, check[5].split("x"))
     assert width >= 1 and 1 <= passes <= width + 1
+    assert sim_header == ["blocks", "simulate", "seconds", "steps/s"]
+    assert [fbpar[:2], incr[:2]] == [["20", "fbpar"], ["20", "incr"]]
+    assert all(float(row[3]) > 0 for row in (fbpar, incr))
 
 
 def test_sharing_orders_script_runs():

@@ -1,18 +1,24 @@
 """Step simulation (translated term vs direct interpreter) and the CLI."""
 
+import contextlib
 import copy
+import csv
 import functools
+import io
 import json
 import operator
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbd import cli
 from hbd.cli import main
+from hbd.errors import CycleError, ParseError, SchemaError, TypeMismatchError
 from hbd.frontend import flatten_or_recurse, normalize, parse_doc
 from hbd.gen import loop_diagram, random_diagram
 from hbd.semantics import BOT
@@ -22,7 +28,7 @@ from hbd.types import BaseType
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices
 from hbd.frontend import FbLess
 
-from util import decided
+from util import LATCH, decided
 
 
 def test_summation_trace(sum_doc):
@@ -119,19 +125,6 @@ def test_algebraic_loop_yields_unknowns_consistently():
     direct = simulate_direct(normalize(doc), rows)
     assert translated.column("y") == [BOT, BOT]
     assert traces_match(translated, direct)
-
-
-LATCH = {
-    "version": 1,
-    "name": "latch",
-    "inputs": [
-        {"name": "c", "type": "Bool", "to": "S.c"},
-        {"name": "u", "type": "Real", "to": "S.t"},
-    ],
-    "outputs": [{"name": "y", "type": "Real", "from": "S.out"}],
-    "blocks": [{"id": "S", "kind": "SwitchBlk"}],
-    "wires": [{"from": "S.out", "to": "S.e"}],
-}
 
 
 def test_undecided_latch_is_checked_and_simulated(tmp_path, capsys):
@@ -444,3 +437,111 @@ def _doc_to_json(doc):
         ],
         "wires": [{"from": str(w.src), "to": str(w.dst)} for w in doc.wires],
     }
+
+
+# -- front door ---------------------------------------------------------------
+
+FRONT_DOORS = sorted((pathlib.Path(__file__).resolve().parent.parent / "diagrams").glob("*.hbd.json"))
+# Leaves a mutation puts in place of a node: JSON scalars and the names,
+# kinds, types and ports the shipped documents use.
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.just(2**80),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from(
+        ["", "u", "y", "p", "Add", "UnitDelay", "SwitchBlk", "Accumulator", "Real", "Int",
+         "Bool", "Add.a", "Add.out", "S1.q", "Dly.y", "G.out", "nope.x", "x.y.z"]
+    ),
+    st.just([]),
+    st.just({}),
+)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_documents(draw):
+    """One of the shipped documents after one to three random edits: a node
+    replaced by a leaf or by a copy of another node, deleted or doubled; at
+    times the JSON text is cut short too."""
+    doc = json.loads(draw(st.sampled_from(FRONT_DOORS)).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(doc) if p]
+        if not paths:
+            break
+        where = draw(st.sampled_from(paths))
+        parent, key = _at(doc, where[:-1]), where[-1]
+        edit = draw(st.sampled_from(("leaf", "copy", "delete", "double")))
+        if edit == "leaf":
+            parent[key] = draw(LEAVES)
+        elif edit == "copy":
+            parent[key] = copy.deepcopy(_at(doc, draw(st.sampled_from(paths))))
+        elif edit == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [parent[key], copy.deepcopy(parent[key])]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _csv_for(text: str) -> str:
+    """Three rows over the inputs of the parsed document: plain values, the
+    other sign and bot; one Real column when it does not parse."""
+    try:
+        doc = parse_doc(text)
+    except (ParseError, SchemaError, TypeMismatchError, CycleError):
+        return "u\n1.0\n"
+    cells = {
+        BaseType.REAL: ("1.5", "-0.0", "bot"),
+        BaseType.INT: ("2", "-3", "bot"),
+        BaseType.BOOL: ("true", "false", "bot"),
+    }
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([e.name for e in doc.inputs])
+    for k in range(3):
+        writer.writerow([cells[e.ty][k] for e in doc.inputs])
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_front_door_mutated_documents_exit_cleanly(text):
+    """Every command on a mutated shipped document exits 0, 2 (a parse,
+    schema or type error) or 3 (a failed precondition) and raises nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = pathlib.Path(tmp) / "doc.hbd.json"
+        doc_path.write_text(text)
+        csv_path = pathlib.Path(tmp) / "inputs.csv"
+        csv_path.write_text(_csv_for(text))
+        doc, inputs = str(doc_path), str(csv_path)
+        for argv in (
+            ["check", doc, "--seeds", "1", "--samples", "10"],
+            ["translate", doc, "--strategy", "fbpar"],
+            ["translate", doc, "--strategy", "fbless", "--mode", "recursive"],
+            ["print", doc],
+            ["simulate", doc, "--inputs", inputs],
+            ["simulate", doc, "--inputs", inputs, "--strategy", "fbless"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ) as err:
+                code = main(argv)
+            assert code in (0, 2, 3), (argv[0], code, err.getvalue(), text)

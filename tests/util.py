@@ -13,7 +13,8 @@ from hbd.feedbackless import (
     transitive_closure,
     validate_ok_fbless,
 )
-from hbd.errors import CompositionError
+from hbd.compiled import compile_term
+from hbd.errors import CompositionError, SchemaError
 from hbd.io_diagrams import (
     IoDiagram,
     beside,
@@ -23,6 +24,7 @@ from hbd.io_diagrams import (
     switch_vars,
     union_ord,
 )
+from hbd.sim import SimTrace, StepRow, _check_row, _typed
 from hbd.symbolic import BOT as BOT_NODE, Graph
 from hbd.terms import (
     Atom,
@@ -370,6 +372,46 @@ def nested_eval_term(term, inputs, cfg=semantics.DEFAULT_CONFIG, stats=None):
     return ev(term, tuple(inputs))
 
 
+def simulate_translated_oracle(diagram, state_table, rows, cfg=semantics.DEFAULT_CONFIG):
+    """``sim.simulate_translated`` as one ``Compiled.run`` call per step:
+    per step, a list of the diagram's inputs, each external one checked by
+    ``_typed`` as it is read, and the next state picked out by position."""
+    compiled = compile_term(diagram.body, cfg)
+    out_names = [v.name for v in diagram.outputs]
+    out_pos = {name: i for i, name in enumerate(out_names)}
+    for e in state_table:
+        if e.next_state.name not in out_pos:
+            raise SchemaError(
+                f"translated diagram lost next-state variable {e.next_state.name}"
+            )
+    state_names = [e.state.name for e in state_table]
+    state_pos = {name: i for i, name in enumerate(state_names)}
+    sources = [(state_pos.get(v.name), v) for v in diagram.inputs]
+    ext_in = [v for pos, v in sources if pos is None]
+    ext_names = {v.name for v in ext_in}
+    next_pos = [out_pos[e.next_state.name] for e in state_table]
+
+    state = tuple(e.init for e in state_table)
+    trace = SimTrace()
+    for step, row in enumerate(rows):
+        _check_row(row, ext_names, f"step {step}")
+        values = [
+            _typed(row[v.name], v, step) if pos is None else state[pos] for pos, v in sources
+        ]
+        (out,) = compiled.run([values], validate=False)
+        new_state = tuple(out[i] for i in next_pos)
+        trace.steps.append(
+            StepRow(
+                inputs={v.name: row[v.name] for v in ext_in},
+                outputs=dict(zip(out_names, out)),
+                state_before=dict(zip(state_names, state)),
+                state_after=dict(zip(state_names, new_state)),
+            )
+        )
+        state = new_state
+    return trace
+
+
 # -- nested documents --------------------------------------------------------
 
 # Small documents with subsystem instances, shared by the frontend and
@@ -493,4 +535,19 @@ FANOUT_DOC = {
             "wires": [{"from": "A.out", "to": "Sum.a"}, {"from": "B.out", "to": "Sum.b"}],
         }
     },
+}
+
+
+# A switch whose output feeds its own else input: every translation of it is
+# undecided.
+LATCH = {
+    "version": 1,
+    "name": "latch",
+    "inputs": [
+        {"name": "c", "type": "Bool", "to": "S.c"},
+        {"name": "u", "type": "Real", "to": "S.t"},
+    ],
+    "outputs": [{"name": "y", "type": "Real", "from": "S.out"}],
+    "blocks": [{"id": "S", "kind": "SwitchBlk"}],
+    "wires": [{"from": "S.out", "to": "S.e"}],
 }
