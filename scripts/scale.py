@@ -16,9 +16,10 @@ A second table gives one ``check`` row per size: the seconds
 (200 samples per pair), the cells proved by equal output graphs out of all
 cells, and the largest joint solve, (total tower width, passes), of a term.
 
-A third table gives one ``simulate`` row per size and strategy: the seconds
-``simulate_translated`` takes (compiling the term included) on the fbpar and
-incr translations over 200 seeded input steps, and the steps per second.
+A third table gives one ``simulate`` row per size and strategy, on the fbpar
+and incr translations over 200 seeded input steps: the seconds
+``compile_term`` takes on the term, the seconds of the step loop
+(``simulate_compiled``), and the steps per second of the loop alone.
 
     python scripts/scale.py [N ...]
 """
@@ -31,12 +32,13 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from hbd.compiled import compile_term
 from hbd.feedbackless import fbless_translate, split_block
 from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
 from hbd.harness import equivalence_matrix, translate_all
 from hbd.io_diagrams import EquivConfig
-from hbd.sim import simulate_translated
+from hbd.sim import simulate_compiled
 from hbd.terms import Route, iter_subterms, print_term
 from hbd.translator import FeedbackParallel, Incremental, translate
 from hbd.types import BaseType
@@ -91,9 +93,9 @@ def main(argv=None) -> int:
     for n, (seconds, proved, cells, (width, passes)) in checks:
         joint = f"{width}x{passes}"
         print(f"{n:>6} {'check':<8} {seconds:>8.3f} {proved:>8} {cells:>6} {joint:>10}")
-    print(f"{'blocks':>6} {'simulate':<8} {'seconds':>8} {'steps/s':>10}")
-    for n, name, seconds in sims:
-        print(f"{n:>6} {name:<8} {seconds:>8.3f} {STEPS / seconds:>10.0f}")
+    print(f"{'blocks':>6} {'simulate':<8} {'compile':>8} {'loop':>8} {'steps/s':>10}")
+    for n, name, (compiling, loop) in sims:
+        print(f"{n:>6} {name:<8} {compiling:>8.3f} {loop:>8.3f} {STEPS / loop:>10.0f}")
     return 0
 
 
@@ -109,9 +111,10 @@ def check(diagrams) -> tuple:
     return seconds, sum(cell.proved for cell in cells), len(cells), joint
 
 
-def simulate(diagram, state_table, doc) -> float:
-    """Seconds ``simulate_translated`` takes on ``STEPS`` input rows drawn
-    from a seed: Bools, Ints in [-5, 5] and Reals on that grid."""
+def simulate(diagram, state_table, doc) -> tuple:
+    """(compile seconds, step-loop seconds) of simulating ``diagram`` on
+    ``STEPS`` input rows drawn from a seed: Bools, Ints in [-5, 5] and Reals
+    on that grid."""
     rng = random.Random(f"scale/{doc.name}")
     draw = {
         BaseType.BOOL: lambda: rng.random() < 0.5,
@@ -120,8 +123,10 @@ def simulate(diagram, state_table, doc) -> float:
     }
     rows = [{e.name: draw[e.ty]() for e in doc.inputs} for _ in range(STEPS)]
     t0 = time.perf_counter()
-    simulate_translated(diagram, state_table, rows)
-    return time.perf_counter() - t0
+    compiled = compile_term(diagram.body)
+    t1 = time.perf_counter()
+    simulate_compiled(compiled, diagram, state_table, rows)
+    return t1 - t0, time.perf_counter() - t1
 
 
 if __name__ == "__main__":

@@ -161,14 +161,15 @@ def cmd_simulate(args) -> int:
     trace = simulate_translated(result.diagram, result.state_table, rows)
     in_names = [e.name for e in result.doc.inputs]
     out_names = [e.name for e in result.doc.outputs]
-    state_names = [e.state.name for e in result.state_table]
-    print(",".join(["step"] + in_names + out_names + [f"{s}@pre" for s in state_names]))
-    for i, step in enumerate(trace.steps):
+    print(",".join(["step"] + in_names + out_names + [f"{s}@pre" for s in trace.state_names]))
+    pick_in = [trace.input_names.index(n) for n in in_names]
+    pick_out = [trace.output_names.index(n) for n in out_names]
+    for i, (ext, out, state) in enumerate(zip(trace.inputs, trace.outputs, trace.states)):
         cells = (
             [str(i)]
-            + [_show(step.inputs[n]) for n in in_names]
-            + [_show(step.outputs[n]) for n in out_names]
-            + [_show(step.state_before[s]) for s in state_names]
+            + [_show(ext[k]) for k in pick_in]
+            + [_show(out[k]) for k in pick_out]
+            + [_show(v) for v in state]
         )
         print(",".join(cells))
     return 0

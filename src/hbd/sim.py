@@ -4,7 +4,8 @@ Two executions of the same document are provided:
 
 * ``simulate_translated`` runs the algebra term produced by a translation,
   threading state variables between steps per the state table: the term is
-  compiled once, and each step is one call of its ``Compiled.row``.
+  compiled once, and each step is one call of its ``Compiled.row``
+  (``simulate_compiled`` is that step loop on an already compiled term).
 * ``simulate_direct`` executes the atom io-diagrams of
   ``document_io_list`` (in ``flatten`` mode, so every subsystem instance is
   expanded) by fixpoint iteration over wire assignments: each atom's
@@ -16,15 +17,23 @@ Two executions of the same document are provided:
 Both check every external input of a step, before the step runs, with the
 same messages: ``SchemaError`` for a missing input and ``TypeMismatchError``
 for a value of the wrong kind.
+
+Both return a ``SimTrace`` recorded by column: its input, output and state
+names once, then per step the tuples the loop already holds (external
+inputs, outputs, next state).  The state list starts with the initial
+state, so each state is stored once.  ``SimTrace.steps`` builds the
+``StepRow`` dicts on first read; ``column``, ``len`` and ``traces_match``
+read the tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .compiled import compile_term
+from .compiled import Compiled, compile_term
 from .errors import FixpointDivergence, SchemaError, TypeMismatchError
 from .frontend import DiagramDoc, document_io_list
 # Not called here.  perfbench/spans.py wraps ``sim.normalize`` on every
@@ -43,16 +52,45 @@ class StepRow:
     state_after: dict
 
 
-@dataclass
 class SimTrace:
-    steps: list = field(default_factory=list)
+    """A run of a simulator, by column.
 
-    def column(self, name: str):
-        return [s.outputs.get(name) for s in self.steps]
+    ``inputs[k]`` and ``outputs[k]`` are the tuples of step k over
+    ``input_names`` and ``output_names``; ``states[k]`` and ``states[k+1]``
+    are the state before and after step k, over ``state_names``."""
 
+    def __init__(self, input_names, output_names, state_names, initial):
+        self.input_names = tuple(input_names)
+        self.output_names = tuple(output_names)
+        self.state_names = tuple(state_names)
+        self.inputs = []
+        self.outputs = []
+        self.states = [tuple(initial)]
 
-def initial_state(state_table) -> dict:
-    return {e.state.name: e.init for e in state_table}
+    def __len__(self) -> int:
+        return len(self.outputs)
+
+    @cached_property
+    def steps(self) -> list:
+        """One ``StepRow`` per step, built on first read."""
+        ins, outs, states = self.input_names, self.output_names, self.state_names
+        return [
+            StepRow(
+                inputs=dict(zip(ins, i)),
+                outputs=dict(zip(outs, o)),
+                state_before=dict(zip(states, before)),
+                state_after=dict(zip(states, after)),
+            )
+            for i, o, before, after in zip(
+                self.inputs, self.outputs, self.states, self.states[1:]
+            )
+        ]
+
+    def column(self, name: str) -> list:
+        if name not in self.output_names:
+            raise KeyError(f"trace has no output {name!r}")
+        i = self.output_names.index(name)
+        return [out[i] for out in self.outputs]
 
 
 def _check_row(row: dict, expected_names: set, where: str):
@@ -67,14 +105,21 @@ def simulate_translated(
     rows,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> SimTrace:
-    """Run the translated io-diagram for one row of external inputs per step.
+    """Run the translated io-diagram for one row of external inputs per step:
+    ``compile_term`` once, then ``simulate_compiled``."""
+    return simulate_compiled(compile_term(diagram.body, cfg), diagram, state_table, rows)
+
+
+def simulate_compiled(compiled: Compiled, diagram: IoDiagram, state_table, rows) -> SimTrace:
+    """The step loop of ``simulate_translated`` on ``compiled``, the
+    compiled body of ``diagram``.
 
     What is the same on every step is worked out once: the getters of the
     external inputs, of the diagram's inputs and of the next state, and the
     Python types the external inputs should have.  A step calls
     ``Compiled.row`` once, and runs ``_typed`` on its inputs only when a
     value is not of its expected type."""
-    row_fn = compile_term(diagram.body, cfg).row
+    row_fn = compiled.row
     out_names = [v.name for v in diagram.outputs]
     out_pos = {name: i for i, name in enumerate(out_names)}
     for e in state_table:
@@ -96,7 +141,8 @@ def simulate_translated(
     expected = tuple(_PY_TYPES[v.ty] for v in ext_in)
 
     state = tuple(e.init for e in state_table)
-    trace = SimTrace()
+    trace = SimTrace(ext_in_names, out_names, state_names, state)
+    add_ext, add_out, add_state = trace.inputs.append, trace.outputs.append, trace.states.append
     for step, row in enumerate(rows):
         if not row.keys() >= ext_names:
             _check_row(row, ext_names, f"step {step}")
@@ -106,16 +152,10 @@ def simulate_translated(
                 _typed(value, v, step)
         # _typed checked the external inputs; the state holds typed outputs
         out = row_fn(None, *gather(state + ext))
-        new_state = next_state(out)
-        trace.steps.append(
-            StepRow(
-                inputs=dict(zip(ext_in_names, ext)),
-                outputs=dict(zip(out_names, out)),
-                state_before=dict(zip(state_names, state)),
-                state_after=dict(zip(state_names, new_state)),
-            )
-        )
-        state = new_state
+        state = next_state(out)
+        add_ext(ext)
+        add_out(out)
+        add_state(state)
     return trace
 
 
@@ -156,13 +196,15 @@ def simulate_direct(
         all_vars.add(e.name)
     ext_in_names = [e.name for e in doc.inputs]
     ext_names = set(ext_in_names)
+    out_names = [e.name for e in doc.outputs]
+    state_names = [e.state.name for e in state_table]
 
-    state = initial_state(state_table)
-    trace = SimTrace()
+    state = tuple(e.init for e in state_table)
+    trace = SimTrace(ext_in_names, out_names, state_names, state)
     for step, row in enumerate(rows):
         _check_row(row, ext_names, f"step {step}")
         env = {name: BOT for name in all_vars}
-        env.update(state)
+        env.update(zip(state_names, state))
         for e in doc.inputs:
             env[e.name] = _typed(row[e.name], e, step)
         cap = len(all_vars) + cfg.max_fix_iters
@@ -180,29 +222,23 @@ def simulate_direct(
                 break
         else:
             raise FixpointDivergence("direct interpreter did not stabilize")
-        outputs = {e.name: env[e.name] for e in doc.outputs}
-        new_state = {
-            e.state.name: env[e.next_state.name] for e in state_table
-        }
-        trace.steps.append(
-            StepRow(
-                inputs={name: row[name] for name in ext_in_names},
-                outputs=outputs,
-                state_before=dict(state),
-                state_after=dict(new_state),
-            )
-        )
-        state = new_state
+        state = tuple(env[e.next_state.name] for e in state_table)
+        trace.inputs.append(tuple(row[name] for name in ext_in_names))
+        trace.outputs.append(tuple(env[name] for name in out_names))
+        trace.states.append(state)
     return trace
 
 
 def traces_match(a: SimTrace, b: SimTrace, names: Optional[list] = None) -> bool:
-    """Compare two traces on the given output names (all shared names by default)."""
-    if len(a.steps) != len(b.steps):
+    """Compare two traces on the given output names (all shared names by
+    default).  Traces that record outputs but share none of their names do
+    not match."""
+    if len(a) != len(b):
         return False
-    for sa, sb in zip(a.steps, b.steps):
-        keys = names if names is not None else sorted(set(sa.outputs) & set(sb.outputs))
-        for k in keys:
-            if not values_close(sa.outputs[k], sb.outputs[k]):
-                return False
-    return True
+    if names is None:
+        names = sorted(set(a.output_names) & set(b.output_names))
+        if not names and (a.output_names or b.output_names):
+            return False
+    return all(
+        values_close(x, y) for k in names for x, y in zip(a.column(k), b.column(k))
+    )

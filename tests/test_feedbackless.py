@@ -484,9 +484,10 @@ def test_scale_script_runs():
     assert check[:2] == ["20", "check"] and check[3:5] == ["529", "529"]
     width, passes = map(int, check[5].split("x"))
     assert width >= 1 and 1 <= passes <= width + 1
-    assert sim_header == ["blocks", "simulate", "seconds", "steps/s"]
+    assert sim_header == ["blocks", "simulate", "compile", "loop", "steps/s"]
     assert [fbpar[:2], incr[:2]] == [["20", "fbpar"], ["20", "incr"]]
-    assert all(float(row[3]) > 0 for row in (fbpar, incr))
+    assert all(len(row) == len(sim_header) for row in (fbpar, incr))
+    assert all(float(row[4]) > 0 for row in (fbpar, incr))
 
 
 def test_sharing_orders_script_runs():

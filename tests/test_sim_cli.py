@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from hbd import cli
 from hbd.cli import main
-from hbd.errors import CycleError, ParseError, SchemaError, TypeMismatchError
+from hbd.errors import CycleError, ParseError, PreconditionError, SchemaError, TypeMismatchError
 from hbd.frontend import flatten_or_recurse, normalize, parse_doc
 from hbd.gen import loop_diagram, random_diagram
 from hbd.semantics import BOT
@@ -28,7 +28,7 @@ from hbd.types import BaseType
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices
 from hbd.frontend import FbLess
 
-from util import LATCH, decided
+from util import LATCH, decided, simulate_translated_oracle
 
 
 def test_summation_trace(sum_doc):
@@ -304,6 +304,47 @@ def test_cli_simulate_steps_limit(sum_path, tmp_path, capsys):
     assert main(["simulate", sum_path, "--inputs", str(csv_path), "--steps", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3
+
+
+DIAGRAMS = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
+
+
+def _oracle_csv(path, csv_path, strategy, seed):
+    """The exit code and stdout ``hbd simulate`` should give, built from
+    the ``StepRow``s of the row-wise oracle."""
+    try:
+        result = flatten_or_recurse(cli._load(path), "flatten", cli._method(strategy, seed))
+    except PreconditionError:
+        return 3, ""
+    rows = cli._read_csv(csv_path, result.doc, None)
+    trace = simulate_translated_oracle(result.diagram, result.state_table, rows)
+    in_names = [e.name for e in result.doc.inputs]
+    out_names = [e.name for e in result.doc.outputs]
+    state_names = [e.state.name for e in result.state_table]
+    lines = [",".join(["step"] + in_names + out_names + [f"{s}@pre" for s in state_names])]
+    for i, step in enumerate(trace.steps):
+        cells = (
+            [str(i)]
+            + [cli._show(step.inputs[n]) for n in in_names]
+            + [cli._show(step.outputs[n]) for n in out_names]
+            + [cli._show(step.state_before[s]) for s in state_names]
+        )
+        lines.append(",".join(cells))
+    return 0, "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("strategy", ["fbpar", "incr", "fbless", "random"])
+@pytest.mark.parametrize("name", ["sum", "loop", "nested"])
+def test_cli_simulate_prints_the_oracle_csv(name, strategy, tmp_path, capsys):
+    """`hbd simulate` prints, byte for byte, the CSV of the oracle's rows,
+    bot, -0.0 and 1e300 cells included."""
+    path = str(DIAGRAMS / f"{name}.hbd.json")
+    csv_path = tmp_path / "inputs.csv"
+    csv_path.write_text("u\n1\nbot\n-0.0\n1e300\n-2.5\n1e300\n0\n")
+    argv = ["simulate", path, "--inputs", str(csv_path), "--strategy", strategy, "--seed", "3"]
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == _oracle_csv(path, str(csv_path), strategy, 3)
+    assert code == (3 if (name, strategy) == ("loop", "fbless") else 0)
 
 
 def test_cli_axioms_quick(capsys):

@@ -14,7 +14,7 @@ from hbd.errors import SchemaError, TypeMismatchError
 from hbd.frontend import FbLess, flatten_or_recurse, parse_doc
 from hbd.gen import random_diagram
 from hbd.semantics import BOT
-from hbd.sim import simulate_direct, simulate_translated, traces_match
+from hbd.sim import SimTrace, simulate_direct, simulate_translated, traces_match
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices
 from hbd.types import BaseType, Var
 
@@ -197,6 +197,67 @@ def test_document_without_external_inputs():
         want = simulate_translated_oracle(result.diagram, result.state_table, rows)
         assert repr(trace.steps) == repr(want.steps), key
     assert simulate_direct(doc, rows).column("y") == [0.0, 2.5, 5.0]
+
+
+def _traces(doc, rows):
+    """The direct interpreter's trace and every translation's trace of
+    ``doc`` on ``rows``."""
+    yield "direct", simulate_direct(doc, rows)
+    for key, result in translations(doc):
+        yield key, simulate_translated(result.diagram, result.state_table, rows)
+
+
+@pytest.mark.parametrize("spec", [MIXED, CONSTANT, SUB_DOC], ids=lambda d: d["name"])
+@pytest.mark.parametrize("steps", [0, 1, 4])
+def test_columns_agree_with_the_materialised_steps(spec, steps):
+    """``len``, ``column`` and the input, output and state tuples of both
+    simulators read, by ``repr``, what their ``StepRow``s hold; each state
+    is stored once, the initial one first."""
+    doc = parse_doc(json.dumps(spec))
+    rows = _rows(random.Random(f"columns/{spec['name']}"), doc, steps)
+    for key, trace in _traces(doc, rows):
+        materialised = trace.steps
+        assert trace.steps is materialised, key  # built once
+        assert len(trace) == len(materialised) == steps, key
+        assert len(trace.states) == steps + 1, key
+        for name in trace.output_names:
+            assert repr(trace.column(name)) == repr([s.outputs[name] for s in materialised]), key
+        pairs = (
+            (trace.input_names, trace.inputs, [s.inputs for s in materialised]),
+            (trace.output_names, trace.outputs, [s.outputs for s in materialised]),
+            (trace.state_names, trace.states[:-1], [s.state_before for s in materialised]),
+            (trace.state_names, trace.states[1:], [s.state_after for s in materialised]),
+        )
+        for names, tuples, dicts in pairs:
+            assert repr([dict(zip(names, t)) for t in tuples]) == repr(dicts), key
+        assert [len(t) for t in trace.states] == [len(trace.state_names)] * (steps + 1), key
+
+
+def test_column_of_an_unknown_output_raises(mixed):
+    for key, trace in _traces(mixed, [GOOD]):
+        with pytest.raises(KeyError, match="no output 'w'"):
+            trace.column("w")
+        assert trace.column("m") == [6], key
+
+
+def _one_step(output_names, outputs):
+    trace = SimTrace(("u",), output_names, (), ())
+    trace.inputs.append((1.0,))
+    trace.outputs.append(outputs)
+    trace.states.append(())
+    return trace
+
+
+def test_traces_sharing_no_output_name_do_not_match():
+    y, z = _one_step(("y",), (1.0,)), _one_step(("z",), (1.0,))
+    assert not traces_match(y, z)
+    assert not traces_match(y, _one_step((), ()))
+    assert traces_match(_one_step((), ()), _one_step((), ()))
+    assert traces_match(y, _one_step(("z", "y"), (0.0, 1.0)))
+    assert not traces_match(y, _one_step(("z", "y"), (0.0, 2.0)))
+    assert traces_match(y, z, names=[])
+    with pytest.raises(KeyError, match="no output 'y'"):
+        traces_match(y, z, names=["y"])
 
 
 def _rows(rng, doc, steps):

@@ -375,7 +375,9 @@ def nested_eval_term(term, inputs, cfg=semantics.DEFAULT_CONFIG, stats=None):
 def simulate_translated_oracle(diagram, state_table, rows, cfg=semantics.DEFAULT_CONFIG):
     """``sim.simulate_translated`` as one ``Compiled.run`` call per step:
     per step, a list of the diagram's inputs, each external one checked by
-    ``_typed`` as it is read, and the next state picked out by position."""
+    ``_typed`` as it is read, and the next state picked out by position.
+    Row-wise: its ``steps`` are the ``StepRow``s it builds step by step, not
+    ones read back from its columns."""
     compiled = compile_term(diagram.body, cfg)
     out_names = [v.name for v in diagram.outputs]
     out_pos = {name: i for i, name in enumerate(out_names)}
@@ -392,7 +394,8 @@ def simulate_translated_oracle(diagram, state_table, rows, cfg=semantics.DEFAULT
     next_pos = [out_pos[e.next_state.name] for e in state_table]
 
     state = tuple(e.init for e in state_table)
-    trace = SimTrace()
+    trace = SimTrace([v.name for v in ext_in], out_names, state_names, state)
+    steps = []
     for step, row in enumerate(rows):
         _check_row(row, ext_names, f"step {step}")
         values = [
@@ -400,7 +403,7 @@ def simulate_translated_oracle(diagram, state_table, rows, cfg=semantics.DEFAULT
         ]
         (out,) = compiled.run([values], validate=False)
         new_state = tuple(out[i] for i in next_pos)
-        trace.steps.append(
+        steps.append(
             StepRow(
                 inputs={v.name: row[v.name] for v in ext_in},
                 outputs=dict(zip(out_names, out)),
@@ -408,7 +411,11 @@ def simulate_translated_oracle(diagram, state_table, rows, cfg=semantics.DEFAULT
                 state_after=dict(zip(state_names, new_state)),
             )
         )
+        trace.inputs.append(tuple(row[v.name] for v in ext_in))
+        trace.outputs.append(tuple(out))
+        trace.states.append(new_state)
         state = new_state
+    trace.steps = steps
     return trace
 
 
