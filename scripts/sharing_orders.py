@@ -37,7 +37,7 @@ def gain(name, src, dst, k):
             (dst,),
             mk_atom(name, ExprFun((Var(src.name, R),), (Bin("*", Lit(k), Ref(src.name)),))),
         ),
-        frozenset((src,)),
+        frozenset((src.name,)),
     )
 
 
@@ -46,12 +46,12 @@ def main() -> int:
     blocks = [
         gain("A", u, a, 2.0),
         gain("B", a, b, 3.0),
-        SplitBlock(IoDiagram((b,), (c,), Id((R,))), frozenset((b,))),
-        SplitBlock(IoDiagram((b,), (d,), Id((R,))), frozenset((b,))),
+        SplitBlock(IoDiagram((b,), (c,), Id((R,))), frozenset("b")),
+        SplitBlock(IoDiagram((b,), (d,), Id((R,))), frozenset("b")),
         gain("C", c, v, -1.0),
         gain("D", d, w, 5.0),
     ]
-    names = sorted(x.name for x in internal_vars(blocks))
+    names = sorted(internal_vars(blocks))
     print(f"internal variables: {names}")
     reference = None
     for order in itertools.permutations(names):

@@ -30,15 +30,10 @@ from .semantics import BOT, EvalConfig, eval_expr, eval_term, sample_inputs
 from .io_diagrams import (
     EquivConfig,
     IoDiagram,
-    inter,
-    is_perm,
-    minus,
     named_feedback,
     named_parallel,
     named_serial,
     switch_vars,
-    union_ord,
-    vars_between,
 )
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
 from .feedbackless import SplitBlock, fbless_translate, loop_free, oi_rel, split_block

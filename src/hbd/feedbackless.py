@@ -6,13 +6,16 @@ dependency relation has no cycle (Kahn's algorithm, ``loop_free``),
 internal variables are eliminated one at a time by composing each producer
 serially into all of its consumers, found through a name -> readers index;
 the surviving blocks are folded in parallel.  The bookkeeping around the
-compositions is linear in the diagram.  The result contains no feedback
-operator outside Arb constants.  ``check_deterministic`` checks a block's
+compositions is linear in the diagram, and keyed by variable name, as the
+io-diagrams' own interface maps are: dependency sets, the dependency
+relation, internal variables and elimination orders all hold names.  The
+result contains no feedback operator outside Arb constants.  ``check_deterministic`` checks a block's
 determinism equation with the harness's oracle, ``term_cells``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,22 +37,28 @@ from .types import Var, types_of
 
 @dataclass(frozen=True)
 class SplitBlock:
-    """A single-output io-diagram plus the inputs its output really reads."""
+    """A single-output io-diagram plus the names of the inputs its output
+    really reads."""
 
     base: IoDiagram
-    deps: frozenset  # frozenset[Var]
+    deps: frozenset  # frozenset[str]: names of inputs
 
     def __post_init__(self):
         if len(self.base.outputs) != 1:
             raise PreconditionError(
                 f"split block must have one output, got {self.base.outputs}"
             )
-        if not self.deps <= set(self.base.inputs):
-            raise PreconditionError("deps must be a subset of the inputs")
+        if not self.base.in_pos.keys() >= self.deps:
+            raise PreconditionError("deps must be a subset of the input names")
 
     @property
     def output(self) -> Var:
         return self.base.outputs[0]
+
+    @property
+    def name(self) -> str:
+        """The name of the output."""
+        return self.base.outputs[0].name
 
 
 def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
@@ -81,16 +90,16 @@ def split_block(a: IoDiagram) -> list:
         deps = _deps_for(a, i)
         if isinstance(a.body, Atom):
             body_expr = a.body.fn.bodies[i]
-            kept = tuple(v for v in a.inputs if v in deps)
             if isinstance(body_expr, Ref):
-                src = next(v for v in a.inputs if v.name == body_expr.name)
+                src = a.inputs[a.in_pos[body_expr.name]]
                 base = IoDiagram((src,), (u,), Id((src.ty,)))
             else:
-                fn = ExprFun(tuple(kept), (body_expr,))
+                kept = tuple(v for v in a.inputs if v.name in deps)
+                fn = ExprFun(kept, (body_expr,))
                 base = IoDiagram(
                     kept, (u,), mk_atom(f"{a.body.name}.{u.name}", fn)
                 )
-            out.append(SplitBlock(base, frozenset(kept)))
+            out.append(SplitBlock(base, deps))
         else:
             body = mk_serial(a.body, switch_vars(a.outputs, (u,)))
             out.append(SplitBlock(IoDiagram(a.inputs, (u,), body), deps))
@@ -98,14 +107,14 @@ def split_block(a: IoDiagram) -> list:
 
 
 def _deps_for(a, i) -> frozenset:
+    """The input names output ``i`` of ``a`` reads."""
     if isinstance(a.body, Atom):
-        names = free_refs(a.body.fn.bodies[i])
-        return frozenset(v for v in a.inputs if v.name in names)
-    return frozenset(a.inputs)
+        return frozenset(free_refs(a.body.fn.bodies[i])).intersection(a.in_pos)
+    return frozenset(a.in_pos)
 
 
 def oi_rel(items) -> frozenset:
-    """Output->input dependency pairs.
+    """Output->input dependency pairs, as name pairs.
 
     For plain io-diagrams this is the full product set(O) x set(I); for
     split blocks the refined per-output dependencies are used.
@@ -113,11 +122,9 @@ def oi_rel(items) -> frozenset:
     pairs = set()
     for it in items:
         if isinstance(it, SplitBlock):
-            pairs.update((it.output, v) for v in it.deps)
+            pairs.update((it.name, n) for n in it.deps)
         else:
-            pairs.update(
-                (o, v) for o in set(it.outputs) for v in set(it.inputs)
-            )
+            pairs.update(itertools.product(it.out_pos, it.in_pos))
     return frozenset(pairs)
 
 
@@ -128,34 +135,16 @@ def _successors(rel):
     return succ
 
 
-def transitive_closure(rel) -> frozenset:
-    """Every pair (a, c) with a path from a to c in ``rel``.  The tests
-    check ``loop_free`` against it."""
-    succ = _successors(rel)
-    closure = {a: set(bs) for a, bs in succ.items()}
-    changed = True
-    while changed:
-        changed = False
-        for a in closure:
-            extra = set()
-            for b in closure[a]:
-                extra |= closure.get(b, set())
-            if not extra <= closure[a]:
-                closure[a] |= extra
-                changed = True
-    return frozenset((a, b) for a, bs in closure.items() for b in bs)
-
-
 def loop_free(items) -> bool:
     """No variable reaches itself through the dependency relation: Kahn's
-    algorithm removes every variable of ``oi_rel(items)``.  A variable on a
-    cycle, a self-loop included, never runs out of predecessors."""
+    algorithm removes every name of ``oi_rel(items)``.  A name on a cycle,
+    a self-loop included, never runs out of predecessors."""
     succ: dict = {}
     indeg: dict = {}
     for a, b in oi_rel(items):
-        succ.setdefault(a.name, []).append(b.name)
-        indeg[b.name] = indeg.get(b.name, 0) + 1
-        indeg.setdefault(a.name, 0)
+        succ.setdefault(a, []).append(b)
+        indeg[b] = indeg.get(b, 0) + 1
+        indeg.setdefault(a, 0)
     ready = [v for v, k in indeg.items() if k == 0]
     removed = 0
     while ready:
@@ -169,14 +158,15 @@ def loop_free(items) -> bool:
 
 
 def find_cycle(items):
-    """A witness path x -> ... -> x in the dependency relation, or None."""
+    """A witness path of names x -> ... -> x in the dependency relation, or
+    None."""
     succ = _successors(oi_rel(items))
-    for start in sorted(succ, key=lambda v: v.name):
+    for start in sorted(succ):
         stack = [(start, [start])]
         seen = set()
         while stack:
             node, path = stack.pop()
-            for nxt in sorted(succ.get(node, ()), key=lambda v: v.name):
+            for nxt in sorted(succ.get(node, ())):
                 if nxt == start:
                     return path + [start]
                 if nxt not in seen:
@@ -186,27 +176,30 @@ def find_cycle(items):
 
 
 def internal_vars(blocks) -> set:
-    """Variables produced by one block and consumed by another."""
-    produced = {b.output for b in blocks}
+    """Names of the variables produced by one block and consumed by
+    another."""
+    produced = {b.name for b in blocks}
     consumed = set()
     for b in blocks:
-        consumed.update(b.base.inputs)
+        consumed.update(b.base.in_pos)
     return produced & consumed
 
 
 def internal_serial(a: SplitBlock, b: SplitBlock) -> SplitBlock:
     """a |> b: compose serially only when b consumes a's output."""
-    if a.output in set(b.base.inputs):
+    u = a.name
+    if u in b.base.in_pos:
         base = named_serial(a.base, b.base)
-        deps = (b.deps - {a.output}) | a.deps
-        return SplitBlock(base, deps & set(base.inputs))
+        deps = b.deps.difference((u,)).union(a.deps)
+        return SplitBlock(base, deps.intersection(base.in_pos))
     return b
 
 
 def _internal_by_first_seen(blocks) -> list:
-    """Internal variables in the order their producers appear in ``blocks``."""
-    first_seen = {b.output: i for i, b in enumerate(blocks)}
-    return sorted(internal_vars(blocks), key=lambda v: first_seen[v])
+    """Internal variable names in the order their producers appear in
+    ``blocks``."""
+    first_seen = {b.name: i for i, b in enumerate(blocks)}
+    return sorted(internal_vars(blocks), key=first_seen.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -215,15 +208,14 @@ class GivenOrder:
 
     def order(self, blocks) -> list:
         internal = internal_vars(blocks)
-        by_name = {v.name: v for v in internal}
         order = []
         for item in self.names:
             name = item.name if isinstance(item, Var) else item
-            if name not in by_name:
+            if name not in internal:
                 raise PreconditionError(
                     f"GivenOrder names unknown internal variable {name!r}"
                 )
-            order.append(by_name[name])
+            order.append(name)
         if set(order) != internal or len(order) != len(internal):
             raise PreconditionError(
                 "GivenOrder must list every internal variable exactly once"
@@ -236,14 +228,14 @@ class Topological:
     def order(self, blocks) -> list:
         # u precedes w when w's producer reads u: eliminating upstream
         # variables first maximizes reuse of already-composed producers.
-        deps_of = {b.output.name: b.deps for b in blocks}
+        deps_of = {b.name: b.deps for b in blocks}
         nodes = _internal_by_first_seen(blocks)
-        index = {u.name: i for i, u in enumerate(nodes)}
+        index = {u: i for i, u in enumerate(nodes)}
         succs = [set() for _ in nodes]
         for j, w in enumerate(nodes):
-            for u in deps_of[w.name]:
-                if u.name in index:
-                    succs[index[u.name]].add(j)
+            for u in deps_of[w]:
+                if u in index:
+                    succs[index[u]].add(j)
         return [nodes[i] for i in stable_topo_order(succs)]
 
 
@@ -260,14 +252,14 @@ class RandomOrder:
 def validate_ok_fbless(blocks) -> None:
     if not blocks:
         raise PreconditionError("feedbackless translation needs at least one block")
-    outs = [b.output for b in blocks]
+    outs = [b.name for b in blocks]
     if len(set(outs)) != len(outs):
         raise PreconditionError(
-            f"feedbackless translation: duplicate outputs: {[v.name for v in outs]}"
+            f"feedbackless translation: duplicate outputs: {outs}"
         )
     if not loop_free(blocks):
         cycle = find_cycle(blocks)
-        path = " -> ".join(v.name for v in cycle) if cycle else "?"
+        path = " -> ".join(cycle) if cycle else "?"
         raise PreconditionError(f"feedbackless translation: algebraic loop: {path}")
 
 
@@ -282,30 +274,33 @@ def ok_fbless(blocks) -> bool:
 def fbless_translate(blocks, order_policy=Topological()) -> IoDiagram:
     """Algorithm: eliminate one internal variable per step, then fold in
     parallel.  ``order_policy`` (GivenOrder, Topological or RandomOrder)
-    picks the elimination order.
+    picks the elimination order, a list of names.
 
     The blocks keep their list positions (slots), and the survivors fold in
     list order.  ``producer`` maps an output name to its slot and
     ``readers`` maps a name to the slots whose inputs hold it, so
     eliminating ``u`` composes its producer into the blocks of
-    ``readers[u]`` alone, and every ``internal_serial`` call composes."""
+    ``readers[u]`` alone, and every ``internal_serial`` call composes.
+    A composed block reads its own inputs but ``u``, and all of the
+    producer's, so the producer's inputs pass its readers on to them."""
     slots = list(blocks)
     validate_ok_fbless(slots)
     order = order_policy.order(slots)
-    producer = {b.output.name: i for i, b in enumerate(slots)}
+    producer = {b.name: i for i, b in enumerate(slots)}
     readers: dict = {}
     for i, b in enumerate(slots):
-        for v in b.base.inputs:
-            readers.setdefault(v.name, set()).add(i)
+        for n in b.base.in_pos:
+            readers.setdefault(n, set()).add(i)
     for u in order:
-        p = producer.pop(u.name)
+        p = producer.pop(u)
         a, slots[p] = slots[p], None
-        for v in a.base.inputs:
-            readers[v.name].discard(p)
-        for i in readers.pop(u.name, ()):
+        targets = readers.pop(u)
+        for n in a.base.in_pos:
+            held = readers[n]
+            held.discard(p)
+            held |= targets
+        for i in targets:
             slots[i] = internal_serial(a, slots[i])
-            for v in slots[i].base.inputs:
-                readers.setdefault(v.name, set()).add(i)
     return fold_parallel([b.base for b in slots if b is not None])
 
 

@@ -34,8 +34,7 @@ from .io_diagrams import (
     chain,
     differences,
     equivalence_samples,
-    is_perm,
-    switch_vars,
+    switch_names,
 )
 from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats
 from .symbolic import Graph
@@ -43,7 +42,6 @@ from .terms import print_term, term_size
 # ``translate`` here is the loop alone: ``translate_all`` checks the list once
 from .translator import FeedbackParallel, Incremental, RandomChoices, io_distinct_list
 from .translator import _translate_checked as translate
-from .types import types_of
 
 
 @dataclass
@@ -143,6 +141,9 @@ def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20
     return runs
 
 
+_SYMBOLIC_ERRORS = (RecursionError, TypeMismatchError)
+
+
 def term_cells(
     terms: Sequence,
     sample: Callable[[], list],
@@ -157,14 +158,22 @@ def term_cells(
     two equal decided output graphs is proved, and neither term runs.  Every
     other cell is sampled on the rows of ``sample()``, which is called at
     most once: each graph class runs once, and each undecided term on its
-    own, on the reference evaluator.  A string entry, or an undecided term
-    that finds no fixed point, fails its whole row and column with that
-    reason.
+    own, on the reference evaluator.  A string entry, a term whose symbolic
+    evaluation raises (too deep for the recursion limit, or not a term), or
+    an undecided term that finds no fixed point, fails its whole row and
+    column with that reason.
     """
     graph = Graph(cfg)
     typed = next((t for t in terms if not isinstance(t, str)), None)
     symbols = [] if typed is None else [graph.symbol(i) for i in range(len(typed.in_types))]
-    dags = [None if isinstance(t, str) else graph.outputs(t, symbols, stats) for t in terms]
+    terms = list(terms)
+    dags = [None] * len(terms)
+    for i, t in enumerate(terms):
+        if not isinstance(t, str):
+            try:
+                dags[i] = graph.outputs(t, symbols, stats)
+            except _SYMBOLIC_ERRORS as exc:
+                terms[i] = f"symbolic evaluation failed: {type(exc).__name__}: {exc}"
     rows = None  # sample(), drawn when the first term runs
     ran = {}  # graph class, or the index of an undecided term -> outputs or why none
 
@@ -200,19 +209,26 @@ def term_cells(
     return matrix
 
 
-def _aligned(d, ref_ins, ref_outs, ref_ty):
-    """``d`` aligned by name to the reference interface (a, a'), as the term
-    ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a')]``, or why it cannot be."""
+def _aligned(d, ref, ref_ty):
+    """``d`` aligned by name to the reference io-diagram (a, a'), as the
+    term ``[I(a)->I(b)] ;; D(b) ;; [O(b)->O(a')]``, or why it cannot be.
+    Interfaces are duplicate-free, so they are permutations of each other
+    when their name sets are equal."""
     if isinstance(d, str):
         return d
-    if not is_perm(d.inputs, ref_ins):
+    if d.in_pos.keys() != ref.in_pos.keys():
         return "input lists are not permutations"
-    if not is_perm(d.outputs, ref_outs):
+    if d.out_pos.keys() != ref.out_pos.keys():
         return "output lists are not permutations"
     for v in d.inputs + d.outputs:
         if ref_ty[v.name] is not v.ty:
             return f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}"
-    return chain(switch_vars(ref_ins, d.inputs), d.body, switch_vars(d.outputs, ref_outs))
+    (tin, tout), (rin, rout) = d.body.typing, ref.body.typing
+    return chain(
+        switch_names(ref.in_pos, rin, tuple(d.in_pos), tin),
+        d.body,
+        switch_names(d.out_pos, tout, tuple(ref.out_pos), rout),
+    )
 
 
 def equivalence_cells(
@@ -229,11 +245,10 @@ def equivalence_cells(
     permutation of the first's fails its row and column with that reason.
     """
     ref = next((d for d in diagrams if not isinstance(d, str)), None)
-    ref_ins, ref_outs = ((), ()) if ref is None else (ref.inputs, ref.outputs)
-    samples = [] if ref is None else equivalence_samples(types_of(ref_ins), cfg)
+    samples = [] if ref is None else equivalence_samples(ref.body.in_types, cfg)
     # names compare equal regardless of type, so the types are pinned too
-    ref_ty = {v.name: v.ty for v in ref_ins + ref_outs}
-    terms = [_aligned(d, ref_ins, ref_outs, ref_ty) for d in diagrams]
+    ref_ty = {} if ref is None else {v.name: v.ty for v in ref.inputs + ref.outputs}
+    terms = [_aligned(d, ref, ref_ty) for d in diagrams]
     return samples, term_cells(terms, lambda: samples, stats=stats)
 
 

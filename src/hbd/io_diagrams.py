@@ -1,22 +1,26 @@
 """Diagrams with named inputs and outputs, and their compositions.
 
 An io-diagram is a triple (input variables, output variables, term); the
-variable lists are duplicate-free and type-consistent with the term.  The
-named compositions connect matching variable names via general switches,
-one ``Route`` node each, which route, duplicate, discard and (for absent
-names) invent unknown values.  They emit no identity plumbing: a switch
-that is the identity is left out of its serial chain (``chain``), an
-``Id(())`` unit out of its parallel pair (``beside``), and ``FB`` over no
-common name is its argument.  So a term of the translation loop
-(``hbd.translator``) already has the size ``terms.rewrite_basic`` gives it.
-Interfaces are compared by name, as strings.
+variable lists are duplicate-free and type-consistent with the term.  Each
+io-diagram indexes its interface once, when it is built: ``in_pos`` and
+``out_pos`` map each input and output name to its position, in list order,
+and building them is the duplicate check.  The named compositions are
+computed from those maps, with set operations on their key views, and
+compare variables by name, as strings, never through ``Var``.  They
+connect matching names via general switches, one ``Route`` node each,
+which route, duplicate, discard and (for absent names) invent unknown
+values.  They emit no identity plumbing: a switch that is the identity is
+left out of its serial chain (``chain``), an ``Id(())`` unit out of its
+parallel pair (``beside``), and ``FB`` over no common name is its argument.
+So a term of the translation loop (``hbd.translator``) already has the size
+``terms.rewrite_basic`` gives it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CompositionError, TypeMismatchError
@@ -35,52 +39,21 @@ from .types import BaseType, TypeList, types_of
 VarList = tuple  # tuple[Var, ...]
 
 
-def inter(x, y) -> VarList:
-    """Common elements, in the order they occur in x."""
-    ys = {v.name for v in y}
-    return tuple(v for v in x if v.name in ys)
-
-
-def minus(x, y) -> VarList:
-    """Elements of x not occurring in y."""
-    ys = {v.name for v in y}
-    return tuple(v for v in x if v.name not in ys)
-
-
-def union_ord(x, y) -> VarList:
-    """x followed by the elements of y not in x."""
-    return tuple(x) + minus(y, x)
-
-
-def is_perm(x, y) -> bool:
-    """True when x and y contain the same elements with the same multiplicities."""
-    if len(x) != len(y):
-        return False
-    counts: dict = {}
-    for v in x:
-        counts[v.name] = counts.get(v.name, 0) + 1
-    for v in y:
-        c = counts.get(v.name, 0)
-        if c == 0:
-            return False
-        counts[v.name] = c - 1
-    return True
-
-
-def _distinct(xs) -> bool:
-    return len({v.name for v in xs}) == len(xs)
-
-
 @dataclass(frozen=True)
 class IoDiagram:
     inputs: VarList
     outputs: VarList
     body: Term
+    in_pos: dict = field(init=False, repr=False, compare=False)  # name -> input position
+    out_pos: dict = field(init=False, repr=False, compare=False)  # name -> output position
 
     def __post_init__(self):
-        if not _distinct(self.inputs):
+        # a repeated name keeps one position, so its map is the shorter
+        in_pos = {v.name: i for i, v in enumerate(self.inputs)}
+        if len(in_pos) != len(self.inputs):
             raise TypeMismatchError(f"duplicate input names: {self.inputs}")
-        if not _distinct(self.outputs):
+        out_pos = {v.name: i for i, v in enumerate(self.outputs)}
+        if len(out_pos) != len(self.outputs):
             raise TypeMismatchError(f"duplicate output names: {self.outputs}")
         tin, tout = self.body.typing
         if tin != types_of(self.inputs) or tout != types_of(self.outputs):
@@ -88,39 +61,51 @@ class IoDiagram:
                 f"body typing {tin}->{tout} does not match interface "
                 f"{self.inputs}->{self.outputs}"
             )
+        object.__setattr__(self, "in_pos", in_pos)
+        object.__setattr__(self, "out_pos", out_pos)
 
     def __repr__(self):
-        ins = ",".join(v.name for v in self.inputs)
-        outs = ",".join(v.name for v in self.outputs)
-        return f"IoDiagram(({ins}) -> ({outs}))"
+        return f"IoDiagram(({','.join(self.in_pos)}) -> ({','.join(self.out_pos)}))"
 
 
-def vars_between(a: IoDiagram, b: IoDiagram) -> VarList:
-    """Outputs of a that are inputs of b, in output order."""
-    return inter(a.outputs, b.inputs)
+def _names(xs) -> tuple:
+    return tuple([v.name for v in xs])
+
+
+def _without(xs, drop) -> VarList:
+    """The elements of ``xs`` whose name is not a key of ``drop``."""
+    return tuple([v for v in xs if v.name not in drop])
 
 
 # -- general switch -----------------------------------------------------------
+
+def switch_names(pos: dict, t: TypeList, names: tuple, t2: TypeList) -> Term:
+    """The switch from a duplicate-free list, given by its name -> position
+    map ``pos`` and its types ``t``, to the names ``names`` of types ``t2``:
+    the identity when ``names`` is that list, the sink when it is empty,
+    and one ``Route`` otherwise, with None for a name not in ``pos``."""
+    imap = tuple(map(pos.get, names))
+    if len(imap) == len(t) and imap == tuple(range(len(t))):
+        return Id(t)
+    if not imap:
+        return Sink(t)
+    return Route(t, t2, imap)
+
 
 def switch_vars(x, y) -> Term:
     """Wiring term of type T(x) -> T(y) routing names of x to names of y.
 
     Output j carries the input of the first x_i with the same name as y_j,
     or an unknown value when no such input exists.  The degenerate cases
-    are the identity (y == x) and the sink (empty y); every other switch is
-    one ``Route`` node, which ``terms.expand_routes`` rebuilds from the
+    are the identity (y names x) and the sink (empty y); every other switch
+    is one ``Route`` node, which ``terms.expand_routes`` rebuilds from the
     constants.
     """
-    x = tuple(x)
-    y = tuple(y)
-    if y == x:
+    xn, yn = _names(x), _names(y)
+    if yn == xn:
         return Id(types_of(x))
-    if not y:
-        return Sink(types_of(x))
-    first: dict = {}
-    for i, v in enumerate(x):
-        first.setdefault(v.name, i)
-    return Route(types_of(x), types_of(y), tuple(first.get(v.name) for v in y))
+    first = {n: i for i, n in reversed(tuple(enumerate(xn)))}  # the first one wins
+    return switch_names(first, types_of(x), yn, types_of(y))
 
 
 # -- named compositions -------------------------------------------------------
@@ -145,25 +130,38 @@ def beside(left: Term, right: Term) -> Term:
 
 
 def named_serial(a: IoDiagram, b: IoDiagram) -> IoDiagram:
-    """Connect a's outputs to b's same-named inputs in series."""
-    v = vars_between(a, b)
-    clash = inter(minus(a.outputs, b.inputs), b.outputs)
-    if clash:
-        names = ",".join(w.name for w in clash)
-        raise CompositionError(
-            f"serial composition would duplicate outputs: {names}"
-        )
-    x = minus(b.inputs, v)
-    y = minus(a.outputs, v)
-    ins = union_ord(a.inputs, x)
-    outs = y + b.outputs
-    body = chain(
-        switch_vars(ins, a.inputs + x),
-        beside(a.body, switch_vars(x, x)),
-        switch_vars(a.outputs + x, y + b.inputs),
-        beside(switch_vars(y, y), b.body),
-    )
-    return IoDiagram(ins, outs, body)
+    """Connect a's outputs to b's same-named inputs in series.
+
+    b's inputs that a does not drive (x) join a's inputs, and a's outputs
+    that b does not read (y) join b's outputs; an output of both is a
+    ``CompositionError`` naming those outputs in a's order.  The switches
+    and parallel units that would be identities are not built."""
+    a_out, b_in = a.out_pos, b.in_pos
+    if not a_out.keys().isdisjoint(b.out_pos):
+        clash = [n for n in a_out if n in b.out_pos and n not in b_in]
+        if clash:
+            raise CompositionError(
+                f"serial composition would duplicate outputs: {','.join(clash)}"
+            )
+    if a_out.keys().isdisjoint(b_in):
+        x, xn, y, yn = b.inputs, tuple(b_in), a.outputs, tuple(a_out)
+    else:
+        x, y = _without(b.inputs, a_out), _without(a.outputs, b_in)
+        xn, yn = _names(x), _names(y)
+    tx, ty = types_of(x), types_of(y)
+    a_in, (t_in, t_mid) = a.in_pos, a.body.typing
+    parts = []
+    if a_in.keys().isdisjoint(xn):
+        ins = a.inputs + x
+    else:  # x names some of a's inputs: one switch splits them
+        ins = a.inputs + _without(x, a_in)
+        pos = {v.name: i for i, v in enumerate(ins)}
+        parts.append(switch_names(pos, types_of(ins), tuple(a_in) + xn, t_in + tx))
+    parts.append(beside(a.body, Id(tx)) if x else a.body)
+    mid = {**a_out, **{n: i for i, n in enumerate(xn, len(a_out))}} if x else a_out
+    parts.append(switch_names(mid, t_mid + tx, yn + tuple(b_in), ty + b.body.in_types))
+    parts.append(beside(Id(ty), b.body) if y else b.body)
+    return IoDiagram(ins, y + b.outputs, chain(*parts))
 
 
 def named_parallel(a: IoDiagram, b: IoDiagram) -> IoDiagram:
@@ -180,44 +178,53 @@ def fold_parallel(ds) -> IoDiagram:
     earlier element is a ``CompositionError`` naming those outputs in the
     order the earlier elements give them.  Only the result is an
     ``IoDiagram``, validated once: the partial folds are well formed by
-    construction, so their interfaces are not checked again."""
+    construction, so their interfaces are not checked again.  The running
+    interface keeps its name -> position maps and its input types."""
     first, *rest = ds
     if not rest:
         return first
     ins, outs, body = list(first.inputs), list(first.outputs), first.body
-    in_pos = {v.name: i for i, v in enumerate(ins)}
-    out_names = {v.name for v in outs}
+    in_pos, out_pos = dict(first.in_pos), dict(first.out_pos)
+    types = list(body.in_types)
     for d in rest:
-        if not out_names.isdisjoint([v.name for v in d.outputs]):
-            clash = inter(outs, d.outputs)
-            names = ",".join(w.name for w in clash)
-            raise CompositionError(f"parallel composition output clash: {names}")
+        if not out_pos.keys().isdisjoint(d.out_pos):
+            clash = sorted(out_pos.keys() & d.out_pos.keys(), key=out_pos.__getitem__)
+            raise CompositionError(f"parallel composition output clash: {','.join(clash)}")
         before = len(ins)
-        shared = any(v.name in in_pos for v in d.inputs)
-        for v in d.inputs:
-            if v.name not in in_pos:
-                in_pos[v.name] = len(ins)
-                ins.append(v)
         body = beside(body, d.body)
-        if shared:
-            wanted = ins[:before] + list(d.inputs)
-            route = Route(types_of(ins), types_of(wanted), tuple(in_pos[v.name] for v in wanted))
+        if in_pos.keys().isdisjoint(d.in_pos):
+            ins += d.inputs
+            types += d.body.in_types
+            in_pos.update({n: i for i, n in enumerate(d.in_pos, before)})
+        else:
+            fresh = _without(d.inputs, in_pos)
+            ins += fresh
+            types += types_of(fresh)
+            in_pos.update({v.name: i for i, v in enumerate(fresh, before)})
+            imap = tuple(range(before)) + tuple(map(in_pos.__getitem__, d.in_pos))
+            route = Route(tuple(types), tuple(types[:before]) + d.body.in_types, imap)
             body = mk_serial(route, body)
+        out_pos.update({n: i for i, n in enumerate(d.out_pos, len(outs))})
         outs += d.outputs
-        out_names.update(v.name for v in d.outputs)
     return IoDiagram(tuple(ins), tuple(outs), body)
 
 
 def named_feedback(a: IoDiagram) -> IoDiagram:
     """Connect all of a's same-named outputs and inputs in feedback; ``a``
     itself when they have no name in common."""
-    v = inter(a.outputs, a.inputs)
-    if not v:
+    a_in, a_out = a.in_pos, a.out_pos
+    if a_in.keys().isdisjoint(a_out):
         return a
-    ins = minus(a.inputs, v)
-    outs = minus(a.outputs, v)
-    body = chain(switch_vars(v + ins, a.inputs), a.body, switch_vars(a.outputs, v + outs))
-    for w in v:
+    v = tuple([w for w in a.outputs if w.name in a_in])
+    ins, outs = _without(a.inputs, a_out), _without(a.outputs, a_in)
+    vn, tv = _names(v), types_of(v)
+    loop = {n: i for i, n in enumerate(vn + _names(ins))}
+    body = chain(
+        switch_names(loop, tv + types_of(ins), tuple(a_in), a.body.in_types),
+        a.body,
+        switch_names(a_out, a.body.out_types, vn + _names(outs), tv + types_of(outs)),
+    )
+    for _ in v:
         body = mk_feedback(body)
     return IoDiagram(ins, outs, body)
 

@@ -357,38 +357,3 @@ def sample_inputs(t: TypeList, n: int, seed: int, include_bottom: bool = True):
     return [
         tuple(_random_value(rng, k, include_bottom) for k in t) for _ in range(n)
     ]
-
-
-@dataclass
-class MonotoneReport:
-    checked: int
-    counterexamples: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_monotone(
-    term: Term, samples: int, seed: int, cfg: EvalConfig = DEFAULT_CONFIG
-) -> MonotoneReport:
-    """Sample ordered input pairs v <= w and verify eval(v) <= eval(w)."""
-    from .compiled import compile_term
-
-    rng = random.Random(seed)
-    highs = sample_inputs(term.in_types, samples, rng.randrange(2**32), True)
-    lows = [
-        tuple(BOT if rng.random() < 0.4 else v for v in w) for w in highs
-    ]
-    compiled = compile_term(term, cfg)
-    out_low = compiled.run(lows)
-    out_high = compiled.run(highs)
-    bad = [
-        (lo, hi, ol, oh)
-        for lo, hi, ol, oh in zip(lows, highs, out_low, out_high)
-        if not tuple_leq(ol, oh)
-    ]
-    return MonotoneReport(checked=len(highs), counterexamples=bad)

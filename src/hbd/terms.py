@@ -125,11 +125,24 @@ class Route(Term):
 
     @_once
     def typing(self):
-        if len(self.imap) != len(self.t2):
+        t, imap = self.t, self.imap
+        if len(imap) != len(self.t2):
             raise TypeMismatchError(
-                f"route has {len(self.imap)} indices for {len(self.t2)} outputs: {self!r}"
+                f"route has {len(imap)} indices for {len(self.t2)} outputs: {self!r}"
             )
-        for i, k in zip(self.imap, self.t2):
+        # Every index in one pass: the loop below runs only to name the
+        # first bad index, with the error it has always raised.
+        try:
+            if not imap or (
+                None not in imap
+                and min(imap) >= 0
+                and max(imap) < len(t)
+                and tuple(map(t.__getitem__, imap)) == self.t2
+            ):
+                return (t, self.t2)
+        except TypeError:
+            pass
+        for i, k in zip(imap, self.t2):
             if i is not None and not (0 <= i < len(self.t) and self.t[i] is k):
                 raise TypeMismatchError(f"route index {i} cannot yield {k}: {self!r}")
         return (self.t, self.t2)
@@ -282,13 +295,6 @@ def iter_subterms(term: Term):
 
 def term_size(term: Term) -> int:
     return sum(1 for _ in iter_subterms(term))
-
-
-def feedbacks_outside_arb(term: Term) -> int:
-    """Count Feedback nodes that are not the one inside an Arb constant."""
-    return sum(
-        1 for t in iter_subterms(term) if isinstance(t, Feedback) and not is_arb(t)
-    )
 
 
 # -- rewriting ---------------------------------------------------------------

@@ -66,8 +66,8 @@ def check_io_distinct(ds: Sequence[IoDiagram]) -> bool:
     """No input name occurs twice across the list, nor any output name.
     Each io-diagram's own lists are duplicate-free, so this is pairwise
     disjointness of input names and of output names."""
-    ins = [v.name for d in ds for v in d.inputs]
-    outs = [v.name for d in ds for v in d.outputs]
+    ins = [n for d in ds for n in d.in_pos]
+    outs = [n for d in ds for n in d.out_pos]
     return len(set(ins)) == len(ins) and len(set(outs)) == len(outs)
 
 
@@ -81,10 +81,10 @@ def topo_order(ds: Sequence[IoDiagram]):
     """
     readers: dict = {}
     for j, d in enumerate(ds):
-        for v in d.inputs:
-            readers.setdefault(v.name, []).append(j)
+        for n in d.in_pos:
+            readers.setdefault(n, []).append(j)
     succs = [
-        {j for v in d.outputs for j in readers.get(v.name, ()) if j != i}
+        {j for n in d.out_pos for j in readers.get(n, ()) if j != i}
         for i, d in enumerate(ds)
     ]
     return [ds[i] for i in stable_topo_order(succs)]

@@ -27,7 +27,6 @@ from hbd.feedbackless import (
     oi_rel,
     ok_fbless,
     split_block,
-    transitive_closure,
 )
 from hbd.harness import io_equiv
 from hbd.io_diagrams import (
@@ -38,13 +37,15 @@ from hbd.io_diagrams import (
 )
 from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
-from hbd.terms import Id, feedbacks_outside_arb, mk_arb, mk_atom, print_term, rewrite_basic
+from hbd.terms import Id, mk_arb, mk_atom, print_term, rewrite_basic
 from hbd.translator import topo_order
 from hbd.semantics import BOT
 from hbd.types import BaseType, Var
 
 from util import (
     TopologicalOracle,
+    feedbacks_outside_arb,
+    transitive_closure,
     fbless_translate_oracle,
     growing_tower,
     loop_free_oracle,
@@ -55,6 +56,16 @@ R = BaseType.REAL
 
 def rvs(*names):
     return tuple(Var(n, R) for n in names)
+
+
+def names(*vs) -> frozenset:
+    """The names of ``vs``: split blocks' dependency sets hold names."""
+    return frozenset(v.name for v in vs)
+
+
+def name_pairs(pairs) -> frozenset:
+    """Pairs of variables as ``oi_rel`` gives them: pairs of names."""
+    return frozenset((a.name, b.name) for a, b in pairs)
 
 
 z, u, x, s, sp, y, v = rvs("z", "u", "x", "s", "s'", "y", "v")
@@ -76,7 +87,7 @@ class TestSplitBlock:
         assert first.base.body == Id((R,))
         assert second.base.inputs == (x,) and second.base.outputs == (sp,)
         assert second.base.body == Id((R,))
-        assert first.deps == {s} and second.deps == {x}
+        assert first.deps == names(s) and second.deps == names(x)
 
     def test_split_block_of_split(self, running_example):
         _, _, split = running_example
@@ -89,7 +100,7 @@ class TestSplitBlock:
         parts = split_block(add)
         assert len(parts) == 1
         assert parts[0].base is add
-        assert parts[0].deps == {z, u}
+        assert parts[0].deps == names(z, u)
 
     def test_generic_projection_fallback(self):
         # a non-atom body falls back to S ;; [outs -> u_i] with full deps
@@ -100,7 +111,7 @@ class TestSplitBlock:
         both = named_parallel(a, b)
         parts = split_block(both)
         assert [p.base.outputs for p in parts] == [(x,), (y,)]
-        assert all(p.deps == {u, z} for p in parts)
+        assert all(p.deps == names(u, z) for p in parts)
         assert io_equiv(fold_parallel([p.base for p in parts]), both)
 
     def test_splitting_soundness(self, running_example):
@@ -164,16 +175,16 @@ class TestDependencyAnalysis:
         expected = {
             (x, u), (x, z), (y, x), (y, s), (sp, x), (sp, s), (z, y), (v, y),
         }
-        assert rel == frozenset(expected)
+        assert rel == name_pairs(expected)
         closure = transitive_closure(rel)
-        assert (z, z) in closure
+        assert (z.name, z.name) in closure
         assert not loop_free([add, delay, split])
 
     def test_split_running_example_loop_free(self, running_example):
         add, delay, split = running_example
         blocks = [p for d in running_example for p in split_block(d)]
         rel = oi_rel(blocks)
-        assert rel == frozenset({(x, u), (x, z), (y, s), (sp, x), (z, y), (v, y)})
+        assert rel == name_pairs({(x, u), (x, z), (y, s), (sp, x), (z, y), (v, y)})
         assert loop_free(blocks)
         assert find_cycle(blocks) is None
 
@@ -214,7 +225,7 @@ def _random_relation_blocks(rng):
     blocks = []
     for out in rng.sample(pool, rng.randint(1, len(pool))):
         ins = tuple(w for w in pool if rng.random() < 0.3)
-        deps = frozenset(w for w in ins if rng.random() < 0.6)
+        deps = frozenset(w.name for w in ins if rng.random() < 0.6)
         body = mk_atom(f"F{out.name}", ExprFun(ins, (Lit(0.0),)))
         blocks.append(SplitBlock(IoDiagram(ins, (out,), body), deps))
     return blocks
@@ -223,15 +234,15 @@ def _random_relation_blocks(rng):
 class TestInternalVars:
     def test_split_running_example(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]
-        assert internal_vars(blocks) == {x, y, z}
+        assert internal_vars(blocks) == names(x, y, z)
 
     def test_disjoint_blocks(self):
-        a = SplitBlock(IoDiagram((u,), (x,), Id((R,))), frozenset((u,)))
-        b = SplitBlock(IoDiagram((z,), (y,), Id((R,))), frozenset((z,)))
+        a = SplitBlock(IoDiagram((u,), (x,), Id((R,))), names(u))
+        b = SplitBlock(IoDiagram((z,), (y,), Id((R,))), names(z))
         assert internal_vars([a, b]) == set()
 
     def test_fanout_chain(self):
-        assert internal_vars(_fanout_chain_blocks()) == set(rvs("a", "b", "c", "d"))
+        assert internal_vars(_fanout_chain_blocks()) == {"a", "b", "c", "d"}
 
 
 def _fanout_chain_blocks():
@@ -241,15 +252,15 @@ def _fanout_chain_blocks():
     B = _atom1("B", a, b, 3.0)
     C = _atom1("C", c, vv, -1.0)
     D = _atom1("D", d, ww, 5.0)
-    split1 = SplitBlock(IoDiagram((b,), (c,), Id((R,))), frozenset((b,)))
-    split2 = SplitBlock(IoDiagram((b,), (d,), Id((R,))), frozenset((b,)))
+    split1 = SplitBlock(IoDiagram((b,), (c,), Id((R,))), names(b))
+    split2 = SplitBlock(IoDiagram((b,), (d,), Id((R,))), names(b))
     return [
-        SplitBlock(A, frozenset((uu,))),
-        SplitBlock(B, frozenset((a,))),
+        SplitBlock(A, names(uu)),
+        SplitBlock(B, names(a)),
         split1,
         split2,
-        SplitBlock(C, frozenset((c,))),
-        SplitBlock(D, frozenset((d,))),
+        SplitBlock(C, names(c)),
+        SplitBlock(D, names(d)),
     ]
 
 
@@ -258,7 +269,7 @@ def test_topological_orders_are_pinned(running_example):
     the smallest-index node with no remaining predecessor goes next, and in
     a cycle the smallest-index remaining node does."""
     blocks = list(reversed(_fanout_chain_blocks()))
-    assert [v.name for v in Topological().order(blocks)] == ["a", "b", "d", "c"]
+    assert Topological().order(blocks) == ["a", "b", "d", "c"]
     # A -> B -> (split1 -> C, split2 -> D), listed in reverse dependency order
     D, C, split2, split1, B, A = (b.base for b in blocks)
     assert topo_order([D, C, split2, split1, B, A]) == [A, B, split2, D, split1, C]
@@ -268,23 +279,23 @@ def test_topological_orders_are_pinned(running_example):
 
 class TestInternalSerial:
     def test_fires_when_output_consumed(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), frozenset((u,)))
-        b = SplitBlock(_atom1("B", x, y, 3.0), frozenset((x,)))
+        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
+        b = SplitBlock(_atom1("B", x, y, 3.0), names(x))
         out = internal_serial(a, b)
         assert out.base.inputs == (u,) and out.base.outputs == (y,)
-        assert out.deps == {u}
+        assert out.deps == names(u)
 
     def test_skips_when_not_consumed(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), frozenset((u,)))
-        b = SplitBlock(_atom1("B", z, y, 3.0), frozenset((z,)))
+        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
+        b = SplitBlock(_atom1("B", z, y, 3.0), names(z))
         assert internal_serial(a, b) is b
 
     def test_producer_order_commutes(self):
         a1, b1, c1, u1 = rvs("a1", "b1", "c1", "u1")
-        A = SplitBlock(_atom1("A", u1, a1, 2.0), frozenset((u1,)))
-        B = SplitBlock(_atom1("B", a1, b1, 3.0), frozenset((a1,)))
+        A = SplitBlock(_atom1("A", u1, a1, 2.0), names(u1))
+        B = SplitBlock(_atom1("B", a1, b1, 3.0), names(a1))
         fn = ExprFun((Var("a1", R), Var("b1", R)), (Bin("+", Ref("a1"), Ref("b1")),))
-        C = SplitBlock(IoDiagram((a1, b1), (c1,), mk_atom("C", fn)), frozenset((a1, b1)))
+        C = SplitBlock(IoDiagram((a1, b1), (c1,), mk_atom("C", fn)), names(a1, b1))
         lhs = internal_serial(internal_serial(A, B), internal_serial(A, C))
         rhs = internal_serial(internal_serial(B, A), internal_serial(B, C))
         assert io_equiv(lhs.base, rhs.base, EquivConfig(samples=60, exhaustive_limit=16))
@@ -329,7 +340,7 @@ class TestFblessTranslate:
         producer = next(b for b in blocks if b.output == x)
         stepped = [internal_serial(producer, b) for b in blocks if b is not producer]
         assert ok_fbless(stepped)
-        assert internal_vars(stepped) == internal - {x}
+        assert internal_vars(stepped) == internal - {x.name}
 
     def test_matches_named_feedback_of_fold(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]
@@ -338,17 +349,17 @@ class TestFblessTranslate:
         assert io_equiv(out, ref)
 
     def test_no_internal_vars_folds_directly(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), frozenset((u,)))
-        b = SplitBlock(_atom1("B", z, y, 3.0), frozenset((z,)))
+        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
+        b = SplitBlock(_atom1("B", z, y, 3.0), names(z))
         out = fbless_translate([a, b])
         assert out.inputs == (u, z) and out.outputs == (x, y)
 
     def test_rejects_algebraic_loop(self, running_example):
         add, delay, split = running_example
         blocks = [
-            SplitBlock(add, frozenset((z, u))),  # unsplit-style over-approximation
+            SplitBlock(add, names(z, u)),  # unsplit-style over-approximation
             SplitBlock(
-                IoDiagram((x,), (z,), Id((R,))), frozenset((x,))
+                IoDiagram((x,), (z,), Id((R,))), names(x)
             ),
         ]
         with pytest.raises(PreconditionError) as err:
@@ -356,8 +367,8 @@ class TestFblessTranslate:
         assert "->" in str(err.value)  # cycle witness path
 
     def test_rejects_duplicate_outputs(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), frozenset((u,)))
-        b = SplitBlock(_atom1("B", z, x, 3.0), frozenset((z,)))
+        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
+        b = SplitBlock(_atom1("B", z, x, 3.0), names(z))
         with pytest.raises(PreconditionError):
             fbless_translate([a, b])
 
@@ -387,7 +398,7 @@ class TestFblessTranslate:
         lists += [document_io_list(random_diagram(7 + i, 50, 50))[0] for i in range(3)]
         for diagrams in lists:
             blocks = [p for d in diagrams for p in split_block(d)]
-            names = sorted(v.name for v in internal_vars(blocks))
+            names = sorted(internal_vars(blocks))
             policies = [(Topological(), TopologicalOracle()), (GivenOrder(names),) * 2]
             policies += [(RandomOrder(seed),) * 2 for seed in range(3)]
             for policy, oracle_policy in policies:

@@ -463,7 +463,7 @@ class TestHierarchy:
         doc = parse_doc(json.dumps(SUB_DOC))
         rec = flatten_or_recurse(doc, "recursive", FbLess())
         flat = flatten_or_recurse(doc, "flatten", FbLess())
-        from hbd.terms import feedbacks_outside_arb
+        from util import feedbacks_outside_arb
 
         assert feedbacks_outside_arb(rec.diagram.body) == 0
         assert feedbacks_outside_arb(flat.diagram.body) == 0
@@ -538,7 +538,7 @@ class TestLibrary:
 
     def test_every_block_kind_instantiates_and_is_monotone(self):
         from hbd.frontend import LIBRARY, block_spec
-        from hbd.semantics import check_monotone
+        from util import check_monotone
         from hbd.terms import mk_atom
 
         defaults = {

@@ -204,3 +204,65 @@ def test_failed_translation_is_a_fail_cell(running_example, sum_path, monkeypatc
     out = capsys.readouterr().out
     assert f"counterexample fbpar vs rand1: {reason}" in out
     assert "counterexample fbpar vs incr" not in out
+
+
+def test_too_deep_term_is_a_fail_cell():
+    """A term too deep for the recursion limit fails its own row and column
+    with the reason, and the run completes: the other terms are still
+    compared."""
+    import sys
+
+    from hbd.terms import Id, mk_serial
+
+    deep = _blk("Add", "+")
+    body = deep.body
+    for _ in range(3000):
+        body = mk_serial(Id((R, R)), body)  # typed one level at a time
+    runs = [
+        StrategyRun("flat", _blk("Add", "+"), 0.0),
+        StrategyRun("deep", IoDiagram(deep.inputs, deep.outputs, body), 0.0),
+        StrategyRun("again", _blk("Add", "+"), 0.0),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 1000)
+    try:
+        report = equivalence_matrix(runs, EquivConfig(samples=20))
+    finally:
+        sys.setrecursionlimit(limit)
+    reason = "symbolic evaluation failed: RecursionError: maximum recursion depth exceeded"
+    for i, row in enumerate(report.matrix):
+        for j, cell in enumerate(row):
+            if 1 in (i, j):
+                assert not cell and cell.reason.startswith(reason), (i, j, cell.reason)
+            else:
+                assert cell.proved
+    rendered = report.render()
+    assert "pairs: 3 proved (equal output graphs), 0 sampled, 3 failed" in rendered
+    assert f"counterexample flat vs deep: {reason}" in rendered
+
+
+def test_bench_script_summarizes_pairs():
+    """``scripts/bench.py`` gives each side's quartiles per workload and
+    metric, and counts the pairs the change won, by each metric's
+    direction, where the sides ever differ."""
+    bench = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "bench.py"))
+    metrics = [{"name": "work_per_s", "better": "higher"}, {"name": "term_nodes", "better": "lower"},
+               {"name": "op_s.p50", "better": "lower"}]
+
+    def result(work, latency):
+        values = {"work_per_s": work, "term_nodes": 7, "op_s.p50": latency}
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {k: {"value": v, "unit": ""} for k, v in values.items()}}
+
+    runs = []
+    for pair, (parent, change) in enumerate([(10, 12), (11, 10), (9, 13), (10, 14), (12, 15)], 1):
+        runs.append({"side": "parent", "workload": "w", "seed": 0, "pair": pair, "result": result(parent, 1 / parent)})
+        runs.append({"side": "change", "workload": "w", "seed": 0, "pair": pair, "result": result(change, 1 / change)})
+    summary = bench["summarize"](runs, metrics)["w"]
+    assert summary["work_per_s"]["parent"] == {"q1": 9.5, "median": 10, "q3": 11.5}
+    assert summary["work_per_s"]["change"]["median"] == 13
+    assert summary["work_per_s"]["change_better_pairs"] == "4/5"
+    assert summary["op_s.p50"]["change_better_pairs"] == "4/5"
+    assert "change_better_pairs" not in summary["term_nodes"]
+    assert summary["attempted"] == {"parent": 15, "change": 15}
+    assert summary["correct"] == {"parent": True, "change": True}

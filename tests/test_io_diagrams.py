@@ -19,16 +19,11 @@ from hbd.io_diagrams import (
     IoDiagram,
     equivalence_samples,
     fold_parallel,
-    inter,
-    is_perm,
-    minus,
     named_feedback,
     named_parallel,
     named_serial,
     switch_vars,
-    union_ord,
     values_close,
-    vars_between,
 )
 from hbd.semantics import BOT, eval_term, sample_inputs
 from hbd.terms import (
@@ -49,7 +44,19 @@ from hbd.terms import (
 )
 from hbd.types import BaseType, Var, types_of
 
-from util import fold_parallel_oracle, perm_variant, random_io_list, shared_input_list
+from util import (
+    fold_parallel_oracle,
+    named_feedback_oracle,
+    named_serial_oracle,
+    inter,
+    is_perm,
+    minus,
+    perm_variant,
+    random_io_list,
+    shared_input_list,
+    union_ord,
+    vars_between,
+)
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -363,6 +370,119 @@ class TestFoldParallel:
         )
         folded = fold_parallel(ds)
         assert checks == [folded]
+
+
+def _pool_diagrams(rng: random.Random, n: int, names: int):
+    """Atom diagrams over one small pool of typed names: any diagram may
+    read or write any name, so lists share inputs and outputs, and a
+    diagram may read its own outputs."""
+    pool = [Var(f"n{i}", rng.choice((R, I, B))) for i in range(names)]
+    out = []
+    for k in range(n):
+        ins = tuple(rng.sample(pool, rng.randint(0, min(4, names))))
+        outs = tuple(rng.sample(pool, rng.randint(0, min(3, names))))
+        params = tuple(Var(f"p{j}", x.ty) for j, x in enumerate(ins))
+        bodies = tuple(_random_expr(rng, params, x.ty, 1) for x in outs)
+        out.append(IoDiagram(ins, outs, mk_atom(f"D{k}", ExprFun(params, bodies))))
+    return out
+
+
+def _shape(d: IoDiagram):
+    """The interface of ``d`` and its printed body."""
+    return [(x.name, x.ty) for x in d.inputs], [(x.name, x.ty) for x in d.outputs], print_term(d.body)
+
+
+def _outcome(compose, *args):
+    """The shape of a composition, or its error."""
+    try:
+        return _shape(compose(*args))
+    except (CompositionError, TypeMismatchError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestIndexedInterface:
+    """Each io-diagram indexes its interface by name once; the compositions
+    read that index and match the variable-list definitions of
+    ``tests/util.py`` exactly."""
+
+    def test_positions_follow_the_lists(self):
+        fn = ExprFun((Var("p", R), Var("q", R)), (Ref("q"), Ref("p")))
+        A = IoDiagram((v, u), (w, a), mk_atom("A", fn))
+        assert A.in_pos == {"v": 0, "u": 1} and list(A.in_pos) == ["v", "u"]
+        assert A.out_pos == {"w": 0, "a": 1} and list(A.out_pos) == ["w", "a"]
+        assert A == IoDiagram((v, u), (w, a), mk_atom("A", fn))
+        assert repr(A) == "IoDiagram((v,u) -> (w,a))"
+
+    def test_duplicate_names_keep_their_messages(self):
+        body = Id((R, R, R))
+        with pytest.raises(TypeMismatchError) as raised:
+            IoDiagram((u, v, u), (a, b, a), body)
+        assert str(raised.value) == "duplicate input names: (u:Real, v:Real, u:Real)"
+        with pytest.raises(TypeMismatchError) as raised:
+            IoDiagram((u, v, w), (a, b, a), body)
+        assert str(raised.value) == "duplicate output names: (a:Real, b:Real, a:Real)"
+        with pytest.raises(TypeMismatchError) as raised:
+            IoDiagram((u,), (a,), Id((I,)))
+        assert str(raised.value) == "body typing (Int,)->(Int,) does not match interface (u:Real,)->(a:Real,)"
+
+    def test_serial_clash_names_the_same_outputs(self):
+        rng = random.Random(61)
+        clashes = 0
+        for _ in range(300):
+            x, y = _pool_diagrams(rng, 2, rng.randint(2, 6))
+            want = _outcome(named_serial_oracle, x, y)
+            assert _outcome(named_serial, x, y) == want
+            clashes += want[0] == "CompositionError"
+        assert clashes > 30
+
+    def test_parallel_clash_names_the_same_outputs(self):
+        rng = random.Random(62)
+        clashes = 0
+        for _ in range(200):
+            ds = _pool_diagrams(rng, rng.randint(2, 5), rng.randint(3, 8))
+            want = _outcome(fold_parallel_oracle, ds)
+            assert _outcome(fold_parallel, ds) == want
+            clashes += want[0] == "CompositionError"
+        assert clashes > 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_compositions_match_the_oracle(self, seed, io_distinct):
+        rng = random.Random(seed)
+        if io_distinct:
+            ds = random_io_list(rng, rng.randint(1, 4), names=rng.randint(1, 8))
+        else:
+            ds = _pool_diagrams(rng, rng.randint(1, 4), rng.randint(1, 6))
+        assert _outcome(fold_parallel, ds) == _outcome(fold_parallel_oracle, ds)
+        for x in ds:
+            assert _outcome(named_feedback, x) == _outcome(named_feedback_oracle, x)
+            for y in ds:
+                assert _outcome(named_serial, x, y) == _outcome(named_serial_oracle, x, y)
+
+    def test_translations_match_the_oracle(self, corpus_diagrams, monkeypatch):
+        """Every strategy translates the corpus and one 50-block document to
+        the same terms when the translation loop and fbless compose with the
+        variable-list definitions."""
+        import hbd.feedbackless as feedbackless
+        import hbd.translator as translator
+        from hbd.harness import translate_all
+
+        lists = [ds for _, ds, _ in corpus_diagrams]
+        lists.append(document_io_list(random_diagram(9, 50, 50))[0])
+
+        def shapes():
+            return [
+                [(r.label, r.failure, r.diagram and _shape(r.diagram)) for r in translate_all(ds, range(3))]
+                for ds in lists
+            ]
+
+        got = shapes()
+        for module in (translator, feedbackless):
+            monkeypatch.setattr(module, "named_serial", named_serial_oracle)
+            monkeypatch.setattr(module, "fold_parallel", fold_parallel_oracle)
+        monkeypatch.setattr(translator, "named_feedback", named_feedback_oracle)
+        assert got == shapes()
+        assert all(len(runs) in (5, 6) and not any(r[1] for r in runs) for runs in got)
 
 
 class TestNamedFeedback:

@@ -15,7 +15,6 @@ from hbd.semantics import (
     BOT,
     EvalConfig,
     EvalStats,
-    check_monotone,
     eval_expr,
     eval_term,
     sample_inputs,
@@ -40,7 +39,7 @@ from hbd.terms import (
 )
 from hbd.types import BaseType, Var
 
-from util import decided, growing_tower, nested_eval_term, non_monotone_neg
+from util import check_monotone, decided, growing_tower, nested_eval_term, non_monotone_neg
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 

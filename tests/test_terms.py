@@ -17,7 +17,6 @@ from hbd.terms import (
     Switch,
     collect_atoms,
     feedback_n,
-    feedbacks_outside_arb,
     is_arb,
     mk_arb,
     mk_atom,
@@ -33,7 +32,7 @@ from hbd.terms import (
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices, translate
 from hbd.types import BaseType, Var
 
-from util import print_term_oracle
+from util import feedbacks_outside_arb, print_term_oracle
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -226,6 +225,31 @@ def test_route_typing_and_text():
         parse_term("(route (Real) (Real) (x))")
     with pytest.raises(TypeError):
         parse_term("(route (Real) (Int) (0))")
+
+
+@pytest.mark.parametrize(
+    "imap, error, message",
+    [
+        ((-1,), TypeMismatchError, "route index -1 cannot yield Real: Route(Real)(Real)[-1]"),
+        ((1,), TypeMismatchError, "route index 1 cannot yield Real: Route(Real)(Real)[1]"),
+        ((0, 5), TypeMismatchError, "route index 5 cannot yield Real: Route(Real)(Real,Real)[0 5]"),
+        ((None, -1), TypeMismatchError, "route index -1 cannot yield Real: Route(Real)(Real,Real)[_ -1]"),
+        ((2**80,), TypeMismatchError, f"route index {2**80} cannot yield Real: Route(Real)(Real)[{2**80}]"),
+        (("0",), TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+        ((0.0,), TypeError, "tuple indices must be integers or slices, not float"),
+    ],
+)
+def test_hand_built_route_bad_index_messages(imap, error, message):
+    """The one-pass index check of a Route falls back to the index loop, so
+    a bad index still raises the error that names it."""
+    with pytest.raises(error) as raised:
+        type_of(Route((R,), (R,) * len(imap), imap))
+    assert str(raised.value) == message
+
+
+def test_route_typing_accepts_what_the_loop_accepts():
+    for imap, t2 in (((), ()), ((None,), (I,)), ((1, 1, 0), (I, I, R)), ((True,), (I,))):
+        assert type_of(Route((R, I), t2, imap)) == ((R, I), t2)
 
 
 def test_parse_errors():

@@ -12,7 +12,6 @@ from hbd.terms import (
     Feedback,
     Id,
     feedback_n,
-    feedbacks_outside_arb,
     mk_parallel,
     mk_serial,
     rewrite_basic,
@@ -29,7 +28,7 @@ from hbd.translator import (
 )
 from hbd.types import BaseType, Var
 
-from util import random_io_list, stable_topo_order_oracle, topo_order_oracle
+from util import feedbacks_outside_arb, random_io_list, stable_topo_order_oracle, topo_order_oracle
 
 R = BaseType.REAL
 

@@ -1,16 +1,17 @@
 """Shared generators for the property suites."""
 
 import random
+from dataclasses import dataclass
 from functools import reduce
 
 from hbd import semantics
 from hbd.axioms import _random_expr
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.feedbackless import (
+    _successors,
     internal_serial,
     internal_vars,
     oi_rel,
-    transitive_closure,
     validate_ok_fbless,
 )
 from hbd.compiled import compile_term
@@ -20,9 +21,7 @@ from hbd.io_diagrams import (
     beside,
     chain,
     fold_parallel,
-    inter,
     switch_vars,
-    union_ord,
 )
 from hbd.sim import SimTrace, StepRow, _check_row, _typed
 from hbd.symbolic import BOT as BOT_NODE, Graph
@@ -36,11 +35,13 @@ from hbd.terms import (
     Sink,
     Split,
     Switch,
+    is_arb,
+    iter_subterms,
     mk_atom,
     mk_feedback,
     mk_serial,
 )
-from hbd.types import BaseType, Var
+from hbd.types import BaseType, Var, types_of
 
 KINDS = (BaseType.REAL, BaseType.INT, BaseType.BOOL)
 R, I, B = KINDS
@@ -195,6 +196,23 @@ def topo_order_oracle(ds) -> list:
     return [ds[i] for i in stable_topo_order_oracle(succs)]
 
 
+def transitive_closure(rel) -> frozenset:
+    """Every pair (a, c) with a path from a to c in ``rel``."""
+    succ = _successors(rel)
+    closure = {a: set(bs) for a, bs in succ.items()}
+    changed = True
+    while changed:
+        changed = False
+        for a in closure:
+            extra = set()
+            for b in closure[a]:
+                extra |= closure.get(b, set())
+            if not extra <= closure[a]:
+                closure[a] |= extra
+                changed = True
+    return frozenset((a, b) for a, bs in closure.items() for b in bs)
+
+
 def loop_free_oracle(items) -> bool:
     """No pair (x, x) in the transitive closure of the dependency relation."""
     return all(a != b for a, b in transitive_closure(oi_rel(items)))
@@ -204,8 +222,8 @@ class TopologicalOracle:
     """``Topological``'s order, testing every pair of internal variables."""
 
     def order(self, blocks) -> list:
-        deps_of = {b.output: b.deps for b in blocks}
-        first_seen = {b.output: i for i, b in enumerate(blocks)}
+        deps_of = {b.name: b.deps for b in blocks}
+        first_seen = {b.name: i for i, b in enumerate(blocks)}
         nodes = sorted(internal_vars(blocks), key=lambda v: first_seen[v])
         succs = [{j for j, w in enumerate(nodes) if u in deps_of[w]} for u in nodes]
         return [nodes[i] for i in stable_topo_order_oracle(succs)]
@@ -216,10 +234,102 @@ def fbless_translate_oracle(blocks, order_policy) -> IoDiagram:
     blocks = list(blocks)
     validate_ok_fbless(blocks)
     for u in order_policy.order(blocks):
-        producer = next(b for b in blocks if b.output == u)
+        producer = next(b for b in blocks if b.name == u)
         rest = [b for b in blocks if b is not producer]
         blocks = [internal_serial(producer, b) for b in rest]
     return fold_parallel([b.base for b in blocks])
+
+
+# -- the variable-list compositions the indexed ones replaced, kept as oracles --
+# They compare Vars, by name, through ``Var.__eq__`` and ``Var.__hash__``, and
+# rebuild name sets and first-position dicts at every step.
+
+def inter(x, y) -> tuple:
+    """Common elements, in the order they occur in x."""
+    ys = {v.name for v in y}
+    return tuple(v for v in x if v.name in ys)
+
+
+def minus(x, y) -> tuple:
+    """Elements of x not occurring in y."""
+    ys = {v.name for v in y}
+    return tuple(v for v in x if v.name not in ys)
+
+
+def union_ord(x, y) -> tuple:
+    """x followed by the elements of y not in x."""
+    return tuple(x) + minus(y, x)
+
+
+def is_perm(x, y) -> bool:
+    """True when x and y contain the same elements with the same multiplicities."""
+    if len(x) != len(y):
+        return False
+    counts: dict = {}
+    for v in x:
+        counts[v.name] = counts.get(v.name, 0) + 1
+    for v in y:
+        c = counts.get(v.name, 0)
+        if c == 0:
+            return False
+        counts[v.name] = c - 1
+    return True
+
+
+def vars_between(a: IoDiagram, b: IoDiagram) -> tuple:
+    """Outputs of a that are inputs of b, in output order."""
+    return inter(a.outputs, b.inputs)
+
+
+def switch_vars_oracle(x, y):
+    """``switch_vars`` by ``Var`` comparison and a first-position dict."""
+    x = tuple(x)
+    y = tuple(y)
+    if y == x:
+        return Id(types_of(x))
+    if not y:
+        return Sink(types_of(x))
+    first: dict = {}
+    for i, v in enumerate(x):
+        first.setdefault(v.name, i)
+    return Route(types_of(x), types_of(y), tuple(first.get(v.name) for v in y))
+
+
+def named_serial_oracle(a: IoDiagram, b: IoDiagram) -> IoDiagram:
+    v = vars_between(a, b)
+    clash = inter(minus(a.outputs, b.inputs), b.outputs)
+    if clash:
+        names = ",".join(w.name for w in clash)
+        raise CompositionError(
+            f"serial composition would duplicate outputs: {names}"
+        )
+    x = minus(b.inputs, v)
+    y = minus(a.outputs, v)
+    ins = union_ord(a.inputs, x)
+    outs = y + b.outputs
+    body = chain(
+        switch_vars_oracle(ins, a.inputs + x),
+        beside(a.body, switch_vars_oracle(x, x)),
+        switch_vars_oracle(a.outputs + x, y + b.inputs),
+        beside(switch_vars_oracle(y, y), b.body),
+    )
+    return IoDiagram(ins, outs, body)
+
+
+def named_feedback_oracle(a: IoDiagram) -> IoDiagram:
+    v = inter(a.outputs, a.inputs)
+    if not v:
+        return a
+    ins = minus(a.inputs, v)
+    outs = minus(a.outputs, v)
+    body = chain(
+        switch_vars_oracle(v + ins, a.inputs),
+        a.body,
+        switch_vars_oracle(a.outputs, v + outs),
+    )
+    for w in v:
+        body = mk_feedback(body)
+    return IoDiagram(ins, outs, body)
 
 
 def _parallel_pair(a: IoDiagram, b: IoDiagram) -> IoDiagram:
@@ -229,13 +339,53 @@ def _parallel_pair(a: IoDiagram, b: IoDiagram) -> IoDiagram:
         names = ",".join(w.name for w in clash)
         raise CompositionError(f"parallel composition output clash: {names}")
     ins = union_ord(a.inputs, b.inputs)
-    body = chain(switch_vars(ins, a.inputs + b.inputs), beside(a.body, b.body))
+    body = chain(switch_vars_oracle(ins, a.inputs + b.inputs), beside(a.body, b.body))
     return IoDiagram(ins, a.outputs + b.outputs, body)
 
 
 def fold_parallel_oracle(ds) -> IoDiagram:
     """Fold pair by pair, validating every partial fold."""
     return reduce(_parallel_pair, ds)
+
+
+# -- checks that only the tests make ---------------------------------------------
+
+def feedbacks_outside_arb(term) -> int:
+    """Count Feedback nodes that are not the one inside an Arb constant."""
+    return sum(
+        1 for t in iter_subterms(term) if isinstance(t, Feedback) and not is_arb(t)
+    )
+
+
+@dataclass
+class MonotoneReport:
+    checked: int
+    counterexamples: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.counterexamples
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def check_monotone(term, samples: int, seed: int, cfg=semantics.DEFAULT_CONFIG) -> MonotoneReport:
+    """Sample ordered input pairs v <= w and verify eval(v) <= eval(w)."""
+    rng = random.Random(seed)
+    highs = semantics.sample_inputs(term.in_types, samples, rng.randrange(2**32), True)
+    lows = [
+        tuple(semantics.BOT if rng.random() < 0.4 else v for v in w) for w in highs
+    ]
+    compiled = compile_term(term, cfg)
+    out_low = compiled.run(lows)
+    out_high = compiled.run(highs)
+    bad = [
+        (lo, hi, ol, oh)
+        for lo, hi, ol, oh in zip(lows, highs, out_low, out_high)
+        if not semantics.tuple_leq(ol, oh)
+    ]
+    return MonotoneReport(checked=len(highs), counterexamples=bad)
 
 
 def print_term_oracle(term) -> str:
