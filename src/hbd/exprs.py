@@ -9,11 +9,11 @@ of the evaluator.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass, field
+from typing import Mapping, Union
 
 from .errors import TypeMismatchError
-from .types import BaseType, TypeList, Var
+from .types import BaseType, TypeList
 
 
 @dataclass(frozen=True)
@@ -152,47 +152,29 @@ def subst_refs(e: Expr, mapping: Mapping[str, str]) -> Expr:
 class ExprFun:
     """A tuple-valued function [p1,...,pn -> e1,...,em] over named parameters.
 
+    Parameter k stands for the function's k-th argument: an atom reads its
+    inputs by position, so the names are local to the function.
     Construction validates the bodies and keeps the kinds it infers as
-    ``out_kinds``.  ``_out_kinds`` passes them in instead, for a function
-    whose bodies were checked already: ``rename_params`` uses it."""
+    ``out_kinds``."""
 
     params: tuple  # tuple[Var, ...]
     bodies: tuple  # tuple[Expr, ...]
-    _out_kinds: InitVar[Optional[TypeList]] = None
     in_kinds: TypeList = field(init=False, repr=False, compare=False)
     out_kinds: TypeList = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _out_kinds):
+    def __post_init__(self):
         env = {p.name: p.ty for p in self.params}
         if len(env) != len(self.params):
             names = [p.name for p in self.params]
             raise TypeMismatchError(f"duplicate parameter names: {names}")
-        if _out_kinds is None:
-            out_kinds = []
-            for body in self.bodies:
-                missing = free_refs(body).difference(env)
-                if missing:
-                    raise TypeMismatchError(f"unbound names in body: {sorted(missing)}")
-                out_kinds.append(infer_kind(body, env))
-            _out_kinds = tuple(out_kinds)
+        out_kinds = []
+        for body in self.bodies:
+            missing = free_refs(body).difference(env)
+            if missing:
+                raise TypeMismatchError(f"unbound names in body: {sorted(missing)}")
+            out_kinds.append(infer_kind(body, env))
         object.__setattr__(self, "in_kinds", tuple(env.values()))
-        object.__setattr__(self, "out_kinds", _out_kinds)
-
-    def rename_params(self, new_names) -> "ExprFun":
-        """Rebind parameters to fresh names (e.g. the wire names of a block
-        instance), substituting in all bodies.  A renaming onto distinct
-        names keeps every kind, so the bodies are not validated again."""
-        new_names = list(new_names)
-        if len(new_names) != len(self.params):
-            raise TypeMismatchError(
-                f"expected {len(self.params)} names, got {len(new_names)}"
-            )
-        mapping = {p.name: n for p, n in zip(self.params, new_names)}
-        return type(self)(
-            tuple(Var(n, p.ty) for p, n in zip(self.params, new_names)),
-            tuple(subst_refs(b, mapping) for b in self.bodies),
-            self.out_kinds,
-        )
+        object.__setattr__(self, "out_kinds", tuple(out_kinds))
 
 
 def fmt_expr(e: Expr) -> str:

@@ -1,7 +1,10 @@
 """Feedback-free translation for deterministic, algebraic-loop-free diagrams.
 
 Multi-output blocks are first split into single-output blocks carrying
-accurate per-output input dependencies.  If the refined output->input
+accurate per-output input dependencies.  An atom reads its inputs by
+position: parameter k of its function stands for input k, so an output
+depends on the inputs at the positions of the parameters its expression
+reads, whatever the parameters are called.  If the refined output->input
 dependency relation has no cycle (Kahn's algorithm, ``loop_free``),
 internal variables are eliminated one at a time by composing each producer
 serially into all of its consumers, found through a name -> readers index;
@@ -9,8 +12,9 @@ the surviving blocks are folded in parallel.  The bookkeeping around the
 compositions is linear in the diagram, and keyed by variable name, as the
 io-diagrams' own interface maps are: dependency sets, the dependency
 relation, internal variables and elimination orders all hold names.  The
-result contains no feedback operator outside Arb constants.  ``check_deterministic`` checks a block's
-determinism equation with the harness's oracle, ``term_cells``.
+result contains no feedback operator outside Arb constants.
+``check_deterministic`` checks a block's determinism equation with the
+harness's oracle, ``term_cells``.
 """
 
 from __future__ import annotations
@@ -78,38 +82,43 @@ def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
 def split_block(a: IoDiagram) -> list:
     """One single-output block per output of ``a``.
 
-    Per-output dependencies are the free variables of the output's
-    expression when the body is an atom, and fall back to the full input
-    list otherwise (the generic projection ``S ;; [u1..un -> ui]``, which
+    When the body is an atom, an output reads the inputs at the positions of
+    the parameters its expression reads: its split atom keeps those
+    parameters and takes those inputs.  Otherwise it falls back to the full
+    input list (the generic projection ``S ;; [u1..un -> ui]``, which
     over-approximates dependencies).
     """
     if len(a.outputs) == 1:
         return [SplitBlock(a, _deps_for(a, 0))]
     out = []
     for i, u in enumerate(a.outputs):
-        deps = _deps_for(a, i)
         if isinstance(a.body, Atom):
-            body_expr = a.body.fn.bodies[i]
-            if isinstance(body_expr, Ref):
-                src = a.inputs[a.in_pos[body_expr.name]]
-                base = IoDiagram((src,), (u,), Id((src.ty,)))
+            fn = a.body.fn
+            kept = _read_positions(fn, i)
+            ins = tuple(a.inputs[k] for k in kept)
+            if isinstance(fn.bodies[i], Ref):
+                body = Id((ins[0].ty,))
             else:
-                kept = tuple(v for v in a.inputs if v.name in deps)
-                fn = ExprFun(kept, (body_expr,))
-                base = IoDiagram(
-                    kept, (u,), mk_atom(f"{a.body.name}.{u.name}", fn)
-                )
-            out.append(SplitBlock(base, deps))
+                kept_fn = ExprFun(tuple(fn.params[k] for k in kept), (fn.bodies[i],))
+                body = mk_atom(f"{a.body.name}.{u.name}", kept_fn)
         else:
+            ins = a.inputs
             body = mk_serial(a.body, switch_vars(a.outputs, (u,)))
-            out.append(SplitBlock(IoDiagram(a.inputs, (u,), body), deps))
+        out.append(SplitBlock(IoDiagram(ins, (u,), body), frozenset(v.name for v in ins)))
     return out
 
 
+def _read_positions(fn: ExprFun, i: int) -> list:
+    """The positions of the parameters body ``i`` of ``fn`` reads, in order."""
+    refs = free_refs(fn.bodies[i])
+    return [k for k, p in enumerate(fn.params) if p.name in refs]
+
+
 def _deps_for(a, i) -> frozenset:
-    """The input names output ``i`` of ``a`` reads."""
+    """The input names output ``i`` of ``a`` reads: parameter k of an atom
+    stands for input k."""
     if isinstance(a.body, Atom):
-        return frozenset(free_refs(a.body.fn.bodies[i])).intersection(a.in_pos)
+        return frozenset(a.inputs[k].name for k in _read_positions(a.body.fn, i))
     return frozenset(a.in_pos)
 
 
@@ -204,18 +213,16 @@ def _internal_by_first_seen(blocks) -> list:
 
 @dataclass(frozen=True)
 class GivenOrder:
-    names: tuple  # tuple of variable names or Vars, elimination order
+    names: tuple  # tuple of variable names, elimination order
 
     def order(self, blocks) -> list:
         internal = internal_vars(blocks)
-        order = []
-        for item in self.names:
-            name = item.name if isinstance(item, Var) else item
+        order = list(self.names)
+        for name in order:
             if name not in internal:
                 raise PreconditionError(
                     f"GivenOrder names unknown internal variable {name!r}"
                 )
-            order.append(name)
         if set(order) != internal or len(order) != len(internal):
             raise PreconditionError(
                 "GivenOrder must list every internal variable exactly once"

@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     TypeMismatchError,
 )
-from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, fmt_expr, lit_kind
+from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, fmt_expr, lit_kind, subst_refs
 from .feedbackless import (
     GivenOrder,
     RandomOrder,
@@ -634,10 +634,11 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
 
 
 def _atom_diagram(doc: DiagramDoc, blk: BlockInst) -> IoDiagram:
-    """A normalized library block as an atom io-diagram over its wire names."""
+    """A normalized library block as an atom io-diagram over its wire names.
+    The atom keeps its spec's function as it is: parameter k stands for
+    input wire k."""
     ins, outs = doc.interfaces[blk.id]
-    fn = doc.specs[blk.id].fn.rename_params(v.name for v in ins)
-    return IoDiagram(ins, outs, mk_atom(blk.id, fn))
+    return IoDiagram(ins, outs, mk_atom(blk.id, doc.specs[blk.id].fn))
 
 
 # -- hierarchy -----------------------------------------------------------------
@@ -762,8 +763,10 @@ def dump_doc(doc: DiagramDoc) -> str:
         if blk.kind in doc.subsystems:
             body = f"subsystem {blk.kind}"
         else:
-            fn = _atom_diagram(doc, blk).body.fn
-            body = f"[{', '.join(v.name for v in ins)} ~> {', '.join(map(fmt_expr, fn.bodies))}]"
+            fn = doc.specs[blk.id].fn
+            wires = {p.name: v.name for p, v in zip(fn.params, ins)}
+            shown = (fmt_expr(subst_refs(b, wires)) for b in fn.bodies)
+            body = f"[{', '.join(v.name for v in ins)} ~> {', '.join(shown)}]"
         lines.append(
             f"  ({', '.join(v.name for v in ins)}) -> ({', '.join(v.name for v in outs)})"
             f"  =  {body}"

@@ -28,7 +28,7 @@ from hbd.feedbackless import (
     ok_fbless,
     split_block,
 )
-from hbd.harness import io_equiv
+from hbd.harness import io_equiv, run_determinacy
 from hbd.io_diagrams import (
     EquivConfig,
     IoDiagram,
@@ -119,6 +119,47 @@ class TestSplitBlock:
             parts = split_block(diagram)
             recombined = fold_parallel([p.base for p in parts])
             assert io_equiv(recombined, diagram), diagram
+
+
+class TestAtomsReadByPosition:
+    """Parameter k of an atom's function stands for input k, whatever the
+    parameters are called."""
+
+    def test_loop_through_atoms_with_local_parameter_names(self):
+        p = Var("p", R)
+        g = IoDiagram((u,), (y,), mk_atom("g", ExprFun((p,), (Bin("*", Lit(2.0), Ref("p")),))))
+        h = IoDiagram((y,), (u,), mk_atom("h", ExprFun((p,), (Bin("+", Ref("p"), Lit(1.0)),))))
+        blocks = [sb for d in (g, h) for sb in split_block(d)]
+        assert [b.deps for b in blocks] == [names(u), names(y)]
+        assert not loop_free(blocks)
+        assert find_cycle(blocks) == ["u", "y", "u"]
+        report = run_determinacy([g, h], seeds=range(2), samples=20)
+        assert [r.label for r in report.runs] == ["fbpar", "incr", "rand0", "rand1"]
+        assert report.all_equivalent
+
+    @pytest.mark.parametrize(
+        "first", [Ref("q"), Bin("+", Ref("p"), Ref("q"))], ids=["ref", "expr"]
+    )
+    def test_two_output_atom_with_local_parameter_names(self, first):
+        fn = ExprFun(rvs("p", "q"), (first, Bin("*", Lit(2.0), Ref("p"))))
+        a = IoDiagram((u, x), (y, v), mk_atom("A", fn))
+        one, two = split_block(a)
+        assert one.deps == (names(x) if first == Ref("q") else names(u, x))
+        assert two.deps == names(u)
+        assert two.base.inputs == (u,) and two.base.body.fn.params == rvs("p")
+        assert io_equiv(fold_parallel([one.base, two.base]), a)
+
+    def test_permuted_parameter_names_follow_positions(self):
+        # parameter "x" stands for input u, and "u" for input x
+        swapped = rvs("x", "u")
+        single = IoDiagram((u, x), (y,), mk_atom("S", ExprFun(swapped, (Bin("*", Lit(2.0), Ref("x")),))))
+        assert [b.deps for b in split_block(single)] == [names(u)]
+        fn = ExprFun(swapped, (Ref("x"), Bin("*", Lit(3.0), Ref("u"))))
+        a = IoDiagram((u, x), (y, v), mk_atom("A", fn))
+        one, two = split_block(a)
+        assert (one.base.inputs, one.deps) == ((u,), names(u))
+        assert (two.base.inputs, two.deps) == ((x,), names(x))
+        assert io_equiv(fold_parallel([one.base, two.base]), a)
 
 
 class TestCheckDeterministic:

@@ -308,6 +308,39 @@ class TestToIoDiagrams:
             document_io_list(twins, mode)
         assert sorted(specs) == ["Add", "Add", "SplitBlk", "UnitDelay"]  # outer Sum; Inner's Sum, Spl, Dly
 
+    def test_atoms_keep_their_spec_functions(self, monkeypatch):
+        """Expanding a normalized document builds no function: each atom
+        takes its block spec's function as it is, so twin instances, and
+        split blocks of one wire type, share one function object."""
+        doc = normalize(random_diagram(7, 100, 100))
+        twins = parse_doc(json.dumps(TWINS_DOC))
+        document_io_list(twins)  # validates the subsystem on first use
+        twins = normalize(twins)
+        built = []
+        post_init = exprs.ExprFun.__post_init__
+
+        def counted(fn, *args):
+            built.append(fn)
+            post_init(fn, *args)
+
+        monkeypatch.setattr(exprs.ExprFun, "__post_init__", counted)
+        diagrams, _, _ = document_io_list(doc)
+        flat, _, _ = document_io_list(twins)
+        document_io_list(twins, "recursive")
+        assert built == []
+
+        assert all(d.body.fn is doc.specs[d.body.name].fn for d in diagrams)
+        splits = [d.body.fn for d in diagrams if d.body.name.startswith("__split")]
+        split_types = {fn.in_kinds for fn in splits}
+        assert len(splits) > len(split_types)
+        assert len({id(fn) for fn in splits}) == len(split_types)
+
+        atoms = {d.body.name: d.body.fn for d in flat}
+        inner = TWINS_DOC["subsystems"]["Inner"]["blocks"]
+        for blk in (b["id"] for b in inner):
+            assert atoms[f"S1/{blk}"] is atoms[f"S2/{blk}"]
+            assert atoms[f"S1/{blk}"] is twins.subsystems["Inner"].specs[blk].fn
+
     def test_constant_has_empty_inputs(self):
         doc = parse_doc(
             json.dumps(
@@ -505,6 +538,46 @@ class TestRendering:
         text = dump_doc(parse_doc(json.dumps(DIFF_DOC)))
         assert "block S1: Diff" in text
         assert "  (y, w1) -> (o2, o1)  =  subsystem Diff" in text
+
+    def test_dump_shows_bodies_over_wire_names(self):
+        sub = parse_doc(json.dumps(DIFF_DOC["subsystems"]["Diff"]))
+        assert dump_doc(sub) == "\n".join(
+            [
+                "diagram diff",
+                "inputs:  p:Real, q:Real",
+                "outputs: d:Real, e:Real",
+                "block Sub: Sub",
+                "  (p, w1) -> (d)  =  [p, w1 ~> (p - w1)]",
+                "block K: Gain [k=3.0]",
+                "  (w2) -> (e)  =  [w2 ~> (3.0 * w2)]",
+                "block __split1: SplitBlk [type='Real']",
+                "  (q) -> (w1, w2)  =  [q ~> q, q]",
+            ]
+        )
+        assert dump_doc(parse_doc(json.dumps(DIFF_DOC))) == "\n".join(
+            [
+                "diagram outer-diff",
+                "inputs:  x:Real, y:Real",
+                "outputs: o1:Real, o2:Real",
+                "block G: Gain [k=2.0]",
+                "  (x) -> (w1)  =  [x ~> (2.0 * x)]",
+                "block S1: Diff",
+                "  (y, w1) -> (o2, o1)  =  subsystem Diff",
+            ]
+        )
+
+    def test_dump_maps_parameters_to_wires_at_once(self):
+        # Add's parameters are a and b; here wire b drives a and wire a drives b
+        doc = _doc(
+            inputs=[
+                {"name": "b", "type": "Real", "to": "A.a"},
+                {"name": "a", "type": "Real", "to": "A.b"},
+            ],
+            outputs=[{"name": "y", "type": "Real", "from": "A.out"}],
+            blocks=[{"id": "A", "kind": "Add"}],
+            wires=[],
+        )
+        assert "  (b, a) -> (y)  =  [b, a ~> (b + a)]" in dump_doc(parse_doc(json.dumps(doc)))
 
 
 class TestLibrary:

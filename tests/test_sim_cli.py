@@ -354,19 +354,31 @@ def test_cli_axioms_quick(capsys):
 
 
 def test_cli_print(sum_path, capsys):
+    """Each atom body prints over its block's wire names."""
     assert main(["print", sum_path]) == 0
-    out = capsys.readouterr().out
-    assert "diagram summation" in out
+    assert capsys.readouterr().out == (
+        "diagram summation\n"
+        "inputs:  u:Real\n"
+        "outputs: v:Real\n"
+        "block Add: Add\n"
+        "  (w3, u) -> (w1)  =  [w3, u ~> (w3 + u)]\n"
+        "block Delay: UnitDelay [init=0.0]\n"
+        "  (w1, s1) -> (w2, s1')  =  [w1, s1 ~> s1, w1]\n"
+        "block Split: SplitBlk\n"
+        "  (w2) -> (w3, v)  =  [w2 ~> w2, w2]\n"
+        "state s1/s1' of Delay, init 0.0\n"
+    )
 
 
 def test_cli_print_nested_diagram(capsys):
-    import pathlib
-
-    path = str(pathlib.Path(__file__).resolve().parent.parent / "diagrams" / "nested.hbd.json")
-    assert main(["print", path]) == 0
-    out = capsys.readouterr().out
-    assert "block S1: Accumulator" in out
-    assert "(u) -> (y)  =  subsystem Accumulator" in out
+    assert main(["print", str(DIAGRAMS / "nested.hbd.json")]) == 0
+    assert capsys.readouterr().out == (
+        "diagram nested-summation\n"
+        "inputs:  u:Real\n"
+        "outputs: y:Real\n"
+        "block S1: Accumulator\n"
+        "  (u) -> (y)  =  subsystem Accumulator\n"
+    )
 
 
 def test_cli_check_permuted_file_block_order(sum_doc, tmp_path, capsys):
