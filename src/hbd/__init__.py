@@ -26,7 +26,7 @@ from .terms import (
     rewrite_basic,
     type_of,
 )
-from .semantics import BOT, EvalConfig, eval_expr, eval_term, sample_inputs
+from .semantics import BOT, eval_expr, eval_term, sample_inputs
 from .io_diagrams import (
     EquivConfig,
     IoDiagram,

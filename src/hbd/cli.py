@@ -8,13 +8,13 @@
     hbd print FILE
 
 Exit codes, mapped from the error types in ``main`` alone: 0 success; 1 an
-equivalence or axiom counterexample, or a FAIL cell of ``check`` (a strategy
-whose translation failed is one); 2 parse, schema, type, subsystem-cycle or
-file errors; 3 "precondition failed", with the reason (a document with no
-blocks, or a feedbackless algebraic loop with its witness); 4 fixpoint
-divergence during simulation or in an axiom instance.  A malformed option
-value, such as a negative count, or a malformed ``HBD_SEED`` is rejected by
-the argument parser, also with exit code 2.
+equivalence or axiom counterexample, an axiom instance that fails with a
+reason, or a FAIL cell of ``check`` (a strategy whose translation failed is
+one); 2 parse, schema, type, subsystem-cycle or file errors; 3
+"precondition failed", with the reason (a document with no blocks, or a
+feedbackless algebraic loop with its witness).  A malformed option value,
+such as a negative count, or a malformed ``HBD_SEED`` is rejected by the
+argument parser, also with exit code 2.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ import os
 import sys
 
 from .axioms import run_axiom_suite
-from .errors import (
-    CycleError,
-    FixpointDivergence,
-    ParseError,
-    PreconditionError,
-    SchemaError,
-    TypeMismatchError,
-)
+from .errors import CycleError, ParseError, PreconditionError, SchemaError, TypeMismatchError
 from .frontend import (
     DiagramDoc,
     FbLess,
@@ -195,8 +188,12 @@ def cmd_axioms(args) -> int:
         print(f"axiom {outcome.name:<35} [{outcome.instances:4d} instances] {status}")
         if not outcome.ok:
             failed += 1
-            row, lo, ro = outcome.failures[0]
-            print(f"  counterexample: input={row} lhs={lo} rhs={ro}")
+            failure = outcome.failures[0]
+            if isinstance(failure, str):
+                print(f"  failed: {failure}")
+            else:
+                row, lo, ro = failure
+                print(f"  counterexample: input={row} lhs={lo} rhs={ro}")
     print(f"{len(outcomes) - failed}/{len(outcomes)} axioms pass")
     return 0 if failed == 0 else 1
 
@@ -262,9 +259,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
-    except FixpointDivergence as exc:
-        print(f"fixpoint divergence: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

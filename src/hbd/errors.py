@@ -14,7 +14,7 @@ class PreconditionError(Exception):
 
 
 class FixpointDivergence(RuntimeError):
-    """Kleene iteration did not stabilize within the configured bound."""
+    """Kleene iteration on values did not stabilize within its cap."""
 
 
 class ParseError(ValueError):

@@ -68,7 +68,8 @@ class SplitBlock:
 def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
     """Check of [x -> x,x] ;; (S || S) == S ;; [y -> y,y] by the harness's
     oracle, ``term_cells``: proved when both sides have equal output graphs,
-    sampled otherwise.  A side that finds no fixed point fails the check."""
+    sampled otherwise.  A side whose symbolic evaluation fails fails the
+    check."""
     from .harness import term_cells  # the harness imports this module
 
     x = a.inputs

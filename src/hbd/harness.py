@@ -7,10 +7,8 @@ function, so their cell is proved and neither runs; every other cell is
 sampled, and a graph class runs only when a sampled cell needs it.
 ``equivalence_cells`` aligns each io-diagram to the first by name with
 ``Route`` wiring; ``io_equiv`` is its two-diagram case.  A strategy whose
-translation fails fails its row and column with the reason.  So does an
-undecided strategy whose feedback finds no fixed point when it runs on the
-reference evaluator, ``eval_term``; a decided one runs as straight-line code
-and cannot diverge.
+translation fails fails its row and column with the reason.  Every term that
+runs is straight-line code (``hbd.compiled``) and cannot diverge.
 """
 
 from __future__ import annotations
@@ -20,12 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .compiled import compile_term
-from .errors import (
-    CompositionError,
-    FixpointDivergence,
-    PreconditionError,
-    TypeMismatchError,
-)
+from .errors import CompositionError, PreconditionError, TypeMismatchError
 from .feedbackless import fbless_translate, loop_free, split_block
 from .io_diagrams import (
     EquivConfig,
@@ -36,7 +29,7 @@ from .io_diagrams import (
     equivalence_samples,
     switch_names,
 )
-from .semantics import DEFAULT_CONFIG, EvalConfig, EvalStats
+from .semantics import EvalStats
 from .symbolic import Graph
 from .terms import print_term, term_size
 # ``translate`` here is the loop alone: ``translate_all`` checks the list once
@@ -147,7 +140,6 @@ _SYMBOLIC_ERRORS = (RecursionError, TypeMismatchError)
 def term_cells(
     terms: Sequence,
     sample: Callable[[], list],
-    cfg: EvalConfig = DEFAULT_CONFIG,
     stats: Optional[EvalStats] = None,
 ):
     """The symmetric matrix of ``EquivResult`` cells that compares terms of
@@ -155,15 +147,13 @@ def term_cells(
 
     An entry may be a string in place of a term: the reason there is none.
     Each term is evaluated once in one ``symbolic.Graph``.  A cell between
-    two equal decided output graphs is proved, and neither term runs.  Every
-    other cell is sampled on the rows of ``sample()``, which is called at
-    most once: each graph class runs once, and each undecided term on its
-    own, on the reference evaluator.  A string entry, a term whose symbolic
-    evaluation raises (too deep for the recursion limit, or not a term), or
-    an undecided term that finds no fixed point, fails its whole row and
-    column with that reason.
+    two equal output graphs is proved, and neither term runs.  Every other
+    cell is sampled on the rows of ``sample()``, which is called at most
+    once, and each graph class runs once.  A string entry, or a term whose
+    symbolic evaluation raises (too deep for the recursion limit, or not a
+    term), fails its whole row and column with that reason.
     """
-    graph = Graph(cfg)
+    graph = Graph()
     typed = next((t for t in terms if not isinstance(t, str)), None)
     symbols = [] if typed is None else [graph.symbol(i) for i in range(len(typed.in_types))]
     terms = list(terms)
@@ -175,28 +165,24 @@ def term_cells(
             except _SYMBOLIC_ERRORS as exc:
                 terms[i] = f"symbolic evaluation failed: {type(exc).__name__}: {exc}"
     rows = None  # sample(), drawn when the first term runs
-    ran = {}  # graph class, or the index of an undecided term -> outputs or why none
+    ran = {}  # graph class -> its outputs on the rows
 
     def outputs(i):
         """Entry ``i``'s outputs on the rows, or why there are none."""
         nonlocal rows
         if isinstance(terms[i], str):
             return terms[i]
-        key = i if dags[i] is None else dags[i]
-        if key not in ran:
+        if dags[i] not in ran:
             if rows is None:
                 rows = sample()
-            try:
-                ran[key] = compile_term(terms[i], cfg).run(rows, stats=stats, validate=False)
-            except FixpointDivergence as exc:  # only eval_term iterates: dags[i] is None
-                ran[key] = f"fixpoint divergence: {exc}"
-        return ran[key]
+            ran[dags[i]] = compile_term(terms[i]).run(rows, stats=stats, validate=False)
+        return ran[dags[i]]
 
     n = len(terms)
     matrix = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            if dags[i] is not None and dags[i] == dags[j]:
+            if dags[i] is not None and dags[i] == dags[j]:  # None: a reason
                 cell = EquivResult(True, proved=True)
             else:
                 a = outputs(i)

@@ -2,10 +2,10 @@
 
 Each base domain is extended with the unknown value ``BOT``; the order is
 flat (``BOT <= v`` and otherwise only ``v <= v``).  Atoms evaluate their
-expression function with strict bottom propagation (optionally the
-nonstrict rule ``v * 0 == 0``), and feedback is the least fixpoint of the
-fed-back component, computed by Kleene iteration starting from ``BOT``.
-NaN equals NaN in the fixpoint tests, so a wire that carries NaN settles.
+expression function with strict bottom propagation, so every atom is
+monotone, and feedback is the least fixpoint of the fed-back component,
+computed by Kleene iteration starting from ``BOT``.  NaN equals NaN in the
+fixpoint tests, so a wire that carries NaN settles.
 
 A maximal tower of nested feedbacks is iterated jointly: the simultaneous
 fixpoint, which equals the nested least fixpoints for monotone bodies
@@ -58,15 +58,6 @@ def value_kind(v) -> Optional[BaseType]:
     raise TypeMismatchError(f"not a value: {v!r}")
 
 
-def value_leq(v, w) -> bool:
-    """Flat order: bot below everything, concrete values only below themselves."""
-    return v is BOT or (w is not BOT and value_kind(v) is value_kind(w) and v == w)
-
-
-def tuple_leq(vs, ws) -> bool:
-    return len(vs) == len(ws) and all(value_leq(v, w) for v, w in zip(vs, ws))
-
-
 def check_kinds(values, t: TypeList, what: str = "input") -> None:
     if len(values) != len(t):
         raise TypeMismatchError(f"{what} arity {len(values)} != expected {len(t)}")
@@ -76,27 +67,18 @@ def check_kinds(values, t: TypeList, what: str = "input") -> None:
             raise TypeMismatchError(f"{what}[{i}] has kind {kv}, expected {k}")
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    strict_multiply: bool = True
-    max_fix_iters: int = 8
-
-    def __post_init__(self):
-        if self.max_fix_iters < 2:
-            raise ValueError("max_fix_iters must be >= 2")
-
-
-DEFAULT_CONFIG = EvalConfig()
+# The iterations a feedback tower one wire wide may take; a tower w wires
+# wide may take MAX_FIX_ITERS + w - 1.
+MAX_FIX_ITERS = 8
 
 
 @dataclass
 class EvalStats:
     """Fixpoint census.  ``feedback_runs`` holds (tower width, Kleene
-    iterations), one per tower ``eval_term`` iterated on values, also when
-    it runs the rows of an undecided term inside ``Compiled.run``.
-    ``symbolic_runs`` holds (total tower width, passes), one per decided
-    term with towers that the symbolic evaluator solved jointly.  A decided
-    term's compiled rows record nothing."""
+    iterations), one per tower ``eval_term`` iterated on values.
+    ``symbolic_runs`` holds (total tower width, passes), one per term with
+    towers that the symbolic evaluator solved jointly.  Compiled rows run
+    no fixpoint, so ``Compiled.run`` records nothing."""
 
     feedback_runs: list = field(default_factory=list)
     symbolic_runs: list = field(default_factory=list)
@@ -123,19 +105,8 @@ def op_sub(a, b):
     return BOT if a is BOT or b is BOT else a - b
 
 
-def op_mul_strict(a, b):
+def op_mul(a, b):
     return BOT if a is BOT or b is BOT else a * b
-
-
-def op_mul_nonstrict(a, b):
-    # v * 0 == 0 even for unknown v; the zero's kind fixes the result kind.
-    if a is not BOT and b is not BOT:
-        return a * b
-    if a is not BOT and a == 0:
-        return a
-    if b is not BOT and b == 0:
-        return b
-    return BOT
 
 
 def op_div(a, b):
@@ -175,48 +146,44 @@ def op_or(a, b):
     return BOT if a is BOT or b is BOT else (a or b)
 
 
-def binop_table(cfg: EvalConfig) -> dict:
-    return {
-        "+": op_add,
-        "-": op_sub,
-        "*": op_mul_strict if cfg.strict_multiply else op_mul_nonstrict,
-        "/": op_div,
-        "min": op_min,
-        "max": op_max,
-        "<": op_lt,
-        "<=": op_le,
-        "==": op_eq,
-        "and": op_and,
-        "or": op_or,
-    }
+BINOPS = {
+    "+": op_add,
+    "-": op_sub,
+    "*": op_mul,
+    "/": op_div,
+    "min": op_min,
+    "max": op_max,
+    "<": op_lt,
+    "<=": op_le,
+    "==": op_eq,
+    "and": op_and,
+    "or": op_or,
+}
 
 
-def _eval_expr_node(e, env, binops):
+def _eval_expr_node(e, env):
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Ref):
         return env[e.name]
     if isinstance(e, Un):
-        a = _eval_expr_node(e.a, env, binops)
+        a = _eval_expr_node(e.a, env)
         return op_neg(a) if e.op == "neg" else op_not(a)
     if isinstance(e, Bin):
-        return binops[e.op](
-            _eval_expr_node(e.a, env, binops), _eval_expr_node(e.b, env, binops)
-        )
+        return BINOPS[e.op](_eval_expr_node(e.a, env), _eval_expr_node(e.b, env))
     if isinstance(e, Ite):
-        c = _eval_expr_node(e.cond, env, binops)
+        c = _eval_expr_node(e.cond, env)
         if c is BOT:
             return BOT
-        return _eval_expr_node(e.then if c else e.orelse, env, binops)
+        return _eval_expr_node(e.then if c else e.orelse, env)
     raise TypeMismatchError(f"not an expression: {e!r}")
 
 
-def eval_expr(fn: ExprFun, args, cfg: EvalConfig = DEFAULT_CONFIG):
+def eval_expr(fn: ExprFun, args):
     """Apply an expression function to a value tuple with bot propagation."""
     check_kinds(args, fn.in_kinds, "argument")
     env = {p.name: a for p, a in zip(fn.params, args)}
-    binops = binop_table(cfg)
-    return tuple(_eval_expr_node(body, env, binops) for body in fn.bodies)
+    return tuple(_eval_expr_node(body, env) for body in fn.bodies)
 
 
 # -- term evaluation ----------------------------------------------------------
@@ -243,25 +210,14 @@ def _collect_tower(term: Feedback):
     return n, term
 
 
-def eval_term(
-    term: Term,
-    inputs,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    stats: Optional[EvalStats] = None,
-):
-    """Reference evaluator; input kinds must match the term's input types."""
+def eval_term(term: Term, inputs, stats: Optional[EvalStats] = None):
+    """Reference evaluator, the oracle of ``hbd.compiled``; input kinds must
+    match the term's input types."""
     check_kinds(inputs, term.in_types, "input")
-    return row_evaluator(term, cfg)(stats, *inputs)
+    return _ev(term, tuple(inputs), stats)
 
 
-def row_evaluator(term: Term, cfg: EvalConfig = DEFAULT_CONFIG):
-    """``eval_term`` of ``term`` as ``row(stats, *input values)``, for many
-    rows: the operator table is built once, and input kinds go unchecked."""
-    binops = binop_table(cfg)
-    return lambda stats, *values: _ev(term, values, cfg, binops, stats)
-
-
-def _ev(term, vals, cfg, binops, stats):
+def _ev(term, vals, stats):
     if isinstance(term, Id):
         return vals
     if isinstance(term, Split):
@@ -275,18 +231,16 @@ def _ev(term, vals, cfg, binops, stats):
         return tuple(BOT if i is None else vals[i] for i in term.imap)
     if isinstance(term, Atom):
         env = {p.name: a for p, a in zip(term.fn.params, vals)}
-        return tuple(_eval_expr_node(b, env, binops) for b in term.fn.bodies)
+        return tuple(_eval_expr_node(b, env) for b in term.fn.bodies)
     if isinstance(term, Serial):
-        return _ev(term.second, _ev(term.first, vals, cfg, binops, stats), cfg, binops, stats)
+        return _ev(term.second, _ev(term.first, vals, stats), stats)
     if isinstance(term, Parallel):
         n = len(term.left.in_types)
-        return _ev(term.left, vals[:n], cfg, binops, stats) + _ev(
-            term.right, vals[n:], cfg, binops, stats
-        )
+        return _ev(term.left, vals[:n], stats) + _ev(term.right, vals[n:], stats)
     if isinstance(term, Feedback):
         n, body = _collect_tower(term)
-        step = lambda xs: _ev(body, xs + vals, cfg, binops, stats)  # noqa: E731
-        return kleene(step, n, cfg.max_fix_iters + n - 1, stats)
+        step = lambda xs: _ev(body, xs + vals, stats)  # noqa: E731
+        return kleene(step, n, MAX_FIX_ITERS + n - 1, stats)
     raise TypeMismatchError(f"not a term: {term!r}")
 
 
@@ -294,9 +248,9 @@ def kleene(body, n: int, cap: int, stats: Optional[EvalStats] = None):
     """Joint Kleene iteration of a tower ``n`` wires wide: ``body`` maps the
     fed-back values to the body's outputs, and the iteration starts from bot.
     Returns the outputs after the fed-back ones once these settle, and
-    records (n, iterations) in ``stats.feedback_runs``.  ``eval_term`` runs
-    it, also for each row of an undecided compiled term; a decided compiled
-    term has no fixpoint left to run."""
+    records (n, iterations) in ``stats.feedback_runs``.  On monotone bodies
+    the tower settles within n + 1 iterations, inside the cap; a tower that
+    has not settled by the cap raises ``FixpointDivergence``."""
     xs = (BOT,) * n
     iters = 0
     while True:

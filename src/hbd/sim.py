@@ -40,7 +40,7 @@ from .frontend import DiagramDoc, document_io_list
 # benchmark run, so the run fails if this name is missing.
 from .frontend import normalize  # noqa: F401
 from .io_diagrams import IoDiagram, values_close
-from .semantics import BOT, DEFAULT_CONFIG, EvalConfig, eval_expr, same_value, value_kind
+from .semantics import BOT, MAX_FIX_ITERS, eval_expr, same_value, value_kind
 from .types import BaseType
 
 
@@ -99,15 +99,10 @@ def _check_row(row: dict, expected_names: set, where: str):
         raise SchemaError(f"{where}: missing inputs {sorted(missing)}")
 
 
-def simulate_translated(
-    diagram: IoDiagram,
-    state_table,
-    rows,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> SimTrace:
+def simulate_translated(diagram: IoDiagram, state_table, rows) -> SimTrace:
     """Run the translated io-diagram for one row of external inputs per step:
     ``compile_term`` once, then ``simulate_compiled``."""
-    return simulate_compiled(compile_term(diagram.body, cfg), diagram, state_table, rows)
+    return simulate_compiled(compile_term(diagram.body), diagram, state_table, rows)
 
 
 def simulate_compiled(compiled: Compiled, diagram: IoDiagram, state_table, rows) -> SimTrace:
@@ -151,7 +146,7 @@ def simulate_compiled(compiled: Compiled, diagram: IoDiagram, state_table, rows)
             for v, value in zip(ext_in, ext):
                 _typed(value, v, step)
         # _typed checked the external inputs; the state holds typed outputs
-        out = row_fn(None, *gather(state + ext))
+        out = row_fn(*gather(state + ext))
         state = next_state(out)
         add_ext(ext)
         add_out(out)
@@ -181,9 +176,7 @@ def _typed(value, var, step):
     return value
 
 
-def simulate_direct(
-    doc: DiagramDoc, rows, cfg: EvalConfig = DEFAULT_CONFIG
-) -> SimTrace:
+def simulate_direct(doc: DiagramDoc, rows) -> SimTrace:
     """Execute the wire graph directly: per step, iterate block firings from
     all-unknown wires to the least fixpoint.  The state runs over the whole
     state table, the instances' states included."""
@@ -207,12 +200,12 @@ def simulate_direct(
         env.update(zip(state_names, state))
         for e in doc.inputs:
             env[e.name] = _typed(row[e.name], e, step)
-        cap = len(all_vars) + cfg.max_fix_iters
+        cap = len(all_vars) + MAX_FIX_ITERS
         for _ in range(cap):
             changed = False
             for ins, outs, fn in blocks:
                 args = tuple(env[v.name] for v in ins)
-                result = eval_expr(fn, args, cfg)
+                result = eval_expr(fn, args)
                 for v, val in zip(outs, result):
                     old = env[v.name]
                     if not same_value(old, val) or (old is BOT) != (val is BOT):

@@ -23,24 +23,31 @@ not once per iteration of the towers around it.
 
 Each node rule is the matching scalar rule of ``semantics``, applied only
 where an operand is bot or a literal; every other operation stays a node
-that the scalar rule decides per input.  So evaluating an output graph at an
-input gives what ``eval_term`` gives there, and two terms with the same
-output nodes compute the same function on every input: the proof step of
-``harness.term_cells``, the one oracle.  (The concrete
-settle test reads 0.0 == -0.0 and may stop a tower an iteration earlier;
-that changes at most the sign of a zero, which ``values_close`` ignores.)
-A term decides or declines: when its towers have not settled within
-``max_fix_iters + w - 1`` passes, for w the total width of its towers (the
-cap of ``eval_term`` for a single tower), ``outputs`` returns None.  Such a
-term is undecided; the harness samples it, and ``hbd.compiled`` runs it on
-``eval_term``.  There are no loop nodes.  The towers of a decided term
-also settle in the concrete evaluators: on monotone bodies a tower w wires
-wide settles within w + 1 iterations, inside their cap, and their fixpoint
-tests read NaN as equal to NaN.
+that the scalar rule decides per input.  So the nodes of pass k, evaluated
+at an input, give what k Kleene iterations from bot give there, and two
+terms with the same output nodes compute the same function on every input:
+the proof step of ``harness.term_cells``, the one oracle.
 
-``Graph.function`` emits the nodes that a decided term's outputs reach as
-one Python function with one assignment per node, each the scalar rule of
-its operation written inline.
+Every term is decided: the solve stops when the fed-back nodes repeat, or
+at the latest after ``MAX_FIX_ITERS + w - 1`` passes, for w the total width
+of the term's towers (the cap of ``eval_term`` for a single tower), and
+returns that pass's outputs.  Stopping at the cap is sound by the height
+bound of chaotic iteration (P. Cousot and R. Cousot, "Abstract
+interpretation", POPL 1977): every atom is monotone, and over flat domains
+each pass that changes the fed-back values at an input turns at least one
+of the w wires from bot to a value, which it then keeps.  So at every
+input the values that pass w feeds back are the least fixpoint, and every
+later pass, reading them as its guesses, gives the outputs at the
+fixpoint.  The cap is at least w + 1, as ``MAX_FIX_ITERS >= 2``.  A graph
+that still changes at the cap (x = ite(c, u, x) nests one more ite per
+pass) only restates the settled values at every input.  There are no loop
+nodes.  (The concrete settle test reads 0.0 == -0.0 and may stop a tower an
+iteration earlier; that changes at most the sign of a zero, which
+``values_close`` ignores.)
+
+``Graph.function`` emits the nodes that a term's outputs reach as one
+Python function with one assignment per node, each the scalar rule of its
+operation written inline.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from typing import Optional
 
 from .errors import TypeMismatchError
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, infer_kind
-from .semantics import BOT as BOT_VALUE, DEFAULT_CONFIG, EvalConfig, EvalStats
+from .semantics import BOT as BOT_VALUE, MAX_FIX_ITERS, EvalStats
 from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
 from .types import BaseType
 
@@ -91,15 +98,12 @@ class Graph:
     symbol ``i``, ``("lit", type, repr, value)`` for a literal,
     ``(op, *operand nodes)`` with ``op`` one of ``neg not + - * / // min max
     < <= == and or ite`` (``//`` is division of Ints, which floors).
-    There is no node of an unsettled tower: the term holding it is
-    undecided.  The multiply rule follows ``cfg.strict_multiply``.  Each
-    call of ``outputs`` flattens its term and solves all of the term's
-    feedback towers in one joint Kleene iteration; terms evaluated in one
-    graph share its nodes, not their solves.
+    Each call of ``outputs`` flattens its term and solves all of the
+    term's feedback towers in one joint Kleene iteration; terms evaluated
+    in one graph share its nodes, not their solves.
     """
 
-    def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG):
-        self.cfg = cfg
+    def __init__(self):
         self.keys = [("bot",)]
         self._ids = {("bot",): BOT}
         self._bodies = {}  # id(ExprFun) -> (the function, its bodies as op trees)
@@ -129,26 +133,18 @@ class Graph:
             if keys[c][0] == "lit":
                 return args[1] if keys[c][3] else args[2]
         elif BOT in args:
-            if op != "*" or self.cfg.strict_multiply:
-                return BOT
-            # op_mul_nonstrict: bot times a literal zero is that literal
-            x = args[1] if args[0] == BOT else args[0]
-            if keys[x][0] == "lit":
-                return x if keys[x][3] == 0 else BOT
-            if x == BOT:
-                return BOT
-            # whether x is zero depends on the input: the node decides per input
+            return BOT
         return self.node((op,) + args)
 
     def outputs(self, term: Term, inputs, stats: Optional[EvalStats] = None):
-        """The output nodes of ``term`` given its input nodes, or None when
-        its feedback towers have not settled within the cap.  A decided term
-        with towers records one entry in ``stats.symbolic_runs``: (the total
-        width of its towers, the passes of their joint solve)."""
+        """The output nodes of ``term`` given its input nodes, from the pass
+        where its fed-back nodes repeat or else from the pass at the cap.  A
+        term with towers records one entry in ``stats.symbolic_runs``: (the
+        total width of its towers, the passes of their joint solve)."""
         values, program, guesses, fed, outs = self._flatten(term, tuple(inputs))
         apply = self.apply
         width = len(guesses)
-        cap = self.cfg.max_fix_iters + width - 1
+        cap = MAX_FIX_ITERS + width - 1
         xs = (BOT,) * width
         passes = 0
         while True:
@@ -158,10 +154,8 @@ class Graph:
                 values[res] = apply(op, *[values[i] for i in args])
             passes += 1
             new = tuple(values[i] for i in fed)
-            if new == xs:
+            if new == xs or passes >= cap:
                 break
-            if passes >= cap:
-                return None
             xs = new
         if width and stats is not None:
             stats.symbolic_runs.append((width, passes))
@@ -169,12 +163,10 @@ class Graph:
 
     def function(self, inputs, outputs):
         """(``row``, its source): the nodes ``outputs`` as one Python function
-        ``row(stats, *values of inputs)`` returning their tuple of values.
+        ``row(*values of inputs)`` returning their tuple of values.
 
         Each node that ``outputs`` reach is one assignment, in node order, so
-        its operands come first.  A literal is a global bound to its value.
-        ``stats`` is unused, as no fixpoint is left to run; it keeps the one
-        row signature of ``hbd.compiled``."""
+        its operands come first.  A literal is a global bound to its value."""
         keys = self.keys
         live, todo = set(outputs), list(outputs)
         while todo:
@@ -183,7 +175,7 @@ class Graph:
                     live.add(m)
                     todo.append(m)
         env = {"BOT": BOT_VALUE}
-        lines = ["def row(stats" + "".join(f", v{n}" for n in inputs) + "):"]
+        lines = ["def row(" + ", ".join(f"v{n}" for n in inputs) + "):"]
         for n in sorted(live):
             key = keys[n]
             if key[0] == "lit":
@@ -203,15 +195,6 @@ class Graph:
         if op == "ite":  # the condition is neither bot nor a literal here
             c, t, e = names
             return f"BOT if {c} is BOT else {t} if {c} else {e}"
-        if op == "*" and not self.cfg.strict_multiply:
-            x, y = names
-            # op_mul_nonstrict: v * 0 == 0 even for unknown v; the zero's kind
-            # fixes the result kind
-            return (
-                f"{x} * {y} if {x} is not BOT and {y} is not BOT else "
-                f"{x} if {x} is not BOT and {x} == 0 else "
-                f"{y} if {y} is not BOT and {y} == 0 else BOT"
-            )
         guards = [f"{v} is BOT" for v, a in zip(names, args) if self.keys[a][0] != "lit"]
         if op in ("/", "//"):  # bot on a zero divisor
             guards.append(f"{names[1]} == 0")

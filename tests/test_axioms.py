@@ -10,13 +10,9 @@ import pytest
 import hbd
 import hbd.axioms
 from hbd.axioms import AXIOMS, Equation, check_equation, run_axiom_suite
-from hbd.errors import FixpointDivergence
-from hbd.exprs import Ite, Ref, Un
-from hbd.semantics import EvalConfig, eval_term, sample_inputs
+from hbd.semantics import eval_term, sample_inputs
 from hbd.terms import Id, Sink, Split, Switch, mk_feedback, mk_parallel, mk_serial
 from hbd.types import BaseType
-
-from util import growing_tower, non_monotone_neg
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
@@ -56,33 +52,55 @@ def test_checker_catches_planted_inequality():
     assert lo != ro
 
 
-def test_diverging_side_raises_and_axioms_exit_4(monkeypatch, capsys):
-    """A side whose feedback finds no fixed point is no counterexample:
-    ``check_equation`` raises ``FixpointDivergence`` and ``hbd axioms``
-    exits 4 with the reason."""
+def test_side_without_outputs_fails_its_axiom_with_the_reason(monkeypatch, capsys):
+    """A side too deep for the symbolic evaluator has no outputs and no
+    counterexample: ``check_equation`` reports the cell's reason, and
+    ``hbd axioms`` fails that axiom with it and exits 1."""
     from hbd.cli import main
 
-    non_monotone_neg(monkeypatch)
-    loop = growing_tower(Ite(Ref("c"), Ref("u"), Un("neg", Ref("x"))))
-    eq = Equation(loop, loop)
-    with pytest.raises(FixpointDivergence, match="^no fixed point within 8 iterations"):
-        check_equation(eq, samples=20, seed=0)
-    monkeypatch.setattr(hbd.axioms, "AXIOMS", [("diverging", lambda rng: [eq])])
-    assert main(["axioms", "--instances", "1", "--samples", "20"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("fixpoint divergence: no fixed point") and err.count("divergence") == 1
+    deep = Id((R,))
+    for _ in range(25_000):
+        deep = mk_serial(deep, Id((R,)))
+    eq = Equation(deep, Id((R,)))
+    (reason,) = check_equation(eq, samples=20, seed=0)
+    assert reason.startswith("symbolic evaluation failed: RecursionError")
+    monkeypatch.setattr(hbd.axioms, "AXIOMS", [("too deep", lambda rng: [eq])])
+    assert main(["axioms", "--instances", "1", "--samples", "20"]) == 1
+    out = capsys.readouterr().out
+    assert f"  failed: {reason}\n" in out and out.endswith("0/1 axioms pass\n")
+
+
+def test_suite_proves_every_instance(monkeypatch):
+    """Both sides of every instance have equal output graphs, those whose
+    towers stop at the cap included, so no instance needs sampling."""
+    cells = []
+    term_cells = hbd.axioms.term_cells
+
+    def kept(terms, rows):
+        matrix = term_cells(terms, rows)
+        cells.append(matrix[0][1])
+        return matrix
+
+    monkeypatch.setattr(hbd.axioms, "term_cells", kept)
+    outcomes = run_axiom_suite(instances=10, samples=20, seed=0)
+    assert len(cells) == sum(o.instances for o in outcomes) >= 160
+    assert all(cell.proved for cell in cells)
+
+
+def test_false_law_prints_a_counterexample_and_exits_1(monkeypatch, capsys):
+    from hbd.cli import main
+
+    t = (I,)
+    planted = Equation(Switch(t, t), Id((I, I)))
+    monkeypatch.setattr(hbd.axioms, "AXIOMS", [("planted", lambda rng: [planted])])
+    assert main(["axioms", "--instances", "2", "--samples", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "[   2 instances] FAIL" in out and "  counterexample: input=(" in out
 
 
 def test_suite_small_run_all_pass():
     outcomes = run_axiom_suite(instances=6, samples=25, seed=7)
     assert len(outcomes) == 16
-    for outcome in outcomes:
-        assert outcome.ok, (outcome.name, outcome.failures[:1])
-
-
-def test_suite_nonstrict_multiply_model():
-    cfg = EvalConfig(strict_multiply=False)
-    outcomes = run_axiom_suite(instances=4, samples=25, seed=11, cfg=cfg)
     for outcome in outcomes:
         assert outcome.ok, (outcome.name, outcome.failures[:1])
 
@@ -96,26 +114,6 @@ def test_suite_seed_variation():
     for seed in (101, 202, 303):
         outcomes = run_axiom_suite(instances=5, samples=30, seed=seed)
         assert all(o.ok for o in outcomes), [o.name for o in outcomes if not o.ok]
-
-
-def test_sampler_distinguishes_the_two_multiply_models():
-    # the same term evaluated under strict and nonstrict multiply differs
-    # on inputs pairing bot with zero, so the oracle must see through it
-    from hbd.compiled import compile_term
-    from hbd.exprs import Bin, ExprFun, Ref
-    from hbd.io_diagrams import differences
-    from hbd.semantics import sample_inputs
-    from hbd.terms import mk_atom
-    from hbd.types import Var
-
-    mul = mk_atom(
-        "mul", ExprFun((Var("a", R), Var("b", R)), (Bin("*", Ref("a"), Ref("b")),))
-    )
-    strict = compile_term(mul, EvalConfig(strict_multiply=True))
-    lazy = compile_term(mul, EvalConfig(strict_multiply=False))
-    rows = sample_inputs((R, R), 200, seed=3)
-    diffs = list(differences(rows, strict.run(rows), lazy.run(rows)))
-    assert diffs, "sampling must produce bot-with-zero pairs"
 
 
 _SHOW_FIRST_INSTANCES = """

@@ -1,8 +1,9 @@
 """The compiled row functions: one-atom terms, whose row function is the
 atom's kernel, against the reference expression evaluator; deep
-expressions; undecided terms, which run on the reference evaluator, and
-their census; and the pure-Python dependency set."""
+expressions; a tower whose graph grows to the cap, against the reference
+term evaluator; and the pure-Python dependency set."""
 
+import inspect
 import math
 import os
 import pathlib
@@ -16,19 +17,17 @@ import hbd
 from hbd.compiled import compile_term
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.frontend import FbLess, flatten_or_recurse
-from hbd.semantics import BOT, EvalConfig, EvalStats, eval_expr, eval_term, sample_inputs
+from hbd.semantics import BOT, EvalStats, eval_expr, eval_term, sample_inputs
+from hbd.symbolic import Graph
 from hbd.terms import mk_atom
 from hbd.translator import FeedbackParallel, Incremental
 from hbd.types import BaseType, Var
 
-from util import VALUES as _VALUES, decided, expr_all_ops as _expr, growing_tower
+from util import VALUES as _VALUES, expr_all_ops as _expr, growing_tower
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 INF = float("inf")
 BIG = 2**80
-
-STRICT = EvalConfig()
-NONSTRICT = EvalConfig(strict_multiply=False)
 
 
 def _random_value(rng, k):
@@ -48,22 +47,21 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _kernel(fn, cfg=STRICT):
+def _kernel(fn):
     """The compiled one-atom term of ``fn``: its row function is the kernel."""
-    return compile_term(mk_atom("f", fn), cfg)
+    return compile_term(mk_atom("f", fn))
 
 
-def _check(fn, rows, cfg):
-    outs = _kernel(fn, cfg).run(rows)
+def _check(fn, rows):
+    outs = _kernel(fn).run(rows)
     assert len(outs) == len(rows)
     for row, got in zip(rows, outs):
-        want = eval_expr(fn, row, cfg)
+        want = eval_expr(fn, row)
         assert len(got) == len(fn.bodies)
         assert all(map(_same, got, want)), (fn, row, got, want)
 
 
-@pytest.mark.parametrize("cfg", [STRICT, NONSTRICT], ids=["strict", "nonstrict"])
-def test_kernels_agree_with_eval_expr(cfg):
+def test_kernels_agree_with_eval_expr():
     rng = random.Random(29)
     for _ in range(300):
         params = tuple(Var(f"p{i}", rng.choice((R, I, B))) for i in range(rng.randint(0, 3)))
@@ -73,7 +71,7 @@ def test_kernels_agree_with_eval_expr(cfg):
         )
         fn = ExprFun(params, bodies)
         rows = [tuple(_random_value(rng, p.ty) for p in params) for _ in range(40)]
-        _check(fn, rows, cfg)
+        _check(fn, rows)
 
 
 def _grid(*kinds):
@@ -84,47 +82,46 @@ def _grid(*kinds):
 
 
 @pytest.mark.parametrize(
-    "kinds, body, cfg",
+    "kinds, body",
     [
         # floor division on Int, true division on Real, bot on a zero divisor
-        ((I, I), Bin("/", Ref("a"), Ref("b")), STRICT),
-        ((R, R), Bin("/", Ref("a"), Ref("b")), STRICT),
-        ((I, I), Bin("/", Bin("-", Ref("a"), Ref("b")), Bin("*", Ref("b"), Lit(-2))), STRICT),
-        # v * 0 == 0 for unknown v, of the zero's kind
-        ((R, R), Bin("*", Ref("a"), Ref("b")), NONSTRICT),
-        ((I, I), Bin("*", Bin("+", Ref("a"), Lit(0)), Bin("min", Ref("b"), Lit(0))), NONSTRICT),
-        ((R, R), Bin("*", Lit(0.0), Bin("/", Ref("a"), Ref("b"))), NONSTRICT),
+        ((I, I), Bin("/", Ref("a"), Ref("b"))),
+        ((R, R), Bin("/", Ref("a"), Ref("b"))),
+        ((I, I), Bin("/", Bin("-", Ref("a"), Ref("b")), Bin("*", Ref("b"), Lit(-2)))),
+        # multiply is strict: bot times zero is bot, of either operand
+        ((R, R), Bin("*", Ref("a"), Ref("b"))),
+        ((I, I), Bin("*", Bin("+", Ref("a"), Lit(0)), Bin("min", Ref("b"), Lit(0)))),
+        ((R, R), Bin("*", Lit(0.0), Bin("/", Ref("a"), Ref("b")))),
         # a bot condition gives bot; bot in the untaken branch does not matter
-        ((I, I), Ite(Bin("<", Ref("a"), Ref("b")), Ref("a"), Bin("/", Ref("a"), Lit(0))), STRICT),
-        ((R, R), Ite(Bin("==", Ref("a"), Ref("b")), Bin("-", Ref("b"), Ref("a")), Ref("b")), NONSTRICT),
+        ((I, I), Ite(Bin("<", Ref("a"), Ref("b")), Ref("a"), Bin("/", Ref("a"), Lit(0)))),
+        ((R, R), Ite(Bin("==", Ref("a"), Ref("b")), Bin("-", Ref("b"), Ref("a")), Ref("b"))),
         # Int stays exact past 2**53
-        ((I, I), Bin("-", Bin("*", Ref("a"), Ref("b")), Bin("*", Ref("b"), Ref("a"))), STRICT),
-        ((I, I), Bin("max", Bin("+", Ref("a"), Lit(BIG)), Un("neg", Ref("b"))), STRICT),
+        ((I, I), Bin("-", Bin("*", Ref("a"), Ref("b")), Bin("*", Ref("b"), Ref("a")))),
+        ((I, I), Bin("max", Bin("+", Ref("a"), Lit(BIG)), Un("neg", Ref("b")))),
         # inf literals that produce NaN
-        ((R, R), Bin("-", Bin("*", Ref("a"), Lit(INF)), Bin("*", Ref("b"), Lit(INF))), STRICT),
-        ((R, R), Bin("*", Bin("+", Ref("a"), Lit(-INF)), Ref("b")), NONSTRICT),
-        ((R, R), Bin("min", Bin("*", Ref("a"), Lit(INF)), Ref("b")), STRICT),
+        ((R, R), Bin("-", Bin("*", Ref("a"), Lit(INF)), Bin("*", Ref("b"), Lit(INF)))),
+        ((R, R), Bin("*", Bin("+", Ref("a"), Lit(-INF)), Ref("b"))),
+        ((R, R), Bin("min", Bin("*", Ref("a"), Lit(INF)), Ref("b"))),
     ],
 )
-def test_kernel_rules_on_every_value_pair(kinds, body, cfg):
+def test_kernel_rules_on_every_value_pair(kinds, body):
     fn = ExprFun(tuple(Var(n, k) for n, k in zip("ab", kinds)), (body,))
-    _check(fn, _grid(*kinds), cfg)
+    _check(fn, _grid(*kinds))
 
 
 def test_kernel_values_by_hand():
     i2 = (Var("a", I), Var("b", I))
     r2 = (Var("a", R), Var("b", R))
     div = (Bin("/", Ref("a"), Ref("b")),)
-    run = lambda params, bodies, rows, cfg=STRICT: [  # noqa: E731
-        out for (out,) in _kernel(ExprFun(params, bodies), cfg).run(rows)
+    run = lambda params, bodies, rows: [  # noqa: E731
+        out for (out,) in _kernel(ExprFun(params, bodies)).run(rows)
     ]
     assert run(i2, div, [(7, -2), (-7, 2), (7, 0), (0, 0), (BIG, 3)]) == [
         -4, -4, BOT, BOT, BIG // 3
     ]
     assert run(r2, div, [(7.0, -2.0), (1.0, -0.0)]) == [-3.5, BOT]
     mul = (Bin("*", Ref("a"), Ref("b")),)
-    assert run(r2, mul, [(BOT, 0.0), (BOT, 1.0), (-0.0, BOT)], NONSTRICT) == [0.0, BOT, -0.0]
-    assert run(r2, mul, [(BOT, 0.0)]) == [BOT]
+    assert run(r2, mul, [(BOT, 0.0), (BOT, 1.0), (-0.0, BOT)]) == [BOT, BOT, BOT]
 
 
 def test_ref_and_literal_columns():
@@ -151,36 +148,50 @@ def test_deep_expression_compiles():
     assert _kernel(fn).run_one((0,)) == (150,)
 
 
-def test_undecided_term_runs_on_eval_term():
+def test_growing_tower_compiles_to_straight_line_code():
     """x = ite(c, u, x) grows one node per iteration, so its graph never
-    settles: the term is undecided, and each compiled row is eval_term's,
-    value by value, with the same fixpoint census row by row."""
+    repeats and its solve stops at the cap.  The term still compiles to
+    straight-line code, and each row is eval_term's, value by value; the
+    rows run no fixpoint, where eval_term iterates once or twice a row."""
     loop = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
-    assert not decided(loop)
     compiled = compile_term(loop)
-    assert compiled.source is None
+    assert compiled.source.startswith("def row(")
     census = set()
     for row in sample_inputs(loop.in_types, 60, seed=3):
         got, want = EvalStats(), EvalStats()
         (out,) = compiled.run([row], got)
         assert all(map(_same, out, eval_term(loop, row, stats=want)))
-        assert got.feedback_runs == want.feedback_runs and got.symbolic_runs == []
-        census.update(got.feedback_runs)
+        assert got.feedback_runs == got.symbolic_runs == []
+        census.update(want.feedback_runs)
     assert census == {(1, 1), (1, 2)}
+
+
+def test_row_takes_the_input_values_alone():
+    """The row function's parameters are the term's inputs, one each: no
+    fixpoint is left to run, so it takes no census."""
+    compiled = _kernel(ExprFun((Var("a", R), Var("b", I)), (Ref("b"), Ref("a"))))
+    assert list(inspect.signature(compiled.row).parameters) == ["v1", "v2"]
+    assert compiled.source.startswith("def row(v1, v2):\n")
+    assert compiled.row(1.5, 2) == (2, 1.5)
+    assert _kernel(ExprFun((), (Lit(1.0),))).row() == (1.0,)
 
 
 def test_simulated_terms_are_decided(corpus_docs):
     """Every tower of the 84 terms `hbd simulate` runs on the corpus (each
     document with a UnitDelay, under fbpar, incr and fbless) settles as a
-    graph: each term is decided and runs as straight-line code, none on the
-    reference evaluator."""
+    graph within w + 1 passes, for w the total width of the term's towers,
+    well before the cap."""
     docs = [d for d in corpus_docs if any(b.kind == "UnitDelay" for b in d.blocks)]
     assert len(docs) == 28
     terms = 0
     for doc in docs:
         for method in (FeedbackParallel(), Incremental(), FbLess()):
             body = flatten_or_recurse(doc, "flatten", method).diagram.body
-            assert decided(body), (doc.name, method)
+            graph, stats = Graph(), EvalStats()
+            graph.outputs(body, [graph.symbol(i) for i in range(len(body.in_types))], stats)
+            assert all(passes <= width + 1 for width, passes in stats.symbolic_runs), (
+                doc.name, method
+            )
             terms += 1
     assert terms == 84
 

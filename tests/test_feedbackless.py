@@ -191,10 +191,12 @@ class TestCheckDeterministic:
             assert check_deterministic(diagram)
         assert compiled_runs == []
 
-    def test_undecided_difference_is_found_by_sampling(self, compiled_runs, monkeypatch):
-        """x = ite(c, u, x) leaves both sides' graphs undecided, so both are
-        sampled; a block that gives another output on its second run (faked
-        by replacing that run's outputs with bot) is found out."""
+    def test_sampled_difference_is_found(self, compiled_runs, monkeypatch):
+        """x = ite(c, u, x) never repeats as a graph.  One side holds one copy
+        of its tower and the other two, and their solves stop at caps of
+        their own widths on different graphs, so both sides are sampled; a
+        block that gives another output on its second run (faked by
+        replacing that run's outputs with bot) is found out."""
         body = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
         d = IoDiagram((u, Var("c", BaseType.BOOL)), (v,), body)
         assert check_deterministic(d)

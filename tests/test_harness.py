@@ -5,15 +5,14 @@ import inspect
 import math
 import re
 import runpy
+import types
 from pathlib import Path
 
-from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
+from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.harness import StrategyRun, equivalence_matrix, run_determinacy, translate_all
 from hbd.io_diagrams import EquivConfig, IoDiagram
 from hbd.terms import mk_atom
 from hbd.types import BaseType, Var
-
-from util import non_monotone_neg
 
 R = BaseType.REAL
 
@@ -80,27 +79,40 @@ def test_nan_loop_cells_are_proved():
     assert "pairs: 15 proved (equal output graphs), 0 sampled, 0 failed" in report.render()
 
 
-def test_divergent_strategy_is_a_fail_cell(monkeypatch):
-    """x = ite(c, u, -x) never settles as a graph, so every strategy runs
-    on the reference evaluator, and with a non-monotone ``neg`` each finds no
-    fixed point: every cell fails with the reason, and each pair is listed
-    once."""
-    non_monotone_neg(monkeypatch)
-    x, u, c, y = Var("x", R), Var("u", R), Var("c", BaseType.BOOL), Var("y", R)
-    fn = ExprFun((x, u, c), (Ite(Ref("c"), Ref("u"), Un("neg", Ref("x"))), Ref("x")))
-    d = IoDiagram((x, u, c), (x, y), mk_atom("F", fn))
-    report = run_determinacy([d], seeds=range(2), samples=20)
-    labels = [r.label for r in report.runs]
-    assert labels == ["fbpar", "incr", "rand0", "rand1"]  # no fbless: x depends on x
-    for row in report.matrix:
-        for cell in row:
-            assert not cell and "no fixed point within 8 iterations" in cell.reason
-            assert "non-monotone" in cell.reason
+def test_graphs_capped_at_other_widths_are_sampled_equal(compiled_runs):
+    """x = ite(c, u, x) never repeats as a graph.  With u passed through a
+    feedback of a switch, which is the identity, its solve is two wires
+    wide and stops one pass later, on another graph: the two terms compute
+    one function through different graphs, so their cell is sampled, runs
+    both, and holds."""
+    from hbd.harness import term_cells
+    from hbd.semantics import sample_inputs
+    from hbd.terms import Id, Switch, mk_feedback, mk_parallel, mk_serial
+
+    from util import growing_tower
+
+    loop = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
+    wide = mk_serial(mk_parallel(mk_feedback(Switch((R,), (R,))), Id((BaseType.BOOL,))), loop)
+    matrix = term_cells([loop, wide], lambda: sample_inputs(loop.in_types, 40, seed=1))
+    cell = matrix[0][1]
+    assert cell and not cell.proved and matrix[0][0].proved and matrix[1][1].proved
+    assert len(compiled_runs) == 2
+
+
+def test_failed_strategies_are_listed_once_per_pair():
+    """Strategies with no io-diagram fail every cell with the reason: each
+    failing pair is listed once, a run against itself included, with no
+    counterexample input."""
+    reasons = [f"translation failed: planted {k}" for k in range(4)]
+    runs = [StrategyRun(f"s{k}", None, 0.0, reason) for k, reason in enumerate(reasons)]
+    report = equivalence_matrix(runs, EquivConfig(samples=20))
+    for i, row in enumerate(report.matrix):
+        for j, cell in enumerate(row):
+            assert not cell and cell.reason == reasons[min(i, j)]
     rendered = report.render()
     assert "at None" not in rendered
     assert "pairs: 0 proved (equal output graphs), 0 sampled, 10 failed" in rendered
     pairs = [line.split(":")[0] for line in rendered.splitlines() if line.startswith("counter")]
-    # each failing pair once, a diverging run against itself included
     assert len(pairs) == len(set(pairs)) == 4 + 3 + 2 + 1
 
 
@@ -128,6 +140,23 @@ def test_benchmark_bindings_resolve(monkeypatch):
     monkeypatch.setattr(Compiled, "run", counted)
     assert compile_term(_blk("A", "+").body).run_one((1.0, 2.0)) == (3.0,)
     assert batches == [[(1.0, 2.0)]]
+
+    # The workloads call hbd with these signatures: the warm-up (check,
+    # translate, and simulate translated and direct), then the corpus
+    # workload's reference check and census counts, here on the hbd modules
+    # this process has imported already.
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+    api = types.SimpleNamespace(
+        **{name: importlib.import_module(f"hbd.{name}") for name in workloads["_MODULES"]}
+    )
+    api.rewrite_basic, api.print_term = api.terms.rewrite_basic, api.terms.print_term
+    workloads["warm_up"](api)
+    diagrams, _, _ = api.frontend.document_io_list(api.gen.random_diagram(1, 5, 5))
+    out = {"report": api.harness.run_determinacy(diagrams, seeds=range(1), samples=20)}
+    corpus = types.SimpleNamespace(api=api, seed=0)
+    workloads["Corpus"].check(corpus, None, out)  # compile_term(body), eval_term(body, row)
+    counts = workloads["Corpus"].counts(corpus, None, out)
+    assert counts["compiled.fixpoints"] == len(api.semantics.EvalStats().feedback_runs) == 0
 
 
 def test_translate_all_labels(running_example):

@@ -28,7 +28,7 @@ from hbd.types import BaseType
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices
 from hbd.frontend import FbLess
 
-from util import LATCH, decided, simulate_translated_oracle
+from util import LATCH, simulate_translated_oracle
 
 
 def test_summation_trace(sum_doc):
@@ -68,11 +68,9 @@ def test_translated_matches_direct_interpreter(sum_doc):
 def test_hundred_block_fbpar_translates_and_simulates():
     """At 100 blocks the fbpar term used to exceed the recursion limit in
     rewrite_basic/print_term; with one node per switch it translates, prints
-    and simulates like the direct interpreter.  Its term is decided, so it
-    simulates as straight-line code."""
+    and simulates like the direct interpreter."""
     doc = random_diagram(7, 100, 100)
     result = flatten_or_recurse(doc, "flatten", FeedbackParallel())
-    assert decided(result.diagram.body)
     text = print_term(rewrite_basic(result.diagram.body))
     assert text.startswith("(")
     value = {BaseType.BOOL: lambda k: k % 2 == 0, BaseType.INT: int, BaseType.REAL: float}
@@ -127,17 +125,20 @@ def test_algebraic_loop_yields_unknowns_consistently():
     assert traces_match(translated, direct)
 
 
-def test_undecided_latch_is_checked_and_simulated(tmp_path, capsys):
+def test_latch_is_checked_and_simulated(tmp_path, capsys):
     """A switch whose output feeds its own else input passes u while c is
     true and is unknown otherwise.  Its tower grows one graph node per
-    iteration, so every translation is undecided: `hbd check` samples every
-    pair, with no fbless column since the latch is an algebraic loop, and
-    each strategy simulates like the direct interpreter."""
+    iteration, so every solve stops at its cap: fbpar, rand0 and rand2 feed
+    back two wires and incr and rand1 one, and the two groups stop at caps
+    one pass apart on different graphs.  `hbd check` proves the pairs within
+    a group and samples the six between them, with no fbless column since
+    the latch is an algebraic loop, and each strategy simulates like the
+    direct interpreter."""
     path = tmp_path / "latch.hbd.json"
     path.write_text(json.dumps(LATCH))
     assert main(["check", str(path), "--seeds", "3"]) == 0
     out = capsys.readouterr().out
-    assert "pairs: 0 proved (equal output graphs), 15 sampled, 0 failed" in out
+    assert "pairs: 9 proved (equal output graphs), 6 sampled, 0 failed" in out
     assert "fbless" not in out
     doc = parse_doc(json.dumps(LATCH))
     rows = [{"c": c, "u": float(k)} for k, c in enumerate((True, False, True, False, False))]
@@ -145,12 +146,21 @@ def test_undecided_latch_is_checked_and_simulated(tmp_path, capsys):
     assert direct.column("y") == [0.0, BOT, 2.0, BOT, BOT]
     for method in (FeedbackParallel(), Incremental(), RandomChoices(0)):
         result = flatten_or_recurse(doc, "flatten", method)
-        assert not decided(result.diagram.body), method
         translated = simulate_translated(result.diagram, result.state_table, rows)
         assert translated.column("y") == direct.column("y"), method
 
 
 # -- CLI ----------------------------------------------------------------------
+
+def test_cli_simulate_latch(tmp_path, capsys):
+    """`hbd simulate` runs the latch, whose tower stops at the cap, as
+    straight-line code: u while c is true, bot otherwise."""
+    path, inputs = tmp_path / "latch.hbd.json", tmp_path / "in.csv"
+    path.write_text(json.dumps(LATCH))
+    inputs.write_text("c,u\ntrue,1.5\nfalse,2.0\n")
+    assert main(["simulate", str(path), "--inputs", str(inputs)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["step,c,u,y", "0,true,1.5,1.5", "1,false,2.0,bot"]
+
 
 def test_cli_translate_incr(sum_path, capsys):
     assert main(["translate", sum_path, "--strategy", "incr"]) == 0

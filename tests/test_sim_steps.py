@@ -289,7 +289,7 @@ def _cases(corpus_docs):
 def test_steps_equal_the_oracle_by_repr(corpus_docs):
     """Every translation of every case steps exactly like the loop of one
     ``Compiled.run`` call per step, on rows that mix in bot, NaN and both
-    zeros; decided and undecided terms alike."""
+    zeros; the latch's towers among them stop at the cap."""
     rng = random.Random(19)
     checked = 0
     for name, doc, modes, methods in _cases(corpus_docs):

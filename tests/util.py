@@ -24,7 +24,7 @@ from hbd.io_diagrams import (
     switch_vars,
 )
 from hbd.sim import SimTrace, StepRow, _check_row, _typed
-from hbd.symbolic import BOT as BOT_NODE, Graph
+from hbd.symbolic import BOT as BOT_NODE
 from hbd.terms import (
     Atom,
     Feedback,
@@ -88,24 +88,17 @@ def expr_all_ops(rng: random.Random, params, want, depth):
 def growing_tower(x_body):
     """The tower x = x_body around [x, u, c -> x_body, x * 2.0]; with
     x_body = ite(c, u, x) its graph grows one node per iteration and never
-    settles, so the term is undecided and runs on ``eval_term``."""
+    repeats, so its symbolic solve stops at the cap, though on values it
+    settles within two iterations."""
     params = (Var("x", R), Var("u", R), Var("c", B))
     y = Bin("*", Ref("x"), Lit(2.0))
     return mk_feedback(mk_atom("F", ExprFun(params, (x_body, y))))
 
 
-def decided(term) -> bool:
-    """Whether every feedback tower of ``term`` settles as a graph, so that
-    ``compile_term`` makes it straight-line code rather than ``eval_term``."""
-    graph = Graph()
-    symbols = [graph.symbol(i) for i in range(len(term.in_types))]
-    return graph.outputs(term, symbols) is not None
-
-
 def non_monotone_neg(monkeypatch):
     """The expression language cannot express a non-monotone atom, so the
     reference evaluator's ``neg`` becomes x -> 0.0 on bot and x + 1.0
-    otherwise, which never settles in an undecided term."""
+    otherwise: fed back through ``eval_term``, it never settles."""
     monkeypatch.setattr(
         semantics, "op_neg", lambda x: 0.0 if x is semantics.BOT else x + 1.0
     )
@@ -370,20 +363,33 @@ class MonotoneReport:
         return self.ok
 
 
-def check_monotone(term, samples: int, seed: int, cfg=semantics.DEFAULT_CONFIG) -> MonotoneReport:
+def value_leq(v, w) -> bool:
+    """Flat order: bot below everything, concrete values only below themselves."""
+    return v is semantics.BOT or (
+        w is not semantics.BOT
+        and semantics.value_kind(v) is semantics.value_kind(w)
+        and v == w
+    )
+
+
+def tuple_leq(vs, ws) -> bool:
+    return len(vs) == len(ws) and all(value_leq(v, w) for v, w in zip(vs, ws))
+
+
+def check_monotone(term, samples: int, seed: int) -> MonotoneReport:
     """Sample ordered input pairs v <= w and verify eval(v) <= eval(w)."""
     rng = random.Random(seed)
     highs = semantics.sample_inputs(term.in_types, samples, rng.randrange(2**32), True)
     lows = [
         tuple(semantics.BOT if rng.random() < 0.4 else v for v in w) for w in highs
     ]
-    compiled = compile_term(term, cfg)
+    compiled = compile_term(term)
     out_low = compiled.run(lows)
     out_high = compiled.run(highs)
     bad = [
         (lo, hi, ol, oh)
         for lo, hi, ol, oh in zip(lows, highs, out_low, out_high)
-        if not semantics.tuple_leq(ol, oh)
+        if not tuple_leq(ol, oh)
     ]
     return MonotoneReport(checked=len(highs), counterexamples=bad)
 
@@ -418,16 +424,12 @@ def print_term_oracle(term) -> str:
 
 # -- the nested feedback solvers the joint ones replaced, kept as oracles -------
 
-class _Unsettled(Exception):
-    """A feedback tower has not settled within the cap: the term is undecided."""
-
-
 def nested_outputs_oracle(graph, term, inputs):
     """``graph.outputs`` as a recursive walk that Kleene-iterates each maximal
-    tower on its own, inside every iteration of the towers around it, with
-    its own cap ``max_fix_iters + width - 1``.  A tower is solved once per
-    tuple of input nodes within one call.  None at the first tower that has
-    not settled."""
+    tower on its own, inside every iteration of the towers around it, until
+    its fed-back nodes repeat or it reaches its own cap
+    ``MAX_FIX_ITERS + width - 1``.  A tower is solved once per tuple of
+    input nodes within one call."""
     solved = {}  # (id(Feedback), input nodes) -> its output nodes
 
     def tree_node(t, args):
@@ -466,31 +468,25 @@ def nested_outputs_oracle(graph, term, inputs):
     def tower(term, vals):
         n, body = semantics._collect_tower(term)
         xs = (BOT_NODE,) * n
-        cap = graph.cfg.max_fix_iters + n - 1
+        cap = semantics.MAX_FIX_ITERS + n - 1
         iters = 0
         while True:
             out = ev(body, xs + vals)
             iters += 1
-            if out[:n] == xs:
+            if out[:n] == xs or iters >= cap:
                 break
-            if iters >= cap:
-                raise _Unsettled
             xs = out[:n]
         return out[n:]
 
-    try:
-        return ev(term, tuple(inputs))
-    except _Unsettled:
-        return None
+    return ev(term, tuple(inputs))
 
 
-def nested_eval_term(term, inputs, cfg=semantics.DEFAULT_CONFIG, stats=None):
+def nested_eval_term(term, inputs, stats=None):
     """``eval_term`` with the literal one-wire-at-a-time semantics of
     feedback: each ``Feedback`` is its own least fixpoint, iterated inside
     every iteration of the feedbacks around it with the cap
-    ``max_fix_iters``, and records (1, iterations) in
+    ``MAX_FIX_ITERS``, and records (1, iterations) in
     ``stats.feedback_runs``."""
-    binops = semantics.binop_table(cfg)
 
     def ev(term, vals):
         if isinstance(term, Serial):
@@ -500,14 +496,14 @@ def nested_eval_term(term, inputs, cfg=semantics.DEFAULT_CONFIG, stats=None):
             return ev(term.left, vals[:n]) + ev(term.right, vals[n:])
         if isinstance(term, Feedback):
             return feedback_single(term.body, vals)
-        return semantics._ev(term, vals, cfg, binops, stats)  # holds no feedback
+        return semantics._ev(term, vals, stats)  # holds no feedback
 
     def feedback_single(body, vals):
-        x, iters, cap = semantics.BOT, 0, cfg.max_fix_iters
+        x, iters, cap = semantics.BOT, 0, semantics.MAX_FIX_ITERS
         while True:
             out = ev(body, (x,) + vals)
             iters += 1
-            if semantics.value_leq(out[0], x) and semantics.value_leq(x, out[0]):
+            if value_leq(out[0], x) and value_leq(x, out[0]):
                 break
             if iters >= cap:
                 if semantics.same_value(out[0], x):
@@ -522,13 +518,13 @@ def nested_eval_term(term, inputs, cfg=semantics.DEFAULT_CONFIG, stats=None):
     return ev(term, tuple(inputs))
 
 
-def simulate_translated_oracle(diagram, state_table, rows, cfg=semantics.DEFAULT_CONFIG):
+def simulate_translated_oracle(diagram, state_table, rows):
     """``sim.simulate_translated`` as one ``Compiled.run`` call per step:
     per step, a list of the diagram's inputs, each external one checked by
     ``_typed`` as it is read, and the next state picked out by position.
     Row-wise: its ``steps`` are the ``StepRow``s it builds step by step, not
     ones read back from its columns."""
-    compiled = compile_term(diagram.body, cfg)
+    compiled = compile_term(diagram.body)
     out_names = [v.name for v in diagram.outputs]
     out_pos = {name: i for i, name in enumerate(out_names)}
     for e in state_table:
@@ -695,8 +691,8 @@ FANOUT_DOC = {
 }
 
 
-# A switch whose output feeds its own else input: every translation of it is
-# undecided.
+# A switch whose output feeds its own else input: the graph of every
+# translation of it grows one node per pass and stops at the cap.
 LATCH = {
     "version": 1,
     "name": "latch",
