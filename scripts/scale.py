@@ -14,7 +14,10 @@ io-diagram list (for fbless, splitting its blocks too).
 A second table gives one ``check`` row per size: the seconds
 ``equivalence_matrix`` takes over the 23 strategies of ``translate_all``
 (200 samples per pair), the cells proved by equal output graphs out of all
-cells, and the largest joint solve, (total tower width, passes), of a term.
+cells, the largest joint solve, (total tower width, passes), of a term, the
+seconds the cyclic garbage collector ran during ``translate_all`` and the
+matrix together (timed through ``gc.callbacks``), and the peak resident
+set of the process so far in MB (``ru_maxrss``), earlier sizes included.
 
 A third table gives one ``simulate`` row per size and strategy, on the fbpar
 and incr translations over 200 seeded input steps: the seconds
@@ -25,8 +28,10 @@ and incr translations over 200 seeded input steps: the seconds
 """
 
 import argparse
+import gc
 import pathlib
 import random
+import resource
 import sys
 import time
 
@@ -89,26 +94,52 @@ def main(argv=None) -> int:
             if name in SIMULATED:
                 sims.append((n, name, simulate(result, state_table, doc)))
         checks.append((n, check(diagrams)))
-    print(f"{'blocks':>6} {'check':<8} {'seconds':>8} {'proved':>8} {'cells':>6} {'joint':>10}")
-    for n, (seconds, proved, cells, (width, passes)) in checks:
+    print(
+        f"{'blocks':>6} {'check':<8} {'seconds':>8} {'proved':>8} {'cells':>6} {'joint':>10}"
+        f" {'gc_s':>8} {'peak_MB':>8}"
+    )
+    for n, (seconds, proved, cells, (width, passes), gc_seconds, peak) in checks:
         joint = f"{width}x{passes}"
-        print(f"{n:>6} {'check':<8} {seconds:>8.3f} {proved:>8} {cells:>6} {joint:>10}")
+        print(
+            f"{n:>6} {'check':<8} {seconds:>8.3f} {proved:>8} {cells:>6} {joint:>10}"
+            f" {gc_seconds:>8.3f} {peak:>8.0f}"
+        )
     print(f"{'blocks':>6} {'simulate':<8} {'compile':>8} {'loop':>8} {'steps/s':>10}")
     for n, name, (compiling, loop) in sims:
         print(f"{n:>6} {name:<8} {compiling:>8.3f} {loop:>8.3f} {STEPS / loop:>10.0f}")
     return 0
 
 
+class GcClock:
+    """A ``gc.callbacks`` entry that sums the seconds collections take."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+
+
 def check(diagrams) -> tuple:
-    """(seconds, proved cells, cells, largest joint solve) of the
-    determinacy matrix over ``translate_all``'s strategies."""
-    runs = translate_all(diagrams)
-    t0 = time.perf_counter()
-    report = equivalence_matrix(runs, EquivConfig(samples=200))
-    seconds = time.perf_counter() - t0
+    """(seconds, proved cells, cells, largest joint solve, GC seconds, peak
+    MB) of the determinacy matrix over ``translate_all``'s strategies."""
+    clock = GcClock()
+    gc.callbacks.append(clock)
+    try:
+        runs = translate_all(diagrams)
+        t0 = time.perf_counter()
+        report = equivalence_matrix(runs, EquivConfig(samples=200))
+        seconds = time.perf_counter() - t0
+    finally:
+        gc.callbacks.remove(clock)
     cells = [cell for row in report.matrix for cell in row]
     joint = max(report.stats.symbolic_runs, default=(0, 0))
-    return seconds, sum(cell.proved for cell in cells), len(cells), joint
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+    return seconds, sum(cell.proved for cell in cells), len(cells), joint, clock.seconds, peak
 
 
 def simulate(diagram, state_table, doc) -> tuple:

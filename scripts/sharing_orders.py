@@ -24,7 +24,7 @@ from hbd.feedbackless import (
 )
 from hbd.harness import io_equiv
 from hbd.io_diagrams import IoDiagram
-from hbd.terms import Id, mk_atom, term_size
+from hbd.terms import Atom, Id, term_size
 from hbd.types import BaseType, Var
 
 R = BaseType.REAL
@@ -35,7 +35,7 @@ def gain(name, src, dst, k):
         IoDiagram(
             (src,),
             (dst,),
-            mk_atom(name, ExprFun((Var(src.name, R),), (Bin("*", Lit(k), Ref(src.name)),))),
+            Atom(name, ExprFun((Var(src.name, R),), (Bin("*", Lit(k), Ref(src.name)),))),
         ),
         frozenset((src.name,)),
     )

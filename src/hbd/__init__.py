@@ -17,21 +17,15 @@ from .terms import (
     expand_routes,
     feedback_n,
     mk_arb,
-    mk_atom,
-    mk_feedback,
-    mk_parallel,
-    mk_serial,
     parse_term,
     print_term,
     rewrite_basic,
-    type_of,
 )
 from .semantics import BOT, eval_expr, eval_term, sample_inputs
 from .io_diagrams import (
     EquivConfig,
     IoDiagram,
     named_feedback,
-    named_parallel,
     named_serial,
     switch_vars,
 )

@@ -51,7 +51,6 @@ class Compiled:
 
 
 def compile_term(term: Term) -> Compiled:
-    term.typing
     graph = Graph()
     inputs = [graph.symbol(i) for i in range(len(term.in_types))]
     row, source = graph.function(inputs, graph.outputs(term, inputs))

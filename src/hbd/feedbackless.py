@@ -33,7 +33,7 @@ from .io_diagrams import (
     named_serial,
     switch_vars,
 )
-from .terms import Atom, Id, Serial, Term, iter_subterms, mk_atom, mk_parallel, mk_serial
+from .terms import Atom, Id, Parallel, Serial, Term, iter_subterms
 from .exprs import ExprFun, Ref, free_refs
 from .translator import stable_topo_order
 from .types import Var, types_of
@@ -74,8 +74,8 @@ def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
 
     x = a.inputs
     y = a.outputs
-    lhs = mk_serial(switch_vars(x, x + x), mk_parallel(a.body, a.body))
-    rhs = mk_serial(a.body, switch_vars(y, y + y))
+    lhs = Serial(switch_vars(x, x + x), Parallel(a.body, a.body))
+    rhs = Serial(a.body, switch_vars(y, y + y))
     rows = partial(equivalence_samples, types_of(x), EquivConfig(samples=samples))
     return bool(term_cells([lhs, rhs], rows)[0][1])
 
@@ -101,10 +101,10 @@ def split_block(a: IoDiagram) -> list:
                 body = Id((ins[0].ty,))
             else:
                 kept_fn = ExprFun(tuple(fn.params[k] for k in kept), (fn.bodies[i],))
-                body = mk_atom(f"{a.body.name}.{u.name}", kept_fn)
+                body = Atom(f"{a.body.name}.{u.name}", kept_fn)
         else:
             ins = a.inputs
-            body = mk_serial(a.body, switch_vars(a.outputs, (u,)))
+            body = Serial(a.body, switch_vars(a.outputs, (u,)))
         out.append(SplitBlock(IoDiagram(ins, (u,), body), frozenset(v.name for v in ins)))
     return out
 

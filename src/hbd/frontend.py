@@ -42,7 +42,7 @@ from .feedbackless import (
     split_block,
 )
 from .io_diagrams import IoDiagram
-from .terms import mk_atom
+from .terms import Atom
 from .translator import Incremental, translate
 from .types import BaseType, Var, base_type
 
@@ -638,7 +638,7 @@ def _atom_diagram(doc: DiagramDoc, blk: BlockInst) -> IoDiagram:
     The atom keeps its spec's function as it is: parameter k stands for
     input wire k."""
     ins, outs = doc.interfaces[blk.id]
-    return IoDiagram(ins, outs, mk_atom(blk.id, doc.specs[blk.id].fn))
+    return IoDiagram(ins, outs, Atom(blk.id, doc.specs[blk.id].fn))
 
 
 # -- hierarchy -----------------------------------------------------------------

@@ -26,13 +26,13 @@ from typing import Optional
 from .errors import CompositionError, TypeMismatchError
 from .semantics import BOT, same_value, sample_inputs, value_kind
 from .terms import (
+    Feedback,
     Id,
+    Parallel,
     Route,
+    Serial,
     Sink,
     Term,
-    mk_feedback,
-    mk_parallel,
-    mk_serial,
 )
 from .types import BaseType, TypeList, types_of
 
@@ -116,7 +116,7 @@ def chain(*parts: Term) -> Term:
     kept = [p for p in parts if not isinstance(p, Id)] or parts[:1]
     body = kept[-1]
     for p in reversed(kept[:-1]):
-        body = mk_serial(p, body)
+        body = Serial(p, body)
     return body
 
 
@@ -126,7 +126,7 @@ def beside(left: Term, right: Term) -> Term:
         return right
     if isinstance(right, Id) and not right.t:
         return left
-    return mk_parallel(left, right)
+    return Parallel(left, right)
 
 
 def named_serial(a: IoDiagram, b: IoDiagram) -> IoDiagram:
@@ -164,11 +164,6 @@ def named_serial(a: IoDiagram, b: IoDiagram) -> IoDiagram:
     return IoDiagram(ins, y + b.outputs, chain(*parts))
 
 
-def named_parallel(a: IoDiagram, b: IoDiagram) -> IoDiagram:
-    """Side-by-side composition; shared input names are split."""
-    return fold_parallel((a, b))
-
-
 def fold_parallel(ds) -> IoDiagram:
     """The elements of ``ds`` side by side, left to right, built in one pass.
 
@@ -203,7 +198,7 @@ def fold_parallel(ds) -> IoDiagram:
             in_pos.update({v.name: i for i, v in enumerate(fresh, before)})
             imap = tuple(range(before)) + tuple(map(in_pos.__getitem__, d.in_pos))
             route = Route(tuple(types), tuple(types[:before]) + d.body.in_types, imap)
-            body = mk_serial(route, body)
+            body = Serial(route, body)
         out_pos.update({n: i for i, n in enumerate(d.out_pos, len(outs))})
         outs += d.outputs
     return IoDiagram(tuple(ins), tuple(outs), body)
@@ -225,7 +220,7 @@ def named_feedback(a: IoDiagram) -> IoDiagram:
         switch_names(a_out, a.body.out_types, vn + _names(outs), tv + types_of(outs)),
     )
     for _ in v:
-        body = mk_feedback(body)
+        body = Feedback(body)
     return IoDiagram(ins, outs, body)
 
 

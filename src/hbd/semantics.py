@@ -275,8 +275,8 @@ _REAL_POOL = (-3.5, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 7.5)
 _INT_POOL = (-5, -2, -1, 0, 1, 2, 3, 7)
 
 
-def _random_value(rng: random.Random, k: BaseType, include_bottom: bool):
-    if include_bottom and rng.random() < 0.25:
+def _random_value(rng: random.Random, k: BaseType):
+    if rng.random() < 0.25:
         return BOT
     if k is BaseType.BOOL:
         return rng.random() < 0.5
@@ -289,25 +289,23 @@ def _random_value(rng: random.Random, k: BaseType, include_bottom: bool):
     )
 
 
-def sample_inputs(t: TypeList, n: int, seed: int, include_bottom: bool = True):
+def sample_inputs(t: TypeList, n: int, seed: int):
     """Deterministic input tuples for type ``t``.
 
-    All-Bool types are enumerated exhaustively when the full domain fits in
-    ``n`` tuples; otherwise coordinates are drawn independently, with
-    probability 1/4 of bot per coordinate when ``include_bottom``.
+    All-Bool types are enumerated exhaustively, bot included, when the full
+    domain fits in ``n`` tuples; otherwise coordinates are drawn
+    independently, with probability 1/4 of bot per coordinate.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if not t:
         return [()]
     if all(k is BaseType.BOOL for k in t):
-        domain = (BOT, True, False) if include_bottom else (True, False)
+        domain = (BOT, True, False)
         if len(domain) ** len(t) <= n:
             out = [()]
             for _ in t:
                 out = [tup + (v,) for tup in out for v in domain]
             return out
     rng = random.Random(seed)
-    return [
-        tuple(_random_value(rng, k, include_bottom) for k in t) for _ in range(n)
-    ]
+    return [tuple(_random_value(rng, k) for k in t) for _ in range(n)]

@@ -5,10 +5,12 @@ segment swap), named atoms carrying an expression function, and three
 composition operators: serial, parallel and feedback.  The general switch
 is one derived ``Route`` node; ``expand_routes`` rewrites it into the four
 constants, which is how the paper defines it.  Every well-formed
-term has a unique derived typing ``in_types -> out_types``; the smart
-constructors enforce the arity rules and raise ``TypeMismatchError`` naming
-the node kinds and the clashing types otherwise.  The message never prints
-a subterm, so its size does not grow with the term.
+term has a unique derived typing ``in_types -> out_types``.  Each node kind
+has one constructor, which checks the arity rules against its children's
+typings and stores the node's own; an ill-typed node is never built, and
+the constructor raises ``TypeMismatchError`` naming the node kinds and the
+clashing types.  Neither that message nor the repr of a composite node
+prints a subterm, so their size does not grow with the term.
 
 Feedback always peels exactly one leading wire; ``feedback_n`` iterates it.
 """
@@ -23,38 +25,27 @@ from .exprs import ExprFun
 from .types import BaseType, EPSILON, TypeList, base_type, fmt_types
 
 # Translations are deep: the incr term of random_diagram(7, n, n) is 410 nodes
-# deep at n = 200 and 978 at n = 500, the fbpar term 571 and 1,405.  Typing,
-# rewriting, compiling and evaluating all recurse (printing does not), so the
-# default limit of 1,000 is too tight.
+# deep at n = 200 and 978 at n = 500, the fbpar term 571 and 1,405.
+# Rewriting, compiling and evaluating recurse (typing and printing do not),
+# so the default limit of 1,000 is too tight.
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
 
 
-class _once:
-    """``cached_property`` without its lock (as in Python 3.12): a term's
-    typing is computed on first access, where any type error is raised, and
-    then read from the instance dict.  A racing second computation would
-    give the same typing."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, term, owner=None):
-        if term is None:
-            return self
-        value = term.__dict__[self.name] = self.fn(term)
-        return value
-
-
 class Term:
-    __slots__ = ()
+    """A node of the algebra.  ``typing`` is its ``(in_types, out_types)``,
+    derived from its own fields and its children's stored typings and
+    checked once, when the node is built, so reading it never recurses."""
 
-    @property
-    def typing(self):
-        raise NotImplementedError
+    __slots__ = ("typing",)
+
+    def __post_init__(self):
+        _set_typing(self, self._typing())
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, which types
+        # the node again; the dataclass's own state holds its fields only.
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
     @property
     def in_types(self) -> TypeList:
@@ -65,56 +56,63 @@ class Term:
         return self.typing[1]
 
 
-@dataclass(frozen=True)
+# The slot's own setter: a frozen dataclass refuses plain assignment.
+_set_typing = Term.typing.__set__
+
+
+def _node_repr(term: Term) -> str:
+    # A composite node shows its kind and arity, never its subterms, so the
+    # repr of a large term (in a traceback, say) stays small.
+    (tin, tout) = term.typing
+    return f"{_kind(term)}: {len(tin)} -> {len(tout)} wires"
+
+
+@dataclass(frozen=True, slots=True)
 class Id(Term):
     t: TypeList
 
-    @_once
-    def typing(self):
+    def _typing(self):
         return (self.t, self.t)
 
     def __repr__(self):
         return f"Id{fmt_types(self.t)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split(Term):
     t: TypeList
 
-    @_once
-    def typing(self):
+    def _typing(self):
         return (self.t, self.t + self.t)
 
     def __repr__(self):
         return f"Split{fmt_types(self.t)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sink(Term):
     t: TypeList
 
-    @_once
-    def typing(self):
+    def _typing(self):
         return (self.t, EPSILON)
 
     def __repr__(self):
         return f"Sink{fmt_types(self.t)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Switch(Term):
     t: TypeList
     t2: TypeList
 
-    @_once
-    def typing(self):
+    def _typing(self):
         return (self.t + self.t2, self.t2 + self.t)
 
     def __repr__(self):
         return f"Switch{fmt_types(self.t)}{fmt_types(self.t2)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route(Term):
     """The general switch as one node: output j carries input ``imap[j]``,
     or an unknown value where ``imap[j]`` is None."""
@@ -123,8 +121,7 @@ class Route(Term):
     t2: TypeList
     imap: tuple  # tuple[int | None, ...], one entry per output
 
-    @_once
-    def typing(self):
+    def _typing(self):
         t, imap = self.t, self.imap
         if len(imap) != len(self.t2):
             raise TypeMismatchError(
@@ -152,26 +149,24 @@ class Route(Term):
         return f"Route{fmt_types(self.t)}{fmt_types(self.t2)}[{idx}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Term):
     name: str
     fn: ExprFun
 
-    @_once
-    def typing(self):
+    def _typing(self):
         return (self.fn.in_kinds, self.fn.out_kinds)
 
     def __repr__(self):
         return f"Atom({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Serial(Term):
     first: Term
     second: Term
 
-    @_once
-    def typing(self):
+    def _typing(self):
         (tin, tmid) = self.first.typing
         (tmid2, tout) = self.second.typing
         if tmid != tmid2:
@@ -181,31 +176,27 @@ class Serial(Term):
             )
         return (tin, tout)
 
-    def __repr__(self):
-        return f"({self.first!r} ;; {self.second!r})"
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parallel(Term):
     left: Term
     right: Term
 
-    @_once
-    def typing(self):
+    def _typing(self):
         (a, b) = self.left.typing
         (c, d) = self.right.typing
         return (a + c, b + d)
 
-    def __repr__(self):
-        return f"({self.left!r} || {self.right!r})"
+    __repr__ = _node_repr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Feedback(Term):
     body: Term
 
-    @_once
-    def typing(self):
+    def _typing(self):
         (tin, tout) = self.body.typing
         if not tin or not tout or tin[0] is not tout[0]:
             raise TypeMismatchError(
@@ -214,47 +205,21 @@ class Feedback(Term):
             )
         return (tin[1:], tout[1:])
 
-    def __repr__(self):
-        return f"feedback({self.body!r})"
+    __repr__ = _node_repr
 
 
 def _kind(term: Term) -> str:
     return type(term).__name__
 
 
-def type_of(term: Term):
-    """Derived typing ``(in_types, out_types)`` of a well-formed term."""
-    return term.typing
-
-
-def mk_serial(first: Term, second: Term) -> Term:
-    t = Serial(first, second)
-    t.typing
-    return t
-
-
-def mk_parallel(left: Term, right: Term) -> Term:
-    t = Parallel(left, right)
-    t.typing
-    return t
-
-
-def mk_feedback(body: Term) -> Term:
-    t = Feedback(body)
-    t.typing
-    return t
-
-
 def feedback_n(n: int, body: Term) -> Term:
+    """``n`` feedbacks around ``body``, peeling its ``n`` leading wires one
+    at a time; ``body`` itself when ``n`` is 0.  Each ``Feedback`` checks
+    its own wire, so a wire that cannot be fed back raises
+    ``TypeMismatchError`` from the constructor."""
     if n < 0:
         raise ValueError("feedback_n needs n >= 0")
-    for i in range(n):
-        (tin, tout) = body.typing
-        if not tin or not tout or tin[0] is not tout[0]:
-            raise TypeMismatchError(
-                f"feedback_n: wire {i} cannot be fed back on a {_kind(body)} "
-                f"body typed {fmt_types(tin)} -> {fmt_types(tout)}"
-            )
+    for _ in range(n):
         body = Feedback(body)
     return body
 
@@ -262,20 +227,6 @@ def feedback_n(n: int, body: Term) -> Term:
 def mk_arb(a: BaseType) -> Term:
     """The no-input term producing an unknown value: feedback of Split."""
     return Feedback(Split((a,)))
-
-
-def mk_atom(name: str, fn: ExprFun) -> Atom:
-    t = Atom(name, fn)
-    t.typing
-    return t
-
-
-def is_arb(term: Term) -> bool:
-    return (
-        isinstance(term, Feedback)
-        and isinstance(term.body, Split)
-        and len(term.body.t) == 1
-    )
 
 
 def iter_subterms(term: Term):
@@ -451,13 +402,13 @@ def print_term(term: Term) -> str:
             out.append(t)
         elif isinstance(t, Serial):
             out.append("(serial ")
-            stack += (")", _term(t.second), " ", _term(t.first))
+            stack += (")", t.second, " ", t.first)
         elif isinstance(t, Parallel):
             out.append("(par ")
-            stack += (")", _term(t.right), " ", _term(t.left))
+            stack += (")", t.right, " ", t.left)
         elif isinstance(t, Feedback):
             out.append("(feedback ")
-            stack += (")", _term(t.body))
+            stack += (")", t.body)
         elif isinstance(t, Route):
             idx = " ".join(["_" if i is None else str(i) for i in t.imap])
             out.append(f"(route ({_types_text(t.t)}) ({_types_text(t.t2)}) ({idx}))")
@@ -570,5 +521,4 @@ def parse_term(text: str, atoms=None) -> Term:
     term = parse()
     if pos != len(toks):
         raise ParseError(f"trailing tokens after term: {toks[pos:]!r}")
-    term.typing
     return term

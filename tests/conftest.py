@@ -6,7 +6,7 @@ from hbd.compiled import Compiled
 from hbd.exprs import Bin, ExprFun, Ref
 from hbd.frontend import normalize, parse_doc, to_io_diagrams
 from hbd.io_diagrams import IoDiagram
-from hbd.terms import mk_atom
+from hbd.terms import Atom
 from hbd.types import BaseType, Var
 
 R = BaseType.REAL
@@ -27,17 +27,17 @@ def running_example():
     add = IoDiagram(
         (z, u),
         (x,),
-        mk_atom("Add", ExprFun((Var("z", R), Var("u", R)), (Bin("+", Ref("z"), Ref("u")),))),
+        Atom("Add", ExprFun((Var("z", R), Var("u", R)), (Bin("+", Ref("z"), Ref("u")),))),
     )
     delay = IoDiagram(
         (x, s),
         (y, sp),
-        mk_atom("Delay", ExprFun((Var("x", R), Var("s", R)), (Ref("s"), Ref("x")))),
+        Atom("Delay", ExprFun((Var("x", R), Var("s", R)), (Ref("s"), Ref("x")))),
     )
     split = IoDiagram(
         (y,),
         (z, v),
-        mk_atom("Split", ExprFun((Var("y", R),), (Ref("y"), Ref("y")))),
+        Atom("Split", ExprFun((Var("y", R),), (Ref("y"), Ref("y")))),
     )
     return add, delay, split
 

@@ -37,9 +37,9 @@ from hbd.sim import simulate_direct, simulate_translated, traces_match
 from hbd.terms import (
     Feedback,
     Id,
+    Parallel,
+    Serial,
     feedback_n,
-    mk_parallel,
-    mk_serial,
     rewrite_basic,
 )
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices, translate
@@ -159,14 +159,14 @@ def test_criterion_4_golden_terms(running_example):
 
     inc = translate(ds, Incremental())
     inc_expected = Feedback(
-        mk_serial(
-            mk_parallel(da, Id((R,))),
-            mk_serial(
+        Serial(
+            Parallel(da, Id((R,))),
+            Serial(
                 dd,
-                mk_serial(
+                Serial(
                     switch_vars((y, sp), (sp, y)),
-                    mk_serial(
-                        mk_parallel(Id((R,)), dsp),
+                    Serial(
+                        Parallel(Id((R,)), dsp),
                         switch_vars((sp, z, v), (z, sp, v)),
                     ),
                 ),
@@ -176,7 +176,7 @@ def test_criterion_4_golden_terms(running_example):
     if rewrite_basic(inc.body) != rewrite_basic(inc_expected):
         problems.append("incr structural")
     inc_displayed = Feedback(
-        mk_serial(mk_parallel(da, Id((R,))), mk_serial(dd, mk_parallel(dsp, Id((R,)))))
+        Serial(Parallel(da, Id((R,))), Serial(dd, Parallel(dsp, Id((R,)))))
     )
     from hbd.io_diagrams import IoDiagram
 
@@ -186,12 +186,12 @@ def test_criterion_4_golden_terms(running_example):
         problems.append("incr feedback count")
 
     fbp = translate(ds, FeedbackParallel())
-    par3 = mk_parallel(da, mk_parallel(dd, dsp))
+    par3 = Parallel(da, Parallel(dd, dsp))
     fbp_expected = feedback_n(
         3,
-        mk_serial(
+        Serial(
             switch_vars((x, y, z, u, s), (z, u, x, s, y)),
-            mk_serial(par3, switch_vars((x, y, sp, z, v), (x, y, z, sp, v))),
+            Serial(par3, switch_vars((x, y, sp, z, v), (x, y, z, sp, v))),
         ),
     )
     if rewrite_basic(fbp.body) != rewrite_basic(fbp_expected):
@@ -201,9 +201,9 @@ def test_criterion_4_golden_terms(running_example):
         (v, sp),
         feedback_n(
             3,
-            mk_serial(
+            Serial(
                 switch_vars((z, x, y, u, s), (z, u, x, s, y)),
-                mk_serial(par3, switch_vars((x, y, sp, z, v), (z, x, y, v, sp))),
+                Serial(par3, switch_vars((x, y, sp, z, v), (z, x, y, v, sp))),
             ),
         ),
     )
@@ -214,8 +214,8 @@ def test_criterion_4_golden_terms(running_example):
 
     blocks = [p for d in ds for p in split_block(d)]
     fbl = fbless_translate(blocks, GivenOrder(("x", "y", "z")))
-    fbl_expected = mk_serial(
-        switch_vars((s, u), (s, u, s)), mk_parallel(da, Id((R,)))
+    fbl_expected = Serial(
+        switch_vars((s, u), (s, u, s)), Parallel(da, Id((R,)))
     )
     if rewrite_basic(fbl.body) != rewrite_basic(fbl_expected):
         problems.append("fbless structural vs displayed [s,u -> s,u,s] ;; (Add||Id)")
@@ -392,13 +392,13 @@ def test_criterion_9_monotonicity_and_kleene(
     joint solve per term, so the bound per tower is checked on the
     reference evaluator's census: one sample row per corpus term."""
     from hbd.frontend import LIBRARY, block_spec
-    from hbd.terms import mk_atom
+    from hbd.terms import Atom
 
     problems = []
     defaults = {"Gain": {"k": 2.0}, "Constant": {"value": 1.5}}
     for kind in LIBRARY:
         spec = block_spec(kind, defaults.get(kind, {}))
-        if not check_monotone(mk_atom(kind, spec.fn), 500, seed=1).ok:
+        if not check_monotone(Atom(kind, spec.fn), 500, seed=1).ok:
             problems.append(f"library block {kind}")
 
     for i, report in enumerate(corpus_reports):

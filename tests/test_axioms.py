@@ -11,7 +11,7 @@ import hbd
 import hbd.axioms
 from hbd.axioms import AXIOMS, Equation, check_equation, run_axiom_suite
 from hbd.semantics import eval_term, sample_inputs
-from hbd.terms import Id, Sink, Split, Switch, mk_feedback, mk_parallel, mk_serial
+from hbd.terms import Feedback, Id, Parallel, Serial, Sink, Split, Switch
 from hbd.types import BaseType
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
@@ -30,20 +30,20 @@ def test_axiom_smoke(name, builder):
 def test_axiom_six_directly():
     # Split(t) ;; Sink(t)||Id(t) == Id(t), checked by the reference evaluator
     t = (R, I)
-    lhs = mk_serial(Split(t), mk_parallel(Sink(t), Id(t)))
+    lhs = Serial(Split(t), Parallel(Sink(t), Id(t)))
     for row in sample_inputs(t, 30, seed=1):
         assert eval_term(lhs, row) == row
 
 
 def test_axiom_thirteen_directly():
-    lhs = mk_feedback(Switch((I,), (I,)))
+    lhs = Feedback(Switch((I,), (I,)))
     for row in sample_inputs((I,), 20, seed=2):
         assert eval_term(lhs, row) == row
 
 
 def test_checker_catches_planted_inequality():
     t = (I,)
-    true_eq = Equation(Split(t), mk_serial(Split(t), Switch(t, t)))
+    true_eq = Equation(Split(t), Serial(Split(t), Switch(t, t)))
     assert not check_equation(true_eq, samples=40, seed=0)  # axiom 7 holds
     planted = Equation(Switch(t, t), Id((I, I)))  # well-typed and false
     bad = check_equation(planted, samples=40, seed=0)
@@ -60,7 +60,7 @@ def test_side_without_outputs_fails_its_axiom_with_the_reason(monkeypatch, capsy
 
     deep = Id((R,))
     for _ in range(25_000):
-        deep = mk_serial(deep, Id((R,)))
+        deep = Serial(deep, Id((R,)))
     eq = Equation(deep, Id((R,)))
     (reason,) = check_equation(eq, samples=20, seed=0)
     assert reason.startswith("symbolic evaluation failed: RecursionError")

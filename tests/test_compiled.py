@@ -19,7 +19,7 @@ from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.frontend import FbLess, flatten_or_recurse
 from hbd.semantics import BOT, EvalStats, eval_expr, eval_term, sample_inputs
 from hbd.symbolic import Graph
-from hbd.terms import mk_atom
+from hbd.terms import Atom
 from hbd.translator import FeedbackParallel, Incremental
 from hbd.types import BaseType, Var
 
@@ -49,7 +49,7 @@ def _same(a, b) -> bool:
 
 def _kernel(fn):
     """The compiled one-atom term of ``fn``: its row function is the kernel."""
-    return compile_term(mk_atom("f", fn))
+    return compile_term(Atom("f", fn))
 
 
 def _check(fn, rows):

@@ -37,7 +37,7 @@ from hbd.io_diagrams import (
 )
 from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
-from hbd.terms import Id, mk_arb, mk_atom, print_term, rewrite_basic
+from hbd.terms import Atom, Id, mk_arb, print_term, rewrite_basic
 from hbd.translator import topo_order
 from hbd.semantics import BOT
 from hbd.types import BaseType, Var
@@ -49,6 +49,7 @@ from util import (
     fbless_translate_oracle,
     growing_tower,
     loop_free_oracle,
+    named_parallel,
 )
 
 R = BaseType.REAL
@@ -73,7 +74,7 @@ z, u, x, s, sp, y, v = rvs("z", "u", "x", "s", "s'", "y", "v")
 
 def _atom1(name, src, dst, k):
     return IoDiagram(
-        (src,), (dst,), mk_atom(name, ExprFun((Var(src.name, R),), (Bin("*", Lit(k), Ref(src.name)),)))
+        (src,), (dst,), Atom(name, ExprFun((Var(src.name, R),), (Bin("*", Lit(k), Ref(src.name)),)))
     )
 
 
@@ -104,10 +105,8 @@ class TestSplitBlock:
 
     def test_generic_projection_fallback(self):
         # a non-atom body falls back to S ;; [outs -> u_i] with full deps
-        from hbd.io_diagrams import named_parallel
-
-        a = IoDiagram((u,), (x,), mk_atom("A", ExprFun((Var("u", R),), (Ref("u"),))))
-        b = IoDiagram((z,), (y,), mk_atom("B", ExprFun((Var("z", R),), (Ref("z"),))))
+        a = IoDiagram((u,), (x,), Atom("A", ExprFun((Var("u", R),), (Ref("u"),))))
+        b = IoDiagram((z,), (y,), Atom("B", ExprFun((Var("z", R),), (Ref("z"),))))
         both = named_parallel(a, b)
         parts = split_block(both)
         assert [p.base.outputs for p in parts] == [(x,), (y,)]
@@ -127,8 +126,8 @@ class TestAtomsReadByPosition:
 
     def test_loop_through_atoms_with_local_parameter_names(self):
         p = Var("p", R)
-        g = IoDiagram((u,), (y,), mk_atom("g", ExprFun((p,), (Bin("*", Lit(2.0), Ref("p")),))))
-        h = IoDiagram((y,), (u,), mk_atom("h", ExprFun((p,), (Bin("+", Ref("p"), Lit(1.0)),))))
+        g = IoDiagram((u,), (y,), Atom("g", ExprFun((p,), (Bin("*", Lit(2.0), Ref("p")),))))
+        h = IoDiagram((y,), (u,), Atom("h", ExprFun((p,), (Bin("+", Ref("p"), Lit(1.0)),))))
         blocks = [sb for d in (g, h) for sb in split_block(d)]
         assert [b.deps for b in blocks] == [names(u), names(y)]
         assert not loop_free(blocks)
@@ -142,7 +141,7 @@ class TestAtomsReadByPosition:
     )
     def test_two_output_atom_with_local_parameter_names(self, first):
         fn = ExprFun(rvs("p", "q"), (first, Bin("*", Lit(2.0), Ref("p"))))
-        a = IoDiagram((u, x), (y, v), mk_atom("A", fn))
+        a = IoDiagram((u, x), (y, v), Atom("A", fn))
         one, two = split_block(a)
         assert one.deps == (names(x) if first == Ref("q") else names(u, x))
         assert two.deps == names(u)
@@ -152,10 +151,10 @@ class TestAtomsReadByPosition:
     def test_permuted_parameter_names_follow_positions(self):
         # parameter "x" stands for input u, and "u" for input x
         swapped = rvs("x", "u")
-        single = IoDiagram((u, x), (y,), mk_atom("S", ExprFun(swapped, (Bin("*", Lit(2.0), Ref("x")),))))
+        single = IoDiagram((u, x), (y,), Atom("S", ExprFun(swapped, (Bin("*", Lit(2.0), Ref("x")),))))
         assert [b.deps for b in split_block(single)] == [names(u)]
         fn = ExprFun(swapped, (Ref("x"), Bin("*", Lit(3.0), Ref("u"))))
-        a = IoDiagram((u, x), (y, v), mk_atom("A", fn))
+        a = IoDiagram((u, x), (y, v), Atom("A", fn))
         one, two = split_block(a)
         assert (one.base.inputs, one.deps) == ((u,), names(u))
         assert (two.base.inputs, two.deps) == ((x,), names(x))
@@ -269,7 +268,7 @@ def _random_relation_blocks(rng):
     for out in rng.sample(pool, rng.randint(1, len(pool))):
         ins = tuple(w for w in pool if rng.random() < 0.3)
         deps = frozenset(w.name for w in ins if rng.random() < 0.6)
-        body = mk_atom(f"F{out.name}", ExprFun(ins, (Lit(0.0),)))
+        body = Atom(f"F{out.name}", ExprFun(ins, (Lit(0.0),)))
         blocks.append(SplitBlock(IoDiagram(ins, (out,), body), deps))
     return blocks
 
@@ -338,7 +337,7 @@ class TestInternalSerial:
         A = SplitBlock(_atom1("A", u1, a1, 2.0), names(u1))
         B = SplitBlock(_atom1("B", a1, b1, 3.0), names(a1))
         fn = ExprFun((Var("a1", R), Var("b1", R)), (Bin("+", Ref("a1"), Ref("b1")),))
-        C = SplitBlock(IoDiagram((a1, b1), (c1,), mk_atom("C", fn)), names(a1, b1))
+        C = SplitBlock(IoDiagram((a1, b1), (c1,), Atom("C", fn)), names(a1, b1))
         lhs = internal_serial(internal_serial(A, B), internal_serial(A, C))
         rhs = internal_serial(internal_serial(B, A), internal_serial(B, C))
         assert io_equiv(lhs.base, rhs.base, EquivConfig(samples=60, exhaustive_limit=16))
@@ -364,15 +363,15 @@ class TestFblessTranslate:
         """Eliminating x, then y, then z leaves
         ((s,u), (s',v), [s,u -> s,u,s] ;; (Add || Id))."""
         from hbd.io_diagrams import switch_vars
-        from hbd.terms import mk_parallel, mk_serial
+        from hbd.terms import Parallel, Serial
 
         add, delay, split = running_example
         blocks = [p for d in running_example for p in split_block(d)]
         out = fbless_translate(blocks, GivenOrder(("x", "y", "z")))
         assert out.inputs == (s, u)
         assert out.outputs == (sp, v)
-        expected = mk_serial(
-            switch_vars((s, u), (s, u, s)), mk_parallel(add.body, Id((R,)))
+        expected = Serial(
+            switch_vars((s, u), (s, u, s)), Parallel(add.body, Id((R,)))
         )
         assert rewrite_basic(out.body) == rewrite_basic(expected)
         assert feedbacks_outside_arb(out.body) == 0
@@ -534,10 +533,13 @@ def test_scale_script_runs():
     assert [row[:2] for row in rows] == [["20", name] for name in names]
     assert all(len(row) == len(header) for row in rows)
     assert rows[0][3:] == ["-", "-", "-"]
-    assert check_header == ["blocks", "check", "seconds", "proved", "cells", "joint"]
+    assert check_header == [
+        "blocks", "check", "seconds", "proved", "cells", "joint", "gc_s", "peak_MB"
+    ]
     assert check[:2] == ["20", "check"] and check[3:5] == ["529", "529"]
     width, passes = map(int, check[5].split("x"))
     assert width >= 1 and 1 <= passes <= width + 1
+    assert float(check[6]) >= 0 and float(check[7]) > 0
     assert sim_header == ["blocks", "simulate", "compile", "loop", "steps/s"]
     assert [fbpar[:2], incr[:2]] == [["20", "fbpar"], ["20", "incr"]]
     assert all(len(row) == len(sim_header) for row in (fbpar, incr))

@@ -612,7 +612,7 @@ class TestLibrary:
     def test_every_block_kind_instantiates_and_is_monotone(self):
         from hbd.frontend import LIBRARY, block_spec
         from util import check_monotone
-        from hbd.terms import mk_atom
+        from hbd.terms import Atom
 
         defaults = {
             "Gain": {"k": 2.0},
@@ -620,7 +620,7 @@ class TestLibrary:
         }
         for kind in LIBRARY:
             spec = block_spec(kind, defaults.get(kind, {}))
-            atom = mk_atom(kind, spec.fn)
+            atom = Atom(kind, spec.fn)
             report = check_monotone(atom, 250, seed=5)
             assert report.ok, (kind, report.counterexamples[:1])
 

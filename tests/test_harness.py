@@ -11,7 +11,7 @@ from pathlib import Path
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.harness import StrategyRun, equivalence_matrix, run_determinacy, translate_all
 from hbd.io_diagrams import EquivConfig, IoDiagram
-from hbd.terms import mk_atom
+from hbd.terms import Atom
 from hbd.types import BaseType, Var
 
 R = BaseType.REAL
@@ -20,7 +20,7 @@ R = BaseType.REAL
 def _blk(name, op):
     a, b, u = Var("a", R), Var("b", R), Var("u", R)
     fn = ExprFun((Var("a", R), Var("b", R)), (Bin(op, Ref("a"), Ref("b")),))
-    return IoDiagram((a, b), (u,), mk_atom(name, fn))
+    return IoDiagram((a, b), (u,), Atom(name, fn))
 
 
 def test_matrix_symmetric_with_true_diagonal(running_example):
@@ -65,7 +65,7 @@ def _loop_diagram(x_body):
     """((u, x), (x, y), [u, x -> x_body, x]) with x fed back by every
     strategy but fbless, which composes the loop away."""
     u, x, y = Var("u", R), Var("x", R), Var("y", R)
-    return IoDiagram((u, x), (x, y), mk_atom("F", ExprFun((u, x), (x_body, Ref("x")))))
+    return IoDiagram((u, x), (x, y), Atom("F", ExprFun((u, x), (x_body, Ref("x")))))
 
 
 def test_nan_loop_cells_are_proved():
@@ -87,12 +87,12 @@ def test_graphs_capped_at_other_widths_are_sampled_equal(compiled_runs):
     both, and holds."""
     from hbd.harness import term_cells
     from hbd.semantics import sample_inputs
-    from hbd.terms import Id, Switch, mk_feedback, mk_parallel, mk_serial
+    from hbd.terms import Feedback, Id, Parallel, Serial, Switch
 
     from util import growing_tower
 
     loop = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
-    wide = mk_serial(mk_parallel(mk_feedback(Switch((R,), (R,))), Id((BaseType.BOOL,))), loop)
+    wide = Serial(Parallel(Feedback(Switch((R,), (R,))), Id((BaseType.BOOL,))), loop)
     matrix = term_cells([loop, wide], lambda: sample_inputs(loop.in_types, 40, seed=1))
     cell = matrix[0][1]
     assert cell and not cell.proved and matrix[0][0].proved and matrix[1][1].proved
@@ -241,12 +241,12 @@ def test_too_deep_term_is_a_fail_cell():
     compared."""
     import sys
 
-    from hbd.terms import Id, mk_serial
+    from hbd.terms import Id, Serial
 
     deep = _blk("Add", "+")
     body = deep.body
     for _ in range(3000):
-        body = mk_serial(Id((R, R)), body)  # typed one level at a time
+        body = Serial(Id((R, R)), body)  # typed one level at a time
     runs = [
         StrategyRun("flat", _blk("Add", "+"), 0.0),
         StrategyRun("deep", IoDiagram(deep.inputs, deep.outputs, body), 0.0),

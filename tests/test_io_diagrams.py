@@ -20,13 +20,13 @@ from hbd.io_diagrams import (
     equivalence_samples,
     fold_parallel,
     named_feedback,
-    named_parallel,
     named_serial,
     switch_vars,
     values_close,
 )
 from hbd.semantics import BOT, eval_term, sample_inputs
 from hbd.terms import (
+    Atom,
     Id,
     Parallel,
     Route,
@@ -36,9 +36,6 @@ from hbd.terms import (
     expand_routes,
     iter_subterms,
     mk_arb,
-    mk_atom,
-    mk_parallel,
-    mk_serial,
     print_term,
     rewrite_basic,
 )
@@ -51,6 +48,7 @@ from util import (
     inter,
     is_perm,
     minus,
+    named_parallel,
     perm_variant,
     random_io_list,
     shared_input_list,
@@ -219,12 +217,12 @@ class TestNamedSerial:
         ad = named_serial(add, delay)
         assert [x.name for x in ad.inputs] == ["z", "u", "s"]
         assert [x.name for x in ad.outputs] == ["y", "s'"]
-        expected = mk_serial(mk_parallel(add.body, Id((R,))), delay.body)
+        expected = Serial(Parallel(add.body, Id((R,))), delay.body)
         assert rewrite_basic(ad.body) == rewrite_basic(expected)
 
     def test_output_clash_rejected(self):
-        a = IoDiagram((u,), (v, w), mk_atom("f", ExprFun((Var("u", R),), (Ref("u"), Ref("u")))))
-        bdiag = IoDiagram((v,), (w,), mk_atom("g", ExprFun((Var("v", R),), (Ref("v"),))))
+        a = IoDiagram((u,), (v, w), Atom("f", ExprFun((Var("u", R),), (Ref("u"), Ref("u")))))
+        bdiag = IoDiagram((v,), (w,), Atom("g", ExprFun((Var("v", R),), (Ref("v"),))))
         with pytest.raises(CompositionError):
             named_serial(a, bdiag)  # w escapes a and is also an output of b
 
@@ -233,10 +231,10 @@ class TestNamedSerial:
         # a yields x as a Real, b reads x as an Int: with or without a Route
         # between them, and so with or without identity wiring dropped
         fa = ExprFun((Var("p", R),), (Ref("p"),))
-        a_ = IoDiagram((Var("p", R),), (Var("x", R),), mk_atom("f", fa))
+        a_ = IoDiagram((Var("p", R),), (Var("x", R),), Atom("f", fa))
         ins = tuple(Var(n, I) for n in b_inputs)
         fb = ExprFun(ins, (Ref("x"),))
-        b_ = IoDiagram(ins, (Var("q", I),), mk_atom("g", fb))
+        b_ = IoDiagram(ins, (Var("q", I),), Atom("g", fb))
         with pytest.raises((TypeMismatchError, CompositionError)):
             named_serial(a_, b_)
 
@@ -278,21 +276,21 @@ class TestNamedParallel:
         # A reads (a,b,c), B reads (d,b,a): the composite reads (a,b,c,d)
         fa = ExprFun(tuple(Var(n, R) for n in "abc"), (Bin("+", Ref("a"), Ref("b")),))
         fb = ExprFun(tuple(Var(n, R) for n in "dba"), (Bin("+", Ref("d"), Ref("a")),))
-        A = IoDiagram((a, b, c), (u,), mk_atom("A", fa))
-        Bd = IoDiagram((d, b, a), (v,), mk_atom("B", fb))
+        A = IoDiagram((a, b, c), (u,), Atom("A", fa))
+        Bd = IoDiagram((d, b, a), (v,), Atom("B", fb))
         comp = named_parallel(A, Bd)
         assert [x.name for x in comp.inputs] == ["a", "b", "c", "d"]
         assert [x.name for x in comp.outputs] == ["u", "v"]
 
     def test_disjoint_inputs_concatenate(self):
-        A = IoDiagram((a,), (u,), mk_atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
-        Bd = IoDiagram((b,), (v,), mk_atom("B", ExprFun((Var("b", R),), (Ref("b"),))))
+        A = IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
+        Bd = IoDiagram((b,), (v,), Atom("B", ExprFun((Var("b", R),), (Ref("b"),))))
         comp = named_parallel(A, Bd)
         assert comp.inputs == (a, b)
 
     def test_output_clash_rejected(self):
-        A = IoDiagram((a,), (u,), mk_atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
-        B2 = IoDiagram((b,), (u,), mk_atom("B", ExprFun((Var("b", R),), (Ref("b"),))))
+        A = IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
+        B2 = IoDiagram((b,), (u,), Atom("B", ExprFun((Var("b", R),), (Ref("b"),))))
         with pytest.raises(CompositionError):
             named_parallel(A, B2)
 
@@ -354,7 +352,7 @@ class TestFoldParallel:
             outs.append(Var("fresh", R))
             rng.shuffle(outs)
             bodies = tuple(_random_expr(rng, (), x.ty, 1) for x in outs)
-            ds.insert(at, IoDiagram((), tuple(outs), mk_atom("clash", ExprFun((), bodies))))
+            ds.insert(at, IoDiagram((), tuple(outs), Atom("clash", ExprFun((), bodies))))
             with pytest.raises(CompositionError) as want:
                 fold_parallel_oracle(ds)
             with pytest.raises(CompositionError) as got:
@@ -383,7 +381,7 @@ def _pool_diagrams(rng: random.Random, n: int, names: int):
         outs = tuple(rng.sample(pool, rng.randint(0, min(3, names))))
         params = tuple(Var(f"p{j}", x.ty) for j, x in enumerate(ins))
         bodies = tuple(_random_expr(rng, params, x.ty, 1) for x in outs)
-        out.append(IoDiagram(ins, outs, mk_atom(f"D{k}", ExprFun(params, bodies))))
+        out.append(IoDiagram(ins, outs, Atom(f"D{k}", ExprFun(params, bodies))))
     return out
 
 
@@ -407,10 +405,10 @@ class TestIndexedInterface:
 
     def test_positions_follow_the_lists(self):
         fn = ExprFun((Var("p", R), Var("q", R)), (Ref("q"), Ref("p")))
-        A = IoDiagram((v, u), (w, a), mk_atom("A", fn))
+        A = IoDiagram((v, u), (w, a), Atom("A", fn))
         assert A.in_pos == {"v": 0, "u": 1} and list(A.in_pos) == ["v", "u"]
         assert A.out_pos == {"w": 0, "a": 1} and list(A.out_pos) == ["w", "a"]
-        assert A == IoDiagram((v, u), (w, a), mk_atom("A", fn))
+        assert A == IoDiagram((v, u), (w, a), Atom("A", fn))
         assert repr(A) == "IoDiagram((v,u) -> (w,a))"
 
     def test_duplicate_names_keep_their_messages(self):
@@ -487,20 +485,20 @@ class TestIndexedInterface:
 
 class TestNamedFeedback:
     def test_no_shared_names_is_semantically_neutral(self):
-        A = IoDiagram((a,), (u,), mk_atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
+        A = IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
         fb = named_feedback(A)
         assert fb.inputs == (a,) and fb.outputs == (u,)
         assert io_equiv(fb, A, EquivConfig())
 
     def test_no_shared_names_returns_the_argument(self):
-        A = IoDiagram((a,), (u,), mk_atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
+        A = IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
         assert named_feedback(A) is A
 
     def test_bad_fed_back_typing_raises(self):
         # u is read as an Int and yielded as a Real; the switches around the
         # body are both identities
         fn = ExprFun((Var("u", I), Var("a", R)), (Ref("a"),))
-        A = IoDiagram((Var("u", I), a), (u,), mk_atom("A", fn))
+        A = IoDiagram((Var("u", I), a), (u,), Atom("A", fn))
         with pytest.raises(TypeMismatchError):
             named_feedback(A)
 
@@ -511,7 +509,7 @@ class TestNamedFeedback:
             tuple(Var(n, R) for n in "abcde"),
             tuple(Ref(n) for n in ("a", "b", "c", "d", "e")),
         )
-        A = IoDiagram((a, b, c, d, e), (u, e, a, v, d), mk_atom("A", fn))
+        A = IoDiagram((a, b, c, d, e), (u, e, a, v, d), Atom("A", fn))
         fb = named_feedback(A)
         assert [x.name for x in fb.inputs] == ["b", "c"]
         assert [x.name for x in fb.outputs] == ["u", "v"]
@@ -548,8 +546,8 @@ class TestIoEquiv:
             assert io_equiv(d, d)
 
     def test_parallel_commutes(self):
-        A = IoDiagram((a,), (u,), mk_atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
-        Bd = IoDiagram((b,), (v,), mk_atom("B", ExprFun((Var("b", R),), (Ref("b"),))))
+        A = IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
+        Bd = IoDiagram((b,), (v,), Atom("B", ExprFun((Var("b", R),), (Ref("b"),))))
         assert io_equiv(named_parallel(A, Bd), named_parallel(Bd, A))
 
     def test_different_interfaces_not_equivalent(self, running_example):
@@ -562,17 +560,17 @@ class TestIoEquiv:
         from hbd.types import Var as V
 
         A = IoDiagram(
-            (V("a", R),), (V("u", R),), mk_atom("A", ExprFun((Var("a", R),), (Ref("a"),)))
+            (V("a", R),), (V("u", R),), Atom("A", ExprFun((Var("a", R),), (Ref("a"),)))
         )
         B2 = IoDiagram(
-            (V("a", I),), (V("u", I),), mk_atom("B", ExprFun((Var("a", I),), (Ref("a"),)))
+            (V("a", I),), (V("u", I),), Atom("B", ExprFun((Var("a", I),), (Ref("a"),)))
         )
         res = io_equiv(A, B2)
         assert not res and "type" in res.reason
 
     def test_semantic_difference_detected(self):
-        A = IoDiagram((a, b), (u,), mk_atom("A", ExprFun((Var("a", R), Var("b", R)), (Bin("+", Ref("a"), Ref("b")),))))
-        B2 = IoDiagram((a, b), (u,), mk_atom("B", ExprFun((Var("a", R), Var("b", R)), (Bin("-", Ref("a"), Ref("b")),))))
+        A = IoDiagram((a, b), (u,), Atom("A", ExprFun((Var("a", R), Var("b", R)), (Bin("+", Ref("a"), Ref("b")),))))
+        B2 = IoDiagram((a, b), (u,), Atom("B", ExprFun((Var("a", R), Var("b", R)), (Bin("-", Ref("a"), Ref("b")),))))
         res = io_equiv(A, B2)
         assert not res
         assert res.counterexample is not None
@@ -584,9 +582,9 @@ class TestIoEquiv:
         for _ in range(25):
             (A,) = random_io_list(rng, 1, names=5)
             B2 = perm_variant(rng, A)
-            wrapped = mk_serial(
+            wrapped = Serial(
                 switch_vars(A.inputs, B2.inputs),
-                mk_serial(B2.body, switch_vars(B2.outputs, A.outputs)),
+                Serial(B2.body, switch_vars(B2.outputs, A.outputs)),
             )
             ca = compile_term(A.body)
             cw = compile_term(wrapped)
@@ -624,9 +622,9 @@ class TestIoEquiv:
 
 def test_interface_validation():
     with pytest.raises(TypeMismatchError):
-        IoDiagram((a, a), (u,), mk_atom("A", ExprFun((Var("a", R), Var("a2", R)), (Ref("a"),))))
+        IoDiagram((a, a), (u,), Atom("A", ExprFun((Var("a", R), Var("a2", R)), (Ref("a"),))))
     with pytest.raises(TypeMismatchError):
-        IoDiagram((a,), (u,), mk_atom("A", ExprFun((Var("a", I),), (Ref("a"),))))
+        IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", I),), (Ref("a"),))))
 
 
 def test_equivalence_samples_exhaustive_bool():

@@ -25,16 +25,14 @@ from hbd.terms import (
     Atom,
     Feedback,
     Id,
+    Parallel,
     Route,
+    Serial,
     Sink,
     Split,
     Switch,
-    mk_arb,
-    mk_atom,
-    mk_feedback,
-    mk_parallel,
-    mk_serial,
     iter_subterms,
+    mk_arb,
 )
 from hbd.types import BaseType, Var
 
@@ -74,7 +72,7 @@ def test_eval_constants():
 
 
 def test_eval_feedback_of_switch_is_identity():
-    assert eval_term(mk_feedback(Switch((R,), (R,))), (7.0,)) == (7.0,)
+    assert eval_term(Feedback(Switch((R,), (R,))), (7.0,)) == (7.0,)
 
 
 def test_eval_arb_is_unknown():
@@ -101,7 +99,7 @@ def test_multiply_is_strict():
     """Bot times zero is bot, in the reference, the graph and the compiled
     evaluator alike, as inf times zero is NaN: a rule of zero absorbing bot
     would not be monotone."""
-    compiled = compile_term(mk_atom("Mul", MUL_R))
+    compiled = compile_term(Atom("Mul", MUL_R))
     for evaluate in (lambda row: eval_expr(MUL_R, row), compiled.run_one):
         left, right, nan = map(evaluate, [(BOT, 0.0), (0.0, BOT), (float("inf"), 0.0)])
         assert left == right == (BOT,) and math.isnan(nan[0])
@@ -129,7 +127,7 @@ def test_ite_strict_in_condition():
 
 
 def test_sample_inputs_bool_exhaustive():
-    rows = sample_inputs((B,), 8, seed=0, include_bottom=True)
+    rows = sample_inputs((B,), 8, seed=0)
     assert set(rows) == {(BOT,), (True,), (False,)}
 
 
@@ -146,14 +144,14 @@ def test_sample_inputs_empty_type():
 def test_check_monotone_basics():
     assert check_monotone(Id((R,)), 100, seed=1).ok
     assert check_monotone(Split((I,)), 100, seed=2).ok
-    add = mk_atom("Add", ADD_I)
+    add = Atom("Add", ADD_I)
     assert check_monotone(add, 200, seed=3).ok
-    assert check_monotone(mk_atom("Mul", MUL_R), 300, seed=4).ok
+    assert check_monotone(Atom("Mul", MUL_R), 300, seed=4).ok
 
 
 def test_fixpoint_iteration_counts():
     stats = EvalStats()
-    eval_term(mk_feedback(Switch((R,), (R,))), (3.5,), stats=stats)
+    eval_term(Feedback(Switch((R,), (R,))), (3.5,), stats=stats)
     assert stats.feedback_runs == [(1, 2)]
     stats = EvalStats()
     eval_term(mk_arb(R), (), stats=stats)
@@ -163,12 +161,12 @@ def test_fixpoint_iteration_counts():
 def test_strict_atoms_converge_immediately():
     # through strict atoms the fed-back wire stays unknown: x -> x+1 from
     # bot is bot, a fixed point after one iteration
-    inc = mk_atom(
+    inc = Atom(
         "inc",
         ExprFun((Var("x", I), Var("u", I)), (Bin("+", Ref("x"), Lit(1)), Ref("u"))),
     )
     stats = EvalStats()
-    assert eval_term(mk_feedback(inc), (5,), stats=stats) == (5,)
+    assert eval_term(Feedback(inc), (5,), stats=stats) == (5,)
     assert stats.feedback_runs == [(1, 1)]
 
 
@@ -208,8 +206,8 @@ def test_nan_feedback_settles_to_nan():
     the tower settles after two iterations, at compile time, and records no
     run-time fixpoint."""
     nan = Bin("-", Bin("*", Ref("u"), Lit(float("inf"))), Bin("*", Ref("u"), Lit(float("inf"))))
-    loop = mk_feedback(
-        mk_atom("F", ExprFun((Var("x", R), Var("u", R)), (nan, Ref("x"))))
+    loop = Feedback(
+        Atom("F", ExprFun((Var("x", R), Var("u", R)), (nan, Ref("x"))))
     )
     for evaluate in (eval_term, nested_eval_term):
         stats = EvalStats()
@@ -256,17 +254,17 @@ def _nested_growing(rng, depth):
     if depth == 0:
         return growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))
     x, u, c, w, y = Var("x", R), Var("u", R), Var("c", B), Var("w", R), Var("y", R)
-    pre = mk_atom(
+    pre = Atom(
         f"pre{depth}",
         ExprFun((x, u, c), (Ref("x"), Ref("c"), Ite(Ref("c"), Ref("u"), Ref("x")), Ref("c"))),
     )
     op = rng.choice(("+", "*", "max"))
-    post = mk_atom(
+    post = Atom(
         f"post{depth}",
         ExprFun((x, c, y), (Ite(Ref("c"), Ref("y"), Ref("x")), Bin(op, Ref("y"), Lit(2.0)))),
     )
-    inner = mk_parallel(Id((R, B)), _nested_growing(rng, depth - 1))
-    return mk_feedback(mk_serial(pre, mk_serial(inner, post)))
+    inner = Parallel(Id((R, B)), _nested_growing(rng, depth - 1))
+    return Feedback(Serial(pre, Serial(inner, post)))
 
 
 def test_compiled_rows_record_no_fixpoint():
@@ -302,8 +300,8 @@ def test_compiled_rows_record_no_fixpoint():
 def test_pure_wiring_feedback_runs_no_loop():
     # a feedback around wiring alone settles at compile time: no fixpoint is
     # recorded, and a wire fed back only to itself is unknown
-    arb_pair = mk_feedback(mk_feedback(Route((R, R, R), (R, R, R), (1, 0, 0))))
-    chain = mk_feedback(mk_feedback(Route((R, R, R), (R, R, R), (1, 2, 0))))
+    arb_pair = Feedback(Feedback(Route((R, R, R), (R, R, R), (1, 0, 0))))
+    chain = Feedback(Feedback(Route((R, R, R), (R, R, R), (1, 2, 0))))
     for t, row, out in ((mk_arb(R), (), (BOT,)), (arb_pair, (1.0,), (BOT,)), (chain, (1.0,), (1.0,))):
         assert eval_term(t, row) == out
         stats = EvalStats()
@@ -324,7 +322,7 @@ def test_compiled_output_kinds_match():
 
 
 def test_eval_is_pure():
-    t = mk_serial(Split((R,)), mk_parallel(Id((R,)), mk_atom("neg", ExprFun((Var("x", R),), (Un("neg", Ref("x")),)))))
+    t = Serial(Split((R,)), Parallel(Id((R,)), Atom("neg", ExprFun((Var("x", R),), (Un("neg", Ref("x")),)))))
     row = (2.5,)
     assert eval_term(t, row) == eval_term(t, row) == (2.5, -2.5)
 

@@ -32,6 +32,7 @@ from hbd.semantics import (
 from hbd.symbolic import BOT as BOT_NODE
 from hbd.symbolic import Graph
 from hbd.terms import (
+    Atom,
     Feedback,
     Id,
     Parallel,
@@ -40,10 +41,6 @@ from hbd.terms import (
     Split,
     Switch,
     feedback_n,
-    mk_atom,
-    mk_feedback,
-    mk_parallel,
-    mk_serial,
 )
 from hbd.translator import Incremental, translate
 from hbd.types import Var
@@ -97,7 +94,7 @@ def _same(a, b) -> bool:
 def _atom(rng, in_t, out_t):
     params = tuple(Var(f"p{i}", k) for i, k in enumerate(in_t))
     bodies = tuple(expr_all_ops(rng, params, k, 3) for k in out_t)
-    return mk_atom(f"f{rng.randrange(10**6)}", ExprFun(params, bodies))
+    return Atom(f"f{rng.randrange(10**6)}", ExprFun(params, bodies))
 
 
 def _kinds(rng, lo, hi):
@@ -116,13 +113,13 @@ def _term(rng, in_t, depth):
         return _atom(rng, in_t, _kinds(rng, 1, 2))
     if c < 0.45:
         first = _term(rng, in_t, depth - 1)
-        return mk_serial(first, _term(rng, first.out_types, depth - 1))
+        return Serial(first, _term(rng, first.out_types, depth - 1))
     if c < 0.6 and len(in_t) >= 2:
         k = rng.randint(1, len(in_t) - 1)
-        return mk_parallel(_term(rng, in_t[:k], depth - 1), _term(rng, in_t[k:], depth - 1))
+        return Parallel(_term(rng, in_t[:k], depth - 1), _term(rng, in_t[k:], depth - 1))
     lead = _kinds(rng, 1, 3)
     inner = _term(rng, lead + in_t, depth - 1)
-    return feedback_n(len(lead), mk_serial(inner, _atom(rng, inner.out_types, lead + _kinds(rng, 0, 2))))
+    return feedback_n(len(lead), Serial(inner, _atom(rng, inner.out_types, lead + _kinds(rng, 0, 2))))
 
 
 def _capped(stats) -> bool:
@@ -217,7 +214,7 @@ def test_division_keeps_its_static_kind_and_stays_a_node():
         bodies = (Bin("/", Ref("a"), Ref("b")), Bin("/", Ref("a"), Lit(zero)))
         g = Graph()
         a, b = g.symbol(0), g.symbol(1)
-        q, by_zero = g.outputs(mk_atom("div", ExprFun(params, bodies)), (a, b))
+        q, by_zero = g.outputs(Atom("div", ExprFun(params, bodies)), (a, b))
         assert g.keys[q] == (op, a, b)
         assert g.keys[by_zero] == (op, a, g.lit(zero))  # bot comes per input
 
@@ -227,7 +224,7 @@ def test_division_keeps_its_static_kind_and_stays_a_node():
 def _loop(body_x):
     """feedback of [x, u, c -> body_x, x] over one wire x."""
     params = (Var("x", R), Var("u", R), Var("c", B))
-    return mk_feedback(mk_atom("F", ExprFun(params, (body_x, Ref("x")))))
+    return Feedback(Atom("F", ExprFun(params, (body_x, Ref("x")))))
 
 
 def test_kleene_iteration_from_bot_and_the_cap():
@@ -241,7 +238,7 @@ def test_kleene_iteration_from_bot_and_the_cap():
     assert stats.symbolic_runs[:2] == [(1, 1), (1, 2)]
     # a chain x <- y <- z <- 1.0 settles after four iterations
     params = tuple(Var(n, R) for n in "xyzu")
-    chain = mk_atom("C", ExprFun(params, (Ref("y"), Ref("z"), Lit(1.0), Ref("x"))))
+    chain = Atom("C", ExprFun(params, (Ref("y"), Ref("z"), Lit(1.0), Ref("x"))))
     assert g.outputs(feedback_n(3, chain), (u,), stats) == (g.lit(1.0),)
     assert stats.symbolic_runs[-1] == (3, 4)
     # x = ite(c, u, x) grows one node per iteration: the solve stops at the
@@ -301,7 +298,7 @@ def test_cap_grows_with_the_total_width():
         symbols = [u, c] * w
         assert g.outputs(term, symbols, stats) == (_ites(g, c, u, MAX_FIX_ITERS + w - 2),) * w
         assert stats.symbolic_runs == [(w, MAX_FIX_ITERS + w - 1)]
-        term = mk_parallel(term, loop)
+        term = Parallel(term, loop)
 
 
 def _joint_and_nested(graph, term, stats=None):
@@ -392,9 +389,9 @@ def _swap_route(r: Route) -> Route:
 def _drop_feedback(fb: Feedback):
     """The body with bot on its first input and its first output discarded."""
     tin, tout = fb.body.typing
-    return mk_serial(
+    return Serial(
         Route(tin[1:], tin, (None,) + tuple(range(len(tin) - 1))),
-        mk_serial(fb.body, Route(tout, tout[1:], tuple(range(1, len(tout))))),
+        Serial(fb.body, Route(tout, tout[1:], tuple(range(1, len(tout))))),
     )
 
 
@@ -440,7 +437,7 @@ def test_towers_stopped_at_the_cap_keep_the_sampling_verdict(monkeypatch, compil
     strategy, gives the same verdicts."""
     u, c, x, y = Var("u", R), Var("c", B), Var("x", R), Var("y", R)
     fn = ExprFun((x, u, c), (Ite(Ref("c"), Ref("u"), Ref("x")), Bin("*", Ref("x"), Lit(2.0))))
-    d = IoDiagram((x, u, c), (x, y), mk_atom("F", fn))
+    d = IoDiagram((x, u, c), (x, y), Atom("F", fn))
     report = run_determinacy([d], seeds=range(2), samples=30)
     assert len(report.runs) == 4 and compiled_runs == []  # no fbless: x depends on x
     assert report.stats.symbolic_runs == [(1, MAX_FIX_ITERS)] * 4
@@ -498,7 +495,7 @@ def test_equation_checks_share_the_oracle(compiled_runs, monkeypatch, running_ex
     t = (I,)
     loop = growing_tower(Ite(Ref("c"), Ref("u"), Ref("x")))  # stops at the cap
     equations = [
-        Equation(Split(t), mk_serial(Split(t), Switch(t, t))),  # law 7, proved
+        Equation(Split(t), Serial(Split(t), Switch(t, t))),  # law 7, proved
         Equation(Switch(t, t), Id((I, I))),  # false: different graphs
         Equation(loop, loop),  # true, proved at the cap
     ]

@@ -1,5 +1,12 @@
 """Term AST: typing rules, constructors, rewriting, textual format."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +15,10 @@ from hbd.exprs import Bin, ExprFun, Ref
 from hbd.feedbackless import fbless_translate, split_block
 from hbd.semantics import BOT, eval_term, sample_inputs
 from hbd.terms import (
+    Atom,
     Feedback,
     Id,
+    Parallel,
     Route,
     Serial,
     Sink,
@@ -17,110 +26,108 @@ from hbd.terms import (
     Switch,
     collect_atoms,
     feedback_n,
-    is_arb,
     mk_arb,
-    mk_atom,
-    mk_feedback,
-    mk_parallel,
-    mk_serial,
     parse_term,
     print_term,
     rewrite_basic,
     term_size,
-    type_of,
 )
 from hbd.translator import FeedbackParallel, Incremental, RandomChoices, translate
 from hbd.types import BaseType, Var
 
-from util import feedbacks_outside_arb, print_term_oracle
+from util import feedbacks_outside_arb, is_arb, print_term_oracle
 
 R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
-ADD = mk_atom("Add", ExprFun((Var("a", R), Var("b", R)), (Bin("+", Ref("a"), Ref("b")),)))
+ADD = Atom("Add", ExprFun((Var("a", R), Var("b", R)), (Bin("+", Ref("a"), Ref("b")),)))
 
 
 def test_constant_typings():
-    assert type_of(Switch((R,), (I,))) == ((R, I), (I, R))
-    assert type_of(Split((R,))) == ((R,), (R, R))
-    assert type_of(Sink((R, B))) == ((R, B), ())
-    assert type_of(Id((I,))) == ((I,), (I,))
+    assert Switch((R,), (I,)).typing == ((R, I), (I, R))
+    assert Split((R,)).typing == ((R,), (R, R))
+    assert Sink((R, B)).typing == ((R, B), ())
+    assert Id((I,)).typing == ((I,), (I,))
 
 
 def test_empty_typed_constants_are_permitted():
     from hbd.semantics import eval_term
 
     for t in (Split(()), Sink(()), Switch((), ())):
-        assert type_of(t) == ((), ())
+        assert t.typing == ((), ())
         assert eval_term(t, ()) == ()
 
 
 def test_serial_typing_neutral_id():
-    assert type_of(mk_serial(Id((R,)), Split((R,)))) == ((R,), (R, R))
+    assert Serial(Id((R,)), Split((R,))).typing == ((R,), (R, R))
 
 
 def test_feedback_of_split_types_as_arb():
-    assert type_of(Feedback(Split((R,)))) == ((), (R,))
+    assert Feedback(Split((R,))).typing == ((), (R,))
 
 
-def test_mk_serial_examples():
-    t = mk_serial(Id((I,)), Id((I,)))
-    assert type_of(t) == ((I,), (I,))
-    t = mk_serial(Split((R,)), Switch((R,), (R,)))
-    assert type_of(t) == ((R,), (R, R))
-    with pytest.raises(TypeError):
-        mk_serial(Id((I,)), Id((R,)))
+def test_serial_examples():
+    t = Serial(Id((I,)), Id((I,)))
+    assert t.typing == ((I,), (I,))
+    t = Serial(Split((R,)), Switch((R,), (R,)))
+    assert t.typing == ((R,), (R, R))
+    message = r"serial mismatch: Id yields \(Int\) but Id expects \(Real\)"
+    with pytest.raises(TypeMismatchError, match=message):
+        Serial(Id((I,)), Id((R,)))
 
 
 def test_feedback_constructors():
     assert feedback_n(0, Id((R,))) == Id((R,))
-    assert type_of(mk_feedback(Switch((R,), (R,)))) == ((R,), (R,))
-    with pytest.raises(TypeError):
-        mk_feedback(Id(()))
-    with pytest.raises(TypeError):
-        mk_feedback(mk_serial(Id((R,)), Sink((R,))))
-    assert type_of(feedback_n(2, Switch((R, I), (R, I)))) == ((R, I), (R, I))
+    assert Feedback(Switch((R,), (R,))).typing == ((R,), (R,))
+    with pytest.raises(TypeMismatchError):
+        Feedback(Id(()))
+    with pytest.raises(TypeMismatchError):
+        Feedback(Serial(Id((R,)), Sink((R,))))
+    assert feedback_n(2, Switch((R, I), (R, I))).typing == ((R, I), (R, I))
+    with pytest.raises(ValueError):
+        feedback_n(-1, Id((R,)))
     from hbd.exprs import Lit
 
-    bad = mk_atom(
+    bad = Atom(
         "bad2", ExprFun((Var("a", R), Var("b", I)), (Ref("a"), Lit(True)))
     )
-    with pytest.raises(TypeError):
-        feedback_n(2, bad)  # second wire pairs Int with Bool
+    # the second wire pairs Int with Bool; the second Feedback refuses it
+    with pytest.raises(TypeMismatchError, match=r"Feedback body: \(Int\) -> \(Bool\)$"):
+        feedback_n(2, bad)
 
 
 def test_mk_arb():
     assert mk_arb(R) == Feedback(Split((R,)))
-    assert type_of(mk_arb(B)) == ((), (B,))
+    assert mk_arb(B).typing == ((), (B,))
     assert is_arb(mk_arb(I))
     assert not is_arb(Feedback(Split((R, I))))
-    assert feedbacks_outside_arb(mk_serial(mk_arb(R), Id((R,)))) == 0
-    assert feedbacks_outside_arb(mk_feedback(Switch((R,), (R,)))) == 1
+    assert feedbacks_outside_arb(Serial(mk_arb(R), Id((R,)))) == 0
+    assert feedbacks_outside_arb(Feedback(Switch((R,), (R,)))) == 1
 
 
 def test_rewrite_identity_elimination():
-    assert rewrite_basic(mk_serial(Id((R, R)), ADD)) == ADD
-    assert rewrite_basic(mk_serial(ADD, Id((R,)))) == ADD
+    assert rewrite_basic(Serial(Id((R, R)), ADD)) == ADD
+    assert rewrite_basic(Serial(ADD, Id((R,)))) == ADD
 
 
 def test_rewrite_parallel_unit():
-    assert rewrite_basic(mk_parallel(Id(()), ADD)) == ADD
-    assert rewrite_basic(mk_parallel(ADD, Id(()))) == ADD
+    assert rewrite_basic(Parallel(Id(()), ADD)) == ADD
+    assert rewrite_basic(Parallel(ADD, Id(()))) == ADD
 
 
 def test_rewrite_reassociates_right():
     a, b, c = Id((R,)), Split((I,)), Sink((B,))
-    t = mk_parallel(mk_parallel(a, b), c)
-    assert rewrite_basic(t) == mk_parallel(a, mk_parallel(b, c))
-    s = mk_serial(mk_serial(Split((R,)), Switch((R,), (R,))), Sink((R, R)))
-    assert rewrite_basic(s) == mk_serial(
-        Split((R,)), mk_serial(Switch((R,), (R,)), Sink((R, R)))
+    t = Parallel(Parallel(a, b), c)
+    assert rewrite_basic(t) == Parallel(a, Parallel(b, c))
+    s = Serial(Serial(Split((R,)), Switch((R,), (R,))), Sink((R, R)))
+    assert rewrite_basic(s) == Serial(
+        Split((R,)), Serial(Switch((R,), (R,)), Sink((R, R)))
     )
 
 
 def test_rewrite_merges_adjacent_ids():
-    t = mk_parallel(Id((R,)), Id((I, B)))
+    t = Parallel(Id((R,)), Id((I, B)))
     assert rewrite_basic(t) == Id((R, I, B))
-    t = mk_serial(mk_parallel(Id((R,)), Id((R,))), ADD)
+    t = Serial(Parallel(Id((R,)), Id((R,))), ADD)
     assert rewrite_basic(t) == ADD
 
 
@@ -139,7 +146,7 @@ def _random_terms():
 @pytest.mark.parametrize("term", _random_terms())
 def test_rewrite_properties(term):
     out = rewrite_basic(term)
-    assert type_of(out) == type_of(term)
+    assert out.typing == term.typing
     assert term_size(out) <= term_size(term)
     assert rewrite_basic(out) == out  # idempotent
     for row in sample_inputs(term.in_types, 12, seed=3):
@@ -154,14 +161,27 @@ KIND_TERMS = [
     Sink(()),
     Switch((R,), (I, B)),
     ADD,
-    mk_serial(mk_parallel(ADD, Id((R,))), mk_parallel(Id((R,)), Id((R,)))),
-    mk_feedback(Switch((R,), (R,))),
+    Serial(Parallel(ADD, Id((R,))), Parallel(Id((R,)), Id((R,)))),
+    Feedback(Switch((R,), (R,))),
     mk_arb(I),
     Route((R, I), (I, R), (1, None)),
     Route((R,), (R, R, R), (0, 0, 0)),
     Route((), (B,), (None,)),
-    mk_serial(Route((R, R), (R,), (1,)), mk_parallel(Id((R,)), Route((), (R,), (None,)))),
+    Serial(Route((R, R), (R,), (1,)), Parallel(Id((R,)), Route((), (R,), (None,)))),
 ]
+
+
+def test_nodes_keep_their_typing_in_a_slot():
+    for t in KIND_TERMS:
+        assert not hasattr(t, "__dict__")
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and twin.typing == t.typing
+
+
+def test_composite_reprs_show_kind_and_arity():
+    assert repr(Serial(Id((R, R)), ADD)) == "Serial: 2 -> 1 wires"
+    assert repr(Parallel(ADD, Id((R,)))) == "Parallel: 3 -> 2 wires"
+    assert repr(Feedback(Switch((R,), (R,)))) == "Feedback: 1 -> 1 wires"
 
 
 def test_print_parse_round_trip():
@@ -187,40 +207,68 @@ def test_print_term_needs_no_recursion_limit():
     t, heads, tails = Id((R,)), [], []
     for i in range(depth):
         if i % 2:
-            t = Feedback(t)
-            heads.append("(feedback ")
-            tails.append(")")
+            t = Feedback(Parallel(Id((R,)), t))
+            heads.append("(feedback (par (id Real) ")
+            tails.append("))")
         else:
-            t = Serial(t, Sink((R,)))
+            t = Serial(t, Id((R,)))
             heads.append("(serial ")
-            tails.append(" (sink Real))")
+            tails.append(" (id Real))")
+    assert t.typing == ((R,), (R,))
     assert print_term(t) == "".join(reversed(heads)) + "(id Real)" + "".join(tails)
+
+
+def test_a_deep_serial_chain_builds_types_and_prints():
+    """Typing reads only the children's stored typings, so a chain far
+    deeper than the recursion limit builds, and it types and prints; in a
+    child process, because overrunning the C stack would kill this one."""
+    script = (
+        "import sys\n"
+        "from hbd.terms import Id, Serial, print_term\n"
+        "from hbd.types import BaseType\n"
+        "R = BaseType.REAL\n"
+        "t = Id((R,))\n"
+        "for _ in range(50_000):\n"
+        "    t = Serial(Id((R,)), t)\n"
+        "assert t.typing == ((R,), (R,))\n"
+        "print(len(print_term(t)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{50_000 * len('(serial (id Real) )') + len('(id Real)')}\n"
 
 
 def test_print_term_refuses_a_non_term():
     with pytest.raises(TypeError, match="not a term"):
         print_term(")")
-    with pytest.raises(TypeError, match="not a term"):
-        print_term(Serial(ADD, " "))
+    with pytest.raises(AttributeError):
+        Serial(ADD, " ")
 
 
 def test_print_example_shape():
-    t = mk_serial(mk_parallel(ADD, Id((R,))), Id((R, R)))
+    t = Serial(Parallel(ADD, Id((R,))), Id((R, R)))
     assert print_term(t) == "(serial (par (atom Add) (id Real)) (id Real Real))"
 
 
 def test_route_typing_and_text():
     r = Route((R, I), (I, R, B), (1, 0, None))
-    assert type_of(r) == ((R, I), (I, R, B))
+    assert r.typing == ((R, I), (I, R, B))
     assert print_term(r) == "(route (Real Int) (Int Real Bool) (1 0 _))"
     assert eval_term(r, (1.5, 2)) == (2, 1.5, BOT)
-    for bad in (
-        Route((R,), (I,), (0,)),  # kind clash
-        Route((R,), (R,), (1,)),  # index out of range
-        Route((R,), (R, R), (0,)),  # one index short
+    for t2, imap in (
+        ((I,), (0,)),  # kind clash
+        ((R,), (1,)),  # index out of range
+        ((R, R), (0,)),  # one index short
     ):
-        with pytest.raises(TypeError):
-            type_of(bad)
+        with pytest.raises(TypeMismatchError):
+            Route((R,), t2, imap)
     with pytest.raises(ParseError):
         parse_term("(route (Real) (Real) (x))")
     with pytest.raises(TypeError):
@@ -243,13 +291,13 @@ def test_hand_built_route_bad_index_messages(imap, error, message):
     """The one-pass index check of a Route falls back to the index loop, so
     a bad index still raises the error that names it."""
     with pytest.raises(error) as raised:
-        type_of(Route((R,), (R,) * len(imap), imap))
+        Route((R,), (R,) * len(imap), imap)
     assert str(raised.value) == message
 
 
 def test_route_typing_accepts_what_the_loop_accepts():
     for imap, t2 in (((), ()), ((None,), (I,)), ((1, 1, 0), (I, I, R)), ((True,), (I,))):
-        assert type_of(Route((R, I), t2, imap)) == ((R, I), t2)
+        assert Route((R, I), t2, imap).typing == ((R, I), t2)
 
 
 def test_parse_errors():
@@ -262,7 +310,7 @@ def test_parse_errors():
 
 
 def test_collect_atoms():
-    t = mk_serial(mk_parallel(ADD, Id((R,))), Id((R, R)))
+    t = Serial(Parallel(ADD, Id((R,))), Id((R, R)))
     assert collect_atoms(t) == {"Add": ADD}
 
 
@@ -294,12 +342,13 @@ def test_type_error_messages_stay_small():
         flatten_or_recurse(random_diagram(7 + i, 100, 100), "flatten", Incremental()).diagram.body
         for i in range(4)
     ]
-    body = reduce(mk_parallel, bodies)
+    body = reduce(Parallel, bodies)
     assert term_size(body) > 3000
-    drained = mk_serial(body, Sink(body.out_types))
+    assert len(repr(body)) < 200
+    drained = Serial(body, Sink(body.out_types))
     for build in (
-        lambda: mk_serial(body, Id(())),
-        lambda: mk_feedback(drained),
+        lambda: Serial(body, Id(())),
+        lambda: Feedback(drained),
         lambda: feedback_n(1, drained),
     ):
         with pytest.raises(TypeMismatchError) as err:

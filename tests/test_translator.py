@@ -11,9 +11,9 @@ from hbd.io_diagrams import EquivConfig, IoDiagram, fold_parallel, named_feedbac
 from hbd.terms import (
     Feedback,
     Id,
+    Parallel,
+    Serial,
     feedback_n,
-    mk_parallel,
-    mk_serial,
     rewrite_basic,
     term_size,
 )
@@ -115,14 +115,14 @@ def test_incremental_golden_term(running_example):
 
     da, dd, dsp = add.body, delay.body, split.body
     expected = Feedback(
-        mk_serial(
-            mk_parallel(da, Id((R,))),
-            mk_serial(
+        Serial(
+            Parallel(da, Id((R,))),
+            Serial(
                 dd,
-                mk_serial(
+                Serial(
                     switch_vars((y, sp), (sp, y)),
-                    mk_serial(
-                        mk_parallel(Id((R,)), dsp),
+                    Serial(
+                        Parallel(Id((R,)), dsp),
                         switch_vars((sp, z, v), (z, sp, v)),
                     ),
                 ),
@@ -135,7 +135,7 @@ def test_incremental_golden_term(running_example):
     displayed = IoDiagram(
         (u, s),
         (v, sp),
-        Feedback(mk_serial(mk_parallel(da, Id((R,))), mk_serial(dd, mk_parallel(dsp, Id((R,)))))),
+        Feedback(Serial(Parallel(da, Id((R,))), Serial(dd, Parallel(dsp, Id((R,)))))),
     )
     assert io_equiv(out, displayed)
 
@@ -150,12 +150,12 @@ def test_feedback_parallel_golden_term(running_example):
     assert out.outputs == (sp, v)
 
     da, dd, dsp = add.body, delay.body, split.body
-    par3 = mk_parallel(da, mk_parallel(dd, dsp))
+    par3 = Parallel(da, Parallel(dd, dsp))
     expected = feedback_n(
         3,
-        mk_serial(
+        Serial(
             switch_vars((x, y, z, u, s), (z, u, x, s, y)),
-            mk_serial(par3, switch_vars((x, y, sp, z, v), (x, y, z, sp, v))),
+            Serial(par3, switch_vars((x, y, sp, z, v), (x, y, z, sp, v))),
         ),
     )
     assert rewrite_basic(out.body) == rewrite_basic(expected)
@@ -166,9 +166,9 @@ def test_feedback_parallel_golden_term(running_example):
         (v, sp),
         feedback_n(
             3,
-            mk_serial(
+            Serial(
                 switch_vars((z, x, y, u, s), (z, u, x, s, y)),
-                mk_serial(par3, switch_vars((x, y, sp, z, v), (z, x, y, v, sp))),
+                Serial(par3, switch_vars((x, y, sp, z, v), (z, x, y, v, sp))),
             ),
         ),
     )

@@ -35,11 +35,7 @@ from hbd.terms import (
     Sink,
     Split,
     Switch,
-    is_arb,
     iter_subterms,
-    mk_atom,
-    mk_feedback,
-    mk_serial,
 )
 from hbd.types import BaseType, Var, types_of
 
@@ -92,7 +88,7 @@ def growing_tower(x_body):
     settles within two iterations."""
     params = (Var("x", R), Var("u", R), Var("c", B))
     y = Bin("*", Ref("x"), Lit(2.0))
-    return mk_feedback(mk_atom("F", ExprFun(params, (x_body, y))))
+    return Feedback(Atom("F", ExprFun(params, (x_body, y))))
 
 
 def non_monotone_neg(monkeypatch):
@@ -124,7 +120,7 @@ def random_io_list(rng: random.Random, n: int, names: int = 8, real_only=False):
         params = tuple(Var(f"p{k}", v.ty) for k, v in enumerate(ins))
         bodies = tuple(_random_expr(rng, params, v.ty, 2) for v in outs)
         diagrams.append(
-            IoDiagram(ins, outs, mk_atom(f"blk{rng.randrange(10**6)}", ExprFun(params, bodies)))
+            IoDiagram(ins, outs, Atom(f"blk{rng.randrange(10**6)}", ExprFun(params, bodies)))
         )
     return diagrams
 
@@ -140,7 +136,7 @@ def shared_input_list(rng: random.Random, n: int, names: int = 6):
         outs = tuple(Var(f"o{i}_{k}", rng.choice(KINDS)) for k in range(rng.randint(1, 2)))
         params = tuple(Var(f"p{k}", v.ty) for k, v in enumerate(ins))
         bodies = tuple(_random_expr(rng, params, v.ty, 2) for v in outs)
-        diagrams.append(IoDiagram(ins, outs, mk_atom(f"blk{i}", ExprFun(params, bodies))))
+        diagrams.append(IoDiagram(ins, outs, Atom(f"blk{i}", ExprFun(params, bodies))))
     return diagrams
 
 
@@ -151,7 +147,7 @@ def perm_variant(rng: random.Random, a: IoDiagram) -> IoDiagram:
     rng.shuffle(ins)
     rng.shuffle(outs)
     ins, outs = tuple(ins), tuple(outs)
-    body = mk_serial(switch_vars(ins, a.inputs), mk_serial(a.body, switch_vars(a.outputs, outs)))
+    body = Serial(switch_vars(ins, a.inputs), Serial(a.body, switch_vars(a.outputs, outs)))
     return IoDiagram(ins, outs, body)
 
 
@@ -321,7 +317,7 @@ def named_feedback_oracle(a: IoDiagram) -> IoDiagram:
         switch_vars_oracle(a.outputs, v + outs),
     )
     for w in v:
-        body = mk_feedback(body)
+        body = Feedback(body)
     return IoDiagram(ins, outs, body)
 
 
@@ -341,7 +337,21 @@ def fold_parallel_oracle(ds) -> IoDiagram:
     return reduce(_parallel_pair, ds)
 
 
+def named_parallel(a: IoDiagram, b: IoDiagram) -> IoDiagram:
+    """Side-by-side composition; shared input names are split."""
+    return fold_parallel((a, b))
+
+
 # -- checks that only the tests make ---------------------------------------------
+
+def is_arb(term) -> bool:
+    """Whether ``term`` is an Arb constant, ``Feedback(Split((a,)))``."""
+    return (
+        isinstance(term, Feedback)
+        and isinstance(term.body, Split)
+        and len(term.body.t) == 1
+    )
+
 
 def feedbacks_outside_arb(term) -> int:
     """Count Feedback nodes that are not the one inside an Arb constant."""
@@ -379,7 +389,7 @@ def tuple_leq(vs, ws) -> bool:
 def check_monotone(term, samples: int, seed: int) -> MonotoneReport:
     """Sample ordered input pairs v <= w and verify eval(v) <= eval(w)."""
     rng = random.Random(seed)
-    highs = semantics.sample_inputs(term.in_types, samples, rng.randrange(2**32), True)
+    highs = semantics.sample_inputs(term.in_types, samples, rng.randrange(2**32))
     lows = [
         tuple(semantics.BOT if rng.random() < 0.4 else v for v in w) for w in highs
     ]
