@@ -5,10 +5,13 @@ For each size n given on the command line (default 250, 500 and 1,000),
 build the io-diagram list of ``gen.random_diagram(7, n, n)`` and translate
 it under fbpar, incr and fbless.  The ``frontend`` row gives the seconds
 ``document_io_list`` takes (normalizing included).  Each strategy row gives
-the translate time, the ``print_term`` time of the term, the term size and
-the route width: the sum of ``len(imap)`` over the term's ``Route`` nodes.
-A wide Route is one node, so the route width shows interface plumbing that
-the term size hides.  The translate time covers the translation of the
+the translate time, the ``print_term`` time of the term, the term size,
+the route width (the sum of ``len(imap)`` over the term's ``Route``
+nodes) and the MB the term keeps.  A wide Route is one node, so the route
+width shows interface plumbing that the term size hides.  The kept MB are
+``sys.getsizeof`` summed over the term's nodes and the tuples they hold
+(the typing pair and both its sides, ``t``, ``t2`` and ``imap``), each
+object counted once.  The translate time covers the translation of the
 io-diagram list (for fbless, splitting its blocks too).
 
 A second table gives one ``check`` row per size: the seconds
@@ -58,13 +61,19 @@ STEPS = 200
 
 
 def shape(term) -> tuple:
-    """(term size, route width) of ``term``."""
-    size = width = 0
+    """(term size, route width, kept bytes) of ``term``."""
+    size = width = kept = 0
+    seen = set()
     for sub in iter_subterms(term):
         size += 1
         if isinstance(sub, Route):
             width += len(sub.imap)
-    return size, width
+        fields = (getattr(sub, name, None) for name in ("t", "t2", "imap"))
+        for obj in (sub, sub.typing, *sub.typing, *fields):
+            if obj is not None and id(obj) not in seen:
+                seen.add(id(obj))
+                kept += sys.getsizeof(obj)
+    return size, width, kept
 
 
 def main(argv=None) -> int:
@@ -73,7 +82,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(
         f"{'blocks':>6} {'strategy':<8} {'seconds':>8} {'print':>8}"
-        f" {'term_size':>10} {'route_width':>12}"
+        f" {'term_size':>10} {'route_width':>12} {'kept_MB':>8}"
     )
     checks, sims = [], []
     for n in args.sizes:
@@ -81,7 +90,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         diagrams, state_table, doc = document_io_list(doc)
         seconds = time.perf_counter() - t0
-        print(f"{n:>6} {'frontend':<8} {seconds:>8.3f} {'-':>8} {'-':>10} {'-':>12}")
+        print(f"{n:>6} {'frontend':<8} {seconds:>8.3f} {'-':>8} {'-':>10} {'-':>12} {'-':>8}")
         for name, run in STRATEGIES.items():
             t0 = time.perf_counter()
             result = run(diagrams)
@@ -89,8 +98,11 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             print_term(result.body)
             printing = time.perf_counter() - t0
-            size, width = shape(result.body)
-            print(f"{n:>6} {name:<8} {seconds:>8.3f} {printing:>8.3f} {size:>10} {width:>12}")
+            size, width, kept = shape(result.body)
+            print(
+                f"{n:>6} {name:<8} {seconds:>8.3f} {printing:>8.3f} {size:>10} {width:>12}"
+                f" {kept / 2**20:>8.3f}"
+            )
             if name in SIMULATED:
                 sims.append((n, name, simulate(result, state_table, doc)))
         checks.append((n, check(diagrams)))

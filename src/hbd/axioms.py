@@ -31,7 +31,7 @@ from .terms import (
     Term,
     feedback_n,
 )
-from .types import BaseType, TypeList, Var
+from .types import BaseType, TypeList, Var, fmt_types
 
 _KINDS = (BaseType.REAL, BaseType.INT, BaseType.BOOL)
 
@@ -41,21 +41,21 @@ def _random_types(rng: random.Random, lo=0, hi=3) -> TypeList:
 
 
 def _lit(rng: random.Random, k: BaseType):
-    if k is BaseType.BOOL:
+    if k == BaseType.BOOL:
         return Lit(rng.random() < 0.5)
-    if k is BaseType.INT:
+    if k == BaseType.INT:
         return Lit(rng.randint(-3, 3))
     return Lit(round(rng.uniform(-2.0, 2.0), 2))
 
 
 def _random_expr(rng: random.Random, params, want: BaseType, depth: int):
     """A type-correct expression of kind ``want`` over the given parameters."""
-    pool = [p for p in params if p.ty is want]
+    pool = [p for p in params if p.ty == want]
     if depth <= 0 or rng.random() < 0.3:
         if pool and rng.random() < 0.8:
             return Ref(rng.choice(pool).name)
         return _lit(rng, want)
-    if want is BaseType.BOOL:
+    if want == BaseType.BOOL:
         choice = rng.random()
         numeric = [p for p in params if p.ty in (BaseType.REAL, BaseType.INT)]
         if choice < 0.4 and numeric:
@@ -137,7 +137,7 @@ def _loop_body(rng: random.Random, lead: TypeList, s: TypeList) -> Term:
     # wiring through the lead: G || R with G preserving the lead type
     parts = []
     for a in lead:
-        if a is BaseType.BOOL:
+        if a == BaseType.BOOL:
             g = Id((a,)) if rng.random() < 0.5 else _random_atom(rng, (a,), (a,))
         else:
             g = Id((a,)) if rng.random() < 0.4 else _random_atom(rng, (a,), (a,))
@@ -357,8 +357,10 @@ def check_equation(eq: Equation, samples: int, seed: int):
     first one, (input, lhs value, rhs value), or of the cell's reason when
     a side has no outputs (its symbolic evaluation failed)."""
     if eq.lhs.typing != eq.rhs.typing:
+        (a, b), (c, d) = eq.lhs.typing, eq.rhs.typing
         raise TypeMismatchError(
-            f"equation sides have different typings: {eq.lhs.typing} vs {eq.rhs.typing}"
+            f"equation sides have different typings: "
+            f"{fmt_types(a)}->{fmt_types(b)} vs {fmt_types(c)}->{fmt_types(d)}"
         )
     rows = partial(sample_inputs, eq.lhs.in_types, samples, seed)
     cell = term_cells([eq.lhs, eq.rhs], rows)[0][1]

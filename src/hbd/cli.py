@@ -99,13 +99,13 @@ def _parse_cell(text: str, ty: BaseType):
     text = text.strip()
     if text == "bot":
         return BOT
-    if ty is BaseType.BOOL:
+    if ty == BaseType.BOOL:
         if text.lower() in ("true", "1"):
             return True
         if text.lower() in ("false", "0"):
             return False
         raise SchemaError(f"not a Bool literal: {text!r}")
-    if ty is BaseType.INT:
+    if ty == BaseType.INT:
         try:
             return int(text)
         except ValueError:

@@ -80,14 +80,14 @@ def infer_kind(e: Expr, env: Mapping[str, BaseType]) -> BaseType:
                 raise TypeMismatchError(f"neg expects a numeric operand, got {k}")
             return k
         if e.op == "not":
-            if k is not BaseType.BOOL:
+            if k != BaseType.BOOL:
                 raise TypeMismatchError(f"not expects Bool, got {k}")
             return k
         raise TypeMismatchError(f"unknown unary op {e.op!r}")
     if isinstance(e, Bin):
         ka = infer_kind(e.a, env)
         kb = infer_kind(e.b, env)
-        if ka is not kb:
+        if ka != kb:
             raise TypeMismatchError(f"operands of {e.op!r} disagree: {ka} vs {kb}")
         if e.op in _ARITH:
             if ka not in _NUMERIC:
@@ -100,17 +100,17 @@ def infer_kind(e: Expr, env: Mapping[str, BaseType]) -> BaseType:
         if e.op == "==":
             return BaseType.BOOL
         if e.op in _BOOLOPS:
-            if ka is not BaseType.BOOL:
+            if ka != BaseType.BOOL:
                 raise TypeMismatchError(f"{e.op!r} expects Bool operands, got {ka}")
             return BaseType.BOOL
         raise TypeMismatchError(f"unknown binary op {e.op!r}")
     if isinstance(e, Ite):
         kc = infer_kind(e.cond, env)
-        if kc is not BaseType.BOOL:
+        if kc != BaseType.BOOL:
             raise TypeMismatchError(f"if condition must be Bool, got {kc}")
         kt = infer_kind(e.then, env)
         ke = infer_kind(e.orelse, env)
-        if kt is not ke:
+        if kt != ke:
             raise TypeMismatchError(f"if branches disagree: {kt} vs {ke}")
         return kt
     raise TypeMismatchError(f"not an expression: {e!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     CycleError,
@@ -68,19 +68,19 @@ class BlockSpec:
 
 def _num_type(params) -> BaseType:
     t = base_type(params.get("type", "Real"))
-    if t is BaseType.BOOL:
+    if t == BaseType.BOOL:
         raise SchemaError("numeric block cannot have type Bool")
     return t
 
 
 def _coerce(value, ty: Optional[BaseType] = None):
     """A block parameter as a finite literal, of type ``ty`` when given."""
-    if ty is BaseType.REAL and isinstance(value, int) and not isinstance(value, bool):
+    if ty == BaseType.REAL and isinstance(value, int) and not isinstance(value, bool):
         try:
             value = float(value)
         except OverflowError:
             raise SchemaError(f"parameter {value!r} is not a finite number") from None
-    if ty is not None and lit_kind(value) is not ty:
+    if ty is not None and lit_kind(value) != ty:
         raise SchemaError(f"parameter {value!r} does not have type {ty}")
     if isinstance(value, float) and not math.isfinite(value):
         raise SchemaError(f"parameter {value!r} is not a finite number")
@@ -199,8 +199,7 @@ def block_spec(kind: str, params: dict) -> BlockSpec:
 
 # -- document model ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(NamedTuple):
     block: str
     port: str
 
@@ -502,18 +501,18 @@ def validate_doc(doc: DiagramDoc) -> None:
     for w in doc.wires:
         ts = out_type(w.src, "wire")
         td = in_type(w.dst, "wire")
-        if ts is not td:
+        if ts != td:
             raise TypeMismatchError(f"wire {w.src} -> {w.dst}: {ts} vs {td}")
         claim(w.dst, str(w.src))
     for e in doc.inputs:
         for t in e.targets:
             td = in_type(t, f"input {e.name}")
-            if td is not e.ty:
+            if td != e.ty:
                 raise TypeMismatchError(f"input {e.name}: {e.ty} vs port {t}: {td}")
             claim(t, f"input {e.name}")
     for e in doc.outputs:
         ts = out_type(e.source, f"output {e.name}")
-        if ts is not e.ty:
+        if ts != e.ty:
             raise TypeMismatchError(f"output {e.name}: {e.ty} vs port {e.source}: {ts}")
 
     for blk in doc.blocks:
@@ -568,11 +567,9 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
         remaining = list(conss)
         while len(remaining) > 1:
             sid = names.split()
-            blocks.append(
-                BlockInst(sid, "SplitBlk", (("type", ty.value),))
-            )
+            blocks.append(BlockInst(sid, "SplitBlk", (("type", ty),)))
             if ty not in split_specs:
-                split_specs[ty] = block_spec("SplitBlk", {"type": ty.value})
+                split_specs[ty] = block_spec("SplitBlk", {"type": ty})
             specs[sid] = split_specs[ty]
             left = consumer_var(remaining[0])
             if len(remaining) == 2:

@@ -67,12 +67,12 @@ def random_diagram(
         candidates = []
         for j in range(i):
             for pname, pty in specs[j].out_ports:
-                if pty is ty:
+                if pty == ty:
                     candidates.append(PortRef(blocks[j].id, pname))
         for j in delay_idx:
             if j >= i:
                 for pname, pty in specs[j].out_ports:
-                    if pty is ty:
+                    if pty == ty:
                         candidates.append(PortRef(blocks[j].id, pname))
         if candidates and rng.random() > 0.3:
             return rng.choice(candidates)

@@ -32,9 +32,7 @@ from .io_diagrams import (
 from .semantics import EvalStats
 from .symbolic import Graph
 from .terms import print_term, term_size
-# ``translate`` here is the loop alone: ``translate_all`` checks the list once
-from .translator import FeedbackParallel, Incremental, RandomChoices, io_distinct_list
-from .translator import _translate_checked as translate
+from .translator import FeedbackParallel, Incremental, RandomChoices, translate
 
 
 @dataclass
@@ -102,19 +100,9 @@ _TRANSLATION_ERRORS = (CompositionError, PreconditionError, TypeMismatchError, R
 def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20)):
     """(label, io-diagram, seconds) for fbpar, incr, each seed, and fbless
     when the split block list is loop-free.  A strategy whose translation
-    raises gets no io-diagram and records why in ``failure``.  The list is
-    checked once against the translation loop's precondition; a list that
-    fails it fails every strategy but fbless."""
+    raises gets no io-diagram and records why in ``failure``, so a list
+    that is not io-distinct fails every strategy but fbless."""
     runs = []
-    try:
-        ds, refused = io_distinct_list(diagrams), None
-    except PreconditionError as exc:
-        ds, refused = list(diagrams), exc
-
-    def translated(strategy):
-        if refused is not None:
-            raise refused
-        return translate(ds, strategy)
 
     def timed(label, thunk):
         t0 = time.perf_counter()
@@ -124,11 +112,11 @@ def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20
             result, failure = None, f"translation failed: {type(exc).__name__}: {exc}"
         runs.append(StrategyRun(label, result, time.perf_counter() - t0, failure))
 
-    timed("fbpar", lambda: translated(FeedbackParallel()))
-    timed("incr", lambda: translated(Incremental()))
+    timed("fbpar", lambda: translate(diagrams, FeedbackParallel()))
+    timed("incr", lambda: translate(diagrams, Incremental()))
     for seed in seeds:
-        timed(f"rand{seed}", lambda s=seed: translated(RandomChoices(s)))
-    blocks = [sb for d in ds for sb in split_block(d)]
+        timed(f"rand{seed}", lambda s=seed: translate(diagrams, RandomChoices(s)))
+    blocks = [sb for d in diagrams for sb in split_block(d)]
     if loop_free(blocks):
         timed("fbless", lambda: fbless_translate(blocks))
     return runs
@@ -207,7 +195,7 @@ def _aligned(d, ref, ref_ty):
     if d.out_pos.keys() != ref.out_pos.keys():
         return "output lists are not permutations"
     for v in d.inputs + d.outputs:
-        if ref_ty[v.name] is not v.ty:
+        if ref_ty[v.name] != v.ty:
             return f"variable {v.name} has type {v.ty} vs {ref_ty[v.name]}"
     (tin, tout), (rin, rout) = d.body.typing, ref.body.typing
     return chain(

@@ -34,7 +34,7 @@ from .terms import (
     Sink,
     Term,
 )
-from .types import BaseType, TypeList, types_of
+from .types import BaseType, TypeList, fmt_types, types_of
 
 VarList = tuple  # tuple[Var, ...]
 
@@ -58,7 +58,7 @@ class IoDiagram:
         tin, tout = self.body.typing
         if tin != types_of(self.inputs) or tout != types_of(self.outputs):
             raise TypeMismatchError(
-                f"body typing {tin}->{tout} does not match interface "
+                f"body typing {fmt_types(tin)}->{fmt_types(tout)} does not match interface "
                 f"{self.inputs}->{self.outputs}"
             )
         object.__setattr__(self, "in_pos", in_pos)
@@ -253,12 +253,12 @@ def values_close(a, b) -> bool:
     if a is BOT or b is BOT:
         return a is BOT and b is BOT
     ka, kb = value_kind(a), value_kind(b)
-    if ka is not kb:
+    if ka != kb:
         return False
     if same_value(a, b):
         return True
     return (
-        ka is BaseType.REAL
+        ka == BaseType.REAL
         and math.isfinite(a)
         and math.isfinite(b)
         and abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
@@ -293,7 +293,7 @@ def equivalence_samples(t: TypeList, cfg: EquivConfig):
             break
     if total <= cfg.exhaustive_limit:
         rows = list(itertools.product(*(_CANONICAL[k] for k in t)))
-        if all(k is BaseType.BOOL for k in t):
+        if all(k == BaseType.BOOL for k in t):
             return rows  # the canonical grid is the whole domain
     if len(rows) < cfg.samples:
         rows.extend(sample_inputs(t, cfg.samples - len(rows), seed=0))

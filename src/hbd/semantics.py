@@ -63,7 +63,7 @@ def check_kinds(values, t: TypeList, what: str = "input") -> None:
         raise TypeMismatchError(f"{what} arity {len(values)} != expected {len(t)}")
     for i, (v, k) in enumerate(zip(values, t)):
         kv = value_kind(v)
-        if kv is not None and kv is not k:
+        if kv is not None and kv != k:
             raise TypeMismatchError(f"{what}[{i}] has kind {kv}, expected {k}")
 
 
@@ -278,9 +278,9 @@ _INT_POOL = (-5, -2, -1, 0, 1, 2, 3, 7)
 def _random_value(rng: random.Random, k: BaseType):
     if rng.random() < 0.25:
         return BOT
-    if k is BaseType.BOOL:
+    if k == BaseType.BOOL:
         return rng.random() < 0.5
-    if k is BaseType.INT:
+    if k == BaseType.INT:
         return rng.choice(_INT_POOL) if rng.random() < 0.7 else rng.randint(-50, 50)
     return (
         rng.choice(_REAL_POOL)
@@ -300,7 +300,7 @@ def sample_inputs(t: TypeList, n: int, seed: int):
         raise ValueError("need n >= 1")
     if not t:
         return [()]
-    if all(k is BaseType.BOOL for k in t):
+    if all(k == BaseType.BOOL for k in t):
         domain = (BOT, True, False)
         if len(domain) ** len(t) <= n:
             out = [()]

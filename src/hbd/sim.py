@@ -169,7 +169,7 @@ def _getter(keys):
 
 def _typed(value, var, step):
     kind = value_kind(value)
-    if kind is not None and kind is not var.ty:
+    if kind is not None and kind != var.ty:
         raise TypeMismatchError(
             f"step {step}: input {var.name} expects {var.ty}, got {value!r}"
         )

@@ -219,7 +219,7 @@ class Graph:
                 if not isinstance(e, Bin):
                     raise TypeMismatchError(f"not an expression: {e!r}")
                 op = e.op
-                if op == "/" and infer_kind(e.a, kinds) is BaseType.INT:
+                if op == "/" and infer_kind(e.a, kinds) == BaseType.INT:
                     op = "//"
                 return (op, tree(e.a), tree(e.b))
 

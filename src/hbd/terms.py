@@ -140,7 +140,7 @@ class Route(Term):
         except TypeError:
             pass
         for i, k in zip(imap, self.t2):
-            if i is not None and not (0 <= i < len(self.t) and self.t[i] is k):
+            if i is not None and not (0 <= i < len(self.t) and self.t[i] == k):
                 raise TypeMismatchError(f"route index {i} cannot yield {k}: {self!r}")
         return (self.t, self.t2)
 
@@ -198,7 +198,7 @@ class Feedback(Term):
 
     def _typing(self):
         (tin, tout) = self.body.typing
-        if not tin or not tout or tin[0] is not tout[0]:
+        if not tin or not tout or tin[0] != tout[0]:
             raise TypeMismatchError(
                 f"feedback needs one leading wire type on both sides of its "
                 f"{_kind(self.body)} body: {fmt_types(tin)} -> {fmt_types(tout)}"
@@ -376,15 +376,12 @@ def _term(t) -> Term:
     return t
 
 
-# Type names are read from ``_value_``, the enum's plain attribute: ``.value``
-# is a property, and a dict keyed by the enum calls its Python ``__hash__``.
-
 def _types_text(t: TypeList) -> str:
-    return " ".join([k._value_ for k in t])
+    return " ".join(t)
 
 
 def _constant_text(head: str, t: TypeList) -> str:
-    return head + "".join([" " + k._value_ for k in t]) + ")"
+    return head + "".join([" " + k for k in t]) + ")"
 
 
 def print_term(term: Term) -> str:

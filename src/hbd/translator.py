@@ -131,24 +131,14 @@ def _group_step(group) -> IoDiagram:
     return named_feedback(fold_parallel(group))
 
 
-def io_distinct_list(diagrams: Sequence[IoDiagram]) -> list:
-    """``diagrams`` as a list, checked against the precondition of the
-    translation loop: nonempty and io-distinct."""
+def translate(diagrams: Sequence[IoDiagram], strategy) -> IoDiagram:
+    """Run the translation loop under ``strategy`` on a nonempty,
+    io-distinct list and return one io-diagram."""
     ds = list(diagrams)
     if not ds:
         raise PreconditionError("translate needs a nonempty list of io-diagrams")
     if not check_io_distinct(ds):
         raise PreconditionError("input list is not io-distinct")
-    return ds
-
-
-def translate(diagrams: Sequence[IoDiagram], strategy) -> IoDiagram:
-    """Run the translation loop under ``strategy`` and return one io-diagram."""
-    return _translate_checked(io_distinct_list(diagrams), strategy)
-
-
-def _translate_checked(ds: list, strategy) -> IoDiagram:
-    """The translation loop on a list returned by ``io_distinct_list``."""
     for ds in strategy.steps(ds):
         pass
     return named_feedback(ds[0])

@@ -275,7 +275,7 @@ def test_criterion_6_simulation_oracle(sum_doc, corpus_diagrams, corpus_reports)
             {
                 n: (
                     rng.random() < 0.5
-                    if types[n] is BaseType.BOOL
+                    if types[n] == BaseType.BOOL
                     else float(rng.randint(-5, 5))
                 )
                 for n in in_names

@@ -528,11 +528,14 @@ def test_scale_script_runs():
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
     header, *rows, check_header, check, sim_header, fbpar, incr = lines
-    assert header == ["blocks", "strategy", "seconds", "print", "term_size", "route_width"]
+    assert header == [
+        "blocks", "strategy", "seconds", "print", "term_size", "route_width", "kept_MB"
+    ]
     names = ("frontend", "fbpar", "incr", "fbless")
     assert [row[:2] for row in rows] == [["20", name] for name in names]
     assert all(len(row) == len(header) for row in rows)
-    assert rows[0][3:] == ["-", "-", "-"]
+    assert rows[0][3:] == ["-", "-", "-", "-"]
+    assert all(float(row[6]) > 0 for row in rows[1:])
     assert check_header == [
         "blocks", "check", "seconds", "proved", "cells", "joint", "gc_s", "peak_MB"
     ]

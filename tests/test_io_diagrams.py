@@ -421,7 +421,7 @@ class TestIndexedInterface:
         assert str(raised.value) == "duplicate output names: (a:Real, b:Real, a:Real)"
         with pytest.raises(TypeMismatchError) as raised:
             IoDiagram((u,), (a,), Id((I,)))
-        assert str(raised.value) == "body typing (Int,)->(Int,) does not match interface (u:Real,)->(a:Real,)"
+        assert str(raised.value) == "body typing (Int)->(Int) does not match interface (u:Real,)->(a:Real,)"
 
     def test_serial_clash_names_the_same_outputs(self):
         rng = random.Random(61)

@@ -50,9 +50,9 @@ R, I, B = BaseType.REAL, BaseType.INT, BaseType.BOOL
 
 def test_value_kinds():
     assert value_kind(BOT) is None
-    assert value_kind(True) is B
-    assert value_kind(3) is I
-    assert value_kind(3.0) is R
+    assert value_kind(True) == B
+    assert value_kind(3) == I
+    assert value_kind(3.0) == R
 
 
 def test_flat_order():

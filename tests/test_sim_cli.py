@@ -488,11 +488,11 @@ def _doc_to_json(doc):
         "version": 1,
         "name": doc.name,
         "inputs": [
-            {"name": e.name, "type": e.ty.value, "to": [str(t) for t in e.targets]}
+            {"name": e.name, "type": e.ty, "to": [str(t) for t in e.targets]}
             for e in doc.inputs
         ],
         "outputs": [
-            {"name": e.name, "type": e.ty.value, "from": str(e.source)}
+            {"name": e.name, "type": e.ty, "from": str(e.source)}
             for e in doc.outputs
         ],
         "blocks": [

@@ -88,7 +88,7 @@ def _same(a, b) -> bool:
     compared: the concrete fixpoint test reads 0.0 == -0.0 and may stop a
     tower one iteration before its graph settles, and in this language the
     sign of a zero reaches nothing but the sign of a zero."""
-    return value_kind(a) is value_kind(b) and same_value(a, b)
+    return value_kind(a) == value_kind(b) and same_value(a, b)
 
 
 def _atom(rng, in_t, out_t):
@@ -151,7 +151,7 @@ def _value(rng, k):
     c = rng.random()
     if c < 0.2:
         return BOT
-    if k is R and c < 0.3:
+    if k == R and c < 0.3:
         return float("nan")
     return rng.choice(VALUES[k])
 

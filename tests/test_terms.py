@@ -1,6 +1,7 @@
 """Term AST: typing rules, constructors, rewriting, textual format."""
 
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from hbd.compiled import compile_term
 from hbd.errors import ParseError, TypeMismatchError
 from hbd.exprs import Bin, ExprFun, Ref
 from hbd.feedbackless import fbless_translate, split_block
@@ -26,6 +28,7 @@ from hbd.terms import (
     Switch,
     collect_atoms,
     feedback_n,
+    iter_subterms,
     mk_arb,
     parse_term,
     print_term,
@@ -176,6 +179,31 @@ def test_nodes_keep_their_typing_in_a_slot():
         assert not hasattr(t, "__dict__")
         for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin == t and twin.typing == t.typing
+
+
+def test_types_compare_equal_after_pickle(corpus_diagrams):
+    """A type read back from a pickle is an equal string, not the same
+    object, so typing, evaluation and sampling compare types by value."""
+    back = pickle.loads(pickle.dumps(Id((R,))))
+    assert Feedback(Serial(back, Id((R,)))).typing == ((), ())
+    for _, diagrams, _ in corpus_diagrams[:10]:
+        term = translate(diagrams, FeedbackParallel()).body
+        twin = pickle.loads(pickle.dumps(term))
+        rows = sample_inputs(term.in_types, 50, 0)
+        assert sample_inputs(twin.in_types, 50, 0) == rows
+        # repr compares NaN outputs too
+        for run in (lambda t: [eval_term(t, r) for r in rows], lambda t: compile_term(t).run(rows)):
+            assert repr(run(twin)) == repr(run(term))
+
+
+def test_typing_tuples_are_not_tracked_by_the_collector(corpus_diagrams):
+    """Types are plain strings, so a collection untracks every typing tuple
+    and later collections do not walk a term's typings."""
+    for _, diagrams, _ in corpus_diagrams[:3]:
+        term = translate(diagrams, FeedbackParallel()).body
+        gc.collect()
+        tracked = [t for t in iter_subterms(term) for side in t.typing if gc.is_tracked(side)]
+        assert not tracked
 
 
 def test_composite_reprs_show_kind_and_arity():

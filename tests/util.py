@@ -65,7 +65,7 @@ def expr_all_ops(rng: random.Random, params, want, depth):
     sub = lambda k: expr_all_ops(rng, params, k, depth - 1)  # noqa: E731
     if rng.random() < 0.15:
         return Ite(sub(B), sub(want), sub(want))
-    if want is B:
+    if want == B:
         choice = rng.random()
         if choice < 0.4:
             k = rng.choice((R, I))
@@ -407,18 +407,18 @@ def check_monotone(term, samples: int, seed: int) -> MonotoneReport:
 def print_term_oracle(term) -> str:
     """The recursive printer, one string per subterm."""
     if isinstance(term, Id):
-        return "(id" + "".join(" " + t.value for t in term.t) + ")"
+        return "(id" + "".join(" " + t for t in term.t) + ")"
     if isinstance(term, Split):
-        return "(split" + "".join(" " + t.value for t in term.t) + ")"
+        return "(split" + "".join(" " + t for t in term.t) + ")"
     if isinstance(term, Sink):
-        return "(sink" + "".join(" " + t.value for t in term.t) + ")"
+        return "(sink" + "".join(" " + t for t in term.t) + ")"
     if isinstance(term, Switch):
-        left = " ".join(t.value for t in term.t)
-        right = " ".join(t.value for t in term.t2)
+        left = " ".join(term.t)
+        right = " ".join(term.t2)
         return f"(switch ({left}) ({right}))"
     if isinstance(term, Route):
-        left = " ".join(t.value for t in term.t)
-        right = " ".join(t.value for t in term.t2)
+        left = " ".join(term.t)
+        right = " ".join(term.t2)
         idx = " ".join("_" if i is None else str(i) for i in term.imap)
         return f"(route ({left}) ({right}) ({idx}))"
     if isinstance(term, Atom):
