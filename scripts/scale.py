@@ -45,7 +45,6 @@ from hbd.feedbackless import fbless_translate, split_block
 from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
 from hbd.harness import equivalence_matrix, translate_all
-from hbd.io_diagrams import EquivConfig
 from hbd.sim import simulate_compiled
 from hbd.terms import Route, iter_subterms, print_term
 from hbd.translator import FeedbackParallel, Incremental, translate
@@ -144,7 +143,7 @@ def check(diagrams) -> tuple:
     try:
         runs = translate_all(diagrams)
         t0 = time.perf_counter()
-        report = equivalence_matrix(runs, EquivConfig(samples=200))
+        report = equivalence_matrix(runs, 200)
         seconds = time.perf_counter() - t0
     finally:
         gc.callbacks.remove(clock)

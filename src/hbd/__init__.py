@@ -23,7 +23,6 @@ from .terms import (
 )
 from .semantics import BOT, eval_expr, eval_term, sample_inputs
 from .io_diagrams import (
-    EquivConfig,
     IoDiagram,
     named_feedback,
     named_serial,

@@ -34,11 +34,13 @@ class Compiled:
     row: Callable  # row(*input values) -> output values
     source: str  # the Python text of ``row``
     in_types: tuple
-    out_types: tuple
 
     def run(self, rows, stats: Optional[EvalStats] = None, validate: bool = True):
         """Evaluate on a batch of input tuples; returns output tuples.  A row
-        runs no fixpoint, so ``stats`` stays as it is."""
+        runs no fixpoint, so ``stats`` is never read or written; it stays
+        only because ``perfbench/spans.py`` calls
+        ``run(compiled, rows, stats=, validate=)``, which
+        ``test_benchmark_bindings_resolve`` pins."""
         rows = list(rows)
         if validate:
             for row in rows:
@@ -46,12 +48,9 @@ class Compiled:
         row = self.row
         return [row(*r) for r in rows]
 
-    def run_one(self, row, stats: Optional[EvalStats] = None):
-        return self.run([row], stats=stats)[0]
-
 
 def compile_term(term: Term) -> Compiled:
     graph = Graph()
     inputs = [graph.symbol(i) for i in range(len(term.in_types))]
     row, source = graph.function(inputs, graph.outputs(term, inputs))
-    return Compiled(row, source, term.in_types, term.out_types)
+    return Compiled(row, source, term.in_types)

@@ -26,7 +26,6 @@ from functools import partial
 
 from .errors import PreconditionError
 from .io_diagrams import (
-    EquivConfig,
     IoDiagram,
     equivalence_samples,
     fold_parallel,
@@ -76,7 +75,7 @@ def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
     y = a.outputs
     lhs = Serial(switch_vars(x, x + x), Parallel(a.body, a.body))
     rhs = Serial(a.body, switch_vars(y, y + y))
-    rows = partial(equivalence_samples, types_of(x), EquivConfig(samples=samples))
+    rows = partial(equivalence_samples, types_of(x), samples)
     return bool(term_cells([lhs, rhs], rows)[0][1])
 
 
@@ -269,14 +268,6 @@ def validate_ok_fbless(blocks) -> None:
         cycle = find_cycle(blocks)
         path = " -> ".join(cycle) if cycle else "?"
         raise PreconditionError(f"feedbackless translation: algebraic loop: {path}")
-
-
-def ok_fbless(blocks) -> bool:
-    try:
-        validate_ok_fbless(blocks)
-        return True
-    except PreconditionError:
-        return False
 
 
 def fbless_translate(blocks, order_policy=Topological()) -> IoDiagram:

@@ -34,13 +34,7 @@ from .errors import (
     TypeMismatchError,
 )
 from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, fmt_expr, lit_kind, subst_refs
-from .feedbackless import (
-    GivenOrder,
-    RandomOrder,
-    Topological,
-    fbless_translate,
-    split_block,
-)
+from .feedbackless import fbless_translate, split_block
 from .io_diagrams import IoDiagram
 from .terms import Atom
 from .translator import Incremental, translate
@@ -667,9 +661,7 @@ def _prefixed(sub: DiagramDoc, prefix: str, ins, outs) -> DiagramDoc:
 
 @dataclass(frozen=True)
 class FbLess:
-    """Strategy marker selecting the feedbackless translation."""
-
-    order_policy: GivenOrder | RandomOrder | Topological = Topological()
+    """Strategy marker selecting the feedbackless translation, in topological order."""
 
 
 @dataclass
@@ -682,7 +674,7 @@ class TranslationResult:
 def _translate_list(diagrams, method) -> IoDiagram:
     if isinstance(method, FbLess):
         blocks = [sb for d in diagrams for sb in split_block(d)]
-        return fbless_translate(blocks, method.order_policy)
+        return fbless_translate(blocks)
     return translate(diagrams, method)
 
 

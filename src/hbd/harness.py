@@ -21,7 +21,6 @@ from .compiled import compile_term
 from .errors import CompositionError, PreconditionError, TypeMismatchError
 from .feedbackless import fbless_translate, loop_free, split_block
 from .io_diagrams import (
-    EquivConfig,
     EquivResult,
     IoDiagram,
     chain,
@@ -31,7 +30,7 @@ from .io_diagrams import (
 )
 from .semantics import EvalStats
 from .symbolic import Graph
-from .terms import print_term, term_size
+from .terms import term_size
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
 
 
@@ -45,10 +44,6 @@ class StrategyRun:
     @property
     def size(self) -> int:
         return 0 if self.diagram is None else term_size(self.diagram.body)
-
-    @property
-    def term_text(self) -> str:
-        return "" if self.diagram is None else print_term(self.diagram.body)
 
 
 @dataclass
@@ -163,7 +158,7 @@ def term_cells(
         if dags[i] not in ran:
             if rows is None:
                 rows = sample()
-            ran[dags[i]] = compile_term(terms[i]).run(rows, stats=stats, validate=False)
+            ran[dags[i]] = compile_term(terms[i]).run(rows, validate=False)
         return ran[dags[i]]
 
     n = len(terms)
@@ -207,43 +202,45 @@ def _aligned(d, ref, ref_ty):
 
 def equivalence_cells(
     diagrams: Sequence[IoDiagram],
-    cfg: EquivConfig = EquivConfig(),
+    samples: int = 200,
     stats: Optional[EvalStats] = None,
 ):
-    """(samples, matrix): pairwise io-equivalence of ``diagrams``.
+    """(rows, matrix): pairwise io-equivalence of ``diagrams``, and the
+    input rows drawn for it.
 
     An entry may be a string in place of an io-diagram: the reason a
-    strategy produced none.  Inputs are sampled for the first io-diagram,
-    and each diagram is aligned to that interface by name (``_aligned``)
+    strategy produced none.  ``samples`` inputs, or the whole canonical
+    grid, are drawn for the first io-diagram (``equivalence_samples``), and
+    each diagram is aligned to that interface by name (``_aligned``)
     before ``term_cells`` compares them.  A diagram whose interface is not a
     permutation of the first's fails its row and column with that reason.
     """
     ref = next((d for d in diagrams if not isinstance(d, str)), None)
-    samples = [] if ref is None else equivalence_samples(ref.body.in_types, cfg)
+    rows = [] if ref is None else equivalence_samples(ref.body.in_types, samples)
     # names compare equal regardless of type, so the types are pinned too
     ref_ty = {} if ref is None else {v.name: v.ty for v in ref.inputs + ref.outputs}
     terms = [_aligned(d, ref, ref_ty) for d in diagrams]
-    return samples, term_cells(terms, lambda: samples, stats=stats)
+    return rows, term_cells(terms, lambda: rows, stats=stats)
 
 
-def io_equiv(a: IoDiagram, b: IoDiagram, cfg: EquivConfig = EquivConfig()) -> EquivResult:
+def io_equiv(a: IoDiagram, b: IoDiagram, samples: int = 200) -> EquivResult:
     """Equality up to interface permutation, proved or sampled: the
-    off-diagonal cell of ``equivalence_cells([a, b], cfg)``."""
-    return equivalence_cells([a, b], cfg)[1][0][1]
+    off-diagonal cell of ``equivalence_cells([a, b], samples)``."""
+    return equivalence_cells([a, b], samples)[1][0][1]
 
 
 def equivalence_matrix(
     runs: Sequence[StrategyRun],
-    cfg: EquivConfig = EquivConfig(),
+    samples: int = 200,
     stats: Optional[EvalStats] = None,
 ) -> RunReport:
     """Pairwise io-equivalence of all runs, via shared name-aligned samples."""
     report = RunReport(runs=list(runs), stats=stats or EvalStats())
     if runs:
-        samples, report.matrix = equivalence_cells(
-            [run.failure or run.diagram for run in runs], cfg, report.stats
+        rows, report.matrix = equivalence_cells(
+            [run.failure or run.diagram for run in runs], samples, report.stats
         )
-        report.samples_used = len(samples)
+        report.samples_used = len(rows)
     return report
 
 
@@ -255,4 +252,4 @@ def run_determinacy(
     if not diagrams:
         raise PreconditionError("no diagrams to check")
     runs = translate_all(diagrams, seeds)
-    return equivalence_matrix(runs, EquivConfig(samples=samples))
+    return equivalence_matrix(runs, samples)

@@ -127,22 +127,10 @@ class Route(Term):
             raise TypeMismatchError(
                 f"route has {len(imap)} indices for {len(self.t2)} outputs: {self!r}"
             )
-        # Every index in one pass: the loop below runs only to name the
-        # first bad index, with the error it has always raised.
-        try:
-            if not imap or (
-                None not in imap
-                and min(imap) >= 0
-                and max(imap) < len(t)
-                and tuple(map(t.__getitem__, imap)) == self.t2
-            ):
-                return (t, self.t2)
-        except TypeError:
-            pass
         for i, k in zip(imap, self.t2):
-            if i is not None and not (0 <= i < len(self.t) and self.t[i] == k):
+            if i is not None and not (0 <= i < len(t) and t[i] == k):
                 raise TypeMismatchError(f"route index {i} cannot yield {k}: {self!r}")
-        return (self.t, self.t2)
+        return (t, self.t2)
 
     def __repr__(self):
         idx = " ".join("_" if i is None else str(i) for i in self.imap)

@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from hbd.compiled import Compiled
 from hbd.exprs import Bin, ExprFun, Ref
@@ -12,6 +13,11 @@ from hbd.types import BaseType, Var
 R = BaseType.REAL
 
 DIAGRAMS = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
+
+# Every property test draws the same examples on every run, with no example
+# database and no deadline, so a failure reproduces from the code alone.
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 def rv(*names):

@@ -20,13 +20,11 @@ from hbd.feedbackless import (
     internal_vars,
     loop_free,
     oi_rel,
-    ok_fbless,
     split_block,
 )
 from hbd.frontend import FbLess, flatten_or_recurse, parse_doc
 from hbd.harness import io_equiv, run_determinacy
 from hbd.io_diagrams import (
-    EquivConfig,
     fold_parallel,
     named_feedback,
     named_serial,
@@ -330,15 +328,15 @@ def test_criterion_7_feedback_of_parallel_and_serial(corpus_diagrams):
         if len(pairs) >= 55:
             break
     assert len(pairs) >= 50
-    cfg = EquivConfig(samples=80, exhaustive_limit=256)
+    samples = 80
     failures = 0
     for a, b in pairs:
         lhs = named_feedback(fold_parallel([a, b]))
         rhs = named_feedback(named_serial(named_feedback(a), named_feedback(b)))
-        if not io_equiv(lhs, rhs, cfg):
+        if not io_equiv(lhs, rhs, samples):
             failures += 1
         fba = named_feedback(a)
-        if not io_equiv(named_feedback(fba), fba, cfg):
+        if not io_equiv(named_feedback(fba), fba, samples):
             failures += 1
     _report(
         "criterion 7: FB(A|||B) ~ FB(FB(A);;;FB(B)) and FB idempotence on 55 pairs",
@@ -356,25 +354,25 @@ def test_criterion_8_order_independence(corpus_diagrams, corpus_reports):
         permuted = diagrams[:]
         rng.shuffle(permuted)
         reference = report.runs[0].diagram  # fbpar on the original order
-        cfg = EquivConfig(samples=100, exhaustive_limit=256)
+        samples = 100
         methods = [("fbpar", FeedbackParallel()), ("incr", Incremental())] + [
             (f"rand{k}", RandomChoices(k)) for k in (0, 3, 7, 11, 19)
         ]
         for label, method in methods:
             out = translate(permuted, method)
-            if not io_equiv(out, reference, cfg):
+            if not io_equiv(out, reference, samples):
                 problems.append((norm.name, label))
         blocks = [p for d in permuted for p in split_block(d)]
-        if ok_fbless(blocks):
+        if loop_free(blocks):
             order = sorted(internal_vars(blocks))
             rng.shuffle(order)
             policies = [Topological(), RandomOrder(1), RandomOrder(7), GivenOrder(tuple(order))]
             results = [fbless_translate(blocks, p) for p in policies]
             for other in results[1:]:
-                if not io_equiv(results[0], other, cfg):
+                if not io_equiv(results[0], other, samples):
                     problems.append((norm.name, "fbless policies"))
                     break
-            if not io_equiv(results[0], reference, cfg):
+            if not io_equiv(results[0], reference, samples):
                 problems.append((norm.name, "fbless vs reference"))
     _report(
         "criterion 8: order independence (block order and fbless policies)",

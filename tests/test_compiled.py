@@ -130,7 +130,7 @@ def test_ref_and_literal_columns():
     literal, kind and sign included."""
     fn = ExprFun((Var("x", R), Var("s", R)), (Ref("s"), Ref("x"), Lit(2.5), Lit(-0.0)))
     x, s = float("nan"), 0.0
-    out = _kernel(fn).run_one((x, s))
+    out = _kernel(fn).run([(x, s)])[0]
     assert out[0] is s and out[1] is x
     assert out[2] == 2.5 and _same(out[3], -0.0)
 
@@ -145,7 +145,7 @@ def test_deep_expression_compiles():
     fn = ExprFun((Var("a", I),), (e,))
     rows = [(0,), (7,), (BOT,), (2000,)]
     assert _kernel(fn).run(rows) == [eval_expr(fn, row) for row in rows]
-    assert _kernel(fn).run_one((0,)) == (150,)
+    assert _kernel(fn).run([(0,)])[0] == (150,)
 
 
 def test_growing_tower_compiles_to_straight_line_code():

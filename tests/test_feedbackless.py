@@ -25,12 +25,10 @@ from hbd.feedbackless import (
     internal_vars,
     loop_free,
     oi_rel,
-    ok_fbless,
     split_block,
 )
 from hbd.harness import io_equiv, run_determinacy
 from hbd.io_diagrams import (
-    EquivConfig,
     IoDiagram,
     fold_parallel,
     named_feedback,
@@ -340,20 +338,20 @@ class TestInternalSerial:
         C = SplitBlock(IoDiagram((a1, b1), (c1,), Atom("C", fn)), names(a1, b1))
         lhs = internal_serial(internal_serial(A, B), internal_serial(A, C))
         rhs = internal_serial(internal_serial(B, A), internal_serial(B, C))
-        assert io_equiv(lhs.base, rhs.base, EquivConfig(samples=60, exhaustive_limit=16))
+        assert io_equiv(lhs.base, rhs.base, 60)
 
     def test_producer_order_commutes_sampled(self, corpus_diagrams):
         rng = random.Random(41)
         checked = 0
         for _, diagrams, _ in corpus_diagrams[:6]:
             blocks = [p for d in diagrams for p in split_block(d)]
-            if len(blocks) < 3 or not ok_fbless(blocks):
+            if len(blocks) < 3 or not loop_free(blocks):
                 continue
             for _ in range(4):
                 A, B, C = rng.sample(blocks, 3)
                 lhs = internal_serial(internal_serial(A, B), internal_serial(A, C))
                 rhs = internal_serial(internal_serial(B, A), internal_serial(B, C))
-                assert io_equiv(lhs.base, rhs.base, EquivConfig(samples=40))
+                assert io_equiv(lhs.base, rhs.base, 40)
                 checked += 1
         assert checked >= 10
 
@@ -381,7 +379,7 @@ class TestFblessTranslate:
         internal = internal_vars(blocks)
         producer = next(b for b in blocks if b.output == x)
         stepped = [internal_serial(producer, b) for b in blocks if b is not producer]
-        assert ok_fbless(stepped)
+        assert loop_free(stepped)
         assert internal_vars(stepped) == internal - {x.name}
 
     def test_matches_named_feedback_of_fold(self, running_example):
@@ -469,7 +467,7 @@ class TestFblessTranslate:
         checked = 0
         for _, diagrams, _ in corpus_diagrams[:8]:
             blocks = [p for d in diagrams for p in split_block(d)]
-            if not ok_fbless(blocks):
+            if not loop_free(blocks):
                 continue
             out = fbless_translate(blocks)
             assert feedbacks_outside_arb(out.body) == 0

@@ -468,7 +468,7 @@ class TestHierarchy:
             rec = flatten_or_recurse(doc, "recursive", method)
             assert io_equiv(flat.diagram, rec.diagram)
             for d in (flat.diagram, rec.diagram):
-                out = compile_term(d.body).run_one((1.0,))
+                out = compile_term(d.body).run([(1.0,)])[0]
                 assert dict(zip((v.name for v in d.outputs), out)) == {"y": 16.0, "z": 20.0}
 
     def test_normalized_document_with_instances(self):
@@ -489,7 +489,7 @@ class TestHierarchy:
         assert io_equiv(flat.diagram, rec.diagram)
         d = rec.diagram
         env = {"x": 1.0, "y": 10.0}  # q = 2x = 2, p = y = 10
-        out = compile_term(d.body).run_one(tuple(env[v.name] for v in d.inputs))
+        out = compile_term(d.body).run([tuple(env[v.name] for v in d.inputs)])[0]
         assert dict(zip((v.name for v in d.outputs), out)) == {"o1": 6.0, "o2": 8.0}
 
     def test_recursive_mode_with_fbless(self):

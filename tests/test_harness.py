@@ -10,8 +10,8 @@ from pathlib import Path
 
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.harness import StrategyRun, equivalence_matrix, run_determinacy, translate_all
-from hbd.io_diagrams import EquivConfig, IoDiagram
-from hbd.terms import Atom
+from hbd.io_diagrams import IoDiagram
+from hbd.terms import Atom, print_term
 from hbd.types import BaseType, Var
 
 R = BaseType.REAL
@@ -38,7 +38,7 @@ def test_inequivalent_runs_are_flagged_with_counterexample():
         StrategyRun("adds", _blk("Add", "+"), 0.0),
         StrategyRun("subs", _blk("Sub", "-"), 0.0),
     ]
-    report = equivalence_matrix(runs, EquivConfig(samples=50))
+    report = equivalence_matrix(runs, 50)
     assert not report.all_equivalent
     cell = report.matrix[0][1]
     assert not cell and cell.counterexample is not None
@@ -51,7 +51,7 @@ def test_matrix_columns_fit_long_labels(running_example):
     """Each column is as wide as the longest label, so rand10, rand100 and
     rand101 stay apart and every mark sits under its label."""
     runs = translate_all(list(running_example), seeds=(10, 100, 101))
-    lines = equivalence_matrix(runs, EquivConfig(samples=20)).render().splitlines()
+    lines = equivalence_matrix(runs, 20).render().splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("pairs:")) + 1
     header, rows = lines[at], lines[at + 1 : at + 1 + len(runs)]
     assert header.split() == ["fbpar", "incr", "rand10", "rand100", "rand101", "fbless"]
@@ -105,7 +105,7 @@ def test_failed_strategies_are_listed_once_per_pair():
     counterexample input."""
     reasons = [f"translation failed: planted {k}" for k in range(4)]
     runs = [StrategyRun(f"s{k}", None, 0.0, reason) for k, reason in enumerate(reasons)]
-    report = equivalence_matrix(runs, EquivConfig(samples=20))
+    report = equivalence_matrix(runs, 20)
     for i, row in enumerate(report.matrix):
         for j, cell in enumerate(row):
             assert not cell and cell.reason == reasons[min(i, j)]
@@ -126,8 +126,7 @@ def test_benchmark_bindings_resolve(monkeypatch):
     from hbd.compiled import Compiled, compile_term
 
     # The traced run replaces Compiled.run by a wrapper with these parameters
-    # and counts rows and the fixpoint census only there, so run_one must go
-    # through run.
+    # and counts rows and the fixpoint census only there.
     params = list(inspect.signature(Compiled.run).parameters)
     assert params == ["self", "rows", "stats", "validate"]
     batches = []
@@ -138,7 +137,7 @@ def test_benchmark_bindings_resolve(monkeypatch):
         return run(compiled, batches[-1], stats=stats, validate=validate)
 
     monkeypatch.setattr(Compiled, "run", counted)
-    assert compile_term(_blk("A", "+").body).run_one((1.0, 2.0)) == (3.0,)
+    assert compile_term(_blk("A", "+").body).run([(1.0, 2.0)])[0] == (3.0,)
     assert batches == [[(1.0, 2.0)]]
 
     # The workloads call hbd with these signatures: the warm-up (check,
@@ -163,7 +162,7 @@ def test_translate_all_labels(running_example):
     runs = translate_all(list(running_example), seeds=range(3))
     labels = [r.label for r in runs]
     assert labels == ["fbpar", "incr", "rand0", "rand1", "rand2", "fbless"]
-    assert all(r.size > 0 and r.term_text.startswith("(") for r in runs)
+    assert all(r.size > 0 and print_term(r.diagram.body).startswith("(") for r in runs)
 
 
 def test_translate_all_refuses_a_list_that_is_not_io_distinct(running_example):
@@ -179,7 +178,7 @@ def test_translate_all_refuses_a_list_that_is_not_io_distinct(running_example):
 
 
 def test_translated_terms_round_trip_through_text(running_example, corpus_diagrams):
-    from hbd.terms import collect_atoms, parse_term, print_term
+    from hbd.terms import collect_atoms, parse_term
 
     samples = [translate_all(list(running_example), seeds=range(2))]
     for _, diagrams, _ in corpus_diagrams[:3]:
@@ -248,7 +247,7 @@ def test_too_deep_term_is_a_fail_cell():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 1000)
     try:
-        report = equivalence_matrix(runs, EquivConfig(samples=20))
+        report = equivalence_matrix(runs, 20)
     finally:
         sys.setrecursionlimit(limit)
     reason = "symbolic evaluation failed: RecursionError: maximum recursion depth exceeded"

@@ -15,7 +15,6 @@ from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
 from hbd.harness import io_equiv
 from hbd.io_diagrams import (
-    EquivConfig,
     IoDiagram,
     equivalence_samples,
     fold_parallel,
@@ -199,7 +198,7 @@ class TestExpandRoutes:
         expanded = expand_routes(sw)
         assert expanded == paper_switch(x, y)
         assert not any(isinstance(t, Route) for t in iter_subterms(expanded))
-        for row in equivalence_samples(types_of(x), EquivConfig(samples=20)):
+        for row in equivalence_samples(types_of(x), 20):
             assert eval_term(sw, row) == eval_term(expanded, row)
 
     def test_translated_body_expands(self, running_example):
@@ -207,7 +206,7 @@ class TestExpandRoutes:
         expanded = expand_routes(body)
         assert expanded.typing == body.typing
         assert not any(isinstance(t, Route) for t in iter_subterms(expanded))
-        rows = equivalence_samples(body.in_types, EquivConfig(samples=40))
+        rows = equivalence_samples(body.in_types, 40)
         assert compile_term(expanded).run(rows) == compile_term(body).run(rows)
 
 
@@ -247,7 +246,7 @@ class TestNamedSerial:
                 continue
             ser = named_serial(x, y)
             par = named_parallel(x, y)
-            res = io_equiv(ser, par, EquivConfig(samples=60, exhaustive_limit=128))
+            res = io_equiv(ser, par, 60)
             assert res, (x, y, res.reason, res.counterexample)
             checked += 1
 
@@ -267,7 +266,7 @@ class TestNamedSerial:
             except CompositionError:
                 continue
             assert is_perm(lhs.inputs, rhs.inputs) and is_perm(lhs.outputs, rhs.outputs)
-            assert io_equiv(lhs, rhs, EquivConfig(samples=50, exhaustive_limit=128))
+            assert io_equiv(lhs, rhs, 50)
             checked += 1
 
 
@@ -310,7 +309,7 @@ class TestNamedParallel:
             if not (set(x.inputs) & set(y.inputs) or set(y.inputs) & set(z.inputs)):
                 # with disjoint inputs both shapes normalize identically
                 assert rewrite_basic(lhs.body) == rewrite_basic(rhs.body)
-            assert io_equiv(lhs, rhs, EquivConfig(samples=50, exhaustive_limit=128))
+            assert io_equiv(lhs, rhs, 50)
             checked += 1
 
 
@@ -488,7 +487,7 @@ class TestNamedFeedback:
         A = IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
         fb = named_feedback(A)
         assert fb.inputs == (a,) and fb.outputs == (u,)
-        assert io_equiv(fb, A, EquivConfig())
+        assert io_equiv(fb, A)
 
     def test_no_shared_names_returns_the_argument(self):
         A = IoDiagram((a,), (u,), Atom("A", ExprFun((Var("a", R),), (Ref("a"),))))
@@ -519,7 +518,7 @@ class TestNamedFeedback:
         for _ in range(15):
             (A,) = random_io_list(rng, 1, names=5)
             fb = named_feedback(A)
-            assert io_equiv(named_feedback(fb), fb, EquivConfig(samples=40, exhaustive_limit=81))
+            assert io_equiv(named_feedback(fb), fb, 40)
 
 
 class TestIoEquiv:
@@ -598,11 +597,11 @@ class TestIoEquiv:
             (A,) = random_io_list(rng, 1, names=5)
             B2 = perm_variant(rng, A)
             C2 = perm_variant(rng, B2)
-            cfg = EquivConfig(samples=40, exhaustive_limit=128)
-            assert io_equiv(A, A, cfg)
-            assert io_equiv(B2, A, cfg) and io_equiv(A, B2, cfg)
-            assert io_equiv(A, C2, cfg)  # transitivity instance
-            assert io_equiv(named_feedback(A), named_feedback(B2), cfg)
+            samples = 40
+            assert io_equiv(A, A, samples)
+            assert io_equiv(B2, A, samples) and io_equiv(A, B2, samples)
+            assert io_equiv(A, C2, samples)  # transitivity instance
+            assert io_equiv(named_feedback(A), named_feedback(B2), samples)
 
     def test_parallel_permutation_invariance(self):
         rng = random.Random(29)
@@ -616,7 +615,7 @@ class TestIoEquiv:
                 rhs = named_parallel(named_parallel(perm[0], perm[1]), perm[2])
             except CompositionError:
                 continue
-            assert io_equiv(lhs, rhs, EquivConfig(samples=40, exhaustive_limit=128))
+            assert io_equiv(lhs, rhs, 40)
             checked += 1
 
 
@@ -628,10 +627,10 @@ def test_interface_validation():
 
 
 def test_equivalence_samples_exhaustive_bool():
-    rows = equivalence_samples((B, B), EquivConfig(samples=50, exhaustive_limit=16))
+    rows = equivalence_samples((B, B), 50)
     assert len(rows) == 9  # complete domain: no top-up needed
     assert (BOT, BOT) in rows and (True, False) in rows
-    mixed = equivalence_samples((B, R), EquivConfig(samples=50, exhaustive_limit=16))
+    mixed = equivalence_samples((B, R), 50)
     assert len(mixed) == 50  # canonical grid first, random rows after
     assert mixed[:9] == list(
         __import__("itertools").product((BOT, True, False), (BOT, 0.0, 1.5))

@@ -100,7 +100,7 @@ def test_multiply_is_strict():
     evaluator alike, as inf times zero is NaN: a rule of zero absorbing bot
     would not be monotone."""
     compiled = compile_term(Atom("Mul", MUL_R))
-    for evaluate in (lambda row: eval_expr(MUL_R, row), compiled.run_one):
+    for evaluate in (lambda row: eval_expr(MUL_R, row), lambda row: compiled.run([row])[0]):
         left, right, nan = map(evaluate, [(BOT, 0.0), (0.0, BOT), (float("inf"), 0.0)])
         assert left == right == (BOT,) and math.isnan(nan[0])
     g = Graph()

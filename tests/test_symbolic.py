@@ -17,7 +17,7 @@ from hbd.harness import (
     run_determinacy,
     translate_all,
 )
-from hbd.io_diagrams import EquivConfig, IoDiagram, equivalence_samples
+from hbd.io_diagrams import IoDiagram, equivalence_samples
 from hbd.semantics import (
     BINOPS,
     BOT,
@@ -138,7 +138,7 @@ def test_graphs_evaluate_like_eval_term():
         outs = graph.outputs(term, [graph.symbol(i) for i in range(len(term.in_types))], stats)
         capped += _capped(stats)
         towers += len(stats.symbolic_runs)
-        for row in equivalence_samples(term.in_types, EquivConfig(samples=25, exhaustive_limit=64)):
+        for row in equivalence_samples(term.in_types, 25):
             memo = {}
             got = tuple(graph_value(graph, n, row, memo) for n in outs)
             want = eval_term(term, row)
@@ -326,7 +326,7 @@ def test_joint_solve_equals_nested_solves_on_random_terms():
             assert joint == nested
             continue
         capped += 1
-        for row in equivalence_samples(term.in_types, EquivConfig(samples=25, exhaustive_limit=64)):
+        for row in equivalence_samples(term.in_types, 25):
             memo = {}
             got = [graph_value(graph, n, row, memo) for n in joint]
             assert all(map(_same, got, (graph_value(graph, n, row, memo) for n in nested)))
@@ -409,7 +409,7 @@ def test_mutations_change_the_graph_and_fail_by_sampling(running_example, mutate
     g = Graph()
     symbols = [g.symbol(i) for i in range(len(d.inputs))]
     assert g.outputs(d.body, symbols) != g.outputs(m.body, symbols)
-    _, matrix = equivalence_cells([d, m], EquivConfig(samples=40))
+    _, matrix = equivalence_cells([d, m], 40)
     assert matrix[0][0].proved and matrix[1][1].proved
     cell = matrix[0][1]
     assert not cell and not cell.proved
@@ -480,7 +480,7 @@ def test_each_sampled_graph_class_runs_once(compiled_runs, running_example):
     d = runs[1].diagram
     swapped = _replace_first(d.body, lambda s: isinstance(s, Route) and len(set(s.imap)) > 1, _swap_route)
     runs[1] = StrategyRun("swapped", IoDiagram(d.inputs, d.outputs, swapped), 0.0)
-    report = equivalence_matrix(runs, EquivConfig(samples=30))
+    report = equivalence_matrix(runs, 30)
     assert len(runs) == 5 and len(compiled_runs) == 2
     for i, row in enumerate(report.matrix):
         for j, cell in enumerate(row):

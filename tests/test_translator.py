@@ -7,7 +7,7 @@ import pytest
 
 from hbd.errors import PreconditionError
 from hbd.harness import io_equiv
-from hbd.io_diagrams import EquivConfig, IoDiagram, fold_parallel, named_feedback, switch_vars
+from hbd.io_diagrams import IoDiagram, fold_parallel, named_feedback, switch_vars
 from hbd.terms import (
     Feedback,
     Id,
@@ -191,10 +191,10 @@ def test_strategies_pairwise_equivalent(running_example):
         translate(ds, FeedbackParallel()),
         translate(ds, Incremental()),
     ] + [translate(ds, RandomChoices(seed)) for seed in range(8)]
-    cfg = EquivConfig(samples=120, exhaustive_limit=16)
+    samples = 120
     for i, ri in enumerate(results):
         for rj in results[i + 1 :]:
-            assert io_equiv(ri, rj, cfg)
+            assert io_equiv(ri, rj, samples)
 
 
 def test_steps_keep_loop_invariant(running_example):
@@ -203,14 +203,14 @@ def test_steps_keep_loop_invariant(running_example):
     so the two are equivalent on every input, not only on the samples."""
     ds = list(running_example)
     reference = named_feedback(fold_parallel(ds))
-    cfg = EquivConfig(samples=40, exhaustive_limit=81)
+    samples = 40
     strategies = [FeedbackParallel(), Incremental()] + [RandomChoices(s) for s in range(4)]
     for strategy in strategies:
         steps = list(strategy.steps(ds))
         assert steps and len(steps[-1]) == 1, strategy
         for step in steps:
             assert check_io_distinct(step), strategy
-            cell = io_equiv(named_feedback(fold_parallel(step)), reference, cfg)
+            cell = io_equiv(named_feedback(fold_parallel(step)), reference, samples)
             assert cell and cell.proved, strategy
 
 
@@ -224,9 +224,9 @@ def test_translate_random_lists():
         a = translate(ds, FeedbackParallel())
         b = translate(ds, Incremental())
         c = translate(ds, RandomChoices(checked))
-        cfg = EquivConfig(samples=60, exhaustive_limit=128)
-        assert io_equiv(a, b, cfg)
-        assert io_equiv(a, c, cfg)
+        samples = 60
+        assert io_equiv(a, b, samples)
+        assert io_equiv(a, c, samples)
         checked += 1
 
 
