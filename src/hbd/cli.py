@@ -13,8 +13,8 @@ reason, or a FAIL cell of ``check`` (a strategy whose translation failed is
 one); 2 parse, schema, type, subsystem-cycle or file errors; 3
 "precondition failed", with the reason (a document with no blocks, or a
 feedbackless algebraic loop with its witness).  A malformed option value,
-such as a negative count, or a malformed ``HBD_SEED`` is rejected by the
-argument parser, also with exit code 2.
+such as a negative count, is rejected by the argument parser, also with
+exit code 2.  ``--seed`` defaults to 0.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 
 from .axioms import run_axiom_suite
@@ -208,14 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hbd", description="block diagram to algebra-term translator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = os.environ.get("HBD_SEED", "0")  # parsed by type=int, like --seed
 
     p = sub.add_parser("translate", help="translate a diagram and print the term")
     p.add_argument("file")
     p.add_argument(
         "--strategy", choices=("fbpar", "incr", "fbless", "random"), default="incr"
     )
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("flatten", "recursive"), default="flatten")
     p.add_argument("--emit", choices=("term", "dot"), default="term")
     p.set_defaults(fn=cmd_translate)
@@ -234,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", choices=("fbpar", "incr", "fbless", "random"), default="incr"
     )
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("axioms", help="run the algebra law suite")
     p.add_argument("--instances", type=_at_least(0), default=100)
     p.add_argument("--samples", type=_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("print", help="dump the normalized document")

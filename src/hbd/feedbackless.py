@@ -11,31 +11,22 @@ serially into all of its consumers, found through a name -> readers index;
 the surviving blocks are folded in parallel.  The bookkeeping around the
 compositions is linear in the diagram, and keyed by variable name, as the
 io-diagrams' own interface maps are: dependency sets, the dependency
-relation, internal variables and elimination orders all hold names.  The
+relation, internal variables and elimination orders all hold names.  An
+elimination order is a plain sequence of names, topological by default.  The
 result contains no feedback operator outside Arb constants.
-``check_deterministic`` checks a block's determinism equation with the
-harness's oracle, ``term_cells``.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .io_diagrams import (
-    IoDiagram,
-    equivalence_samples,
-    fold_parallel,
-    named_serial,
-    switch_vars,
-)
-from .terms import Atom, Id, Parallel, Serial, Term, iter_subterms
+from .io_diagrams import IoDiagram, fold_parallel, named_serial, switch_vars
+from .terms import Atom, Id, Serial
 from .exprs import ExprFun, Ref, free_refs
 from .translator import stable_topo_order
-from .types import Var, types_of
+from .types import Var
 
 
 @dataclass(frozen=True)
@@ -62,21 +53,6 @@ class SplitBlock:
     def name(self) -> str:
         """The name of the output."""
         return self.base.outputs[0].name
-
-
-def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
-    """Check of [x -> x,x] ;; (S || S) == S ;; [y -> y,y] by the harness's
-    oracle, ``term_cells``: proved when both sides have equal output graphs,
-    sampled otherwise.  A side whose symbolic evaluation fails fails the
-    check."""
-    from .harness import term_cells  # the harness imports this module
-
-    x = a.inputs
-    y = a.outputs
-    lhs = Serial(switch_vars(x, x + x), Parallel(a.body, a.body))
-    rhs = Serial(a.body, switch_vars(y, y + y))
-    rows = partial(equivalence_samples, types_of(x), samples)
-    return bool(term_cells([lhs, rhs], rows)[0][1])
 
 
 def split_block(a: IoDiagram) -> list:
@@ -204,56 +180,20 @@ def internal_serial(a: SplitBlock, b: SplitBlock) -> SplitBlock:
     return b
 
 
-def _internal_by_first_seen(blocks) -> list:
-    """Internal variable names in the order their producers appear in
-    ``blocks``."""
+def topological_order(blocks) -> list:
+    """The internal variable names, upstream first: u precedes w when w's
+    producer reads u, which maximizes reuse of already-composed producers.
+    Ties go to the name whose producer comes first in ``blocks``."""
+    deps_of = {b.name: b.deps for b in blocks}
     first_seen = {b.name: i for i, b in enumerate(blocks)}
-    return sorted(internal_vars(blocks), key=first_seen.__getitem__)
-
-
-@dataclass(frozen=True)
-class GivenOrder:
-    names: tuple  # tuple of variable names, elimination order
-
-    def order(self, blocks) -> list:
-        internal = internal_vars(blocks)
-        order = list(self.names)
-        for name in order:
-            if name not in internal:
-                raise PreconditionError(
-                    f"GivenOrder names unknown internal variable {name!r}"
-                )
-        if set(order) != internal or len(order) != len(internal):
-            raise PreconditionError(
-                "GivenOrder must list every internal variable exactly once"
-            )
-        return order
-
-
-@dataclass(frozen=True)
-class Topological:
-    def order(self, blocks) -> list:
-        # u precedes w when w's producer reads u: eliminating upstream
-        # variables first maximizes reuse of already-composed producers.
-        deps_of = {b.name: b.deps for b in blocks}
-        nodes = _internal_by_first_seen(blocks)
-        index = {u: i for i, u in enumerate(nodes)}
-        succs = [set() for _ in nodes]
-        for j, w in enumerate(nodes):
-            for u in deps_of[w]:
-                if u in index:
-                    succs[index[u]].add(j)
-        return [nodes[i] for i in stable_topo_order(succs)]
-
-
-@dataclass(frozen=True)
-class RandomOrder:
-    seed: int
-
-    def order(self, blocks) -> list:
-        order = _internal_by_first_seen(blocks)
-        random.Random(self.seed).shuffle(order)
-        return order
+    nodes = sorted(internal_vars(blocks), key=first_seen.__getitem__)
+    index = {u: i for i, u in enumerate(nodes)}
+    succs = [set() for _ in nodes]
+    for j, w in enumerate(nodes):
+        for u in deps_of[w]:
+            if u in index:
+                succs[index[u]].add(j)
+    return [nodes[i] for i in stable_topo_order(succs)]
 
 
 def validate_ok_fbless(blocks) -> None:
@@ -270,10 +210,10 @@ def validate_ok_fbless(blocks) -> None:
         raise PreconditionError(f"feedbackless translation: algebraic loop: {path}")
 
 
-def fbless_translate(blocks, order_policy=Topological()) -> IoDiagram:
+def fbless_translate(blocks, order=None) -> IoDiagram:
     """Algorithm: eliminate one internal variable per step, then fold in
-    parallel.  ``order_policy`` (GivenOrder, Topological or RandomOrder)
-    picks the elimination order, a list of names.
+    parallel.  ``order`` is the elimination order, a permutation of the
+    internal variable names; it defaults to ``topological_order(blocks)``.
 
     The blocks keep their list positions (slots), and the survivors fold in
     list order.  ``producer`` maps an output name to its slot and
@@ -284,7 +224,13 @@ def fbless_translate(blocks, order_policy=Topological()) -> IoDiagram:
     producer's, so the producer's inputs pass its readers on to them."""
     slots = list(blocks)
     validate_ok_fbless(slots)
-    order = order_policy.order(slots)
+    if order is None:
+        order = topological_order(slots)
+    elif sorted(order) != sorted(internal_vars(slots)):
+        raise PreconditionError(
+            f"elimination order {list(order)} is not a permutation of the "
+            f"internal variables {sorted(internal_vars(slots))}"
+        )
     producer = {b.name: i for i, b in enumerate(slots)}
     readers: dict = {}
     for i, b in enumerate(slots):
@@ -301,43 +247,3 @@ def fbless_translate(blocks, order_policy=Topological()) -> IoDiagram:
         for i in targets:
             slots[i] = internal_serial(a, slots[i])
     return fold_parallel([b.base for b in slots if b is not None])
-
-
-@dataclass
-class SharingStats:
-    """Structural census of serial subterms that contain at least one atom."""
-
-    total: int = 0
-    distinct: int = 0
-    repeated: dict = field(default_factory=dict)  # subterm -> occurrence count
-
-
-def count_shared_compositions(term: Term) -> SharingStats:
-    has_atom: dict = {}
-
-    def atom_in(t) -> bool:
-        if id(t) in has_atom:
-            return has_atom[id(t)]
-        if isinstance(t, Atom):
-            r = True
-        elif isinstance(t, Serial):
-            r = atom_in(t.first) or atom_in(t.second)
-        elif hasattr(t, "left"):
-            r = atom_in(t.left) or atom_in(t.right)
-        elif hasattr(t, "body"):
-            r = atom_in(t.body)
-        else:
-            r = False
-        has_atom[id(t)] = r
-        return r
-
-    counts: dict = {}
-    for sub in iter_subterms(term):
-        if isinstance(sub, Serial) and atom_in(sub):
-            counts[sub] = counts.get(sub, 0) + 1
-    stats = SharingStats(
-        total=sum(counts.values()),
-        distinct=len(counts),
-        repeated={t: c for t, c in counts.items() if c >= 2},
-    )
-    return stats

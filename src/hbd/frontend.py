@@ -420,14 +420,24 @@ def _propagate_subsystems(doc: DiagramDoc, inherited: dict) -> None:
         _propagate_subsystems(sub, merged)
 
 
-def check_subsystem_cycles(doc: DiagramDoc, _stack=()) -> None:
-    """Raise CycleError when a subsystem (transitively) instantiates itself."""
+def check_subsystem_cycles(doc: DiagramDoc, _path=(), _done=None) -> None:
+    """Raise CycleError when a subsystem (transitively) instantiates itself.
+
+    The walk follows each instance to the document its kind names in the
+    instantiating document's table (own entries win), so a subsystem may
+    define its own subsystem of the same name.  ``_path`` holds the (kind,
+    document) pairs from the root and ``_done`` the ids of the documents
+    searched, so each document is searched once."""
+    _done = set() if _done is None else _done
     for blk in doc.blocks:
-        if blk.kind in doc.subsystems:
-            if blk.kind in _stack:
-                chain = " -> ".join(_stack + (blk.kind,))
-                raise CycleError(f"cyclic subsystem instantiation: {chain}")
-            check_subsystem_cycles(doc.subsystems[blk.kind], _stack + (blk.kind,))
+        sub = doc.subsystems.get(blk.kind)
+        if sub is None or id(sub) in _done:
+            continue
+        if any(d is sub for _, d in _path):
+            chain = " -> ".join([kind for kind, _ in _path] + [blk.kind])
+            raise CycleError(f"cyclic subsystem instantiation: {chain}")
+        check_subsystem_cycles(sub, _path + ((blk.kind, sub),), _done)
+    _done.add(id(doc))
 
 
 def _validate_tree(doc: DiagramDoc, _seen=None) -> None:
@@ -574,14 +584,8 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
                 remaining = remaining[1:]
             interfaces[sid] = ((current,), (left, right))
             current = right
-        if remaining:
-            kind, payload = remaining[0]
-            if kind == "ext":
-                # single consumer: the driver's value *is* the declared output
-                if src_var.name != payload.name:
-                    raise AssertionError("external naming must be pre-assigned")
-            else:
-                port_var[payload] = src_var
+        if remaining:  # one port: a lone external output is named before
+            port_var[remaining[0][1]] = src_var
 
     # name outputs of blocks and route them
     for blk in doc.blocks:

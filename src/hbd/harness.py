@@ -1,10 +1,11 @@
 """Determinacy harness: translate one diagram list under many strategies
 (``translate`` runs each strategy's step generator to its end) and fill the
 pairwise equivalence matrix.  ``term_cells`` is the one oracle of hbd, also
-behind the axiom suite and ``feedbackless.check_deterministic``: terms with
-the same symbolic output graphs (``hbd.symbolic``) compute the same
-function, so their cell is proved and neither runs; every other cell is
-sampled, and a graph class runs only when a sampled cell needs it.
+behind the axiom suite and a block's determinism check,
+``check_deterministic``: terms with the same symbolic output graphs
+(``hbd.symbolic``) compute the same function, so their cell is proved and
+neither runs; every other cell is sampled, and a graph class runs only when
+a sampled cell needs it.
 ``equivalence_cells`` aligns each io-diagram to the first by name with
 ``Route`` wiring; ``io_equiv`` is its two-diagram case.  A strategy whose
 translation fails fails its row and column with the reason.  Every term that
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .compiled import compile_term
@@ -27,11 +29,13 @@ from .io_diagrams import (
     differences,
     equivalence_samples,
     switch_names,
+    switch_vars,
 )
 from .semantics import EvalStats
 from .symbolic import Graph
-from .terms import term_size
+from .terms import Parallel, Serial, term_size
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
+from .types import types_of
 
 
 @dataclass
@@ -176,6 +180,18 @@ def term_cells(
                 cell = EquivResult(not reason, reason, diff)
             matrix[i][j] = matrix[j][i] = cell
     return matrix
+
+
+def check_deterministic(a: IoDiagram, samples: int = 64) -> bool:
+    """Check of [x -> x,x] ;; (S || S) == S ;; [y -> y,y] by ``term_cells``:
+    proved when both sides have equal output graphs, sampled otherwise.  A
+    side whose symbolic evaluation fails fails the check."""
+    x = a.inputs
+    y = a.outputs
+    lhs = Serial(switch_vars(x, x + x), Parallel(a.body, a.body))
+    rhs = Serial(a.body, switch_vars(y, y + y))
+    rows = partial(equivalence_samples, types_of(x), samples)
+    return bool(term_cells([lhs, rhs], rows)[0][1])
 
 
 def _aligned(d, ref, ref_ty):

@@ -13,9 +13,6 @@ import pytest
 
 from hbd.axioms import run_axiom_suite
 from hbd.feedbackless import (
-    GivenOrder,
-    RandomOrder,
-    Topological,
     fbless_translate,
     internal_vars,
     loop_free,
@@ -50,6 +47,7 @@ from util import (
     TWINS_DOC,
     check_monotone,
     feedbacks_outside_arb,
+    random_order,
     transitive_closure,
 )
 
@@ -211,7 +209,7 @@ def test_criterion_4_golden_terms(running_example):
         problems.append("fbpar feedback count")
 
     blocks = [p for d in ds for p in split_block(d)]
-    fbl = fbless_translate(blocks, GivenOrder(("x", "y", "z")))
+    fbl = fbless_translate(blocks, ("x", "y", "z"))
     fbl_expected = Serial(
         switch_vars((s, u), (s, u, s)), Parallel(da, Id((R,)))
     )
@@ -347,7 +345,7 @@ def test_criterion_7_feedback_of_parallel_and_serial(corpus_diagrams):
 
 def test_criterion_8_order_independence(corpus_diagrams, corpus_reports):
     """Permuting the block list changes no verdict for any strategy; fbless
-    order policies agree pairwise."""
+    elimination orders agree pairwise."""
     rng = random.Random(4242)
     problems = []
     for (norm, diagrams, _), report in zip(corpus_diagrams, corpus_reports):
@@ -366,16 +364,16 @@ def test_criterion_8_order_independence(corpus_diagrams, corpus_reports):
         if loop_free(blocks):
             order = sorted(internal_vars(blocks))
             rng.shuffle(order)
-            policies = [Topological(), RandomOrder(1), RandomOrder(7), GivenOrder(tuple(order))]
-            results = [fbless_translate(blocks, p) for p in policies]
+            orders = [None, random_order(blocks, 1), random_order(blocks, 7), order]
+            results = [fbless_translate(blocks, o) for o in orders]
             for other in results[1:]:
                 if not io_equiv(results[0], other, samples):
-                    problems.append((norm.name, "fbless policies"))
+                    problems.append((norm.name, "fbless orders"))
                     break
             if not io_equiv(results[0], reference, samples):
                 problems.append((norm.name, "fbless vs reference"))
     _report(
-        "criterion 8: order independence (block order and fbless policies)",
+        "criterion 8: order independence (block order and fbless orders)",
         not problems,
         str(problems[:3]) if problems else "30 diagrams",
     )

@@ -13,12 +13,7 @@ from hbd.compiled import Compiled
 from hbd.errors import PreconditionError
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.feedbackless import (
-    GivenOrder,
-    RandomOrder,
     SplitBlock,
-    Topological,
-    check_deterministic,
-    count_shared_compositions,
     fbless_translate,
     find_cycle,
     internal_serial,
@@ -26,8 +21,9 @@ from hbd.feedbackless import (
     loop_free,
     oi_rel,
     split_block,
+    topological_order,
 )
-from hbd.harness import io_equiv, run_determinacy
+from hbd.harness import check_deterministic, io_equiv, run_determinacy
 from hbd.io_diagrams import (
     IoDiagram,
     fold_parallel,
@@ -41,13 +37,15 @@ from hbd.semantics import BOT
 from hbd.types import BaseType, Var
 
 from util import (
-    TopologicalOracle,
     feedbacks_outside_arb,
     transitive_closure,
     fbless_translate_oracle,
     growing_tower,
     loop_free_oracle,
     named_parallel,
+    random_order,
+    shared_serials,
+    topological_order_oracle,
 )
 
 R = BaseType.REAL
@@ -309,7 +307,7 @@ def test_topological_orders_are_pinned(running_example):
     the smallest-index node with no remaining predecessor goes next, and in
     a cycle the smallest-index remaining node does."""
     blocks = list(reversed(_fanout_chain_blocks()))
-    assert Topological().order(blocks) == ["a", "b", "d", "c"]
+    assert topological_order(blocks) == ["a", "b", "d", "c"]
     # A -> B -> (split1 -> C, split2 -> D), listed in reverse dependency order
     D, C, split2, split1, B, A = (b.base for b in blocks)
     assert topo_order([D, C, split2, split1, B, A]) == [A, B, split2, D, split1, C]
@@ -365,7 +363,7 @@ class TestFblessTranslate:
 
         add, delay, split = running_example
         blocks = [p for d in running_example for p in split_block(d)]
-        out = fbless_translate(blocks, GivenOrder(("x", "y", "z")))
+        out = fbless_translate(blocks, ("x", "y", "z"))
         assert out.inputs == (s, u)
         assert out.outputs == (sp, v)
         expected = Serial(
@@ -415,36 +413,43 @@ class TestFblessTranslate:
     def test_given_order_must_cover_internals(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]
         with pytest.raises(PreconditionError):
-            fbless_translate(blocks, GivenOrder(("x", "y")))
+            fbless_translate(blocks, ("x", "y"))
         with pytest.raises(PreconditionError):
-            fbless_translate(blocks, GivenOrder(("x", "y", "z", "v")))
+            fbless_translate(blocks, ("x", "y", "z", "v"))
+
+    def test_order_must_be_a_permutation_of_the_internals(self, running_example):
+        """A repeated, an unknown and a missing name are each refused."""
+        blocks = [p for d in running_example for p in split_block(d)]
+        for order in (["x", "y", "z", "x"], ["x", "y", "v"], ["x", "z"]):
+            with pytest.raises(PreconditionError, match="not a permutation"):
+                fbless_translate(blocks, order)
 
     def test_order_independence(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]
         results = [
-            fbless_translate(blocks, GivenOrder(("x", "y", "z"))),
-            fbless_translate(blocks, GivenOrder(("z", "y", "x"))),
-            fbless_translate(blocks, Topological()),
-            fbless_translate(blocks, RandomOrder(0)),
-            fbless_translate(blocks, RandomOrder(99)),
+            fbless_translate(blocks, ("x", "y", "z")),
+            fbless_translate(blocks, ("z", "y", "x")),
+            fbless_translate(blocks),
+            fbless_translate(blocks, random_order(blocks, 0)),
+            fbless_translate(blocks, random_order(blocks, 99)),
         ]
         for other in results[1:]:
             assert io_equiv(results[0], other)
 
     def test_matches_the_elimination_oracle(self, corpus_diagrams):
         """The indexed loop gives the text the rescan of every block gives,
-        under each order policy."""
+        under each elimination order."""
         lists = [diagrams for _, diagrams, _ in corpus_diagrams]
         lists += [document_io_list(random_diagram(7 + i, 50, 50))[0] for i in range(3)]
         for diagrams in lists:
             blocks = [p for d in diagrams for p in split_block(d)]
             names = sorted(internal_vars(blocks))
-            policies = [(Topological(), TopologicalOracle()), (GivenOrder(names),) * 2]
-            policies += [(RandomOrder(seed),) * 2 for seed in range(3)]
-            for policy, oracle_policy in policies:
-                got = fbless_translate(blocks, policy)
-                want = fbless_translate_oracle(blocks, oracle_policy)
-                assert print_term(got.body) == print_term(want.body), policy
+            orders = [(None, topological_order_oracle(blocks)), (names, names)]
+            orders += [(random_order(blocks, seed),) * 2 for seed in range(3)]
+            for order, oracle_order in orders:
+                got = fbless_translate(blocks, order)
+                want = fbless_translate_oracle(blocks, oracle_order)
+                assert print_term(got.body) == print_term(want.body), order
                 assert (got.inputs, got.outputs) == (want.inputs, want.outputs)
 
     def test_every_internal_serial_call_composes(self, monkeypatch):
@@ -477,12 +482,11 @@ class TestFblessTranslate:
 
 class TestSharing:
     def test_upstream_first_order_shares_the_common_prefix(self):
-        # census on the raw body: rewriting reassociates the chains and
-        # erases the construction history the metric measures
+        # reuse on the raw body: rewriting rebuilds the chains and erases
+        # the construction history it measures
         blocks = _fanout_chain_blocks()
-        shared = fbless_translate(blocks, GivenOrder(("c", "d", "a", "b")))
-        stats = count_shared_compositions(shared.body)
-        repeats = [t for t, n in stats.repeated.items() if n >= 2]
+        shared = fbless_translate(blocks, ("c", "d", "a", "b"))
+        repeats = shared_serials(shared.body)
         assert repeats, "A;;B region must be built once and reused"
         names = {a.name for t in repeats for a in _atoms_of(t)}
         assert {"A", "B"} <= names
@@ -490,25 +494,19 @@ class TestSharing:
 
     def test_downstream_first_order_duplicates_work(self):
         blocks = _fanout_chain_blocks()
-        dup = fbless_translate(blocks, GivenOrder(("c", "d", "b", "a")))
-        stats = count_shared_compositions(dup.body)
-        assert not stats.repeated
+        dup = fbless_translate(blocks, ("c", "d", "b", "a"))
+        assert not shared_serials(dup.body)
 
     def test_topological_order_matches_the_sharing_order(self):
-        # upstream variables first: a before b, so the default policy also
+        # upstream variables first: a before b, so the default order also
         # reuses the composed producer
         blocks = _fanout_chain_blocks()
-        out = fbless_translate(blocks, Topological())
-        stats = count_shared_compositions(out.body)
-        assert stats.repeated
-
-    def test_identity_has_no_repeats(self):
-        assert count_shared_compositions(Id((R,))).repeated == {}
+        assert shared_serials(fbless_translate(blocks).body)
 
     def test_orders_still_equivalent(self):
         blocks = _fanout_chain_blocks()
-        a = fbless_translate(blocks, GivenOrder(("c", "d", "a", "b")))
-        b = fbless_translate(blocks, GivenOrder(("c", "d", "b", "a")))
+        a = fbless_translate(blocks, ("c", "d", "a", "b"))
+        b = fbless_translate(blocks, ("c", "d", "b", "a"))
         assert io_equiv(a, b)
 
 
@@ -545,12 +543,3 @@ def test_scale_script_runs():
     assert [fbpar[:2], incr[:2]] == [["20", "fbpar"], ["20", "incr"]]
     assert all(len(row) == len(sim_header) for row in (fbpar, incr))
     assert all(float(row[4]) > 0 for row in (fbpar, incr))
-
-
-def test_sharing_orders_script_runs():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "sharing_orders.py"
-    proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "all orders io-equivalent: yes" in proc.stdout.splitlines()

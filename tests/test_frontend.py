@@ -35,6 +35,28 @@ from util import DIFF_DOC, FANOUT_DOC, SUB_DOC, TWINS_DOC
 R = BaseType.REAL
 
 
+def _chain_level(name, blocks, subsystems=None) -> dict:
+    """A document that wires u through ``blocks`` in series to y.  Each block
+    is a gain (ports a and out) or an instance of a document this helper
+    built (ports u and y)."""
+    ports = [("a", "out") if b["kind"] == "Gain" else ("u", "y") for b in blocks]
+    wires = [
+        {"from": f"{a['id']}.{pa[1]}", "to": f"{b['id']}.{pb[0]}"}
+        for a, pa, b, pb in zip(blocks, ports, blocks[1:], ports[1:])
+    ]
+    doc = {
+        "version": 1,
+        "name": name,
+        "inputs": [{"name": "u", "type": "Real", "to": f"{blocks[0]['id']}.{ports[0][0]}"}],
+        "outputs": [{"name": "y", "type": "Real", "from": f"{blocks[-1]['id']}.{ports[-1][1]}"}],
+        "blocks": blocks,
+        "wires": wires,
+    }
+    if subsystems:
+        doc["subsystems"] = subsystems
+    return doc
+
+
 def _doc(**overrides):
     base = {
         "version": 1,
@@ -423,6 +445,44 @@ class TestHierarchy:
         }
         with pytest.raises(CycleError):
             parse_doc(json.dumps(doc))
+
+    def test_subsystem_may_define_its_own_subsystem_of_the_same_name(
+        self, tmp_path, capsys
+    ):
+        """Inside ``S``, the kind ``S`` names ``S``'s own entry, a gain: no
+        cycle, and every strategy agrees in either mode."""
+        gain = _chain_level("gain", [{"id": "G", "kind": "Gain", "params": {"k": 2.0}}])
+        inner = _chain_level("outer-s", [{"id": "A", "kind": "S"}], {"S": gain})
+        doc = _chain_level("top", [{"id": "A", "kind": "S"}], {"S": inner})
+        parse_doc(json.dumps(doc))
+        path = tmp_path / "shadowed.hbd.json"
+        path.write_text(json.dumps(doc))
+        from hbd.cli import main
+
+        for mode in ("flatten", "recursive"):
+            assert main(["check", str(path), "--seeds", "2", "--mode", mode]) == 0
+            assert "FAIL" not in capsys.readouterr().out
+
+    def test_shared_subsystems_are_searched_once(self, monkeypatch):
+        """Twelve levels of two instances each: the cycle check visits each
+        of the 13 documents once, not each of the 8,191 instance paths."""
+        doc = _chain_level("gain", [{"id": "G", "kind": "Gain", "params": {"k": 2.0}}])
+        for level in range(12):
+            blocks = [{"id": "A", "kind": "L"}, {"id": "B", "kind": "L"}]
+            doc = _chain_level(f"level{level}", blocks, {"L": doc})
+        calls = []
+        check = frontend.check_subsystem_cycles
+
+        def counted(sub, *rest):
+            calls.append(id(sub))
+            return check(sub, *rest)
+
+        monkeypatch.setattr(frontend, "check_subsystem_cycles", counted)
+        parsed = parse_doc(json.dumps(doc))
+        assert len(calls) == len(set(calls)) == 13
+        calls.clear()
+        frontend.check_subsystem_cycles(parsed)  # as document_io_list calls it
+        assert len(calls) == len(set(calls)) == 13
 
     def test_two_instances_get_independent_state(self):
         doc = parse_doc(json.dumps(TWINS_DOC))

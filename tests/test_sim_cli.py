@@ -469,18 +469,6 @@ def test_cli_check_document_without_blocks_exit_3(tmp_path, capsys):
     assert "no blocks to translate" in err and "feedbackless" not in err
 
 
-def test_hbd_seed_environment_default(monkeypatch):
-    from hbd.cli import build_parser
-
-    monkeypatch.setenv("HBD_SEED", "17")
-    args = build_parser().parse_args(["axioms"])
-    assert args.seed == 17
-    monkeypatch.setenv("HBD_SEED", "junk")  # a run must not report a seed it did not use
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["axioms"])
-    assert exc.value.code == 2
-
-
 def test_cli_shipped_nested_diagram(capsys):
     import pathlib
 

@@ -9,9 +9,9 @@ import pytest
 import hbd.harness
 from hbd.axioms import Equation, check_equation
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
-from hbd.feedbackless import check_deterministic
 from hbd.harness import (
     StrategyRun,
+    check_deterministic,
     equivalence_cells,
     equivalence_matrix,
     run_determinacy,

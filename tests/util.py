@@ -207,26 +207,45 @@ def loop_free_oracle(items) -> bool:
     return all(a != b for a, b in transitive_closure(oi_rel(items)))
 
 
-class TopologicalOracle:
-    """``Topological``'s order, testing every pair of internal variables."""
-
-    def order(self, blocks) -> list:
-        deps_of = {b.name: b.deps for b in blocks}
-        first_seen = {b.name: i for i, b in enumerate(blocks)}
-        nodes = sorted(internal_vars(blocks), key=lambda v: first_seen[v])
-        succs = [{j for j, w in enumerate(nodes) if u in deps_of[w]} for u in nodes]
-        return [nodes[i] for i in stable_topo_order_oracle(succs)]
+def topological_order_oracle(blocks) -> list:
+    """``topological_order``, testing every pair of internal variables."""
+    deps_of = {b.name: b.deps for b in blocks}
+    first_seen = {b.name: i for i, b in enumerate(blocks)}
+    nodes = sorted(internal_vars(blocks), key=lambda v: first_seen[v])
+    succs = [{j for j, w in enumerate(nodes) if u in deps_of[w]} for u in nodes]
+    return [nodes[i] for i in stable_topo_order_oracle(succs)]
 
 
-def fbless_translate_oracle(blocks, order_policy) -> IoDiagram:
+def random_order(blocks, seed) -> list:
+    """The internal variable names, listed as their producers appear in
+    ``blocks`` and then shuffled by ``random.Random(seed)``."""
+    first_seen = {b.name: i for i, b in enumerate(blocks)}
+    order = sorted(internal_vars(blocks), key=first_seen.__getitem__)
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def fbless_translate_oracle(blocks, order) -> IoDiagram:
     """Compose each producer into every remaining block, each step."""
     blocks = list(blocks)
     validate_ok_fbless(blocks)
-    for u in order_policy.order(blocks):
+    for u in order:
         producer = next(b for b in blocks if b.name == u)
         rest = [b for b in blocks if b is not producer]
         blocks = [internal_serial(producer, b) for b in rest]
     return fold_parallel([b.base for b in blocks])
+
+
+def shared_serials(term) -> list:
+    """The ``Serial`` nodes of ``term`` reached along two or more paths from
+    its root: compositions built once and reused, told apart by identity."""
+    seen, shared = set(), {}
+    for t in iter_subterms(term):  # a tree walk: one visit per path
+        if isinstance(t, Serial):
+            if id(t) in seen:
+                shared[id(t)] = t
+            seen.add(id(t))
+    return list(shared.values())
 
 
 # -- the variable-list compositions the indexed ones replaced, kept as oracles --
