@@ -65,86 +65,53 @@ def lit_kind(value: object) -> BaseType:
     raise TypeMismatchError(f"literal {value!r} has no base type")
 
 
-def infer_kind(e: Expr, env: Mapping[str, BaseType]) -> BaseType:
-    """Kind of ``e`` given parameter kinds, or raise TypeMismatchError."""
+def _analyse(e: Expr, env: Mapping[str, tuple], reads: set) -> tuple:
+    """(kind, op tree) of ``e``, whose parameters ``env`` maps to (position,
+    kind); adds the positions ``e`` reads to ``reads``.  Raises
+    TypeMismatchError at the first fault the walk meets."""
     if isinstance(e, Lit):
-        return lit_kind(e.value)
+        return lit_kind(e.value), ("lit", e.value)
     if isinstance(e, Ref):
         if e.name not in env:
-            raise TypeMismatchError(f"unbound parameter {e.name!r}")
-        return env[e.name]
+            raise TypeMismatchError(f"unbound names in body: {[e.name]}")
+        k, kind = env[e.name]
+        reads.add(k)
+        return kind, ("arg", k)
     if isinstance(e, Un):
-        k = infer_kind(e.a, env)
+        k, a = _analyse(e.a, env, reads)
         if e.op == "neg":
             if k not in _NUMERIC:
                 raise TypeMismatchError(f"neg expects a numeric operand, got {k}")
-            return k
-        if e.op == "not":
+        elif e.op == "not":
             if k != BaseType.BOOL:
                 raise TypeMismatchError(f"not expects Bool, got {k}")
-            return k
-        raise TypeMismatchError(f"unknown unary op {e.op!r}")
+        else:
+            raise TypeMismatchError(f"unknown unary op {e.op!r}")
+        return k, (e.op, a)
     if isinstance(e, Bin):
-        ka = infer_kind(e.a, env)
-        kb = infer_kind(e.b, env)
+        ka, a = _analyse(e.a, env, reads)
+        kb, b = _analyse(e.b, env, reads)
         if ka != kb:
             raise TypeMismatchError(f"operands of {e.op!r} disagree: {ka} vs {kb}")
-        if e.op in _ARITH:
+        if e.op in _ARITH or e.op in _COMPARE:
             if ka not in _NUMERIC:
                 raise TypeMismatchError(f"{e.op!r} expects numeric operands, got {ka}")
-            return ka
-        if e.op in _COMPARE:
-            if ka not in _NUMERIC:
-                raise TypeMismatchError(f"{e.op!r} expects numeric operands, got {ka}")
-            return BaseType.BOOL
-        if e.op == "==":
-            return BaseType.BOOL
-        if e.op in _BOOLOPS:
+        elif e.op in _BOOLOPS:
             if ka != BaseType.BOOL:
                 raise TypeMismatchError(f"{e.op!r} expects Bool operands, got {ka}")
-            return BaseType.BOOL
-        raise TypeMismatchError(f"unknown binary op {e.op!r}")
+        elif e.op != "==":
+            raise TypeMismatchError(f"unknown binary op {e.op!r}")
+        op = "//" if e.op == "/" and ka == BaseType.INT else e.op
+        return (ka if e.op in _ARITH else BaseType.BOOL), (op, a, b)
     if isinstance(e, Ite):
-        kc = infer_kind(e.cond, env)
+        kc, c = _analyse(e.cond, env, reads)
         if kc != BaseType.BOOL:
             raise TypeMismatchError(f"if condition must be Bool, got {kc}")
-        kt = infer_kind(e.then, env)
-        ke = infer_kind(e.orelse, env)
+        kt, t = _analyse(e.then, env, reads)
+        ke, f = _analyse(e.orelse, env, reads)
         if kt != ke:
             raise TypeMismatchError(f"if branches disagree: {kt} vs {ke}")
-        return kt
-    raise TypeMismatchError(f"not an expression: {e!r}")
-
-
-def free_refs(e: Expr) -> frozenset:
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, Ref):
-        return frozenset((e.name,))
-    if isinstance(e, Un):
-        return free_refs(e.a)
-    if isinstance(e, Bin):
-        return free_refs(e.a) | free_refs(e.b)
-    if isinstance(e, Ite):
-        return free_refs(e.cond) | free_refs(e.then) | free_refs(e.orelse)
-    raise TypeMismatchError(f"not an expression: {e!r}")
-
-
-def subst_refs(e: Expr, mapping: Mapping[str, str]) -> Expr:
-    if isinstance(e, Lit):
-        return e
-    if isinstance(e, Ref):
-        return Ref(mapping.get(e.name, e.name))
-    if isinstance(e, Un):
-        return Un(e.op, subst_refs(e.a, mapping))
-    if isinstance(e, Bin):
-        return Bin(e.op, subst_refs(e.a, mapping), subst_refs(e.b, mapping))
-    if isinstance(e, Ite):
-        return Ite(
-            subst_refs(e.cond, mapping),
-            subst_refs(e.then, mapping),
-            subst_refs(e.orelse, mapping),
-        )
+        return kt, ("ite", c, t, f)
     raise TypeMismatchError(f"not an expression: {e!r}")
 
 
@@ -154,38 +121,50 @@ class ExprFun:
 
     Parameter k stands for the function's k-th argument: an atom reads its
     inputs by position, so the names are local to the function.
-    Construction validates the bodies and keeps the kinds it infers as
-    ``out_kinds``."""
+    Construction checks each body in one walk and keeps what it finds:
+    ``out_kinds``, the kind of each body; ``reads``, the sorted positions
+    each body reads; and ``trees``, each body as an op tree over positions,
+    made of ``("arg", k)``, ``("lit", value)`` and ``(op, *operand trees)``
+    nodes, with ``/`` of Ints written ``//`` (it floors)."""
 
     params: tuple  # tuple[Var, ...]
     bodies: tuple  # tuple[Expr, ...]
     in_kinds: TypeList = field(init=False, repr=False, compare=False)
     out_kinds: TypeList = field(init=False, repr=False, compare=False)
+    reads: tuple = field(init=False, repr=False, compare=False)
+    trees: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        env = {p.name: p.ty for p in self.params}
+        env = {p.name: (k, p.ty) for k, p in enumerate(self.params)}
         if len(env) != len(self.params):
             names = [p.name for p in self.params]
             raise TypeMismatchError(f"duplicate parameter names: {names}")
-        out_kinds = []
+        out_kinds, reads, trees = [], [], []
         for body in self.bodies:
-            missing = free_refs(body).difference(env)
-            if missing:
-                raise TypeMismatchError(f"unbound names in body: {sorted(missing)}")
-            out_kinds.append(infer_kind(body, env))
-        object.__setattr__(self, "in_kinds", tuple(env.values()))
+            read = set()
+            kind, tree = _analyse(body, env, read)
+            out_kinds.append(kind)
+            reads.append(tuple(sorted(read)))
+            trees.append(tree)
+        object.__setattr__(self, "in_kinds", tuple(p.ty for p in self.params))
         object.__setattr__(self, "out_kinds", tuple(out_kinds))
+        object.__setattr__(self, "reads", tuple(reads))
+        object.__setattr__(self, "trees", tuple(trees))
 
 
-def fmt_expr(e: Expr) -> str:
+def fmt_expr(e: Expr, names: Mapping[str, str]) -> str:
+    """``e`` as text, each parameter shown by its name in ``names``."""
     if isinstance(e, Lit):
         return repr(e.value)
     if isinstance(e, Ref):
-        return e.name
+        return names[e.name]
     if isinstance(e, Un):
-        return f"({'-' if e.op == 'neg' else e.op} {fmt_expr(e.a)})"
+        return f"({'-' if e.op == 'neg' else e.op} {fmt_expr(e.a, names)})"
     if isinstance(e, Bin):
-        return f"({fmt_expr(e.a)} {e.op} {fmt_expr(e.b)})"
+        return f"({fmt_expr(e.a, names)} {e.op} {fmt_expr(e.b, names)})"
     if isinstance(e, Ite):
-        return f"(if {fmt_expr(e.cond)} then {fmt_expr(e.then)} else {fmt_expr(e.orelse)})"
+        return (
+            f"(if {fmt_expr(e.cond, names)} then {fmt_expr(e.then, names)}"
+            f" else {fmt_expr(e.orelse, names)})"
+        )
     return repr(e)

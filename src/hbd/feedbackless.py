@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .io_diagrams import IoDiagram, fold_parallel, named_serial, switch_vars
 from .terms import Atom, Id, Serial
-from .exprs import ExprFun, Ref, free_refs
+from .exprs import ExprFun, Ref
 from .translator import stable_topo_order
-from .types import Var
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,6 @@ class SplitBlock:
             )
         if not self.base.in_pos.keys() >= self.deps:
             raise PreconditionError("deps must be a subset of the input names")
-
-    @property
-    def output(self) -> Var:
-        return self.base.outputs[0]
 
     @property
     def name(self) -> str:
@@ -70,7 +65,7 @@ def split_block(a: IoDiagram) -> list:
     for i, u in enumerate(a.outputs):
         if isinstance(a.body, Atom):
             fn = a.body.fn
-            kept = _read_positions(fn, i)
+            kept = fn.reads[i]
             ins = tuple(a.inputs[k] for k in kept)
             if isinstance(fn.bodies[i], Ref):
                 body = Id((ins[0].ty,))
@@ -84,17 +79,11 @@ def split_block(a: IoDiagram) -> list:
     return out
 
 
-def _read_positions(fn: ExprFun, i: int) -> list:
-    """The positions of the parameters body ``i`` of ``fn`` reads, in order."""
-    refs = free_refs(fn.bodies[i])
-    return [k for k, p in enumerate(fn.params) if p.name in refs]
-
-
 def _deps_for(a, i) -> frozenset:
     """The input names output ``i`` of ``a`` reads: parameter k of an atom
     stands for input k."""
     if isinstance(a.body, Atom):
-        return frozenset(a.inputs[k].name for k in _read_positions(a.body.fn, i))
+        return frozenset(a.inputs[k].name for k in a.body.fn.reads[i])
     return frozenset(a.in_pos)
 
 

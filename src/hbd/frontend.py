@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     TypeMismatchError,
 )
-from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, fmt_expr, lit_kind, subst_refs
+from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, fmt_expr, lit_kind
 from .feedbackless import fbless_translate, split_block
 from .io_diagrams import IoDiagram
 from .terms import Atom
@@ -81,14 +81,13 @@ def _coerce(value, ty: Optional[BaseType] = None):
     return value
 
 
-def _binop_spec(kind: str, op: str, out_bool: bool = False):
+def _binop_spec(kind: str, op: str):
     def make(params):
         t = _num_type(params)
-        out_t = BaseType.BOOL if out_bool else t
         fn = ExprFun(
             (Var("a", t), Var("b", t)), (Bin(op, Ref("a"), Ref("b")),)
         )
-        return BlockSpec(kind, (("a", t), ("b", t)), (("out", out_t),), fn)
+        return BlockSpec(kind, (("a", t), ("b", t)), (("out", fn.out_kinds[0]),), fn)
 
     return make
 
@@ -172,7 +171,7 @@ LIBRARY = {
     "Max": _binop_spec("Max", "max"),
     "Div": _binop_spec("Div", "/"),
     "Mul": _binop_spec("Mul", "*"),
-    "Relational": _binop_spec("Relational", "<", out_bool=True),
+    "Relational": _binop_spec("Relational", "<"),
     "LogicalAnd": _logic_spec("LogicalAnd", "and"),
     "LogicalOr": _logic_spec("LogicalOr", "or"),
     "LogicalNot": _make_not,
@@ -339,11 +338,15 @@ def _record(raw, where: str, required: dict, optional: dict = {}) -> None:
 
 
 def parse_doc(data) -> DiagramDoc:
-    """Parse and validate bytes, text or an already-loaded JSON object."""
-    doc = _parse_raw(data)
-    _propagate_subsystems(doc, {})
-    check_subsystem_cycles(doc)
-    _validate_tree(doc)
+    """Parse and validate bytes, text or an already-loaded JSON object.  A
+    document nested too deeply for the recursive walks is a ParseError."""
+    try:
+        doc = _parse_raw(data)
+        _propagate_subsystems(doc, {})
+        check_subsystem_cycles(doc)
+        _validate_tree(doc)
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     return doc
 
 
@@ -758,7 +761,7 @@ def dump_doc(doc: DiagramDoc) -> str:
         else:
             fn = doc.specs[blk.id].fn
             wires = {p.name: v.name for p, v in zip(fn.params, ins)}
-            shown = (fmt_expr(subst_refs(b, wires)) for b in fn.bodies)
+            shown = (fmt_expr(b, wires) for b in fn.bodies)
             body = f"[{', '.join(v.name for v in ins)} ~> {', '.join(shown)}]"
         lines.append(
             f"  ({', '.join(v.name for v in ins)}) -> ({', '.join(v.name for v in outs)})"

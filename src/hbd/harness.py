@@ -245,13 +245,9 @@ def io_equiv(a: IoDiagram, b: IoDiagram, samples: int = 200) -> EquivResult:
     return equivalence_cells([a, b], samples)[1][0][1]
 
 
-def equivalence_matrix(
-    runs: Sequence[StrategyRun],
-    samples: int = 200,
-    stats: Optional[EvalStats] = None,
-) -> RunReport:
+def equivalence_matrix(runs: Sequence[StrategyRun], samples: int = 200) -> RunReport:
     """Pairwise io-equivalence of all runs, via shared name-aligned samples."""
-    report = RunReport(runs=list(runs), stats=stats or EvalStats())
+    report = RunReport(runs=list(runs))
     if runs:
         rows, report.matrix = equivalence_cells(
             [run.failure or run.diagram for run in runs], samples, report.stats

@@ -7,10 +7,13 @@ stores once, so equal expressions are one node and a term's outputs form a
 DAG.
 
 The term is first flattened into one program over slots: one instruction
-per operation of every atom occurrence, in evaluation order.  Wiring
-(identity, split, sink, switch, route, and serial and parallel composition)
-only says which slot feeds which, so it is resolved while flattening and
-costs nothing afterwards.  Each feedback occurrence owns a guess slot that
+per operation of every atom occurrence, in evaluation order.  An atom's
+operations are the op trees its function built once, when it was made
+(``ExprFun.trees``, which already write ``/`` of Ints as ``//``), so a
+graph keeps no state per expression.  Wiring (identity, split, sink,
+switch, route, and serial and parallel composition) only says which slot
+feeds which, so it is resolved while flattening and costs nothing
+afterwards.  Each feedback occurrence owns a guess slot that
 its body reads and names the slot its body feeds back.  All towers of the
 term are then solved together: each pass writes the current guesses (bot at
 first), runs the program once, and reads the fed-back slots, until they
@@ -55,10 +58,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import TypeMismatchError
-from .exprs import Bin, ExprFun, Ite, Lit, Ref, Un, infer_kind
 from .semantics import BOT as BOT_VALUE, MAX_FIX_ITERS, EvalStats
 from .terms import Atom, Feedback, Id, Parallel, Route, Serial, Sink, Split, Switch, Term
-from .types import BaseType
 
 BOT = 0  # the node of the unknown value in every graph
 
@@ -106,7 +107,6 @@ class Graph:
     def __init__(self):
         self.keys = [("bot",)]
         self._ids = {("bot",): BOT}
-        self._bodies = {}  # id(ExprFun) -> (the function, its bodies as op trees)
 
     def node(self, key: tuple) -> int:
         n = self._ids.get(key)
@@ -201,31 +201,6 @@ class Graph:
         code = _RULES[op].format(*names)
         return f"BOT if {' or '.join(guards)} else {code}" if guards else code
 
-    def _fn_trees(self, fn: ExprFun):
-        got = self._bodies.get(id(fn))
-        if got is None:  # the entry keeps fn alive, so its id stays unique
-            index = {p.name: i for i, p in enumerate(fn.params)}
-            kinds = {p.name: p.ty for p in fn.params}
-
-            def tree(e):
-                if isinstance(e, Ref):
-                    return ("arg", index[e.name])
-                if isinstance(e, Lit):
-                    return ("node", self.lit(e.value))
-                if isinstance(e, Un):
-                    return (e.op, tree(e.a))
-                if isinstance(e, Ite):
-                    return ("ite", tree(e.cond), tree(e.then), tree(e.orelse))
-                if not isinstance(e, Bin):
-                    raise TypeMismatchError(f"not an expression: {e!r}")
-                op = e.op
-                if op == "/" and infer_kind(e.a, kinds) == BaseType.INT:
-                    op = "//"
-                return (op, tree(e.a), tree(e.b))
-
-            got = self._bodies[id(fn)] = (fn, tuple(tree(b) for b in fn.bodies))
-        return got[1]
-
     def _flatten(self, term: Term, inputs: tuple):
         """``term`` as one flat program over slots: (values, program,
         guesses, fed, outs).  ``values`` holds one node per slot: slot 0
@@ -245,8 +220,8 @@ class Graph:
             op = tree[0]
             if op == "arg":
                 return ins[tree[1]]
-            if op == "node":
-                values.append(tree[1])
+            if op == "lit":
+                values.append(self.lit(tree[1]))
             else:
                 args = tuple(slot(t, ins) for t in tree[1:])
                 values.append(BOT)
@@ -263,7 +238,7 @@ class Graph:
             if cls is Route:
                 return tuple(BOT if i is None else ins[i] for i in term.imap)
             if cls is Atom:
-                return tuple(slot(t, ins) for t in self._fn_trees(term.fn))
+                return tuple(slot(t, ins) for t in term.fn.trees)
             if cls is Id:
                 return ins
             if cls is Split:

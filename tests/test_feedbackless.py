@@ -375,7 +375,7 @@ class TestFblessTranslate:
     def test_elimination_step_removes_one_internal(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]
         internal = internal_vars(blocks)
-        producer = next(b for b in blocks if b.output == x)
+        producer = next(b for b in blocks if b.name == x.name)
         stepped = [internal_serial(producer, b) for b in blocks if b is not producer]
         assert loop_free(stepped)
         assert internal_vars(stepped) == internal - {x.name}

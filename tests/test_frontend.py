@@ -292,7 +292,7 @@ class TestToIoDiagrams:
         subsystem's; expanding a document then builds one split spec per
         wire type and nothing else."""
         specs, top, depth = [], [], []
-        infer_kind = exprs.infer_kind
+        analyse = exprs._analyse
 
         def counted(kind, make):
             def build(params):
@@ -307,16 +307,16 @@ class TestToIoDiagrams:
         assert len(specs) == len(doc.blocks)
         specs.clear()
 
-        def outermost_kind(e, env):
+        def outermost_analyse(e, env, reads):
             if not depth:
                 top.append(e)
             depth.append(e)
             try:
-                return infer_kind(e, env)
+                return analyse(e, env, reads)
             finally:
                 depth.pop()
 
-        monkeypatch.setattr(exprs, "infer_kind", outermost_kind)
+        monkeypatch.setattr(exprs, "_analyse", outermost_analyse)
         diagrams, _, norm = document_io_list(doc)
         splits = [b for b in norm.blocks if b.kind == "SplitBlk"]
         split_types = {dict(b.params)["type"] for b in splits}

@@ -8,6 +8,7 @@ import runpy
 import types
 from pathlib import Path
 
+from hbd import exprs
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.harness import StrategyRun, equivalence_matrix, run_determinacy, translate_all
 from hbd.io_diagrams import IoDiagram
@@ -187,6 +188,19 @@ def test_translated_terms_round_trip_through_text(running_example, corpus_diagra
         for run in runs:
             body = run.diagram.body
             assert parse_term(print_term(body), collect_atoms(body)) == body
+
+
+def test_matrix_analyses_no_expression(corpus_diagrams, monkeypatch):
+    """Each body is analysed once, when its function is built (fbless builds
+    split functions while translating): checking the translated terms
+    analyses none."""
+    run_lists = [translate_all(diagrams, range(2)) for _, diagrams, _ in corpus_diagrams[:4]]
+    walks = []
+    analyse = exprs._analyse
+    monkeypatch.setattr(exprs, "_analyse", lambda *a: walks.append(a) or analyse(*a))
+    for runs in run_lists:
+        assert equivalence_matrix(runs, samples=20).all_equivalent
+    assert walks == []
 
 
 def test_failed_translation_is_a_fail_cell(running_example, sum_path, monkeypatch, capsys):

@@ -512,6 +512,32 @@ def test_cli_entry_point_subprocess(sum_path):
     assert "summation" in proc.stdout
 
 
+def test_too_deeply_nested_document_exits_2(tmp_path):
+    """Subsystems nested as deep as the recursion limit are a parse error,
+    not a traceback."""
+    import os
+
+    import hbd
+
+    depth = sys.getrecursionlimit()  # as raised by hbd.terms
+    text = "".join(
+        ['{"version": 1, "subsystems": {"S": '] * depth + ['{"version": 1}'] + ["}}"] * depth
+    )
+    path = tmp_path / "deep.hbd.json"
+    path.write_text(text)
+    src = str(pathlib.Path(hbd.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hbd.cli", "translate", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=env_path),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr == "error: document nests too deeply\n"
+
+
 def _doc_to_json(doc):
     return {
         "version": 1,

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import hbd.harness
+from hbd import frontend
 from hbd.axioms import Equation, check_equation
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.harness import (
@@ -23,6 +24,7 @@ from hbd.semantics import (
     BOT,
     MAX_FIX_ITERS,
     EvalStats,
+    eval_expr,
     eval_term,
     op_neg,
     op_not,
@@ -45,7 +47,7 @@ from hbd.terms import (
 from hbd.translator import Incremental, translate
 from hbd.types import Var
 
-from util import KINDS, VALUES, expr_all_ops, growing_tower, nested_outputs_oracle
+from util import KINDS, VALUES, expr_all_ops, free_refs, growing_tower, nested_outputs_oracle
 
 R, I, B = KINDS
 
@@ -217,6 +219,69 @@ def test_division_keeps_its_static_kind_and_stays_a_node():
         q, by_zero = g.outputs(Atom("div", ExprFun(params, bodies)), (a, b))
         assert g.keys[q] == (op, a, b)
         assert g.keys[by_zero] == (op, a, g.lit(zero))  # bot comes per input
+
+
+# -- the analysis an ExprFun keeps ---------------------------------------------
+
+def _random_fns(rng, count):
+    """Functions over every operator, whose parameters a body may leave unread."""
+    for _ in range(count):
+        params = tuple(Var(f"p{i}", k) for i, k in enumerate(_kinds(rng, 0, 4)))
+        bodies = tuple(expr_all_ops(rng, params, k, 3) for k in _kinds(rng, 1, 3))
+        yield ExprFun(params, bodies)
+
+
+def _library_fns():
+    """The function of every block kind, and of the numeric ones over Ints."""
+    needs = {"Gain": {"k": 2}, "Constant": {"value": 1.5}}
+    for kind in frontend.LIBRARY:
+        yield frontend.block_spec(kind, needs.get(kind, {})).fn
+    for kind in ("Add", "Div", "Gain", "Relational"):
+        yield frontend.block_spec(kind, {**needs.get(kind, {}), "type": "Int"}).fn
+
+
+def test_reads_are_the_positions_of_the_names_each_body_reads():
+    fns = [*_random_fns(random.Random(5), 400), *_library_fns()]
+    for fn in fns:
+        for i, body in enumerate(fn.bodies):
+            names = free_refs(body)
+            want = tuple(k for k, p in enumerate(fn.params) if p.name in names)
+            assert fn.reads[i] == want, (fn, i)
+    assert any(len(r) < len(fn.params) for fn in fns for r in fn.reads)
+
+
+def _trees_row(fn):
+    """``fn.trees`` run in a fresh graph, as the straight-line code of a row."""
+    graph = Graph()
+    symbols = [graph.symbol(i) for i in range(len(fn.params))]
+
+    def node(t):
+        if t[0] == "arg":
+            return symbols[t[1]]
+        if t[0] == "lit":
+            return graph.lit(t[1])
+        return graph.apply(t[0], *map(node, t[1:]))
+
+    return graph.function(symbols, tuple(node(t) for t in fn.trees))[0]
+
+
+def test_trees_run_in_a_fresh_graph_give_eval_expr_values():
+    """Equal values, kinds and signs of zero on rows mixing bot, NaN, both
+    zeros and big ints, and bot on Int division by a zero argument or a
+    zero literal."""
+    values = random.Random(0)
+    for fn in [*_random_fns(random.Random(6), 300), *_library_fns()]:
+        row_fn = _trees_row(fn)
+        for _ in range(6):
+            row = tuple(_value(values, k) for k in fn.in_kinds)
+            got, want = row_fn(*row), eval_expr(fn, row)
+            assert repr(got) == repr(want), (fn, row, got, want)
+    ints = (Var("a", I), Var("b", I))
+    by_zero = ExprFun(ints, (Bin("/", Ref("a"), Ref("b")), Bin("/", Ref("a"), Lit(0))))
+    row_fn = _trees_row(by_zero)
+    for row in ((7, 0), (-7, 2), (BOT, 0)):
+        assert row_fn(*row) == eval_expr(by_zero, row)
+    assert row_fn(7, 0) == (BOT, BOT) and row_fn(-7, 2) == (-4, BOT)
 
 
 # -- feedback ------------------------------------------------------------------

@@ -81,6 +81,22 @@ def expr_all_ops(rng: random.Random, params, want, depth):
     return Bin(op, sub(want), sub(want))
 
 
+def free_refs(e) -> frozenset:
+    """The parameter names ``e`` reads, by a walk of its own: the oracle of
+    ``ExprFun.reads``."""
+    if isinstance(e, Lit):
+        return frozenset()
+    if isinstance(e, Ref):
+        return frozenset((e.name,))
+    if isinstance(e, Un):
+        return free_refs(e.a)
+    if isinstance(e, Bin):
+        return free_refs(e.a) | free_refs(e.b)
+    if isinstance(e, Ite):
+        return free_refs(e.cond) | free_refs(e.then) | free_refs(e.orelse)
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def growing_tower(x_body):
     """The tower x = x_body around [x, u, c -> x_body, x * 2.0]; with
     x_body = ite(c, u, x) its graph grows one node per iteration and never
@@ -464,8 +480,8 @@ def nested_outputs_oracle(graph, term, inputs):
     def tree_node(t, args):
         if t[0] == "arg":
             return args[t[1]]
-        if t[0] == "node":
-            return t[1]
+        if t[0] == "lit":
+            return graph.lit(t[1])
         return graph.apply(t[0], *[tree_node(c, args) for c in t[1:]])
 
     def ev(term, vals):
@@ -477,7 +493,7 @@ def nested_outputs_oracle(graph, term, inputs):
         if isinstance(term, Route):
             return tuple(BOT_NODE if i is None else vals[i] for i in term.imap)
         if isinstance(term, Atom):
-            return tuple(tree_node(t, vals) for t in graph._fn_trees(term.fn))
+            return tuple(tree_node(t, vals) for t in term.fn.trees)
         if isinstance(term, Id):
             return vals
         if isinstance(term, Split):
