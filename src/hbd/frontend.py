@@ -44,20 +44,24 @@ from .types import BaseType, Var, base_type
 # -- block library -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StateSpec:
-    """A stateful block's internal state: its initial value and type."""
-
-    init: object
-    ty: BaseType
-
-
-@dataclass(frozen=True)
 class BlockSpec:
+    """A library block: its function, the names of its output ports and the
+    initial values of its states.  ``fn`` takes the input ports and then the
+    states, and gives the outputs and then the next states; a state's type
+    is the kind of its initial value.  ``in_ports`` and ``out_ports``
+    ((name, BaseType), ...) are read from ``fn`` when the spec is built."""
+
     kind: str
-    in_ports: tuple  # ((name, BaseType), ...)
-    out_ports: tuple
-    fn: ExprFun  # params: in_ports then state roles; bodies: out_ports then next-state roles
-    states: tuple = ()  # (StateSpec, ...)
+    fn: ExprFun
+    out_names: tuple
+    inits: tuple = ()
+    in_ports: tuple = field(init=False, repr=False, compare=False)
+    out_ports: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ins = self.fn.params[: len(self.fn.params) - len(self.inits)]
+        object.__setattr__(self, "in_ports", tuple((p.name, p.ty) for p in ins))
+        object.__setattr__(self, "out_ports", tuple(zip(self.out_names, self.fn.out_kinds)))
 
 
 def _num_type(params) -> BaseType:
@@ -81,22 +85,14 @@ def _coerce(value, ty: Optional[BaseType] = None):
     return value
 
 
-def _binop_spec(kind: str, op: str):
+def _binop_spec(kind: str, op: str, operand: Optional[BaseType] = None):
+    """A block ``out = a op b`` over operands of type ``operand``, or of the
+    numeric type its parameters give."""
+
     def make(params):
-        t = _num_type(params)
-        fn = ExprFun(
-            (Var("a", t), Var("b", t)), (Bin(op, Ref("a"), Ref("b")),)
-        )
-        return BlockSpec(kind, (("a", t), ("b", t)), (("out", fn.out_kinds[0]),), fn)
-
-    return make
-
-
-def _logic_spec(kind: str, op: str):
-    def make(params):
-        b = BaseType.BOOL
-        fn = ExprFun((Var("a", b), Var("b", b)), (Bin(op, Ref("a"), Ref("b")),))
-        return BlockSpec(kind, (("a", b), ("b", b)), (("out", b),), fn)
+        t = operand or _num_type(params)
+        fn = ExprFun((Var("a", t), Var("b", t)), (Bin(op, Ref("a"), Ref("b")),))
+        return BlockSpec(kind, fn, ("out",))
 
     return make
 
@@ -106,8 +102,7 @@ def _make_gain(params):
     if "k" not in params:
         raise SchemaError("Gain requires parameter k")
     k = _coerce(params["k"], t)
-    fn = ExprFun((Var("a", t),), (Bin("*", Lit(k), Ref("a")),))
-    return BlockSpec("Gain", (("a", t),), (("out", t),), fn)
+    return BlockSpec("Gain", ExprFun((Var("a", t),), (Bin("*", Lit(k), Ref("a")),)), ("out",))
 
 
 def _make_constant(params):
@@ -115,9 +110,7 @@ def _make_constant(params):
         raise SchemaError("Constant requires parameter value")
     ty = base_type(params["type"]) if "type" in params else None
     value = _coerce(params["value"], ty)
-    t = lit_kind(value)
-    fn = ExprFun((), (Lit(value),))
-    return BlockSpec("Constant", (), (("out", t),), fn)
+    return BlockSpec("Constant", ExprFun((), (Lit(value),)), ("out",))
 
 
 def _make_delay(params):
@@ -125,43 +118,31 @@ def _make_delay(params):
     init = _coerce(params.get("init", 0.0), ty)
     t = lit_kind(init)
     fn = ExprFun((Var("x", t), Var("s", t)), (Ref("s"), Ref("x")))
-    return BlockSpec(
-        "UnitDelay",
-        (("x", t),),
-        (("y", t),),
-        fn,
-        states=(StateSpec(init, t),),
-    )
+    return BlockSpec("UnitDelay", fn, ("y",), (init,))
 
 
 def _make_splitblk(params):
     t = base_type(params.get("type", "Real"))
-    fn = ExprFun((Var("x", t),), (Ref("x"), Ref("x")))
-    return BlockSpec("SplitBlk", (("x", t),), (("out1", t), ("out2", t)), fn)
+    return BlockSpec("SplitBlk", ExprFun((Var("x", t),), (Ref("x"), Ref("x"))), ("out1", "out2"))
 
 
 def _make_identity(params):
     t = base_type(params.get("type", "Real"))
-    fn = ExprFun((Var("x", t),), (Ref("x"),))
-    return BlockSpec("Identity", (("x", t),), (("out", t),), fn)
+    return BlockSpec("Identity", ExprFun((Var("x", t),), (Ref("x"),)), ("out",))
 
 
 def _make_not(params):
-    b = BaseType.BOOL
-    fn = ExprFun((Var("a", b),), (Un("not", Ref("a")),))
-    return BlockSpec("LogicalNot", (("a", b),), (("out", b),), fn)
+    fn = ExprFun((Var("a", BaseType.BOOL),), (Un("not", Ref("a")),))
+    return BlockSpec("LogicalNot", fn, ("out",))
 
 
 def _make_switchblk(params):
     t = base_type(params.get("type", "Real"))
-    b = BaseType.BOOL
     fn = ExprFun(
-        (Var("c", b), Var("t", t), Var("e", t)),
+        (Var("c", BaseType.BOOL), Var("t", t), Var("e", t)),
         (Ite(Ref("c"), Ref("t"), Ref("e")),),
     )
-    return BlockSpec(
-        "SwitchBlk", (("c", b), ("t", t), ("e", t)), (("out", t),), fn
-    )
+    return BlockSpec("SwitchBlk", fn, ("out",))
 
 
 LIBRARY = {
@@ -172,8 +153,8 @@ LIBRARY = {
     "Div": _binop_spec("Div", "/"),
     "Mul": _binop_spec("Mul", "*"),
     "Relational": _binop_spec("Relational", "<"),
-    "LogicalAnd": _logic_spec("LogicalAnd", "and"),
-    "LogicalOr": _logic_spec("LogicalOr", "or"),
+    "LogicalAnd": _binop_spec("LogicalAnd", "and", BaseType.BOOL),
+    "LogicalOr": _binop_spec("LogicalOr", "or", BaseType.BOOL),
     "LogicalNot": _make_not,
     "Gain": _make_gain,
     "Constant": _make_constant,
@@ -247,7 +228,8 @@ class DiagramDoc:
     blocks: list
     wires: list
     subsystems: dict = field(default_factory=dict)
-    # set by validate_doc(), and extended by normalize() with the split blocks:
+    # set by check_tree() once the whole tree passes, and extended by
+    # normalize() with the split blocks:
     specs: Optional[dict] = None  # block id -> BlockSpec, None for an instance
     # set by normalize():
     interfaces: Optional[dict] = None  # block id -> (input Vars, output Vars)
@@ -338,13 +320,12 @@ def _record(raw, where: str, required: dict, optional: dict = {}) -> None:
 
 
 def parse_doc(data) -> DiagramDoc:
-    """Parse and validate bytes, text or an already-loaded JSON object.  A
-    document nested too deeply for the recursive walks is a ParseError."""
+    """Parse bytes, text or an already-loaded JSON object into a document
+    tree checked by ``check_tree``.  A document nested too deeply for the
+    recursive walks is a ParseError."""
     try:
         doc = _parse_raw(data)
-        _propagate_subsystems(doc, {})
-        check_subsystem_cycles(doc)
-        _validate_tree(doc)
+        check_tree(doc)
     except RecursionError:
         raise ParseError("document nests too deeply") from None
     return doc
@@ -413,44 +394,66 @@ def _parse_raw(data) -> DiagramDoc:
     return DiagramDoc(name, inputs, outputs, blocks, wires, subsystems)
 
 
-def _propagate_subsystems(doc: DiagramDoc, inherited: dict) -> None:
-    """Make every document see its ancestors' subsystem table (own entries win)."""
-    merged = {**inherited, **doc.subsystems}
-    doc.subsystems = merged
-    for key, sub in list(doc.subsystems.items()):
-        if key in inherited and inherited[key] is sub:
-            continue
-        _propagate_subsystems(sub, merged)
+def check_tree(doc: DiagramDoc) -> None:
+    """Check a document tree: resolve its subsystem tables, look for cyclic
+    instantiation, then validate its documents in preorder.  The documents
+    keep their spec maps only once all pass, so ``doc.specs is None`` means
+    the tree is not checked.
+
+    A table ends as its document's own entries plus the inherited kinds its
+    blocks instantiate, looked up in one stack of definitions per kind (own
+    entries win).  An entry already innermost for its kind is an inherited
+    one, so a table resolved twice names the same documents."""
+    scope, docs, seen = {}, [], set()
+
+    def resolve(d: DiagramDoc) -> None:
+        if id(d) in seen:
+            return
+        seen.add(id(d))
+        docs.append(d)
+        own = [(k, s) for k, s in d.subsystems.items() if (scope.get(k) or [None])[-1] is not s]
+        for kind, sub in own:
+            scope.setdefault(kind, []).append(sub)
+        used = {
+            b.kind: scope[b.kind][-1]
+            for b in d.blocks
+            if b.kind not in d.subsystems and scope.get(b.kind)
+        }
+        d.subsystems = {**d.subsystems, **used}
+        for _, sub in own:
+            resolve(sub)
+        for kind, _ in own:
+            scope[kind].pop()
+
+    resolve(doc)
+    check_subsystem_cycles(doc)
+    specs = [validate_doc(d) for d in docs]
+    for d, spec_map in zip(docs, specs):
+        d.specs = spec_map
 
 
-def check_subsystem_cycles(doc: DiagramDoc, _path=(), _done=None) -> None:
+def check_subsystem_cycles(doc: DiagramDoc, _kinds=None, _path=None, _done=None) -> None:
     """Raise CycleError when a subsystem (transitively) instantiates itself.
 
     The walk follows each instance to the document its kind names in the
-    instantiating document's table (own entries win), so a subsystem may
-    define its own subsystem of the same name.  ``_path`` holds the (kind,
-    document) pairs from the root and ``_done`` the ids of the documents
-    searched, so each document is searched once."""
-    _done = set() if _done is None else _done
+    instantiating document's table, so a subsystem may define its own
+    subsystem of the same name.  ``_path`` holds the ids of the documents
+    instantiated on the way from the root and ``_kinds`` their kinds, and
+    ``_done`` the ids of the documents searched, so each is searched once."""
+    if _done is None:
+        _kinds, _path, _done = [], set(), set()
     for blk in doc.blocks:
         sub = doc.subsystems.get(blk.kind)
         if sub is None or id(sub) in _done:
             continue
-        if any(d is sub for _, d in _path):
-            chain = " -> ".join([kind for kind, _ in _path] + [blk.kind])
-            raise CycleError(f"cyclic subsystem instantiation: {chain}")
-        check_subsystem_cycles(sub, _path + ((blk.kind, sub),), _done)
+        _kinds.append(blk.kind)
+        if id(sub) in _path:
+            raise CycleError(f"cyclic subsystem instantiation: {' -> '.join(_kinds)}")
+        _path.add(id(sub))
+        check_subsystem_cycles(sub, _kinds, _path, _done)
+        _path.discard(id(sub))
+        _kinds.pop()
     _done.add(id(doc))
-
-
-def _validate_tree(doc: DiagramDoc, _seen=None) -> None:
-    _seen = set() if _seen is None else _seen
-    if id(doc) in _seen:
-        return
-    _seen.add(id(doc))
-    validate_doc(doc)
-    for sub in doc.subsystems.values():
-        _validate_tree(sub, _seen)
 
 
 def _port_tables(doc: DiagramDoc, specs: dict):
@@ -468,12 +471,11 @@ def _port_tables(doc: DiagramDoc, specs: dict):
     return ins, outs
 
 
-def validate_doc(doc: DiagramDoc) -> None:
+def validate_doc(doc: DiagramDoc) -> dict:
     """Check a document's ports, types and drivers against its block specs,
-    and keep the specs in ``doc.specs`` (block id -> BlockSpec, None for a
-    subsystem instance).  A map set before the call, as the random
-    generator sets one, is checked against, not rebuilt; a document that
-    fails without one keeps none."""
+    and return the specs (block id -> BlockSpec, None for a subsystem
+    instance).  A map set before the call, as the random generator sets one,
+    is checked against, not rebuilt."""
     specs = doc.specs
     if specs is None:
         specs = {
@@ -527,7 +529,7 @@ def validate_doc(doc: DiagramDoc) -> None:
             ref = PortRef(blk.id, port)
             if ref not in drivers:
                 raise DanglingPortError(f"input port {ref} is not connected")
-    doc.specs = specs
+    return specs
 
 
 def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
@@ -537,12 +539,12 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
     Every block, split blocks and subsystem instances included, gets its
     interface in ``interfaces``: input and output Vars, ports first in their
     declared order and the state pair last.  ``specs`` is the map validation
-    built, plus one split spec per wire type; a document not validated yet
-    is validated first."""
+    built, plus one split spec per wire type; a tree not checked yet is
+    checked first (``check_tree``)."""
     if doc.normalized:
         return doc
     if doc.specs is None:
-        validate_doc(doc)
+        check_tree(doc)
     specs = dict(doc.specs)
     ins_t, outs_t = _port_tables(doc, specs)
     if names is None:
@@ -610,9 +612,10 @@ def normalize(doc: DiagramDoc, names: Optional[_NameGen] = None) -> DiagramDoc:
         ins = tuple(port_var[PortRef(blk.id, p)] for p in ins_t[blk.id])
         outs = tuple(port_var[PortRef(blk.id, p)] for p in outs_t[blk.id])
         spec = specs[blk.id]
-        for st in spec.states if spec is not None else ():
+        for init in spec.inits if spec is not None else ():
             cur, nxt = names.state()
-            entry = StateEntry(blk.id, Var(cur, st.ty), Var(nxt, st.ty), st.init)
+            ty = lit_kind(init)
+            entry = StateEntry(blk.id, Var(cur, ty), Var(nxt, ty), init)
             state_table.append(entry)
             ins += (entry.state,)
             outs += (entry.next_state,)
@@ -644,15 +647,12 @@ def _atom_diagram(doc: DiagramDoc, blk: BlockInst) -> IoDiagram:
 def _prefixed(sub: DiagramDoc, prefix: str, ins, outs) -> DiagramDoc:
     """The subsystem as one instance sees it: ``prefix`` before every block
     id it declares or refers to, and its external names replaced by the
-    instance's port variables ``ins`` and ``outs`` (in declared order).  The
-    subsystem is validated on first use, and every instance re-keys its one
-    spec map."""
+    instance's port variables ``ins`` and ``outs`` (in declared order).
+    Every instance re-keys its subsystem's one spec map."""
 
     def ref(port: PortRef) -> PortRef:
         return PortRef(prefix + port.block, port.port)
 
-    if sub.specs is None:
-        validate_doc(sub)
     return DiagramDoc(
         sub.name,
         [ExtIn(v.name, e.ty, tuple(map(ref, e.targets))) for e, v in zip(sub.inputs, ins)],
@@ -697,13 +697,12 @@ def document_io_list(
     every block id under the instance path (``S1/Sum``) and the subsystem's
     external names replaced by the instance's port variables.  ``flatten``
     splices that list in; ``recursive`` first translates it with ``method``
-    into one io-diagram.  A document not validated yet is validated first.
-    Returns (diagrams, state table of every instance and the document itself,
-    normalized document).
+    into one io-diagram.  A tree not checked yet is checked first
+    (``check_tree``).  Returns (diagrams, state table of every instance and
+    the document itself, normalized document).
     """
     if mode not in ("flatten", "recursive"):
         raise ValueError(f"unknown mode {mode!r}")
-    check_subsystem_cycles(doc)
     return _io_list(doc, mode, method, _NameGen(doc))
 
 

@@ -20,7 +20,7 @@ from .frontend import (
     PortRef,
     WireDecl,
     block_spec,
-    validate_doc,
+    check_tree,
 )
 from .types import BaseType
 
@@ -107,7 +107,7 @@ def random_diagram(
         f"random{seed}", ext_inputs, ext_outputs, blocks, wires, {},
         specs={blk.id: spec for blk, spec in zip(blocks, specs)},
     )
-    validate_doc(doc)  # checks against the specs built for wiring
+    check_tree(doc)  # checks against the specs built for wiring
     return doc
 
 
@@ -124,7 +124,7 @@ def loop_diagram() -> DiagramDoc:
     inputs = [ExtIn("u", BaseType.REAL, (PortRef("A", "b"),))]
     outputs = [ExtOut("y", BaseType.REAL, PortRef("A", "out"))]
     doc = DiagramDoc("algebraic-loop", inputs, outputs, blocks, wires, {})
-    validate_doc(doc)
+    check_tree(doc)
     return doc
 
 

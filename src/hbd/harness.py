@@ -93,7 +93,7 @@ class RunReport:
         return "\n".join(lines)
 
 
-_TRANSLATION_ERRORS = (CompositionError, PreconditionError, TypeMismatchError, RecursionError)
+_TRANSLATION_ERRORS = (CompositionError, PreconditionError, TypeMismatchError)
 
 
 def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20)):

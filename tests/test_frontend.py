@@ -30,7 +30,7 @@ from hbd.terms import Atom, collect_atoms, parse_term, print_term, rewrite_basic
 from hbd.translator import Incremental
 from hbd.types import BaseType
 
-from util import DIFF_DOC, FANOUT_DOC, SUB_DOC, TWINS_DOC
+from util import DIFF_DOC, FANOUT_DOC, INHERITED_DOC, SUB_DOC, TWINS_DOC
 
 R = BaseType.REAL
 
@@ -55,6 +55,28 @@ def _chain_level(name, blocks, subsystems=None) -> dict:
     if subsystems:
         doc["subsystems"] = subsystems
     return doc
+
+
+def _built(raw) -> frontend.DiagramDoc:
+    """The JSON document ``raw`` built directly from ``DiagramDoc`` objects,
+    unchecked: each subsystem table holds its document's own entries."""
+    from hbd.frontend import BlockInst, DiagramDoc, ExtIn, ExtOut, PortRef, WireDecl
+
+    def port(text):
+        return PortRef(*text.split("."))
+
+    def targets(to):
+        return tuple(map(port, to if isinstance(to, list) else [to]))
+
+    return DiagramDoc(
+        raw["name"],
+        [ExtIn(e["name"], e["type"], targets(e["to"])) for e in raw["inputs"]],
+        [ExtOut(e["name"], e["type"], port(e["from"])) for e in raw["outputs"]],
+        [BlockInst(b["id"], b["kind"], tuple(sorted(b.get("params", {}).items())))
+         for b in raw["blocks"]],
+        [WireDecl(port(w["from"]), port(w["to"])) for w in raw.get("wires", [])],
+        {kind: _built(sub) for kind, sub in raw.get("subsystems", {}).items()},
+    )
 
 
 def _doc(**overrides):
@@ -233,8 +255,8 @@ class TestNormalize:
     def test_unvalidated_documents_are_validated_on_first_use(self):
         """Hand-built documents, never parsed, raise the frontend's own
         errors: an undriven port dangles, and a Bool input on an Add is a
-        type mismatch.  A subsystem never validated is validated when an
-        instance of it first expands, like a top-level document."""
+        type mismatch.  A tree never checked is checked whole on first use,
+        its subsystems with it."""
         from hbd.frontend import BlockInst, DiagramDoc, ExtIn, ExtOut, PortRef
 
         def add_doc(*inputs):
@@ -481,8 +503,117 @@ class TestHierarchy:
         parsed = parse_doc(json.dumps(doc))
         assert len(calls) == len(set(calls)) == 13
         calls.clear()
-        frontend.check_subsystem_cycles(parsed)  # as document_io_list calls it
+        frontend.check_subsystem_cycles(parsed)
         assert len(calls) == len(set(calls)) == 13
+        calls.clear()
+        normalize(parsed)  # a checked tree is not searched again
+        assert calls == []
+
+    def test_tree_built_in_code_expands_and_checks_as_parsed(self):
+        """A tree of ``DiagramDoc`` objects whose inner subsystems instantiate
+        a kind defined only at the top gives, in both modes, the io list,
+        state table and determinacy verdicts of the parsed tree, and prints
+        as it does."""
+        from hbd.harness import run_determinacy
+
+        text = json.dumps(INHERITED_DOC)
+        for mode in ("flatten", "recursive"):
+            parsed = document_io_list(parse_doc(text), mode)
+            built = document_io_list(_built(INHERITED_DOC), mode)
+            assert [(d.inputs, d.outputs, d.body) for d in built[0]] == [
+                (d.inputs, d.outputs, d.body) for d in parsed[0]
+            ]
+            assert built[1] == parsed[1] and len(parsed[1]) == 4  # one delay per instance of G
+            verdicts = [
+                [[c.proved for c in row] for row in run_determinacy(ds, seeds=range(2)).matrix]
+                for ds in (parsed[0], built[0])
+            ]
+            assert verdicts[0] == verdicts[1] == [[True] * 5] * 5
+        flat = document_io_list(_built(INHERITED_DOC))[0]
+        assert "M/I/G2/K" in [d.body.name for d in flat]
+        assert dump_doc(_built(INHERITED_DOC)) == dump_doc(parse_doc(text))
+
+    def test_tree_built_in_code_fails_as_parsed(self):
+        """Faulty variants of that tree raise the same error, built or
+        parsed, and again on a second try, when the tables are resolved
+        already: a cycle through an inherited kind before any fault of
+        validation, and of two faulty documents the one first in preorder of
+        the definition tree."""
+        import copy
+
+        def variant(*faults):
+            doc = copy.deepcopy(INHERITED_DOC)
+            for fault in faults:
+                fault(doc)
+            return doc
+
+        def cycle(doc):  # G -> Mid -> Inner -> G
+            doc["subsystems"]["G"]["blocks"][0] = {"id": "K", "kind": "Mid"}
+
+        def bad_inner(doc):
+            inner = doc["subsystems"]["Mid"]["subsystems"]["Inner"]
+            inner["wires"].append({"from": "G1.b", "to": "A.x"})
+
+        def bad_late(doc):  # defined after Mid, at the top
+            gain = {"id": "G", "kind": "Gain", "params": {}}
+            doc["subsystems"]["Late"] = _chain_level("late", [gain])
+
+        def no_g(doc):
+            del doc["subsystems"]["G"]
+
+        def g_after_mid_names_inner(doc):  # Inner is in scope below Mid only
+            g = doc["subsystems"].pop("G")
+            g["blocks"][0] = {"id": "K", "kind": "Inner"}
+            doc["subsystems"]["G"] = g
+
+        cases = [
+            (variant(cycle, bad_inner), CycleError, "instantiation: Mid -> Inner -> G -> Mid$"),
+            (variant(bad_inner, bad_late), DanglingPortError, r"no input port A\.x$"),
+            (variant(bad_late), SchemaError, "Gain requires parameter k"),
+            (variant(no_g), SchemaError, "unknown block kind 'G'"),
+            (variant(g_after_mid_names_inner), SchemaError, "unknown block kind 'Inner'"),
+        ]
+        for raw, error, message in cases:
+            with pytest.raises(error, match=message) as parsed:
+                parse_doc(json.dumps(raw))
+            built = _built(raw)
+            for _ in range(2):
+                with pytest.raises(error) as caught:
+                    document_io_list(built)
+                assert str(caught.value) == str(parsed.value)
+                unchecked = built.specs is None
+                assert unchecked
+
+    def test_tables_hold_own_entries_and_the_kinds_their_blocks_use(self):
+        """After ``parse_doc`` a document's table holds its own entries and
+        the inherited kinds its blocks instantiate.  So at 300 sibling
+        subsystems, and on a 300-level chain with a kind per level whose
+        deepest level instantiates a kind defined at the top, the entries of
+        all tables add up to at most the documents plus the instance blocks
+        (copies of every ancestor's table made them 90,300 and 45,753)."""
+        def gain():
+            return _chain_level("gain", [{"id": "G", "kind": "Gain", "params": {"k": 2.0}}])
+
+        blocks = [{"id": f"B{i}", "kind": f"S{i}"} for i in range(300)]
+        siblings = _chain_level("top", blocks, {f"S{i}": gain() for i in range(300)})
+        chain = _chain_level("leaf", [{"id": "A", "kind": "Top"}])
+        for level in range(300):
+            kind = f"L{level}"
+            chain = _chain_level(f"level{level}", [{"id": "A", "kind": kind}], {kind: chain})
+        chain["subsystems"]["Top"] = gain()
+        for raw in (siblings, chain):
+            todo = [(parse_doc(json.dumps(raw)), raw)]
+            entries = docs = instances = 0
+            while todo:
+                doc, raw = todo.pop()
+                own = raw.get("subsystems", {})
+                kinds, allowed = set(doc.subsystems), set(own) | {b["kind"] for b in raw["blocks"]}
+                assert kinds <= allowed, raw["name"]
+                entries += len(doc.subsystems)
+                docs += 1
+                instances += sum(b.kind in doc.subsystems for b in doc.blocks)
+                todo.extend((doc.subsystems[kind], sub) for kind, sub in own.items())
+            assert entries <= docs + instances
 
     def test_two_instances_get_independent_state(self):
         doc = parse_doc(json.dumps(TWINS_DOC))
@@ -683,6 +814,28 @@ class TestLibrary:
             atom = Atom(kind, spec.fn)
             report = check_monotone(atom, 250, seed=5)
             assert report.ok, (kind, report.counterexamples[:1])
+
+    def test_block_ports_match_the_library_table(self):
+        """Every library kind under each type: the ports read from the
+        spec's function are the table's, its states are the initial values
+        with their kinds, and a type the kind has no block of is refused."""
+        from hbd.exprs import lit_kind
+        from hbd.frontend import LIBRARY, block_spec
+        from util import KINDS, library_ports
+
+        for kind in LIBRARY:
+            for t in KINDS:
+                entry = library_ports(kind, t)
+                if entry is None:
+                    with pytest.raises(SchemaError, match="Bool"):
+                        block_spec(kind, {"type": t})
+                    continue
+                params, ins, outs, inits = entry
+                spec = block_spec(kind, {**params, "type": t})
+                assert (spec.in_ports, spec.out_ports, spec.inits) == (ins, outs, inits), (kind, t)
+                states = tuple(map(lit_kind, inits))
+                assert spec.fn.in_kinds == tuple(ty for _, ty in ins) + states
+                assert spec.fn.out_kinds == tuple(ty for _, ty in outs) + states
 
     def test_int_typed_blocks(self):
         doc = {

@@ -276,6 +276,26 @@ def test_too_deep_term_is_a_fail_cell():
     assert f"counterexample flat vs deep: {reason}" in rendered
 
 
+def test_translation_runs_within_a_small_stack():
+    """No translation step recurses: every strategy translates a 400-block
+    diagram with 200 frames to spare above the caller, so a RecursionError
+    is no translation failure that ``translate_all`` records."""
+    import sys
+
+    from hbd.frontend import document_io_list
+    from hbd.gen import random_diagram
+
+    diagrams, _, _ = document_io_list(random_diagram(7, 400, 400))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        runs = translate_all(diagrams, seeds=range(3))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [r.label for r in runs] == ["fbpar", "incr", "rand0", "rand1", "rand2", "fbless"]
+    assert all(r.diagram is not None and not r.failure for r in runs)
+
+
 def test_bench_script_summarizes_pairs():
     """``scripts/bench.py`` gives each side's quartiles per workload and
     metric, and counts the pairs the change won, by each metric's

@@ -610,6 +610,38 @@ def simulate_translated_oracle(diagram, state_table, rows):
     return trace
 
 
+# -- block library -----------------------------------------------------------
+
+def library_ports(kind: str, t: BaseType):
+    """The ports of a library block of type ``t``, as (params giving that
+    type, in ports, out ports, initial states); None when ``kind`` has no
+    block of type ``t``.  The oracle for the ports the block specs read
+    from their functions.  The logical blocks ignore ``type``."""
+    value = {R: 1.5, I: 2, B: True}[t]
+    binary = (("a", t), ("b", t))
+    if kind in ("Add", "Sub", "Min", "Max", "Div", "Mul"):
+        return None if t == B else ({}, binary, (("out", t),), ())
+    if kind == "Relational":
+        return None if t == B else ({}, binary, (("out", B),), ())
+    if kind in ("LogicalAnd", "LogicalOr"):
+        return {}, (("a", B), ("b", B)), (("out", B),), ()
+    if kind == "LogicalNot":
+        return {}, (("a", B),), (("out", B),), ()
+    if kind == "Gain":
+        return None if t == B else ({"k": value}, (("a", t),), (("out", t),), ())
+    if kind == "Constant":
+        return {"value": value}, (), (("out", t),), ()
+    if kind == "UnitDelay":
+        return {"init": value}, (("x", t),), (("y", t),), (value,)
+    if kind == "SplitBlk":
+        return {}, (("x", t),), (("out1", t), ("out2", t)), ()
+    if kind == "Identity":
+        return {}, (("x", t),), (("out", t),), ()
+    if kind == "SwitchBlk":
+        return {}, (("c", B), ("t", t), ("e", t)), (("out", t),), ()
+    raise KeyError(kind)
+
+
 # -- nested documents --------------------------------------------------------
 
 # Small documents with subsystem instances, shared by the frontend and
@@ -732,6 +764,61 @@ FANOUT_DOC = {
             ],
             "wires": [{"from": "A.out", "to": "Sum.a"}, {"from": "B.out", "to": "Sum.b"}],
         }
+    },
+}
+
+
+# Three levels: ``Mid`` defines ``Inner``, and the gain-and-delay ``G`` is
+# defined only at the top but instantiated at every level, twice in
+# ``Inner``, so ``Inner`` and ``Mid`` reach it through inherited scope.
+_G = {
+    "version": 1,
+    "name": "g",
+    "inputs": [{"name": "a", "type": "Real", "to": ["K.a", "D.x"]}],
+    "outputs": [{"name": "b", "type": "Real", "from": "S.out"}],
+    "blocks": [
+        {"id": "K", "kind": "Gain", "params": {"k": 2.0}},
+        {"id": "D", "kind": "UnitDelay", "params": {"init": 1.0}},
+        {"id": "S", "kind": "Add"},
+    ],
+    "wires": [{"from": "K.out", "to": "S.a"}, {"from": "D.y", "to": "S.b"}],
+}
+_INNER = {
+    "version": 1,
+    "name": "inner",
+    "inputs": [{"name": "p", "type": "Real", "to": ["G1.a", "G2.a"]}],
+    "outputs": [
+        {"name": "q", "type": "Real", "from": "A.out"},
+        {"name": "r", "type": "Real", "from": "G2.b"},
+    ],
+    "blocks": [{"id": "G1", "kind": "G"}, {"id": "G2", "kind": "G"}, {"id": "A", "kind": "Add"}],
+    "wires": [{"from": "G1.b", "to": "A.a"}, {"from": "G2.b", "to": "A.b"}],
+}
+INHERITED_DOC = {
+    "version": 1,
+    "name": "inherited",
+    "inputs": [{"name": "u", "type": "Real", "to": ["M.m", "T.a"]}],
+    "outputs": [
+        {"name": "y", "type": "Real", "from": "M.n"},
+        {"name": "z", "type": "Real", "from": "M.o"},
+        {"name": "w", "type": "Real", "from": "T.b"},
+    ],
+    "blocks": [{"id": "M", "kind": "Mid"}, {"id": "T", "kind": "G"}],
+    "wires": [],
+    "subsystems": {
+        "G": _G,
+        "Mid": {
+            "version": 1,
+            "name": "mid",
+            "inputs": [{"name": "m", "type": "Real", "to": "I.p"}],
+            "outputs": [
+                {"name": "n", "type": "Real", "from": "I.q"},
+                {"name": "o", "type": "Real", "from": "H.b"},
+            ],
+            "blocks": [{"id": "I", "kind": "Inner"}, {"id": "H", "kind": "G"}],
+            "wires": [{"from": "I.r", "to": "H.a"}],
+            "subsystems": {"Inner": _INNER},
+        },
     },
 }
 
