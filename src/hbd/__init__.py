@@ -29,7 +29,7 @@ from .io_diagrams import (
     switch_vars,
 )
 from .translator import FeedbackParallel, Incremental, RandomChoices, translate
-from .feedbackless import SplitBlock, fbless_translate, loop_free, oi_rel, split_block
+from .feedbackless import fbless_translate, loop_free, oi_rel, split_block
 from .harness import io_equiv
 from .frontend import FbLess, flatten_or_recurse, normalize, parse_doc, to_io_diagrams
 

@@ -1,16 +1,18 @@
 """Feedback-free translation for deterministic, algebraic-loop-free diagrams.
 
-Multi-output blocks are first split into single-output blocks carrying
-accurate per-output input dependencies.  An atom reads its inputs by
-position: parameter k of its function stands for input k, so an output
-depends on the inputs at the positions of the parameters its expression
-reads, whatever the parameters are called.  If the refined output->input
-dependency relation has no cycle (Kahn's algorithm, ``loop_free``),
-internal variables are eliminated one at a time by composing each producer
-serially into all of its consumers, found through a name -> readers index;
-the surviving blocks are folded in parallel.  The bookkeeping around the
-compositions is linear in the diagram, and keyed by variable name, as the
-io-diagrams' own interface maps are: dependency sets, the dependency
+Every block is first split into single-output io-diagrams, one per output,
+whose inputs are the inputs that output depends on, so the dependency
+relation is the paper's set(O) x set(I) of each split block.  An atom reads
+its inputs by position: parameter k of its function stands for input k, so
+an output of a multi-output atom depends on the inputs at the positions of
+the parameters its expression reads, whatever the parameters are called.  A
+single-output block, and any block the split cannot refine, depends on
+every input.  If the relation has no cycle (Kahn's algorithm,
+``loop_free``), internal variables are eliminated one at a time by
+composing each producer serially into all of its consumers, found through
+a name -> readers index; the surviving blocks are folded in parallel.  The
+bookkeeping around the compositions is linear in the diagram, and keyed by
+variable name, as the io-diagrams' own interface maps are: the dependency
 relation, internal variables and elimination orders all hold names.  An
 elimination order is a plain sequence of names, topological by default.  The
 result contains no feedback operator outside Arb constants.
@@ -19,7 +21,6 @@ result contains no feedback operator outside Arb constants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .io_diagrams import IoDiagram, fold_parallel, named_serial, switch_vars
@@ -28,77 +29,48 @@ from .exprs import ExprFun, Ref
 from .translator import stable_topo_order
 
 
-@dataclass(frozen=True)
-class SplitBlock:
-    """A single-output io-diagram plus the names of the inputs its output
-    really reads."""
-
-    base: IoDiagram
-    deps: frozenset  # frozenset[str]: names of inputs
-
-    def __post_init__(self):
-        if len(self.base.outputs) != 1:
-            raise PreconditionError(
-                f"split block must have one output, got {self.base.outputs}"
-            )
-        if not self.base.in_pos.keys() >= self.deps:
-            raise PreconditionError("deps must be a subset of the input names")
-
-    @property
-    def name(self) -> str:
-        """The name of the output."""
-        return self.base.outputs[0].name
-
-
 def split_block(a: IoDiagram) -> list:
-    """One single-output block per output of ``a``.
+    """Single-output io-diagrams, one per output of ``a``: the inputs of
+    each are its output's dependencies, and together they read every input
+    of ``a``.
 
-    When the body is an atom, an output reads the inputs at the positions of
-    the parameters its expression reads: its split atom keeps those
-    parameters and takes those inputs.  Otherwise it falls back to the full
-    input list (the generic projection ``S ;; [u1..un -> ui]``, which
-    over-approximates dependencies).
+    A diagram with one output is its own split block.  When the body is an
+    atom whose outputs together read every input, an output reads the inputs
+    at the positions of the parameters its expression reads: its split atom
+    keeps those parameters and takes those inputs.  Anything else takes the
+    generic projection ``S ;; [u1..un -> ui]`` with every input, which
+    over-approximates dependencies.
     """
     if len(a.outputs) == 1:
-        return [SplitBlock(a, _deps_for(a, 0))]
-    out = []
-    for i, u in enumerate(a.outputs):
-        if isinstance(a.body, Atom):
-            fn = a.body.fn
-            kept = fn.reads[i]
-            ins = tuple(a.inputs[k] for k in kept)
-            if isinstance(fn.bodies[i], Ref):
-                body = Id((ins[0].ty,))
-            else:
-                kept_fn = ExprFun(tuple(fn.params[k] for k in kept), (fn.bodies[i],))
-                body = Atom(f"{a.body.name}.{u.name}", kept_fn)
+        return [a]
+    if not isinstance(a.body, Atom) or len(set().union(*a.body.fn.reads)) < len(a.inputs):
+        return [
+            IoDiagram(a.inputs, (u,), Serial(a.body, switch_vars(a.outputs, (u,))))
+            for u in a.outputs
+        ]
+    fn, out = a.body.fn, []
+    for u, kept, e in zip(a.outputs, fn.reads, fn.bodies):
+        ins = tuple(a.inputs[k] for k in kept)
+        if isinstance(e, Ref):
+            body = Id((ins[0].ty,))
         else:
-            ins = a.inputs
-            body = Serial(a.body, switch_vars(a.outputs, (u,)))
-        out.append(SplitBlock(IoDiagram(ins, (u,), body), frozenset(v.name for v in ins)))
+            kept_fn = ExprFun(tuple(fn.params[k] for k in kept), (e,))
+            body = Atom(f"{a.body.name}.{u.name}", kept_fn)
+        out.append(IoDiagram(ins, (u,), body))
     return out
 
 
-def _deps_for(a, i) -> frozenset:
-    """The input names output ``i`` of ``a`` reads: parameter k of an atom
-    stands for input k."""
-    if isinstance(a.body, Atom):
-        return frozenset(a.inputs[k].name for k in a.body.fn.reads[i])
-    return frozenset(a.in_pos)
+def _name(b: IoDiagram) -> str:
+    """The name of the one output of a split block."""
+    return b.outputs[0].name
 
 
 def oi_rel(items) -> frozenset:
-    """Output->input dependency pairs, as name pairs.
-
-    For plain io-diagrams this is the full product set(O) x set(I); for
-    split blocks the refined per-output dependencies are used.
-    """
+    """Output->input dependency pairs, as name pairs: set(O) x set(I) of
+    every io-diagram, split block or not."""
     pairs = set()
     for it in items:
-        if isinstance(it, SplitBlock):
-            pairs.update((it.name, n) for n in it.deps)
-        else:
-            pairs.update(itertools.product(it.out_pos, it.in_pos))
+        pairs.update(itertools.product(it.out_pos, it.in_pos))
     return frozenset(pairs)
 
 
@@ -152,34 +124,29 @@ def find_cycle(items):
 def internal_vars(blocks) -> set:
     """Names of the variables produced by one block and consumed by
     another."""
-    produced = {b.name for b in blocks}
+    produced = {_name(b) for b in blocks}
     consumed = set()
     for b in blocks:
-        consumed.update(b.base.in_pos)
+        consumed.update(b.in_pos)
     return produced & consumed
 
 
-def internal_serial(a: SplitBlock, b: SplitBlock) -> SplitBlock:
+def internal_serial(a: IoDiagram, b: IoDiagram) -> IoDiagram:
     """a |> b: compose serially only when b consumes a's output."""
-    u = a.name
-    if u in b.base.in_pos:
-        base = named_serial(a.base, b.base)
-        deps = b.deps.difference((u,)).union(a.deps)
-        return SplitBlock(base, deps.intersection(base.in_pos))
-    return b
+    return named_serial(a, b) if _name(a) in b.in_pos else b
 
 
 def topological_order(blocks) -> list:
     """The internal variable names, upstream first: u precedes w when w's
     producer reads u, which maximizes reuse of already-composed producers.
     Ties go to the name whose producer comes first in ``blocks``."""
-    deps_of = {b.name: b.deps for b in blocks}
-    first_seen = {b.name: i for i, b in enumerate(blocks)}
+    reads = {_name(b): b.in_pos for b in blocks}
+    first_seen = {_name(b): i for i, b in enumerate(blocks)}
     nodes = sorted(internal_vars(blocks), key=first_seen.__getitem__)
     index = {u: i for i, u in enumerate(nodes)}
     succs = [set() for _ in nodes]
     for j, w in enumerate(nodes):
-        for u in deps_of[w]:
+        for u in reads[w]:
             if u in index:
                 succs[index[u]].add(j)
     return [nodes[i] for i in stable_topo_order(succs)]
@@ -188,7 +155,10 @@ def topological_order(blocks) -> list:
 def validate_ok_fbless(blocks) -> None:
     if not blocks:
         raise PreconditionError("feedbackless translation needs at least one block")
-    outs = [b.name for b in blocks]
+    for b in blocks:
+        if len(b.outputs) != 1:
+            raise PreconditionError(f"split block must have one output, got {b.outputs}")
+    outs = [_name(b) for b in blocks]
     if len(set(outs)) != len(outs):
         raise PreconditionError(
             f"feedbackless translation: duplicate outputs: {outs}"
@@ -201,8 +171,9 @@ def validate_ok_fbless(blocks) -> None:
 
 def fbless_translate(blocks, order=None) -> IoDiagram:
     """Algorithm: eliminate one internal variable per step, then fold in
-    parallel.  ``order`` is the elimination order, a permutation of the
-    internal variable names; it defaults to ``topological_order(blocks)``.
+    parallel.  ``blocks`` are single-output io-diagrams (``split_block``);
+    ``order`` is the elimination order, a permutation of the internal
+    variable names; it defaults to ``topological_order(blocks)``.
 
     The blocks keep their list positions (slots), and the survivors fold in
     list order.  ``producer`` maps an output name to its slot and
@@ -220,19 +191,19 @@ def fbless_translate(blocks, order=None) -> IoDiagram:
             f"elimination order {list(order)} is not a permutation of the "
             f"internal variables {sorted(internal_vars(slots))}"
         )
-    producer = {b.name: i for i, b in enumerate(slots)}
+    producer = {_name(b): i for i, b in enumerate(slots)}
     readers: dict = {}
     for i, b in enumerate(slots):
-        for n in b.base.in_pos:
+        for n in b.in_pos:
             readers.setdefault(n, set()).add(i)
     for u in order:
         p = producer.pop(u)
         a, slots[p] = slots[p], None
         targets = readers.pop(u)
-        for n in a.base.in_pos:
+        for n in a.in_pos:
             held = readers[n]
             held.discard(p)
             held |= targets
         for i in targets:
             slots[i] = internal_serial(a, slots[i])
-    return fold_parallel([b.base for b in slots if b is not None])
+    return fold_parallel([b for b in slots if b is not None])

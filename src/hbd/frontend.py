@@ -248,14 +248,9 @@ class _NameGen:
         # a normalized document has named its wires and states already
         for ins, outs in (doc.interfaces or {}).values():
             self.reserved.update(v.name for v in ins + outs)
-        self.block_ids = set()  # of every document in the tree, which split ids skip
-        todo, seen = [doc], set()
-        while todo:
-            d = todo.pop()
-            if id(d) not in seen:
-                seen.add(id(d))
-                self.block_ids.update(b.id for b in d.blocks)
-                todo.extend(d.subsystems.values())
+        # split ids skip the top document's block ids; an instance's blocks
+        # all carry its path (``S1/...``), which no split id does
+        self.block_ids = {b.id for b in doc.blocks}
         self.wire_n = 0
         self.state_n = 0
         self.split_n = 0

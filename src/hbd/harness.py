@@ -98,9 +98,11 @@ _TRANSLATION_ERRORS = (CompositionError, PreconditionError, TypeMismatchError)
 
 def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20)):
     """(label, io-diagram, seconds) for fbpar, incr, each seed, and fbless
-    when the split block list is loop-free.  A strategy whose translation
-    raises gets no io-diagram and records why in ``failure``, so a list
-    that is not io-distinct fails every strategy but fbless."""
+    when the list of split blocks (``split_block``: single-output
+    io-diagrams over the inputs their output depends on) is loop-free.  A
+    strategy whose translation raises gets no io-diagram and records why in
+    ``failure``, so a list that is not io-distinct fails every strategy but
+    fbless."""
     runs = []
 
     def timed(label, thunk):

@@ -13,7 +13,6 @@ from hbd.compiled import Compiled
 from hbd.errors import PreconditionError
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref
 from hbd.feedbackless import (
-    SplitBlock,
     fbless_translate,
     find_cycle,
     internal_serial,
@@ -31,7 +30,7 @@ from hbd.io_diagrams import (
 )
 from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
-from hbd.terms import Atom, Id, mk_arb, print_term, rewrite_basic
+from hbd.terms import Atom, Id, Sink, mk_arb, print_term, rewrite_basic
 from hbd.translator import topo_order
 from hbd.semantics import BOT
 from hbd.types import BaseType, Var
@@ -56,7 +55,7 @@ def rvs(*names):
 
 
 def names(*vs) -> frozenset:
-    """The names of ``vs``: split blocks' dependency sets hold names."""
+    """The names of ``vs``: internal variables are names."""
     return frozenset(v.name for v in vs)
 
 
@@ -80,39 +79,37 @@ class TestSplitBlock:
         parts = split_block(delay)
         assert len(parts) == 2
         first, second = parts
-        assert first.base.inputs == (s,) and first.base.outputs == (y,)
-        assert first.base.body == Id((R,))
-        assert second.base.inputs == (x,) and second.base.outputs == (sp,)
-        assert second.base.body == Id((R,))
-        assert first.deps == names(s) and second.deps == names(x)
+        assert first.inputs == (s,) and first.outputs == (y,)
+        assert first.body == Id((R,))
+        assert second.inputs == (x,) and second.outputs == (sp,)
+        assert second.body == Id((R,))
 
     def test_split_block_of_split(self, running_example):
         _, _, split = running_example
         parts = split_block(split)
-        assert [(p.base.inputs, p.base.outputs) for p in parts] == [((y,), (z,)), ((y,), (v,))]
-        assert all(p.base.body == Id((R,)) for p in parts)
+        assert [(p.inputs, p.outputs) for p in parts] == [((y,), (z,)), ((y,), (v,))]
+        assert all(p.body == Id((R,)) for p in parts)
 
     def test_single_output_block_unchanged(self, running_example):
         add, _, _ = running_example
         parts = split_block(add)
         assert len(parts) == 1
-        assert parts[0].base is add
-        assert parts[0].deps == names(z, u)
+        assert parts[0] is add
 
     def test_generic_projection_fallback(self):
-        # a non-atom body falls back to S ;; [outs -> u_i] with full deps
+        # a non-atom body falls back to S ;; [outs -> u_i] with every input
         a = IoDiagram((u,), (x,), Atom("A", ExprFun((Var("u", R),), (Ref("u"),))))
         b = IoDiagram((z,), (y,), Atom("B", ExprFun((Var("z", R),), (Ref("z"),))))
         both = named_parallel(a, b)
         parts = split_block(both)
-        assert [p.base.outputs for p in parts] == [(x,), (y,)]
-        assert all(p.deps == names(u, z) for p in parts)
-        assert io_equiv(fold_parallel([p.base for p in parts]), both)
+        assert [p.outputs for p in parts] == [(x,), (y,)]
+        assert all(p.inputs == (u, z) for p in parts)
+        assert io_equiv(fold_parallel(parts), both)
 
     def test_splitting_soundness(self, running_example):
         for diagram in running_example:
             parts = split_block(diagram)
-            recombined = fold_parallel([p.base for p in parts])
+            recombined = fold_parallel(parts)
             assert io_equiv(recombined, diagram), diagram
 
 
@@ -125,7 +122,7 @@ class TestAtomsReadByPosition:
         g = IoDiagram((u,), (y,), Atom("g", ExprFun((p,), (Bin("*", Lit(2.0), Ref("p")),))))
         h = IoDiagram((y,), (u,), Atom("h", ExprFun((p,), (Bin("+", Ref("p"), Lit(1.0)),))))
         blocks = [sb for d in (g, h) for sb in split_block(d)]
-        assert [b.deps for b in blocks] == [names(u), names(y)]
+        assert [b.inputs for b in blocks] == [(u,), (y,)]
         assert not loop_free(blocks)
         assert find_cycle(blocks) == ["u", "y", "u"]
         report = run_determinacy([g, h], seeds=range(2), samples=20)
@@ -139,22 +136,57 @@ class TestAtomsReadByPosition:
         fn = ExprFun(rvs("p", "q"), (first, Bin("*", Lit(2.0), Ref("p"))))
         a = IoDiagram((u, x), (y, v), Atom("A", fn))
         one, two = split_block(a)
-        assert one.deps == (names(x) if first == Ref("q") else names(u, x))
-        assert two.deps == names(u)
-        assert two.base.inputs == (u,) and two.base.body.fn.params == rvs("p")
-        assert io_equiv(fold_parallel([one.base, two.base]), a)
+        assert one.inputs == ((x,) if first == Ref("q") else (u, x))
+        assert two.inputs == (u,) and two.body.fn.params == rvs("p")
+        assert io_equiv(fold_parallel([one, two]), a)
 
     def test_permuted_parameter_names_follow_positions(self):
-        # parameter "x" stands for input u, and "u" for input x
+        # parameter "x" stands for input u, and "u" for input x; a
+        # single-output block is its own split and depends on every input,
+        # the one it ignores included
         swapped = rvs("x", "u")
         single = IoDiagram((u, x), (y,), Atom("S", ExprFun(swapped, (Bin("*", Lit(2.0), Ref("x")),))))
-        assert [b.deps for b in split_block(single)] == [names(u)]
+        assert split_block(single) == [single]
+        assert oi_rel([single]) == name_pairs({(y, u), (y, x)})
         fn = ExprFun(swapped, (Ref("x"), Bin("*", Lit(3.0), Ref("u"))))
         a = IoDiagram((u, x), (y, v), Atom("A", fn))
         one, two = split_block(a)
-        assert (one.base.inputs, one.deps) == ((u,), names(u))
-        assert (two.base.inputs, two.deps) == ((x,), names(x))
-        assert io_equiv(fold_parallel([one.base, two.base]), a)
+        assert one.inputs == (u,) and two.inputs == (x,)
+        assert io_equiv(fold_parallel([one, two]), a)
+
+
+class TestUnreadInputs:
+    """An atom may ignore an input.  Its split blocks still read every
+    input of the atom between them, so fbless keeps the interface the other
+    strategies have, and a dependency through the ignored input counts."""
+
+    def test_single_output_atom_keeps_its_ignored_input(self):
+        """A(a, b) -> o reads only a, and B feeds o back into b: the
+        relation over-approximates A's dependencies, so the loop through b
+        is an algebraic loop and fbless is left out, as the paper's
+        set(O) x set(I) says."""
+        a, b, o = rvs("a", "b", "o")
+        fn = ExprFun(rvs("p", "q"), (Bin("*", Lit(2.0), Ref("p")),))
+        A = IoDiagram((a, b), (o,), Atom("A", fn))
+        B = _atom1("B", o, b, 3.0)
+        report = run_determinacy([A, B], seeds=range(2), samples=20)
+        assert [r.label for r in report.runs] == ["fbpar", "incr", "rand0", "rand1"]
+        assert all(cell.proved for row in report.matrix for cell in row)
+        blocks = [p for d in (A, B) for p in split_block(d)]
+        with pytest.raises(PreconditionError, match="algebraic loop: .* -> "):
+            fbless_translate(blocks)
+
+    def test_two_output_atom_with_an_unread_input(self):
+        """Neither output of A reads c: A takes the generic projection, so
+        each split block reads a and c, and fbless has A's interface."""
+        a, c, o1, o2 = rvs("a", "c", "o1", "o2")
+        fn = ExprFun(rvs("p", "q"), (Bin("*", Lit(2.0), Ref("p")), Bin("+", Ref("p"), Lit(1.0))))
+        A = IoDiagram((a, c), (o1, o2), Atom("A", fn))
+        parts = split_block(A)
+        assert [(p.inputs, p.outputs) for p in parts] == [((a, c), (o1,)), ((a, c), (o2,))]
+        report = run_determinacy([A], seeds=range(2), samples=20)
+        assert [r.label for r in report.runs][-1] == "fbless"
+        assert all(cell.proved for row in report.matrix for cell in row)
 
 
 class TestCheckDeterministic:
@@ -238,8 +270,7 @@ class TestDependencyAnalysis:
             assert (frm, to) in pairs
 
     def test_empty_deps_loop_free(self):
-        blk = SplitBlock(IoDiagram((), (v,), mk_arb(R)), frozenset())
-        assert loop_free([blk])
+        assert loop_free([IoDiagram((), (v,), mk_arb(R))])
 
 
     def test_loop_free_matches_the_closure_oracle(self, corpus_diagrams):
@@ -257,15 +288,14 @@ class TestDependencyAnalysis:
 
 
 def _random_relation_blocks(rng):
-    """Split blocks over a small name pool with random dependencies, so
-    that cycles and self-loops occur."""
+    """Split blocks over a small name pool with random inputs, so that
+    cycles and self-loops occur."""
     pool = rvs(*(f"w{i}" for i in range(rng.randint(1, 8))))
     blocks = []
     for out in rng.sample(pool, rng.randint(1, len(pool))):
-        ins = tuple(w for w in pool if rng.random() < 0.3)
-        deps = frozenset(w.name for w in ins if rng.random() < 0.6)
+        ins = tuple(w for w in pool if rng.random() < 0.2)
         body = Atom(f"F{out.name}", ExprFun(ins, (Lit(0.0),)))
-        blocks.append(SplitBlock(IoDiagram(ins, (out,), body), deps))
+        blocks.append(IoDiagram(ins, (out,), body))
     return blocks
 
 
@@ -275,8 +305,8 @@ class TestInternalVars:
         assert internal_vars(blocks) == names(x, y, z)
 
     def test_disjoint_blocks(self):
-        a = SplitBlock(IoDiagram((u,), (x,), Id((R,))), names(u))
-        b = SplitBlock(IoDiagram((z,), (y,), Id((R,))), names(z))
+        a = IoDiagram((u,), (x,), Id((R,)))
+        b = IoDiagram((z,), (y,), Id((R,)))
         assert internal_vars([a, b]) == set()
 
     def test_fanout_chain(self):
@@ -290,16 +320,9 @@ def _fanout_chain_blocks():
     B = _atom1("B", a, b, 3.0)
     C = _atom1("C", c, vv, -1.0)
     D = _atom1("D", d, ww, 5.0)
-    split1 = SplitBlock(IoDiagram((b,), (c,), Id((R,))), names(b))
-    split2 = SplitBlock(IoDiagram((b,), (d,), Id((R,))), names(b))
-    return [
-        SplitBlock(A, names(uu)),
-        SplitBlock(B, names(a)),
-        split1,
-        split2,
-        SplitBlock(C, names(c)),
-        SplitBlock(D, names(d)),
-    ]
+    split1 = IoDiagram((b,), (c,), Id((R,)))
+    split2 = IoDiagram((b,), (d,), Id((R,)))
+    return [A, B, split1, split2, C, D]
 
 
 def test_topological_orders_are_pinned(running_example):
@@ -309,7 +332,7 @@ def test_topological_orders_are_pinned(running_example):
     blocks = list(reversed(_fanout_chain_blocks()))
     assert topological_order(blocks) == ["a", "b", "d", "c"]
     # A -> B -> (split1 -> C, split2 -> D), listed in reverse dependency order
-    D, C, split2, split1, B, A = (b.base for b in blocks)
+    D, C, split2, split1, B, A = blocks
     assert topo_order([D, C, split2, split1, B, A]) == [A, B, split2, D, split1, C]
     add, delay, split = running_example
     assert topo_order([delay, split, add]) == [delay, split, add]
@@ -317,26 +340,23 @@ def test_topological_orders_are_pinned(running_example):
 
 class TestInternalSerial:
     def test_fires_when_output_consumed(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
-        b = SplitBlock(_atom1("B", x, y, 3.0), names(x))
-        out = internal_serial(a, b)
-        assert out.base.inputs == (u,) and out.base.outputs == (y,)
-        assert out.deps == names(u)
+        out = internal_serial(_atom1("A", u, x, 2.0), _atom1("B", x, y, 3.0))
+        assert out.inputs == (u,) and out.outputs == (y,)
 
     def test_skips_when_not_consumed(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
-        b = SplitBlock(_atom1("B", z, y, 3.0), names(z))
+        a = _atom1("A", u, x, 2.0)
+        b = _atom1("B", z, y, 3.0)
         assert internal_serial(a, b) is b
 
     def test_producer_order_commutes(self):
         a1, b1, c1, u1 = rvs("a1", "b1", "c1", "u1")
-        A = SplitBlock(_atom1("A", u1, a1, 2.0), names(u1))
-        B = SplitBlock(_atom1("B", a1, b1, 3.0), names(a1))
+        A = _atom1("A", u1, a1, 2.0)
+        B = _atom1("B", a1, b1, 3.0)
         fn = ExprFun((Var("a1", R), Var("b1", R)), (Bin("+", Ref("a1"), Ref("b1")),))
-        C = SplitBlock(IoDiagram((a1, b1), (c1,), Atom("C", fn)), names(a1, b1))
+        C = IoDiagram((a1, b1), (c1,), Atom("C", fn))
         lhs = internal_serial(internal_serial(A, B), internal_serial(A, C))
         rhs = internal_serial(internal_serial(B, A), internal_serial(B, C))
-        assert io_equiv(lhs.base, rhs.base, 60)
+        assert io_equiv(lhs, rhs, 60)
 
     def test_producer_order_commutes_sampled(self, corpus_diagrams):
         rng = random.Random(41)
@@ -349,7 +369,7 @@ class TestInternalSerial:
                 A, B, C = rng.sample(blocks, 3)
                 lhs = internal_serial(internal_serial(A, B), internal_serial(A, C))
                 rhs = internal_serial(internal_serial(B, A), internal_serial(B, C))
-                assert io_equiv(lhs.base, rhs.base, 40)
+                assert io_equiv(lhs, rhs, 40)
                 checked += 1
         assert checked >= 10
 
@@ -375,7 +395,7 @@ class TestFblessTranslate:
     def test_elimination_step_removes_one_internal(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]
         internal = internal_vars(blocks)
-        producer = next(b for b in blocks if b.name == x.name)
+        producer = next(b for b in blocks if b.outputs == (x,))
         stepped = [internal_serial(producer, b) for b in blocks if b is not producer]
         assert loop_free(stepped)
         assert internal_vars(stepped) == internal - {x.name}
@@ -383,32 +403,31 @@ class TestFblessTranslate:
     def test_matches_named_feedback_of_fold(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]
         out = fbless_translate(blocks)
-        ref = named_feedback(fold_parallel([b.base for b in blocks]))
+        ref = named_feedback(fold_parallel(blocks))
         assert io_equiv(out, ref)
 
     def test_no_internal_vars_folds_directly(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
-        b = SplitBlock(_atom1("B", z, y, 3.0), names(z))
-        out = fbless_translate([a, b])
+        out = fbless_translate([_atom1("A", u, x, 2.0), _atom1("B", z, y, 3.0)])
         assert out.inputs == (u, z) and out.outputs == (x, y)
 
     def test_rejects_algebraic_loop(self, running_example):
         add, delay, split = running_example
-        blocks = [
-            SplitBlock(add, names(z, u)),  # unsplit-style over-approximation
-            SplitBlock(
-                IoDiagram((x,), (z,), Id((R,))), names(x)
-            ),
-        ]
+        blocks = [add, IoDiagram((x,), (z,), Id((R,)))]
         with pytest.raises(PreconditionError) as err:
             fbless_translate(blocks)
         assert "->" in str(err.value)  # cycle witness path
 
     def test_rejects_duplicate_outputs(self):
-        a = SplitBlock(_atom1("A", u, x, 2.0), names(u))
-        b = SplitBlock(_atom1("B", z, x, 3.0), names(z))
+        a = _atom1("A", u, x, 2.0)
+        b = _atom1("B", z, x, 3.0)
         with pytest.raises(PreconditionError):
             fbless_translate([a, b])
+
+    def test_rejects_a_block_without_exactly_one_output(self, running_example):
+        _, delay, _ = running_example
+        for block in (delay, IoDiagram((u,), (), Sink((R,)))):
+            with pytest.raises(PreconditionError, match="one output"):
+                fbless_translate([block])
 
     def test_given_order_must_cover_internals(self, running_example):
         blocks = [p for d in running_example for p in split_block(d)]

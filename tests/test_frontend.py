@@ -252,6 +252,56 @@ class TestNormalize:
         assert traces[0].column("y") == traces[1].column("y") == [2.0, -5.0]
         assert traces[0].column("z") == traces[1].column("z") == [3.0, -7.5]
 
+    def test_split_ids_skip_only_the_top_block_ids(self):
+        """A subsystem block named ``__split1`` becomes ``S1/__split1`` in
+        its instance, so it cannot clash with a generated split id: with
+        fan-out at both levels, the tree translates in both modes with no
+        two atoms of one name, and simulates as it does with that block
+        renamed."""
+        from hbd.sim import simulate_translated
+
+        def doc(gid):
+            sub = _doc(
+                name="fan",
+                inputs=[{"name": "p", "type": "Real", "to": [f"{gid}.a", "G.a"]}],
+                outputs=[
+                    {"name": "q", "type": "Real", "from": "G.out"},
+                    {"name": "r", "type": "Real", "from": f"{gid}.out"},
+                ],
+                blocks=[
+                    {"id": gid, "kind": "Gain", "params": {"k": 3.0}},
+                    {"id": "G", "kind": "Gain", "params": {"k": 2.0}},
+                ],
+            )
+            return parse_doc(json.dumps(_doc(
+                inputs=[{"name": "u", "type": "Real", "to": ["S1.p", "H.a"]}],
+                outputs=[
+                    {"name": "y", "type": "Real", "from": "S1.q"},
+                    {"name": "z", "type": "Real", "from": "S1.r"},
+                    {"name": "w", "type": "Real", "from": "H.out"},
+                ],
+                blocks=[
+                    {"id": "S1", "kind": "Fan"},
+                    {"id": "H", "kind": "Gain", "params": {"k": 10.0}},
+                ],
+                subsystems={"Fan": sub},
+            )))
+
+        clash, plain = doc("__split1"), doc("K")
+        diagrams, _, norm = document_io_list(clash)
+        assert [b.id for b in norm.blocks] == ["S1", "H", "__split1"]
+        names = sorted(d.body.name for d in diagrams)
+        assert names == ["H", "S1/G", "S1/__split1", "__split1", "__split2"]
+        rows = [{"u": 1.0}, {"u": -2.5}]
+        for mode in ("flatten", "recursive"):
+            traces = []
+            for d in (clash, plain):
+                res = flatten_or_recurse(d, mode)
+                collect_atoms(res.diagram.body)  # raises on a name bound twice
+                traces.append(simulate_translated(res.diagram, res.state_table, rows))
+            for name, want in (("y", [2.0, -5.0]), ("z", [3.0, -7.5]), ("w", [10.0, -25.0])):
+                assert traces[0].column(name) == traces[1].column(name) == want
+
     def test_unvalidated_documents_are_validated_on_first_use(self):
         """Hand-built documents, never parsed, raise the frontend's own
         errors: an undriven port dangles, and a Bool input on an Add is a
@@ -406,7 +456,7 @@ class TestToIoDiagrams:
         blocks = [sb for d in ds for sb in split_block(d)]
         assert len(blocks) == 5  # Add, Delay1, Delay2, Split1, Split2
         assert loop_free(blocks)
-        deps_sizes = sorted(len(b.deps) for b in blocks)
+        deps_sizes = sorted(len(b.inputs) for b in blocks)
         assert deps_sizes == [1, 1, 1, 1, 2]  # only Add reads two inputs
 
 

@@ -332,7 +332,7 @@ class TestFoldParallel:
 
     def test_shared_input_names(self, corpus_diagrams):
         for _, ds, _ in corpus_diagrams:
-            self.assert_matches_oracle([sb.base for d in ds for sb in split_block(d)])
+            self.assert_matches_oracle([sb for d in ds for sb in split_block(d)])
         rng = random.Random(41)
         routed = 0
         for _ in range(60):

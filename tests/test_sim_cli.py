@@ -22,6 +22,7 @@ from hbd.cli import main
 from hbd.errors import CycleError, ParseError, PreconditionError, SchemaError, TypeMismatchError
 from hbd.frontend import flatten_or_recurse, normalize, parse_doc
 from hbd.gen import loop_diagram, random_diagram
+from hbd.harness import io_equiv
 from hbd.semantics import BOT
 from hbd.sim import simulate_direct, simulate_translated, traces_match
 from hbd.terms import print_term, rewrite_basic
@@ -392,6 +393,50 @@ def test_cli_print_nested_diagram(capsys):
     )
 
 
+def test_cli_print_shows_unary_and_conditional_bodies(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "name": "switch",
+        "inputs": [
+            {"name": "c", "type": "Bool", "to": "N.a"},
+            {"name": "u", "type": "Real", "to": "S.t"},
+            {"name": "v", "type": "Real", "to": "S.e"},
+        ],
+        "outputs": [{"name": "y", "type": "Real", "from": "S.out"}],
+        "blocks": [{"id": "N", "kind": "LogicalNot"}, {"id": "S", "kind": "SwitchBlk"}],
+        "wires": [{"from": "N.out", "to": "S.c"}],
+    }
+    path = tmp_path / "switch.hbd.json"
+    path.write_text(json.dumps(doc))
+    assert main(["print", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  (c) -> (w1)  =  [c ~> (not c)]" in lines
+    assert "  (w1, u, v) -> (y)  =  [w1, u, v ~> (if w1 then u else v)]" in lines
+
+
+def test_cli_simulate_int_input(tmp_path, capsys):
+    """Int cells parse and print as ints, big ones exactly; a cell that is
+    not an Int literal exits 2."""
+    doc = {
+        "version": 1,
+        "name": "int-gain",
+        "inputs": [{"name": "u", "type": "Int", "to": "G.a"}],
+        "outputs": [{"name": "y", "type": "Int", "from": "G.out"}],
+        "blocks": [{"id": "G", "kind": "Gain", "params": {"k": 3, "type": "Int"}}],
+        "wires": [],
+    }
+    path, csv_path = tmp_path / "int.hbd.json", tmp_path / "inputs.csv"
+    path.write_text(json.dumps(doc))
+    csv_path.write_text(f"u\n2\n-7\n{2**80}\n")
+    assert main(["simulate", str(path), "--inputs", str(csv_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "step,u,y", "0,2,6", "1,-7,-21", f"2,{2**80},{3 * 2**80}"
+    ]
+    csv_path.write_text("u\n1\n1.5\n")
+    assert main(["simulate", str(path), "--inputs", str(csv_path)]) == 2
+    assert "not an Int literal: '1.5'" in capsys.readouterr().err
+
+
 _CLI_DIGEST = """
 import contextlib, hashlib, io, re, sys
 from hbd.cli import main
@@ -492,6 +537,32 @@ def test_cli_shipped_loop_diagram(capsys):
     # the feedback-based strategies still translate it (outputs are unknown)
     assert main(["translate", path, "--strategy", "incr"]) == 0
     assert main(["check", path, "--seeds", "3", "--samples", "40"]) == 0
+
+
+def test_shipped_instance_loop_diagram(capsys):
+    """The loop through an instance's UnitDelay is no algebraic loop: in
+    flatten mode fbless translates it, is proved equal to incr, and
+    simulates 50 steps as the direct interpreter does.  In recursive mode
+    the translated instance is one block whose output reads its input, so
+    fbless sees a loop there and the check has no fbless column: the
+    documented limitation of recursive mode."""
+    path = DIAGRAMS / "instance_loop.hbd.json"
+    doc = parse_doc(path.read_bytes())
+    fbless = flatten_or_recurse(doc, "flatten", FbLess())
+    incr = flatten_or_recurse(doc, "flatten", Incremental())
+    assert io_equiv(fbless.diagram, incr.diagram).proved
+    rows = [{"u": float((7 * k) % 11 - 5)} for k in range(50)]
+    translated = simulate_translated(fbless.diagram, fbless.state_table, rows)
+    direct = simulate_direct(doc, rows)
+    assert traces_match(translated, direct)
+    assert [s.state_after for s in translated.steps] == [s.state_after for s in direct.steps]
+
+    argv = ["translate", str(path), "--strategy", "fbless", "--mode", "recursive"]
+    assert main(argv) == 3
+    assert "algebraic loop: w1 -> w3 -> w2 -> w1" in capsys.readouterr().err
+    assert main(["check", str(path), "--seeds", "2", "--samples", "40", "--mode", "recursive"]) == 0
+    out = capsys.readouterr().out
+    assert "fbless" not in out and "FAIL" not in out
 
 
 def test_cli_entry_point_subprocess(sum_path):

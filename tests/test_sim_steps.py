@@ -301,3 +301,19 @@ def test_steps_equal_the_oracle_by_repr(corpus_docs):
             assert got == outcome(simulate_translated_oracle, *args), (name, key)
             checked += 1
     assert checked == 28 * 4 + 5 * 2 * 4 + 3 + 1
+
+
+def test_bot_survives_pickling_and_copying(mixed):
+    """``BOT`` is compared by identity, so a pickled or deep-copied trace
+    must give back ``BOT`` itself in its unknown cells."""
+    import copy
+    import pickle
+
+    assert pickle.loads(pickle.dumps(BOT)) is BOT
+    assert copy.deepcopy(BOT) is BOT
+    result = flatten_or_recurse(mixed, "flatten", Incremental())
+    rows = [{"u": BOT, "c": True, "n": 2}, {"u": 1.0, "c": False, "n": BOT}]
+    trace = simulate_translated(result.diagram, result.state_table, rows)
+    assert any(v is BOT for out in trace.outputs for v in out)
+    for back in (pickle.loads(pickle.dumps(trace)), copy.deepcopy(trace)):
+        assert back.outputs == trace.outputs  # a cell equals BOT only if it is BOT

@@ -225,17 +225,17 @@ def loop_free_oracle(items) -> bool:
 
 def topological_order_oracle(blocks) -> list:
     """``topological_order``, testing every pair of internal variables."""
-    deps_of = {b.name: b.deps for b in blocks}
-    first_seen = {b.name: i for i, b in enumerate(blocks)}
+    reads = {b.outputs[0].name: b.in_pos for b in blocks}
+    first_seen = {b.outputs[0].name: i for i, b in enumerate(blocks)}
     nodes = sorted(internal_vars(blocks), key=lambda v: first_seen[v])
-    succs = [{j for j, w in enumerate(nodes) if u in deps_of[w]} for u in nodes]
+    succs = [{j for j, w in enumerate(nodes) if u in reads[w]} for u in nodes]
     return [nodes[i] for i in stable_topo_order_oracle(succs)]
 
 
 def random_order(blocks, seed) -> list:
     """The internal variable names, listed as their producers appear in
     ``blocks`` and then shuffled by ``random.Random(seed)``."""
-    first_seen = {b.name: i for i, b in enumerate(blocks)}
+    first_seen = {b.outputs[0].name: i for i, b in enumerate(blocks)}
     order = sorted(internal_vars(blocks), key=first_seen.__getitem__)
     random.Random(seed).shuffle(order)
     return order
@@ -246,10 +246,10 @@ def fbless_translate_oracle(blocks, order) -> IoDiagram:
     blocks = list(blocks)
     validate_ok_fbless(blocks)
     for u in order:
-        producer = next(b for b in blocks if b.name == u)
+        producer = next(b for b in blocks if b.outputs[0].name == u)
         rest = [b for b in blocks if b is not producer]
         blocks = [internal_serial(producer, b) for b in rest]
-    return fold_parallel([b.base for b in blocks])
+    return fold_parallel(blocks)
 
 
 def shared_serials(term) -> list:
