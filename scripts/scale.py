@@ -27,6 +27,11 @@ and incr translations over 200 seeded input steps: the seconds
 ``compile_term`` takes on the term, the seconds of the step loop
 (``simulate_compiled``), and the steps per second of the loop alone.
 
+A fourth table gives one ``nested`` row per k = 1..6 on
+``gen.twin_chain(k)``, k levels of two instances of the level below: the
+fbless term size and the seconds ``flatten_or_recurse`` takes (expanding the
+document included), in flatten and in recursive mode.
+
     python scripts/scale.py [N ...]
 """
 
@@ -42,11 +47,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from hbd.compiled import compile_term
 from hbd.feedbackless import fbless_translate, split_block
-from hbd.frontend import document_io_list
-from hbd.gen import random_diagram
+from hbd.frontend import FbLess, document_io_list, flatten_or_recurse
+from hbd.gen import random_diagram, twin_chain
 from hbd.harness import equivalence_matrix, translate_all
 from hbd.sim import simulate_compiled
-from hbd.terms import Route, iter_subterms, print_term
+from hbd.terms import Route, iter_subterms, print_term, term_size
 from hbd.translator import FeedbackParallel, Incremental, translate
 from hbd.types import BaseType
 
@@ -57,6 +62,7 @@ STRATEGIES = {
 }
 SIMULATED = ("fbpar", "incr")
 STEPS = 200
+LEVELS = range(1, 7)
 
 
 def shape(term) -> tuple:
@@ -118,6 +124,19 @@ def main(argv=None) -> int:
     print(f"{'blocks':>6} {'simulate':<8} {'compile':>8} {'loop':>8} {'steps/s':>10}")
     for n, name, (compiling, loop) in sims:
         print(f"{n:>6} {name:<8} {compiling:>8.3f} {loop:>8.3f} {STEPS / loop:>10.0f}")
+    print(
+        f"{'levels':>6} {'nested':<8} {'flat_size':>10} {'flat_s':>8}"
+        f" {'rec_size':>10} {'rec_s':>8}"
+    )
+    for k in LEVELS:
+        doc = twin_chain(k)
+        cells = []
+        for mode in ("flatten", "recursive"):
+            t0 = time.perf_counter()
+            result = flatten_or_recurse(doc, mode, FbLess())
+            seconds = time.perf_counter() - t0
+            cells.append(f"{term_size(result.diagram.body):>10} {seconds:>8.3f}")
+        print(f"{k:>6} {'nested':<8} {' '.join(cells)}")
     return 0
 
 

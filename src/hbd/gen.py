@@ -5,7 +5,7 @@ blocks' outputs of the same type, to unit-delay outputs anywhere (closing
 cycles only through state, so the split block list stays algebraic-loop
 free), or to fresh external inputs.  Unconsumed outputs become declared
 outputs.  ``loop_diagram`` builds a small document with a genuine algebraic
-loop for rejection tests.
+loop for rejection tests, and ``twin_chain`` a deeply nested hierarchy.
 """
 
 from __future__ import annotations
@@ -124,6 +124,32 @@ def loop_diagram() -> DiagramDoc:
     inputs = [ExtIn("u", BaseType.REAL, (PortRef("A", "b"),))]
     outputs = [ExtOut("y", BaseType.REAL, PortRef("A", "out"))]
     doc = DiagramDoc("algebraic-loop", inputs, outputs, blocks, wires, {})
+    check_tree(doc)
+    return doc
+
+
+def twin_chain(k: int) -> DiagramDoc:
+    """``k`` levels of subsystems, each two instances of the level below
+    wired in series from ``u`` to ``y``; the leaf is a Gain then a
+    UnitDelay.  The flattened document has 2**k leaves."""
+    leaf = DiagramDoc(
+        "leaf",
+        [ExtIn("u", BaseType.REAL, (PortRef("G", "a"),))],
+        [ExtOut("y", BaseType.REAL, PortRef("D", "y"))],
+        [BlockInst("G", "Gain", (("k", 0.5),)), BlockInst("D", "UnitDelay", (("init", 0.0),))],
+        [WireDecl(PortRef("G", "out"), PortRef("D", "x"))],
+    )
+    doc = leaf
+    for level in range(1, k + 1):
+        below = f"L{level - 1}"
+        doc = DiagramDoc(
+            f"level{level}",
+            [ExtIn("u", BaseType.REAL, (PortRef("A", "u"),))],
+            [ExtOut("y", BaseType.REAL, PortRef("B", "y"))],
+            [BlockInst("A", below), BlockInst("B", below)],
+            [WireDecl(PortRef("A", "y"), PortRef("B", "u"))],
+            {below: doc},
+        )
     check_tree(doc)
     return doc
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .compiled import compile_term
 from .errors import CompositionError, PreconditionError, TypeMismatchError
-from .feedbackless import fbless_translate, loop_free, split_block
+from .feedbackless import fbless_translate, loop_free, loop_witness, split_block
 from .io_diagrams import (
     EquivResult,
     IoDiagram,
@@ -56,6 +56,7 @@ class RunReport:
     matrix: list = field(default_factory=list)  # [[EquivResult]]
     samples_used: int = 0
     stats: EvalStats = field(default_factory=EvalStats)
+    not_run: list = field(default_factory=list)  # (label, why it did not run)
 
     @property
     def all_equivalent(self) -> bool:
@@ -67,6 +68,8 @@ class RunReport:
             lines.append(
                 f"{run.label:>12}: {run.size:5d} nodes  {run.seconds * 1000:8.1f} ms"
             )
+        for label, why in self.not_run:
+            lines.append(f"{label:>12}: not run: {why}")
         lines.append(f"samples per pair: {self.samples_used}")
         cells = [row[j] for i, row in enumerate(self.matrix) for j in range(i, len(row))]
         proved = sum(c.proved for c in cells)
@@ -96,13 +99,18 @@ class RunReport:
 _TRANSLATION_ERRORS = (CompositionError, PreconditionError, TypeMismatchError)
 
 
-def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20)):
+def translate_all(
+    diagrams: Sequence[IoDiagram],
+    seeds: Sequence[int] = range(20),
+    not_run: Optional[list] = None,
+):
     """(label, io-diagram, seconds) for fbpar, incr, each seed, and fbless
     when the list of split blocks (``split_block``: single-output
-    io-diagrams over the inputs their output depends on) is loop-free.  A
-    strategy whose translation raises gets no io-diagram and records why in
-    ``failure``, so a list that is not io-distinct fails every strategy but
-    fbless."""
+    io-diagrams over the inputs their output reads) is loop-free; when it is
+    not, ``("fbless", "algebraic loop: <witness>")`` goes to ``not_run``,
+    when given.  A strategy whose translation raises gets no io-diagram and
+    records why in ``failure``, so a list that is not io-distinct fails
+    every strategy but fbless."""
     runs = []
 
     def timed(label, thunk):
@@ -120,6 +128,8 @@ def translate_all(diagrams: Sequence[IoDiagram], seeds: Sequence[int] = range(20
     blocks = [sb for d in diagrams for sb in split_block(d)]
     if loop_free(blocks):
         timed("fbless", lambda: fbless_translate(blocks))
+    elif not_run is not None:
+        not_run.append(("fbless", loop_witness(blocks)))
     return runs
 
 
@@ -265,5 +275,7 @@ def run_determinacy(
 ) -> RunReport:
     if not diagrams:
         raise PreconditionError("no diagrams to check")
-    runs = translate_all(diagrams, seeds)
-    return equivalence_matrix(runs, samples)
+    not_run: list = []
+    report = equivalence_matrix(translate_all(diagrams, seeds, not_run), samples)
+    report.not_run = not_run
+    return report

@@ -1,6 +1,7 @@
 """Block splitting, dependency analysis, internal serial composition, and
 the feedback-free translation."""
 
+import json
 import random
 import subprocess
 import sys
@@ -28,15 +29,35 @@ from hbd.io_diagrams import (
     fold_parallel,
     named_feedback,
 )
-from hbd.frontend import document_io_list
-from hbd.gen import random_diagram
-from hbd.terms import Atom, Id, Sink, mk_arb, print_term, rewrite_basic
-from hbd.translator import topo_order
+from hbd.frontend import FbLess, document_io_list, flatten_or_recurse, parse_doc
+from hbd.gen import random_diagram, twin_chain
+from hbd.terms import (
+    Atom,
+    Feedback,
+    Id,
+    Route,
+    Serial,
+    Sink,
+    Split,
+    Switch,
+    iter_subterms,
+    mk_arb,
+    print_term,
+    rewrite_basic,
+    term_size,
+)
+from hbd.translator import FeedbackParallel, Incremental, topo_order
 from hbd.semantics import BOT
 from hbd.types import BaseType, Var
 
 from util import (
+    DIFF_DOC,
+    FANOUT_DOC,
+    INHERITED_DOC,
+    SUB_DOC,
+    TWINS_DOC,
     feedbacks_outside_arb,
+    graph_reads,
     transitive_closure,
     fbless_translate_oracle,
     growing_tower,
@@ -48,6 +69,7 @@ from util import (
 )
 
 R = BaseType.REAL
+DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
 
 def rvs(*names):
@@ -97,13 +119,22 @@ class TestSplitBlock:
         assert parts[0] is add
 
     def test_generic_projection_fallback(self):
-        # a non-atom body falls back to S ;; [outs -> u_i] with every input
+        # a non-atom body whose outputs leave z unread falls back to
+        # S ;; [outs -> u_i] with every input
+        both = IoDiagram((u, z), (x, y), Route((R, R), (R, R), (0, 0)))
+        parts = split_block(both)
+        assert [p.outputs for p in parts] == [(x,), (y,)]
+        assert all(p.inputs == (u, z) for p in parts)
+        assert io_equiv(fold_parallel(parts), both)
+
+    def test_non_atom_body_is_sliced_per_output(self):
+        # each output keeps the part of the body it reads, and its inputs
         a = IoDiagram((u,), (x,), Atom("A", ExprFun((Var("u", R),), (Ref("u"),))))
         b = IoDiagram((z,), (y,), Atom("B", ExprFun((Var("z", R),), (Ref("z"),))))
         both = named_parallel(a, b)
         parts = split_block(both)
-        assert [p.outputs for p in parts] == [(x,), (y,)]
-        assert all(p.inputs == (u, z) for p in parts)
+        assert [(p.inputs, p.outputs) for p in parts] == [((u,), (x,)), ((z,), (y,))]
+        assert [p.body for p in parts] == [a.body, b.body]
         assert io_equiv(fold_parallel(parts), both)
 
     def test_splitting_soundness(self, running_example):
@@ -187,6 +218,99 @@ class TestUnreadInputs:
         report = run_determinacy([A], seeds=range(2), samples=20)
         assert [r.label for r in report.runs][-1] == "fbless"
         assert all(cell.proved for row in report.matrix for cell in row)
+
+
+class TestSlicing:
+    """A translated instance, or any other non-atom body, splits into one
+    slice per output: the part of the body the output reads, over the
+    inputs it reads."""
+
+    def test_recursive_fbless_stays_within_twice_the_flat_size(self):
+        doc = twin_chain(6)
+        flat = term_size(flatten_or_recurse(doc, "flatten", FbLess()).diagram.body)
+        rec = flatten_or_recurse(doc, "recursive", FbLess()).diagram
+        assert flat == 129
+        assert term_size(rec.body) <= 2 * flat
+        assert feedbacks_outside_arb(rec.body) == 0
+
+    def test_slices_read_exactly_what_their_output_reads(self):
+        """On every recursive-mode item of the shipped, fixture and chain
+        documents, under three strategies, a slice takes the inputs its
+        output's symbolic graph reaches, and the slices recombine to the
+        item."""
+        texts = [p.read_text() for p in sorted(DIAGRAMS.glob("*.hbd.json"))]
+        texts += [json.dumps(d) for d in (SUB_DOC, DIFF_DOC, TWINS_DOC, FANOUT_DOC, INHERITED_DOC)]
+        docs = [parse_doc(t) for t in texts] + [twin_chain(3)]
+        sliced = 0
+        for doc in docs:
+            for method in (Incremental(), FeedbackParallel(), FbLess()):
+                for d in document_io_list(doc, "recursive", method)[0]:
+                    if isinstance(d.body, Atom) or len(d.outputs) == 1:
+                        continue
+                    parts = split_block(d)
+                    reads = graph_reads(d.body)
+                    for p, want in zip(parts, reads):
+                        assert [d.in_pos[v.name] for v in p.inputs] == want
+                    assert io_equiv(fold_parallel(parts), d).proved
+                    sliced += 1
+        assert sliced >= 30
+
+    def test_instance_delay_breaks_the_loop(self):
+        """instance_loop's loop runs through the instance's UnitDelay: its
+        output slice reads only the state, so fbless sees no loop."""
+        doc = parse_doc((DIAGRAMS / "instance_loop.hbd.json").read_bytes())
+        for method in (Incremental(), FbLess()):
+            diagrams, _, _ = document_io_list(doc, "recursive", method)
+            blocks = [b for d in diagrams for b in split_block(d)]
+            assert loop_free(blocks)
+            report = run_determinacy(diagrams, seeds=range(2), samples=20)
+            assert report.runs[-1].label == "fbless" and not report.not_run
+            assert all(cell.proved for row in report.matrix for cell in row)
+
+    def test_wiring_constants_slice_to_their_sources(self):
+        """An unknown Route output reads nothing; a Switch or Split output
+        reads the one input it carries."""
+        d = IoDiagram((u, z), (x, y, v), Route((R, R), (R, R, R), (1, None, 0)))
+        parts = split_block(d)
+        assert [(p.inputs, p.outputs) for p in parts] == [((z,), (x,)), ((), (y,)), ((u,), (v,))]
+        assert parts[1].body == Route((), (R,), (None,))
+        assert io_equiv(fold_parallel(parts), d).proved
+        swap = IoDiagram((u, z), (x, y), Serial(Switch((R,), (R,)), Id((R, R))))
+        split = IoDiagram((u,), (x, y), Split((R,)))
+        for d, reads in ((swap, [(z,), (u,)]), (split, [(u,), (u,)])):
+            parts = split_block(d)
+            assert [p.inputs for p in parts] == reads
+            assert all(p.body == Id((R,)) for p in parts)
+            assert io_equiv(fold_parallel(parts), d).proved
+
+    def test_a_feedback_tower_is_sliced_in_one_walk(self, monkeypatch):
+        """Each of 40 nested feedbacks reads its guess, and one output of the
+        tower is cut away: the slice visits each level once."""
+        depth = 40
+        params = tuple(Var(f"p{i}", R) for i in range(depth + 2))
+        total = Ref("p0")
+        for p in params[1:]:
+            total = Bin("+", total, Ref(p.name))
+        fn = ExprFun(params, (total,) * (depth + 1) + (Ref(params[-1].name),))
+        body = Atom("F", fn)
+        for _ in range(depth):
+            body = Feedback(body)
+        d = IoDiagram((u, z), (x, y), body)
+        calls = 0
+        real = feedbackless._slice
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= 4 * depth, "the slice walks a level more than once"
+            return real(*args)
+
+        monkeypatch.setattr(feedbackless, "_slice", counted)
+        first, second = split_block(d)
+        assert first.inputs == (u, z) and second.inputs == (z,)
+        assert calls <= 2 * (depth + 1)
+        atoms = [t for t in iter_subterms(first.body) if isinstance(t, Atom)]
+        assert [len(a.fn.bodies) for a in atoms] == [depth + 1]
 
 
 class TestCheckDeterministic:
@@ -542,7 +666,8 @@ def test_scale_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
-    header, *rows, check_header, check, sim_header, fbpar, incr = lines
+    header, *rows, check_header, check, sim_header, fbpar, incr = lines[:-7]
+    nested_header, *nested = lines[-7:]
     assert header == [
         "blocks", "strategy", "seconds", "print", "term_size", "route_width", "kept_MB"
     ]
@@ -561,4 +686,9 @@ def test_scale_script_runs():
     assert sim_header == ["blocks", "simulate", "compile", "loop", "steps/s"]
     assert [fbpar[:2], incr[:2]] == [["20", "fbpar"], ["20", "incr"]]
     assert all(len(row) == len(sim_header) for row in (fbpar, incr))
+    assert nested_header == ["levels", "nested", "flat_size", "flat_s", "rec_size", "rec_s"]
+    assert [row[:2] for row in nested] == [[str(k), "nested"] for k in range(1, 7)]
+    flat_sizes = [int(row[2]) for row in nested]
+    assert flat_sizes == [2 ** (k + 1) + 1 for k in range(1, 7)]
+    assert all(int(row[4]) <= 2 * int(row[2]) for row in nested)
     assert all(float(row[4]) > 0 for row in (fbpar, incr))

@@ -178,6 +178,25 @@ def test_translate_all_refuses_a_list_that_is_not_io_distinct(running_example):
     assert runs[-1].label == "fbless" and runs[-1].failure != reason
 
 
+def test_a_loop_leaves_fbless_out_and_says_why():
+    """fbless does not run on a list with an algebraic loop.  The report
+    names the loop in its text, with no FAIL cell, and keeps the note out of
+    its runs, which all have a diagram."""
+    from hbd.frontend import document_io_list
+    from hbd.gen import loop_diagram
+
+    diagrams, _, _ = document_io_list(loop_diagram())
+    report = run_determinacy(diagrams, seeds=range(2), samples=20)
+    assert [r.label for r in report.runs] == ["fbpar", "incr", "rand0", "rand1"]
+    assert all(r.diagram is not None for r in report.runs)
+    assert report.not_run == [("fbless", "algebraic loop: w1 -> w3 -> w2 -> w1")]
+    text = report.render()
+    assert "      fbless: not run: algebraic loop: w1 -> w3 -> w2 -> w1\n" in text
+    assert "FAIL" not in text and report.all_equivalent
+    # a caller that asks for no notes gets the same runs
+    assert [r.label for r in translate_all(diagrams, seeds=range(2))] == ["fbpar", "incr", "rand0", "rand1"]
+
+
 def test_translated_terms_round_trip_through_text(running_example, corpus_diagrams):
     from hbd.terms import collect_atoms, parse_term
 

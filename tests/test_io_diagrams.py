@@ -13,9 +13,10 @@ from hbd.exprs import Bin, ExprFun, Ref
 from hbd.feedbackless import split_block
 from hbd.frontend import document_io_list
 from hbd.gen import random_diagram
-from hbd.harness import io_equiv
+from hbd.harness import io_equiv, translate_all
 from hbd.io_diagrams import (
     IoDiagram,
+    beside,
     equivalence_samples,
     fold_parallel,
     named_feedback,
@@ -37,6 +38,7 @@ from hbd.terms import (
     mk_arb,
     print_term,
     rewrite_basic,
+    term_size,
 )
 from hbd.types import BaseType, Var, types_of
 
@@ -480,6 +482,34 @@ class TestIndexedInterface:
         monkeypatch.setattr(translator, "named_feedback", named_feedback_oracle)
         assert got == shapes()
         assert all(len(runs) in (5, 6) and not any(r[1] for r in runs) for runs in got)
+
+
+class TestBeside:
+    def test_identities_merge_across_the_adjoining_edge(self):
+        x = Atom("X", ExprFun((Var("p", R),), (Ref("p"),)))
+        assert beside(Id((R,)), Id((I,))) == Id((R, I))
+        assert beside(Id((R,)), Parallel(Id((I,)), x)) == Parallel(Id((R, I)), x)
+        assert beside(Parallel(x, Id((R,))), Id((I,))) == Parallel(x, Id((R, I)))
+        assert beside(Id(()), x) is x and beside(x, Id(())) is x
+
+    def test_identities_off_the_adjoining_edge_stay(self):
+        x = Atom("X", ExprFun((Var("p", R),), (Ref("p"),)))
+        inner = Parallel(x, Id((I,)))
+        assert beside(Id((R,)), inner) == Parallel(Id((R,)), inner)
+        assert beside(Parallel(Id((R,)), x), Id((I,))) == Parallel(Parallel(Id((R,)), x), Id((I,)))
+
+
+def test_translations_have_their_rewritten_size(corpus_reports):
+    """The compositions build no plumbing that ``rewrite_basic`` removes:
+    every translation of the corpus and of five 50-block documents, fbless
+    included, already has the size of its rewritten form."""
+    runs = [run for report in corpus_reports for run in report.runs]
+    for i in range(5):
+        runs += translate_all(document_io_list(random_diagram(7 + i, 50, 50))[0])
+    assert sum(run.label == "fbless" for run in runs) == 35
+    for run in runs:
+        body = run.diagram.body
+        assert term_size(body) == term_size(rewrite_basic(body)), run.label
 
 
 class TestNamedFeedback:

@@ -134,14 +134,15 @@ def test_latch_is_checked_and_simulated(tmp_path, capsys):
     back two wires and incr and rand1 one, and the two groups stop at caps
     one pass apart on different graphs.  `hbd check` proves the pairs within
     a group and samples the six between them, with no fbless column since
-    the latch is an algebraic loop, and each strategy simulates like the
-    direct interpreter."""
+    the latch is an algebraic loop (the report names it), and each strategy
+    simulates like the direct interpreter."""
     path = tmp_path / "latch.hbd.json"
     path.write_text(json.dumps(LATCH))
     assert main(["check", str(path), "--seeds", "3"]) == 0
     out = capsys.readouterr().out
     assert "pairs: 9 proved (equal output graphs), 6 sampled, 0 failed" in out
-    assert "fbless" not in out
+    assert "fbless: not run: algebraic loop: w1 -> w2 -> w1" in out
+    assert out.count("fbless") == 1
     doc = parse_doc(json.dumps(LATCH))
     rows = [{"c": c, "u": float(k)} for k, c in enumerate((True, False, True, False, False))]
     direct = simulate_direct(doc, rows)
@@ -536,33 +537,51 @@ def test_cli_shipped_loop_diagram(capsys):
     assert "feedbackless" in err and "w1 -> w3 -> w2 -> w1" in err  # the witness
     # the feedback-based strategies still translate it (outputs are unknown)
     assert main(["translate", path, "--strategy", "incr"]) == 0
+    capsys.readouterr()
     assert main(["check", path, "--seeds", "3", "--samples", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "fbless: not run: algebraic loop: w1 -> w3 -> w2 -> w1" in out
+    assert "FAIL" not in out
 
 
 def test_shipped_instance_loop_diagram(capsys):
     """The loop through an instance's UnitDelay is no algebraic loop: in
-    flatten mode fbless translates it, is proved equal to incr, and
-    simulates 50 steps as the direct interpreter does.  In recursive mode
-    the translated instance is one block whose output reads its input, so
-    fbless sees a loop there and the check has no fbless column: the
-    documented limitation of recursive mode."""
+    both modes fbless translates it, is proved equal to incr, and simulates
+    50 steps as the direct interpreter does.  In recursive mode the
+    translated instance splits into one slice per output, and its output
+    slice reads only the state, so the check has an fbless column too."""
     path = DIAGRAMS / "instance_loop.hbd.json"
     doc = parse_doc(path.read_bytes())
-    fbless = flatten_or_recurse(doc, "flatten", FbLess())
-    incr = flatten_or_recurse(doc, "flatten", Incremental())
-    assert io_equiv(fbless.diagram, incr.diagram).proved
     rows = [{"u": float((7 * k) % 11 - 5)} for k in range(50)]
-    translated = simulate_translated(fbless.diagram, fbless.state_table, rows)
     direct = simulate_direct(doc, rows)
-    assert traces_match(translated, direct)
-    assert [s.state_after for s in translated.steps] == [s.state_after for s in direct.steps]
+    for mode in ("flatten", "recursive"):
+        fbless = flatten_or_recurse(doc, mode, FbLess())
+        incr = flatten_or_recurse(doc, mode, Incremental())
+        assert io_equiv(fbless.diagram, incr.diagram).proved
+        translated = simulate_translated(fbless.diagram, fbless.state_table, rows)
+        assert traces_match(translated, direct)
+        assert [s.state_after for s in translated.steps] == [s.state_after for s in direct.steps]
 
     argv = ["translate", str(path), "--strategy", "fbless", "--mode", "recursive"]
-    assert main(argv) == 3
-    assert "algebraic loop: w1 -> w3 -> w2 -> w1" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert "(atom S1/G)" in capsys.readouterr().out
     assert main(["check", str(path), "--seeds", "2", "--samples", "40", "--mode", "recursive"]) == 0
     out = capsys.readouterr().out
-    assert "fbless" not in out and "FAIL" not in out
+    assert "fbless" in out and "not run" not in out and "FAIL" not in out
+    assert "pairs: 15 proved (equal output graphs), 0 sampled, 0 failed" in out
+
+
+def test_twin_chain_checks_in_recursive_mode(tmp_path, capsys):
+    """``hbd check --mode recursive`` proves every cell of a 3-level chain
+    of twin instances, fbless included."""
+    from hbd.gen import twin_chain
+
+    path = tmp_path / "chain.hbd.json"
+    path.write_text(json.dumps(_doc_to_json(twin_chain(3))))
+    assert main(["check", str(path), "--mode", "recursive", "--seeds", "3", "--samples", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "fbless" in out and "not run" not in out
+    assert "pairs: 21 proved (equal output graphs), 0 sampled, 0 failed" in out
 
 
 def test_cli_entry_point_subprocess(sum_path):
@@ -625,6 +644,7 @@ def _doc_to_json(doc):
             {"id": b.id, "kind": b.kind, "params": dict(b.params)} for b in doc.blocks
         ],
         "wires": [{"from": str(w.src), "to": str(w.dst)} for w in doc.wires],
+        "subsystems": {kind: _doc_to_json(sub) for kind, sub in doc.subsystems.items()},
     }
 
 

@@ -24,7 +24,7 @@ from hbd.io_diagrams import (
     switch_vars,
 )
 from hbd.sim import SimTrace, StepRow, _check_row, _typed
-from hbd.symbolic import BOT as BOT_NODE
+from hbd.symbolic import BOT as BOT_NODE, Graph, _operands
 from hbd.terms import (
     Atom,
     Feedback,
@@ -393,6 +393,27 @@ def feedbacks_outside_arb(term) -> int:
     return sum(
         1 for t in iter_subterms(term) if isinstance(t, Feedback) and not is_arb(t)
     )
+
+
+def graph_reads(term) -> list:
+    """For each output of ``term``, the sorted input positions that its
+    symbolic output graph (``hbd.symbolic``) reaches: the inputs it reads,
+    found without looking at the term's wiring."""
+    graph = Graph()
+    outs = graph.outputs(term, [graph.symbol(i) for i in range(len(term.in_types))])
+    reads = []
+    for node in outs:
+        found, seen, stack = set(), {node}, [node]
+        while stack:
+            key = graph.keys[stack.pop()]
+            if key[0] == "in":
+                found.add(key[1])
+            for n in _operands(key):
+                if n not in seen:
+                    seen.add(n)
+                    stack.append(n)
+        reads.append(sorted(found))
+    return reads
 
 
 @dataclass
