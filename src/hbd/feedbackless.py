@@ -1,27 +1,27 @@
 """Feedback-free translation for deterministic, algebraic-loop-free diagrams.
 
-Every block is first split into single-output io-diagrams, one per output,
-whose inputs are the inputs that output depends on, so the dependency
-relation is the paper's set(O) x set(I) of each split block.  An atom reads
-its inputs by position: parameter k of its function stands for input k, so
-an output of a multi-output atom depends on the inputs at the positions of
-the parameters its expression reads, whatever the parameters are called.
-Any other multi-output body, such as a subsystem instance that recursive
-mode has translated, is sliced to each output by dead-wire elimination
-(M. Weiser, "Program slicing", IEEE TSE 1984): the slice keeps only the
-wiring, atoms and feedback wires its output reads, over the inputs it
-reads, which is the per-output profile of Lublinerman, Szegedy and Tripakis
-(POPL 2009).  A single-output block depends on every input, and so does
-every split of a block whose outputs leave an input unread.  If the
-relation has no cycle (Kahn's algorithm,
-``loop_free``), internal variables are eliminated one at a time by
-composing each producer serially into all of its consumers, found through
-a name -> readers index; the surviving blocks are folded in parallel.  The
-bookkeeping around the compositions is linear in the diagram, and keyed by
-variable name, as the io-diagrams' own interface maps are: the dependency
-relation, internal variables and elimination orders all hold names.  An
-elimination order is a plain sequence of names, topological by default.  The
-result contains no feedback operator outside Arb constants.
+Every multi-output block is first split into single-output io-diagrams,
+one per output, whose inputs are the inputs that output depends on, so the
+dependency relation is the paper's set(O) x set(I) of each split block.
+One slicer does it for atoms and translated subsystem instances alike:
+dead-wire elimination (M. Weiser, "Program slicing", IEEE TSE 1984) keeps
+only the wiring, atoms and feedback wires an output reads, over the inputs
+it reads, which is the per-output profile of Lublinerman, Szegedy and
+Tripakis (POPL 2009).  An atom reads its inputs by position: parameter k of
+its function stands for input k, whatever the parameters are called.  A
+single-output block depends on every input, and so does every split of a
+block whose outputs leave an input unread.
+
+If the relation has no cycle (``loop_free``: one depth-first walk, which
+also names the cycle it finds), internal variables are eliminated one at a
+time by composing each producer serially into all of its consumers, found
+through a name -> readers index; the surviving blocks are folded in
+parallel.  The bookkeeping around the compositions is linear in the
+diagram, and keyed by variable name, as the io-diagrams' own interface
+maps are: the dependency relation, internal variables and elimination
+orders all hold names.  An elimination order is a plain sequence of names,
+topological by default.  The result contains no feedback operator outside
+Arb constants.
 """
 
 from __future__ import annotations
@@ -37,41 +37,30 @@ from .translator import stable_topo_order
 
 def split_block(a: IoDiagram) -> list:
     """Single-output io-diagrams, one per output of ``a``: the inputs of
-    each are exactly the inputs its output reads, when together they read
-    every input of ``a``.
+    each are the inputs its output reads (``_deps``), and its body is
+    ``a``'s body sliced to that output (``_slice``).
 
-    A diagram with one output is its own split block.  An atom's output
-    reads the inputs at the positions of the parameters its expression
-    reads: its split atom keeps those parameters and takes those inputs.
-    Any other body is sliced to each output (``_slice``), so a translated
-    subsystem instance splits as its blocks do.  A block whose outputs
-    together leave an input unread takes the generic projection
-    ``S ;; [u1..un -> ui]`` with every input, which over-approximates
-    dependencies, so that the split blocks keep the block's interface.
+    A diagram with one output is its own split block.  Atoms and other
+    bodies, such as a translated subsystem instance, split alike: a cut
+    atom keeps the parameters its output reads, and an output that passes
+    an input on is an identity.  A block whose outputs together leave an
+    input unread takes the generic projection ``S ;; [u1..un -> ui]`` with
+    every input, which over-approximates dependencies, so that the split
+    blocks keep the block's interface.
     """
     if len(a.outputs) == 1:
         return [a]
-    atom = isinstance(a.body, Atom)
     deps = {}
-    reads = a.body.fn.reads if atom else [sorted(d) for d in _deps(a.body, deps)]
-    if len(set().union(*reads)) < len(a.inputs):
+    reads = _deps(a.body, deps)
+    if len(frozenset().union(*reads)) < len(a.inputs):
         return [
             IoDiagram(a.inputs, (u,), Serial(a.body, switch_vars(a.outputs, (u,))))
             for u in a.outputs
         ]
-    out = []
-    for k, (u, kept) in enumerate(zip(a.outputs, reads)):
-        ins = tuple(a.inputs[i] for i in kept)
-        if not atom:
-            body = _slice(a.body, (k,), deps)
-        elif isinstance(a.body.fn.bodies[k], Ref):
-            body = Id((ins[0].ty,))
-        else:
-            fn = a.body.fn
-            kept_fn = ExprFun(tuple(fn.params[i] for i in kept), (fn.bodies[k],))
-            body = Atom(f"{a.body.name}.{u.name}", kept_fn)
-        out.append(IoDiagram(ins, (u,), body))
-    return out
+    return [
+        IoDiagram(tuple(a.inputs[i] for i in sorted(r)), (u,), _slice(a.body, (k,), deps))
+        for k, (u, r) in enumerate(zip(a.outputs, reads))
+    ]
 
 
 # -- per-output slices (dead-wire elimination) ---------------------------------
@@ -135,7 +124,12 @@ def _slice(t: Term, need: tuple, memo: dict) -> Term:
     """``t`` cut down to the outputs at the sorted positions ``need``: its
     inputs are the ones those outputs read (``_reads``), in order, and every
     wire that feeds no needed output is gone.  ``t`` itself when nothing is
-    cut; ``Id(())`` when nothing is needed."""
+    cut; ``Id(())`` when nothing is needed.  A cut atom ``A`` is wiring when
+    each needed output passes a parameter on, and otherwise the atom
+    ``A[k,...]`` over the needed outputs k and the parameters they read."""
+    if isinstance(t, Atom) and len(need) == 1 and len(t.fn.bodies) > 1:
+        if isinstance(t.fn.bodies[need[0]], Ref):  # the commonest cut: a delay or split output
+            return Id(t.fn.out_kinds[need[0] : need[0] + 1])
     tin, tout = t.typing
     ins = _reads(t, need, memo)
     if len(need) == len(tout) and len(ins) == len(tin):
@@ -143,6 +137,12 @@ def _slice(t: Term, need: tuple, memo: dict) -> Term:
     if not need:
         return Id(())
     src = _sources(t)
+    if isinstance(t, Atom):
+        fn = t.fn
+        if not all(isinstance(fn.bodies[k], Ref) for k in need):
+            kept_fn = ExprFun(tuple(fn.params[i] for i in ins), tuple(fn.bodies[k] for k in need))
+            return Atom(f"{t.name}[{','.join(map(str, need))}]", kept_fn)
+        src = {k: fn.reads[k][0] for k in need}  # each passes one input on
     if src is not None:
         at = {i: j for j, i in enumerate(ins)}  # an unknown output (None) stays one
         imap = tuple(at.get(src[k]) for k in need)
@@ -150,10 +150,6 @@ def _slice(t: Term, need: tuple, memo: dict) -> Term:
         if imap == tuple(range(len(ins))):
             return Id(t2)
         return Route(tuple(tin[i] for i in ins), t2, imap)
-    if isinstance(t, Atom):
-        fn = t.fn
-        kept_fn = ExprFun(tuple(fn.params[i] for i in ins), tuple(fn.bodies[k] for k in need))
-        return Atom(f"{t.name}[{','.join(map(str, need))}]", kept_fn)
     if isinstance(t, Serial):
         mid = _reads(t.second, need, memo)
         return chain(_slice(t.first, mid, memo), _slice(t.second, need, memo))
@@ -182,58 +178,47 @@ def oi_rel(items) -> frozenset:
     return frozenset(pairs)
 
 
-def _successors(rel):
-    succ: dict = {}
-    for a, b in rel:
-        succ.setdefault(a, set()).add(b)
-    return succ
+def find_cycle(items):
+    """A witness path of names x -> ... -> x in the dependency relation of
+    ``items``, or None.  One depth-first walk, from each output name in list
+    order, follows the items' own ``out_pos`` -> ``in_pos`` maps and stops
+    at the first name it meets on its own path; each name is entered once.
+    The cycle starts at its smallest name."""
+    reads: dict = {}  # output name -> the input maps of the items producing it
+    for it in items:
+        for name in it.out_pos:
+            reads.setdefault(name, []).append(it.in_pos)
+    done = set()
+    for root in reads:
+        if root in done:
+            continue
+        path = {root: 0}  # the walk's path in order, each name -> its index
+        todo = [itertools.chain.from_iterable(reads[root])]
+        while todo:
+            name = next(todo[-1], None)
+            if name is None:
+                todo.pop()
+                done.add(path.popitem()[0])
+            elif name in path:
+                cycle = list(path)[path[name] :]
+                k = cycle.index(min(cycle))
+                return cycle[k:] + cycle[: k + 1]
+            elif name in reads and name not in done:
+                path[name] = len(path)
+                todo.append(itertools.chain.from_iterable(reads[name]))
+    return None
 
 
 def loop_free(items) -> bool:
-    """No variable reaches itself through the dependency relation: Kahn's
-    algorithm removes every name of ``oi_rel(items)``.  A name on a cycle,
-    a self-loop included, never runs out of predecessors."""
-    succ: dict = {}
-    indeg: dict = {}
-    for a, b in oi_rel(items):
-        succ.setdefault(a, []).append(b)
-        indeg[b] = indeg.get(b, 0) + 1
-        indeg.setdefault(a, 0)
-    ready = [v for v, k in indeg.items() if k == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for w in succ.get(v, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return removed == len(indeg)
-
-
-def find_cycle(items):
-    """A witness path of names x -> ... -> x in the dependency relation, or
-    None."""
-    succ = _successors(oi_rel(items))
-    for start in sorted(succ):
-        stack = [(start, [start])]
-        seen = set()
-        while stack:
-            node, path = stack.pop()
-            for nxt in sorted(succ.get(node, ())):
-                if nxt == start:
-                    return path + [start]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, path + [nxt]))
-    return None
+    """No variable reaches itself through the dependency relation, a
+    self-loop included."""
+    return find_cycle(items) is None
 
 
 def loop_witness(items) -> str:
     """``algebraic loop: x -> ... -> x``, naming a cycle of the dependency
     relation of ``items``, which are not loop-free."""
-    cycle = find_cycle(items)
-    return "algebraic loop: " + (" -> ".join(cycle) if cycle else "?")
+    return "algebraic loop: " + " -> ".join(find_cycle(items))
 
 
 def internal_vars(blocks) -> set:

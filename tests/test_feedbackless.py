@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hbd import feedbackless
 from hbd.compiled import Compiled
@@ -63,6 +64,7 @@ from util import (
     growing_tower,
     loop_free_oracle,
     named_parallel,
+    random_io_list,
     random_order,
     shared_serials,
     topological_order_oracle,
@@ -169,6 +171,13 @@ class TestAtomsReadByPosition:
         one, two = split_block(a)
         assert one.inputs == ((x,) if first == Ref("q") else (u, x))
         assert two.inputs == (u,) and two.body.fn.params == rvs("p")
+        # one naming rule for every cut atom: a pass-through output is an
+        # identity, and a computed one is A[k] over the parameters it reads
+        if first == Ref("q"):
+            assert one.body == Id((R,))
+        else:
+            assert one.body.name == "A[0]" and one.body.fn.params == rvs("p", "q")
+        assert two.body.name == "A[1]"
         assert io_equiv(fold_parallel([one, two]), a)
 
     def test_permuted_parameter_names_follow_positions(self):
@@ -232,6 +241,18 @@ class TestSlicing:
         assert flat == 129
         assert term_size(rec.body) <= 2 * flat
         assert feedbacks_outside_arb(rec.body) == 0
+
+    def test_recursive_fbless_column_has_the_flatten_size(self):
+        """In recursive mode the determinacy report's fbless term has the
+        flatten-mode size: 2**(k+1) + 1 nodes on the k-level chain, and 9
+        on instance_loop, with every cell proved."""
+        docs = [(twin_chain(k), 2 ** (k + 1) + 1) for k in range(1, 6)]
+        docs.append((parse_doc((DIAGRAMS / "instance_loop.hbd.json").read_bytes()), 9))
+        for doc, size in docs:
+            diagrams, _, _ = document_io_list(doc, "recursive")
+            report = run_determinacy(diagrams, seeds=range(2), samples=20)
+            assert (report.runs[-1].label, report.runs[-1].size) == ("fbless", size)
+            assert all(cell.proved for row in report.matrix for cell in row)
 
     def test_slices_read_exactly_what_their_output_reads(self):
         """On every recursive-mode item of the shipped, fixture and chain
@@ -396,6 +417,37 @@ class TestDependencyAnalysis:
     def test_empty_deps_loop_free(self):
         assert loop_free([IoDiagram((), (v,), mk_arb(R))])
 
+    def test_witness_of_a_long_chain_off_a_short_cycle(self):
+        """A 2,000-name chain whose end reads a 2-cycle: the walk enters
+        each name once, and the witness is the cycle, from its smallest
+        name."""
+        chain = rvs(*(f"c{i}" for i in range(2000)), "z1")
+        items = [IoDiagram((b,), (a,), Id((R,))) for a, b in zip(chain, chain[1:])]
+        z1, z2 = rvs("z1", "z2")
+        items += [IoDiagram((z1,), (z2,), Id((R,))), IoDiagram((z2,), (z1,), Id((R,)))]
+        assert find_cycle(items) == ["z1", "z2", "z1"]
+        assert not loop_free(items)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_witness_is_a_cycle_from_its_smallest_name(self, seed):
+        """On io lists with loops and self-loops, loop_free agrees with the
+        closure oracle, and a witness is a cycle of oi_rel that starts at
+        its smallest name."""
+        rng = random.Random(seed)
+        items = random_io_list(rng, rng.randint(1, 5), names=rng.randint(1, 8))
+        _assert_witness(items)
+
+    def test_witnesses_cover_self_loops_and_longer_cycles(self):
+        """The io lists that the property above draws from include
+        loop-free lists, self-loops and longer cycles."""
+        lengths = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            items = random_io_list(rng, rng.randint(1, 5), names=rng.randint(1, 8))
+            cycle = _assert_witness(items)
+            lengths.add(min(len(cycle), 3) if cycle else 0)
+        assert lengths == {0, 2, 3}
+
 
     def test_loop_free_matches_the_closure_oracle(self, corpus_diagrams):
         lists = []
@@ -405,10 +457,21 @@ class TestDependencyAnalysis:
         lists += [_random_relation_blocks(rng) for _ in range(200)]
         verdicts = set()
         for items in lists:
-            verdict = loop_free(items)
-            assert verdict == loop_free_oracle(items)
-            verdicts.add(verdict)
+            verdicts.add(_assert_witness(items) is None)
         assert verdicts == {True, False}
+
+
+def _assert_witness(items):
+    """``find_cycle(items)``, checked against the closure oracle: None
+    exactly when the items are loop-free, and otherwise a cycle of
+    ``oi_rel`` with no repeated name, from its smallest name."""
+    cycle = find_cycle(items)
+    assert loop_free(items) == loop_free_oracle(items) == (cycle is None)
+    if cycle is not None:
+        assert cycle[0] == cycle[-1] == min(cycle)
+        assert len(set(cycle)) == len(cycle) - 1
+        assert set(zip(cycle, cycle[1:])) <= oi_rel(items)
+    return cycle
 
 
 def _random_relation_blocks(rng):

@@ -8,7 +8,6 @@ from hbd import semantics
 from hbd.axioms import _random_expr
 from hbd.exprs import Bin, ExprFun, Ite, Lit, Ref, Un
 from hbd.feedbackless import (
-    _successors,
     internal_serial,
     internal_vars,
     oi_rel,
@@ -199,6 +198,14 @@ def topo_order_oracle(ds) -> list:
         for i in range(n)
     ]
     return [ds[i] for i in stable_topo_order_oracle(succs)]
+
+
+def _successors(rel) -> dict:
+    """Each name of ``rel`` -> the set of names it is paired with."""
+    succ: dict = {}
+    for a, b in rel:
+        succ.setdefault(a, set()).add(b)
+    return succ
 
 
 def transitive_closure(rel) -> frozenset:
